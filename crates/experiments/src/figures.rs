@@ -139,6 +139,7 @@ pub mod fig2 {
 /// Fig. 4: percentage of loads depending on multiple stores.
 pub mod fig4 {
     use super::*;
+    use crate::predictors::ORACLE_WINDOW;
     use phast_mdp::{DepOracle, MultiStoreStats};
 
     /// Runs the study (pure emulation, no timing simulation).
@@ -153,7 +154,7 @@ pub mod fig4 {
         let workloads = budget.workloads();
         let stats: Vec<MultiStoreStats> = sweep.map(&workloads, |_, w| {
             let program = w.build(budget.workload_iters);
-            let oracle = DepOracle::build(&program, budget.insts, 512).expect("emulates");
+            let oracle = DepOracle::build(&program, budget.insts, ORACLE_WINDOW).expect("emulates");
             oracle.multi_store_stats()
         });
         let mut total_pct = Vec::new();

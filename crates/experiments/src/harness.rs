@@ -25,9 +25,9 @@
 use crate::artifact::{git_describe, RunRecord, SamplingMeta, SweepArtifact};
 use crate::journal::{CompletedRun, JournalScope};
 use crate::pool::{self, JobPanic};
-use crate::predictors::PredictorKind;
+use crate::predictors::{ideal_oracle, PredictorKind};
 use phast_isa::Program;
-use phast_mdp::MemDepPredictor;
+use phast_mdp::{DepOracle, MemDepPredictor};
 use phast_ooo::{
     try_simulate_within, CoreConfig, Deadline, LaneBatch, LaneJob, LaneOutcome, LaneReport,
     SimError, SimStats,
@@ -38,7 +38,7 @@ use phast_sample::{
 };
 use phast_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Process exit codes of the experiment binary — the machine-readable
@@ -581,17 +581,19 @@ pub fn reseed_for_attempt(cfg: &CoreConfig, attempt: u64) -> (CoreConfig, u64) {
 /// Assembles the per-window runs of one (workload, predictor) cell into a
 /// [`RunResult`]: statistics are the window sums (so the cell's IPC is
 /// the ratio-of-sums estimate), `sampling` carries the estimate metadata,
-/// and the first window failure (if any) degrades the cell.
+/// and the first window failure (if any) degrades the cell. The cell's
+/// wall is `setup_wall` (its share of capture and oracle building) plus
+/// its windows' walls.
 fn assemble_sampled(
     workload: &str,
     label: &str,
     set: &CheckpointSet,
     windows: Vec<(WindowRun, u64, Duration)>,
-    capture_wall: Duration,
+    setup_wall: Duration,
     workload_signature: String,
 ) -> RunResult {
     let num_paths = windows.iter().map(|(_, p, _)| *p).max().unwrap_or(0);
-    let wall = capture_wall + windows.iter().map(|(_, _, d)| *d).sum::<Duration>();
+    let wall = setup_wall + windows.iter().map(|(_, _, d)| *d).sum::<Duration>();
     let runs: Vec<WindowRun> = windows.into_iter().map(|(r, _, _)| r).collect();
     let failure = runs.iter().find_map(|r| r.failure.clone().map(RunFailure::Sim));
     let est = estimate(set, &runs);
@@ -649,7 +651,10 @@ pub(crate) fn execute_sampled(
     let start = Instant::now();
     let program = workload.build(budget.workload_iters);
     let set = capture(&program, cfg, scfg, budget.insts).expect("workloads emulate cleanly");
-    let capture_wall = start.elapsed();
+    // Every window of an ideal cell answers from one oracle over the
+    // whole horizon.
+    let oracle = (*kind == PredictorKind::Ideal).then(|| ideal_oracle(&program, budget.insts));
+    let setup_wall = start.elapsed();
     let mut core_cfg = cfg.clone();
     core_cfg.train_point = kind.train_point();
     let windows: Vec<(WindowRun, u64, Duration)> = set
@@ -657,14 +662,28 @@ pub(crate) fn execute_sampled(
         .into_iter()
         .map(|j| {
             let t = Instant::now();
-            let mut predictor = kind.build(&program, budget.insts);
+            let mut predictor = kind.build_sharing(&program, budget.insts, oracle.as_ref());
             let run =
                 run_window_within(&program, &core_cfg, predictor.as_mut(), &set, j, &Deadline::none());
             (run, predictor.num_paths(), t.elapsed())
         })
         .collect();
     let signature = phast_trace::signature(&program).digest();
-    assemble_sampled(workload.name, &kind.label(), &set, windows, capture_wall, signature)
+    assemble_sampled(workload.name, &kind.label(), &set, windows, setup_wall, signature)
+}
+
+/// One workload of a sampled grid: what its windows share, built before
+/// any of them runs and dropped with the grid.
+struct SampledWorkload {
+    program: Program,
+    set: CheckpointSet,
+    /// Host time of the capture pass, charged to the first live cell.
+    capture_wall: Duration,
+    /// The ideal oracle over the horizon and its build time, charged to
+    /// the first live ideal cell. Built only when an ideal cell is live;
+    /// a build that panicked degrades those cells, as a panic in one of
+    /// their windows would.
+    oracle: Option<(Result<Arc<DepOracle>, JobPanic>, Duration)>,
 }
 
 /// A sweep: a worker pool plus the scoped degraded-run registry and run
@@ -1106,8 +1125,11 @@ impl Sweep {
     /// independently from their checkpoints, so the grid parallelizes at
     /// window granularity rather than cell granularity. Results regroup
     /// into the same `rows[kind][workload]` shape as the full-detail
-    /// grid; the capture wall-clock is attributed once per workload (to
-    /// the first kind's cell) so summed walls reflect real cost.
+    /// grid. The ideal predictor's oracle is likewise built once per
+    /// workload and shared by all its windows. The capture wall-clock is
+    /// attributed once per workload (to the first kind's cell), the
+    /// oracle build to the first ideal cell, so summed walls reflect real
+    /// cost.
     fn run_grid_sampled(
         &self,
         kinds: &[PredictorKind],
@@ -1151,26 +1173,36 @@ impl Sweep {
         let live: Vec<bool> = (0..workloads.len())
             .map(|w| (0..kinds.len()).any(|k| replays[k][w].is_none()))
             .collect();
+        let first_live_ideal: Vec<Option<usize>> = (0..workloads.len())
+            .map(|w| {
+                (0..kinds.len())
+                    .find(|&k| kinds[k] == PredictorKind::Ideal && replays[k][w].is_none())
+            })
+            .collect();
         let capture_idx: Vec<usize> = (0..workloads.len()).collect();
-        let captures: Vec<Option<(Program, CheckpointSet, Duration)>> =
-            self.map(&capture_idx, |_, &w| {
-                if !live[w] {
-                    return None;
-                }
+        let captures: Vec<Option<SampledWorkload>> = self.map(&capture_idx, |_, &w| {
+            if !live[w] {
+                return None;
+            }
+            let t = Instant::now();
+            let program = workloads[w].build(budget.workload_iters);
+            let set =
+                capture(&program, cfg, &scfg, budget.insts).expect("workloads emulate cleanly");
+            let capture_wall = t.elapsed();
+            let oracle = first_live_ideal[w].map(|_| {
                 let t = Instant::now();
-                let program = workloads[w].build(budget.workload_iters);
-                let set = capture(&program, cfg, &scfg, budget.insts)
-                    .expect("workloads emulate cleanly");
-                let wall = t.elapsed();
-                Some((program, set, wall))
+                let built = pool::catch_job(|| ideal_oracle(&program, budget.insts));
+                (built, t.elapsed())
             });
+            Some(SampledWorkload { program, set, capture_wall, oracle })
+        });
         let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
         for (k, kind) in kinds.iter().enumerate() {
             for (w, capture) in captures.iter().enumerate() {
                 if replays[k][w].is_some() {
                     continue;
                 }
-                let set = &capture.as_ref().expect("live workload was captured").1;
+                let set = &capture.as_ref().expect("live workload was captured").set;
                 // Write-ahead: the start line lands before the cell's
                 // windows enter the pool.
                 if let Some(j) = &self.journal {
@@ -1188,12 +1220,19 @@ impl Sweep {
         // Windows run under panic isolation and a per-window deadline: a
         // single poisoned or hung window degrades its cell, not the grid.
         let flat = self.map(&tasks, |_, &(k, w, j)| {
+            let c = captures[w].as_ref().expect("live workload was captured");
+            let oracle = match &c.oracle {
+                Some((built, _)) if kinds[k] == PredictorKind::Ideal => {
+                    Some(built.as_ref().map_err(JobPanic::clone)?)
+                }
+                _ => None,
+            };
             pool::catch_job(|| {
-                let (program, set, _) = captures[w].as_ref().expect("live workload was captured");
+                let (program, set) = (&c.program, &c.set);
                 let t = Instant::now();
                 let mut core_cfg = cfg.clone();
                 core_cfg.train_point = kinds[k].train_point();
-                let mut predictor = kinds[k].build(program, budget.insts);
+                let mut predictor = kinds[k].build_sharing(program, budget.insts, oracle);
                 let deadline = self.deadline();
                 let run = run_window_within(program, &core_cfg, predictor.as_mut(), set, j, &deadline);
                 (run, predictor.num_paths(), t.elapsed())
@@ -1208,9 +1247,8 @@ impl Sweep {
                     row.push(replayed_result(done.clone()));
                     continue;
                 }
-                let (program, set, capture_wall) =
-                    captures[w].as_ref().expect("live workload was captured");
-                let n = set.windows_to_run().len();
+                let c = captures[w].as_ref().expect("live workload was captured");
+                let n = c.set.windows_to_run().len();
                 let mut windows = Vec::with_capacity(n);
                 let mut panic: Option<JobPanic> = None;
                 for r in flat.by_ref().take(n) {
@@ -1220,17 +1258,22 @@ impl Sweep {
                     }
                 }
                 let first_live = (0..kinds.len()).find(|&kk| replays[kk][w].is_none());
-                let capture_share =
-                    if first_live == Some(k) { *capture_wall } else { Duration::ZERO };
+                let mut setup_share = Duration::ZERO;
+                if first_live == Some(k) {
+                    setup_share += c.capture_wall;
+                }
+                if first_live_ideal[w] == Some(k) {
+                    setup_share += c.oracle.as_ref().map_or(Duration::ZERO, |(_, d)| *d);
+                }
                 let mut cell = match panic {
                     Some(p) => panicked_result(workload.name, &kind.label(), p),
                     None => assemble_sampled(
                         workload.name,
                         &kind.label(),
-                        set,
+                        &c.set,
                         windows,
-                        capture_share,
-                        phast_trace::signature(program).digest(),
+                        setup_share,
+                        phast_trace::signature(&c.program).digest(),
                     ),
                 };
                 cell.attempts = 1;
@@ -1326,9 +1369,9 @@ mod tests {
         let cfg = CoreConfig::alder_lake();
         let scfg = SampleConfig::new(3, 600, 400);
         let sweep = Sweep::with_workers(4).with_sampling(scfg);
-        let kinds = [PredictorKind::StoreSets, PredictorKind::Blind];
+        let kinds = [PredictorKind::StoreSets, PredictorKind::Blind, PredictorKind::Ideal];
         let grid = sweep.run_grid(&kinds, &cfg, &budget);
-        assert_eq!(grid.len(), 2);
+        assert_eq!(grid.len(), 3);
         for row in &grid {
             assert_eq!(row.len(), 2);
             for r in row {
@@ -1350,6 +1393,61 @@ mod tests {
         assert_eq!(one.stats.cycles, grid[0][0].stats.cycles);
         assert_eq!(one.stats.committed, grid[0][0].stats.committed);
         assert_eq!(one.stats.violations, grid[0][0].stats.violations);
+
+        // Ideal cells answer every window from one shared oracle; their
+        // statistics equal windows replayed with a freshly built ideal
+        // predictor each, on the serial and the 4-worker sweep.
+        let serial_grid = serial.run_grid(&kinds, &cfg, &budget);
+        let mut ideal_cfg = cfg.clone();
+        ideal_cfg.train_point = PredictorKind::Ideal.train_point();
+        for (i, workload) in w.iter().enumerate() {
+            let program = workload.build(budget.workload_iters);
+            let set = capture(&program, &cfg, &scfg, budget.insts).expect("clean capture");
+            let runs: Vec<WindowRun> = set
+                .windows_to_run()
+                .into_iter()
+                .map(|j| {
+                    let mut fresh = PredictorKind::Ideal.build(&program, budget.insts);
+                    let none = Deadline::none();
+                    run_window_within(&program, &ideal_cfg, fresh.as_mut(), &set, j, &none)
+                })
+                .collect();
+            let want = format!("{:?}", sum_window_stats_weighted(&runs, &set.run_weights()));
+            assert_eq!(format!("{:?}", serial_grid[2][i].stats), want, "serial {}", workload.name);
+            assert_eq!(format!("{:?}", grid[2][i].stats), want, "4 workers {}", workload.name);
+        }
+    }
+
+    #[test]
+    fn a_panicking_oracle_build_degrades_only_the_ideal_cells() {
+        use phast_isa::{CondKind, ProgramBuilder, Reg};
+        // Emulates cleanly through the 12k-instruction horizon, then
+        // returns to a bogus block inside the oracle's margin.
+        let workload = Workload::dynamic("late_bad_ret".into(), "test".into(), |_| {
+            let mut b = ProgramBuilder::new();
+            let (entry, body, tail) = (b.block(), b.block(), b.block());
+            b.at(entry).li(Reg(1), 10_000).li(Reg(2), 999).fallthrough(body);
+            let mut c = b.at(body);
+            c.addi(Reg(1), Reg(1), -1).branchi(CondKind::Ne, Reg(1), 0, body).fallthrough(tail);
+            b.at(tail).ret_via(Reg(2));
+            b.set_entry(entry);
+            b.build().expect("valid program")
+        });
+        let budget = Budget {
+            insts: 12_000,
+            workload_iters: 1,
+            max_workloads: Some(0),
+            extra_workloads: vec![workload],
+        };
+        let sweep = Sweep::serial().with_sampling(SampleConfig::new(3, 600, 400));
+        let kinds = [PredictorKind::StoreSets, PredictorKind::Ideal];
+        let grid = sweep.run_grid(&kinds, &CoreConfig::alder_lake(), &budget);
+        assert!(grid[0][0].ok(), "store-sets needs no oracle: {:?}", grid[0][0].failure);
+        assert!(
+            matches!(&grid[1][0].failure, Some(RunFailure::Panicked(m)) if m.contains("emulate")),
+            "{:?}",
+            grid[1][0].failure
+        );
     }
 
     #[test]

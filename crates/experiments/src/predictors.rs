@@ -10,6 +10,24 @@ use phast_mdp::{BlindSpeculation, DepOracle, MemDepPredictor, OraclePredictor, T
 use phast_ooo::TrainPoint;
 use std::sync::Arc;
 
+/// Instructions past the budget the ideal oracle covers: the pipeline
+/// commits up to a commit-group beyond the budget and fetches further
+/// still, so the oracle answers for a comfortable margin past it.
+pub const ORACLE_MARGIN: u64 = 50_000;
+
+/// Youngest stores the ideal oracle tracks per load: at least the store
+/// buffer of every configured core.
+pub const ORACLE_WINDOW: usize = 512;
+
+/// Builds the ideal predictor's dependence oracle for a run of `max_insts`
+/// instructions. Every ideal run over the same program and horizon can
+/// share the result.
+pub fn ideal_oracle(program: &Program, max_insts: u64) -> Arc<DepOracle> {
+    let oracle = DepOracle::build(program, max_insts + ORACLE_MARGIN, ORACLE_WINDOW)
+        .expect("workloads emulate cleanly");
+    Arc::new(oracle)
+}
+
 /// Identifies a predictor configuration used by the experiments.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PredictorKind {
@@ -151,15 +169,23 @@ impl PredictorKind {
     /// Builds the predictor. The oracle needs the program (and budget) to
     /// precompute perfect dependences.
     pub fn build(&self, program: &Program, max_insts: u64) -> Box<dyn MemDepPredictor> {
+        self.build_sharing(program, max_insts, None)
+    }
+
+    /// [`build`](Self::build), except that the ideal predictor answers
+    /// from `oracle` when one is given — [`ideal_oracle`] over the same
+    /// program and `max_insts` — instead of building its own.
+    pub fn build_sharing(
+        &self,
+        program: &Program,
+        max_insts: u64,
+        oracle: Option<&Arc<DepOracle>>,
+    ) -> Box<dyn MemDepPredictor> {
         match self {
-            PredictorKind::Ideal => {
-                // The pipeline commits up to a commit-group beyond the
-                // budget and fetches further still, so the oracle covers a
-                // comfortable margin past `max_insts`.
-                let oracle = DepOracle::build(program, max_insts + 50_000, 512)
-                    .expect("workloads emulate cleanly");
-                Box::new(OraclePredictor::new(Arc::new(oracle)))
-            }
+            PredictorKind::Ideal => Box::new(OraclePredictor::new(match oracle {
+                Some(shared) => Arc::clone(shared),
+                None => ideal_oracle(program, max_insts),
+            })),
             PredictorKind::Blind => Box::new(BlindSpeculation),
             PredictorKind::TotalOrder => Box::new(TotalOrder),
             PredictorKind::Phast => Box::new(Phast::new(PhastConfig::paper())),

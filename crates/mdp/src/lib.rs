@@ -30,7 +30,7 @@ mod types;
 
 use phast_isa::Pc;
 
-pub use oracle::{DepOracle, MultiStoreStats, OraclePredictor};
+pub use oracle::{oracle_builds, DepOracle, MultiStoreStats, OraclePredictor};
 pub use simple::{BlindSpeculation, TotalOrder};
 pub use table::{AssocTable, TableGeometry};
 pub use types::{

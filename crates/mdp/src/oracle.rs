@@ -18,7 +18,19 @@ use crate::types::{AccessStats, DepPrediction, LoadQuery, PredictionOutcome, Vio
 use crate::MemDepPredictor;
 use phast_isa::{ranges_overlap, EmuError, Emulator, Op, Program, Reg};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Process-wide count of [`DepOracle::build`] calls. Each build emulates
+/// the whole horizon, so sweeps must share one oracle per program instead
+/// of rebuilding it per window; tests pin that contract on this counter.
+static ORACLE_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Total [`DepOracle::build`] calls made by this process so far.
+/// Monotonic; callers measure deltas around the region under test.
+pub fn oracle_builds() -> u64 {
+    ORACLE_BUILDS.load(Ordering::Relaxed)
+}
 
 /// Fig. 4 statistics gathered while building the oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -63,7 +75,7 @@ struct StoreRec {
 }
 
 /// Precomputed perfect dependence information for one program execution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DepOracle {
     /// `(load arch-seq, (store distance, store arch-seq))` of the youngest
     /// conflicting older store within the tracking window, sorted by load
@@ -78,12 +90,14 @@ pub struct DepOracle {
 impl DepOracle {
     /// Builds the oracle by running the emulator for up to `max_insts`
     /// instructions, tracking the youngest `window` stores (set this at
-    /// least as large as the store buffer).
+    /// least as large as the store buffer; `0` tracks none, so no load
+    /// has a dependence or a provider).
     ///
     /// # Errors
     ///
     /// Propagates emulator errors (e.g. a corrupt return target).
     pub fn build(program: &Program, max_insts: u64, window: usize) -> Result<DepOracle, EmuError> {
+        ORACLE_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut emu = Emulator::new(program);
         let mut recent: VecDeque<StoreRec> = VecDeque::with_capacity(window);
         let mut deps = Vec::new();
@@ -106,6 +120,9 @@ impl DepOracle {
             let Some(rec) = emu.step()? else { break };
             match mem_size {
                 Some((size, true)) => {
+                    if window == 0 {
+                        continue;
+                    }
                     if recent.len() == window {
                         recent.pop_front();
                     }
@@ -121,21 +138,34 @@ impl DepOracle {
                     let addr = rec.eff_addr.expect("load has address");
                     // Youngest conflicting store: first overlap scanning
                     // from the youngest end.
-                    let mut youngest: Option<(u32, u64)> = None;
-                    for (dist, st) in recent.iter().rev().enumerate() {
-                        if ranges_overlap(addr, bytes, st.addr, st.size) {
-                            youngest = Some((dist as u32, st.seq));
-                            break;
-                        }
-                    }
-                    if let Some(found) = youngest {
+                    let youngest = recent
+                        .iter()
+                        .rev()
+                        .enumerate()
+                        .find(|(_, st)| ranges_overlap(addr, bytes, st.addr, st.size));
+                    if let Some((dist, st)) = youngest {
                         debug_assert!(
                             deps.last().is_none_or(|&(s, _)| s < rec.seq),
                             "loads retire in ascending sequence order"
                         );
-                        deps.push((rec.seq, found));
+                        deps.push((rec.seq, (dist as u32, st.seq)));
                     }
-                    // Byte-provider analysis for Fig. 4.
+                    // Byte-provider analysis for Fig. 4: each byte's
+                    // provider is the youngest store covering it. Unless
+                    // the load wraps the address space, only stores that
+                    // overlap the whole load cover any of its bytes, so
+                    // with none there is no provider, and a youngest one
+                    // covering the whole load is the only provider.
+                    match (youngest, addr.checked_add(bytes)) {
+                        (None, Some(_)) => continue,
+                        (Some((_, st)), Some(end))
+                            if st.addr <= addr && end <= st.addr.wrapping_add(st.size) =>
+                        {
+                            stats.single_store_loads += 1;
+                            continue;
+                        }
+                        _ => {}
+                    }
                     providers.clear();
                     for b in 0..bytes {
                         let byte_addr = addr.wrapping_add(b);
@@ -164,6 +194,7 @@ impl DepOracle {
                 None => {}
             }
         }
+        deps.shrink_to_fit();
         Ok(DepOracle { deps, stats })
     }
 
@@ -346,5 +377,136 @@ mod tests {
         let p = b.build().unwrap();
         let o = DepOracle::build(&p, 100, 2).unwrap();
         assert_eq!(o.lookup(7), None, "conflicting store fell out of the window");
+    }
+
+    #[test]
+    fn zero_window_tracks_no_stores() {
+        let p = dep_program();
+        let o = DepOracle::build(&p, 100, 0).unwrap();
+        assert_eq!(o.dependent_loads(), 0);
+        assert_eq!(o.lookup(3), None);
+        let s = o.multi_store_stats();
+        assert_eq!(s.loads, 1);
+        assert_eq!(s.single_store_loads + s.multi_store_loads, 0, "no load has a provider");
+    }
+
+    /// The straightforward build the production one must equal: one scan
+    /// of the store window for the youngest overlapping store, then one
+    /// full scan per load byte for that byte's provider, with no early-out.
+    fn reference_build(program: &Program, max_insts: u64, window: usize) -> DepOracle {
+        let mut emu = Emulator::new(program);
+        let mut recent: VecDeque<StoreRec> = VecDeque::new();
+        let mut deps = Vec::new();
+        let mut stats = MultiStoreStats::default();
+        while emu.retired() < max_insts {
+            let Some((block, index)) = emu.cursor() else { break };
+            let inst = program.inst(block, index);
+            let (mem, base) = match inst.op {
+                Op::Store(size) => (Some((size.bytes(), true)), inst.src1),
+                Op::Load(size) => (Some((size.bytes(), false)), inst.src1),
+                _ => (None, None),
+            };
+            let Some(rec) = emu.step().expect("emulates cleanly") else { break };
+            let Some((bytes, is_store)) = mem else { continue };
+            let addr = rec.eff_addr.expect("memory op has an address");
+            if is_store {
+                if window > 0 {
+                    if recent.len() == window {
+                        recent.pop_front();
+                    }
+                    recent.push_back(StoreRec { seq: rec.seq, addr, size: bytes, base });
+                }
+                continue;
+            }
+            stats.loads += 1;
+            if let Some((dist, st)) = recent
+                .iter()
+                .rev()
+                .enumerate()
+                .find(|(_, st)| ranges_overlap(addr, bytes, st.addr, st.size))
+            {
+                deps.push((rec.seq, (dist as u32, st.seq)));
+            }
+            let mut providers: Vec<(u64, Option<Reg>)> = Vec::new();
+            for b in 0..bytes {
+                let byte_addr = addr.wrapping_add(b);
+                if let Some(st) =
+                    recent.iter().rev().find(|st| ranges_overlap(byte_addr, 1, st.addr, st.size))
+                {
+                    if !providers.iter().any(|&(seq, _)| seq == st.seq) {
+                        providers.push((st.seq, st.base));
+                    }
+                }
+            }
+            match providers.len() {
+                0 => {}
+                1 => stats.single_store_loads += 1,
+                _ => {
+                    stats.multi_store_loads += 1;
+                    let base0 = providers[0].1;
+                    if providers.iter().all(|&(_, b)| b == base0 && base0.is_some()) {
+                        stats.multi_store_same_base += 1;
+                    }
+                }
+            }
+        }
+        DepOracle { deps, stats }
+    }
+
+    /// A straight-line program of `(store?, size index, offset, base)`
+    /// memory ops over a 48-byte region. Bases r1 and r2 hold the same
+    /// address (so a multi-store group may or may not share its base
+    /// register), r3 is unaligned, and r4 sits 24 bytes below 2^64 so
+    /// its accesses wrap the address space.
+    fn mem_program(ops: &[(u8, u8, i64, u8)]) -> Program {
+        let sizes = [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8];
+        let mut b = ProgramBuilder::new();
+        let e = b.block();
+        let mut c = b.at(e);
+        c.li(Reg(1), 0x1000).li(Reg(2), 0x1000).li(Reg(3), 0x1003).li(Reg(4), -24);
+        c.li(Reg(5), 0x5a);
+        for &(store, size, offset, base) in ops {
+            let (size, base) = (sizes[usize::from(size)], Reg(1 + base));
+            if store == 1 {
+                c.store(base, offset, Reg(5), size);
+            } else {
+                c.load(Reg(6), base, offset, size);
+            }
+        }
+        c.halt();
+        b.set_entry(e);
+        b.build().unwrap()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn build_matches_the_reference_on_random_programs(
+            ops in proptest::collection::vec((0u8..2, 0u8..4, 0i64..48, 0u8..4), 1..160),
+            w in 0usize..5,
+        ) {
+            let window = [1, 2, 3, 64, 512][w];
+            let p = mem_program(&ops);
+            let built = DepOracle::build(&p, 1_000, window).unwrap();
+            proptest::prop_assert_eq!(built, reference_build(&p, 1_000, window));
+        }
+    }
+
+    #[test]
+    fn builds_match_the_reference_on_every_workload() {
+        // The quick budget's horizon and program size, with the ideal
+        // predictor's margin, then synthesized programs at the full
+        // budget's horizon.
+        let builtin = phast_workloads::all_workloads().into_iter().map(|w| (w, 200_000, 90_000));
+        let synth = phast_trace::synth_workloads(12, 7).into_iter();
+        for (w, iters, insts) in builtin.chain(synth.map(|w| (w, 1_000_000, 300_000))) {
+            let p = w.build(iters);
+            for window in [2, 64, 512] {
+                let built = DepOracle::build(&p, insts, window).unwrap();
+                let want = reference_build(&p, insts, window);
+                // Not `assert_eq!`: it would print two oracles of
+                // thousands of entries each.
+                assert!(built == want, "{} at window {window}", w.name);
+            }
+        }
     }
 }
