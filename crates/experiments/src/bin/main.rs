@@ -58,6 +58,37 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("static_baseline", "static dependence signatures and zero-storage baseline"),
 ];
 
+/// Every flag [`main`] parses: bare switches, and `--flag=` prefixes for
+/// flags that take a value. Any other `--` argument is a usage error.
+const FLAGS: &[&str] = &[
+    "--help",
+    "--list-workloads",
+    "--list-predictors",
+    "--list-experiments",
+    "--verify",
+    "--verify=",
+    "--quick",
+    "--sampled",
+    "--windows=",
+    "--warm=",
+    "--sample-mode=",
+    "--clusters=",
+    "--serial",
+    "--workers=",
+    "--json-dir=",
+    "--no-json",
+    "--resume",
+    "--run-timeout=",
+    "--retries=",
+    "--max-workloads=",
+    "--synth",
+    "--synth=",
+    "--trace=",
+    "--record-trace=",
+    "--trace-workload=",
+    "--dump-checkpoints=",
+];
+
 /// The space-separated experiment id list for usage/error lines.
 fn experiment_ids() -> String {
     EXPERIMENTS.iter().map(|(id, _)| *id).collect::<Vec<_>>().join(" ")
@@ -93,7 +124,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: phast-experiments [--quick] [--sampled] [--windows=N] [--warm=M] \
          [--sample-mode=phase|stride] [--clusters=K] \
-         [--serial | --workers=N] [--lanes=N] [--json-dir=DIR | --no-json] \
+         [--serial | --workers=N] [--json-dir=DIR | --no-json] \
          [--resume] [--run-timeout=SECS] [--retries=N] \
          [--max-workloads=N] [--synth[=N]] [--trace=FILE]... <experiment>..."
     );
@@ -131,11 +162,6 @@ fn help() {
          execution:\n\
          \x20 --serial            one worker (determinism reference)\n\
          \x20 --workers=N         explicit worker count (default: all cores)\n\
-         \x20 --lanes=N           batch N (workload, predictor) cells per worker\n\
-         \x20                     through one interleaved cycle loop; --lanes=1\n\
-         \x20                     (the default, also PHAST_LANES) forces the\n\
-         \x20                     serial per-cell path; artifacts are byte-\n\
-         \x20                     identical at any lane count\n\
          \x20 --run-timeout=SECS  per-run watchdog; hung runs end as 'deadline'\n\
          \x20 --retries=N         attempts per run before it is recorded degraded\n\
          \n\
@@ -277,6 +303,19 @@ fn main() {
         help();
         return;
     }
+    // The strict-parse rule every flag here follows: a misspelled or
+    // malformed flag is a usage error (exit 2), never silently ignored.
+    if let Some(bad) = args.iter().find(|a| a.starts_with("--list-experiments=")) {
+        eprintln!("error: {bad}: --list-experiments takes no value");
+        std::process::exit(exit_code::USAGE);
+    }
+    let known = |a: &str| {
+        FLAGS.iter().any(|f| if f.ends_with('=') { a.starts_with(f) } else { a == *f })
+    };
+    if let Some(bad) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        eprintln!("error: unknown argument '{bad}'");
+        usage();
+    }
     if args.iter().any(|a| a == "--list-workloads") {
         list_workloads();
         return;
@@ -284,13 +323,6 @@ fn main() {
     if args.iter().any(|a| a == "--list-predictors") {
         list_predictors();
         return;
-    }
-    // Same contract as the other list flags, plus the strict-parse rule
-    // every flag here follows: a malformed spelling is a usage error,
-    // never silently ignored.
-    if let Some(bad) = args.iter().find(|a| a.starts_with("--list-experiments=")) {
-        eprintln!("error: {bad}: --list-experiments takes no value");
-        std::process::exit(exit_code::USAGE);
     }
     if args.iter().any(|a| a == "--list-experiments") {
         list_experiments();
@@ -347,24 +379,12 @@ fn main() {
             std::process::exit(exit_code::USAGE);
         })
     });
-    // `--lanes=1` (the default) forces the solo per-cell path; any N > 1
-    // batches N (workload, predictor) cells per worker through LaneBatch.
-    let lanes: usize = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--lanes="))
-        .map(|v| {
-            pool::parse_lanes(v).unwrap_or_else(|e| {
-                eprintln!("error: --lanes: {e}");
-                std::process::exit(exit_code::USAGE);
-            })
-        })
-        .unwrap_or_else(pool::default_lanes);
     let windows: Option<u64> =
         args.iter().find_map(|a| a.strip_prefix("--windows=")).map(|v| parse_count("--windows", v));
     let warm: Option<u64> =
         args.iter().find_map(|a| a.strip_prefix("--warm=")).map(|v| parse_count("--warm", v));
     // Sampling-mode knobs reject garbage with the same exit-2 contract as
-    // --workers/--lanes: never a silent fallback.
+    // --workers: never a silent fallback.
     let sample_mode: Option<SampleMode> =
         args.iter().find_map(|a| a.strip_prefix("--sample-mode=")).map(|v| {
             SampleMode::parse(v).unwrap_or_else(|e| {
@@ -589,9 +609,6 @@ fn main() {
         // The validation experiment reads the sampling config off the
         // sweep but runs its full-detail reference through simulate_run
         // directly, so setting sampled mode here is safe for every id.
-        if lanes > 1 {
-            sweep = sweep.with_lanes(lanes);
-        }
         if let Some(scfg) = sampling {
             sweep = sweep.with_sampling(scfg);
         }

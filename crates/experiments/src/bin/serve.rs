@@ -12,7 +12,7 @@
 //! phast-serve --client=shutdown --addr=...
 //!
 //! # worker mode: join a daemon as a remote worker process
-//! phast-serve --worker=127.0.0.1:7878 --lanes=4 --name=box-a
+//! phast-serve --worker=127.0.0.1:7878 --name=box-a
 //! ```
 //!
 //! The daemon accepts sweep submissions over a TCP JSON-lines protocol
@@ -71,7 +71,7 @@ mod sigterm {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: phast-serve [--addr=HOST:PORT] [--workers=N] [--lanes=N] [--max-active=N] \
+        "usage: phast-serve [--addr=HOST:PORT] [--workers=N] [--max-active=N] \
          [--json-dir=DIR | --no-json] [--resume] [--run-timeout=SECS] \
          [--heartbeat-ms=N] [--lease-secs=N] \
          [--chaos-seed=N] [--chaos-kill=K] [--chaos-stall=K]"
@@ -81,7 +81,7 @@ fn usage() -> ! {
          \x20      phast-serve --client=submit --id=ID --kinds=A,B --budget=TIER \\\n\
          \x20                  [--no-watch] [--drop-after=N] [--addr=HOST:PORT]\n\
          \x20      phast-serve --client=fetch --digest=DIGEST [--addr=HOST:PORT]\n\
-         \x20      phast-serve --worker=HOST:PORT [--lanes=N] [--name=NAME] \\\n\
+         \x20      phast-serve --worker=HOST:PORT [--name=NAME] \\\n\
          \x20                  [--backoff-seed=N] [--patience-secs=N] [--beat-ms=N] \\\n\
          \x20                  [--chaos-net-seed=N] [--chaos-drop-at=C:L]"
     );
@@ -96,10 +96,6 @@ fn help() {
          daemon mode (default):\n\
          \x20 --addr=HOST:PORT    bind address (default 127.0.0.1:7878; port 0 = OS pick)\n\
          \x20 --workers=N         persistent worker threads (default: all cores)\n\
-         \x20 --lanes=N           cells a worker drains from its deque into one\n\
-         \x20                     interleaved lane batch; --lanes=1 (the default,\n\
-         \x20                     also PHAST_LANES) runs every cell solo; results\n\
-         \x20                     are byte-identical at any lane count\n\
          \x20 --max-active=N      sweeps in flight before submissions are rejected\n\
          \x20                     with retry_after_ms backpressure (default 2)\n\
          \x20 --json-dir=DIR      where BENCH_<id>.json artifacts and the write-ahead\n\
@@ -117,7 +113,7 @@ fn help() {
          \x20 (stride or phase-clustered windows) belongs to phast-experiments'\n\
          \x20 --sampled / --sample-mode=phase|stride / --clusters=K runs. The\n\
          \x20 PHAST_CLUSTERS environment knob is validated at daemon startup\n\
-         \x20 with the same exit-2-on-garbage contract (like PHAST_LANES), so a\n\
+         \x20 with the same exit-2-on-garbage contract (like PHAST_WORKERS), so a\n\
          \x20 misconfigured service environment fails fast, not mid-sweep\n\
          \n\
          chaos injection (seeded, deterministic; for CI and tests):\n\
@@ -128,19 +124,19 @@ fn help() {
          \x20 --chaos-stall-at=J:A scripted: drop job J's heartbeat on attempt A\n\
          \n\
          worker mode (--worker=HOST:PORT joins a daemon as a remote worker):\n\
-         \x20 the worker registers over the same JSON-lines protocol, leases\n\
-         \x20 (workload, predictor) cells (lane-batched up to --lanes at a time),\n\
-         \x20 heartbeats progress while they run, and delivers each result under\n\
-         \x20 a fencing token — a result whose lease was reclaimed is rejected\n\
-         \x20 as stale, never double-counted (docs/SERVICE.md, Distributed\n\
-         \x20 execution). Disconnects reconnect with capped-exponential seeded\n\
-         \x20 backoff; SIGTERM finishes the cells in hand, delivers, and exits\n\
+         \x20 the worker registers over the same JSON-lines protocol, leases one\n\
+         \x20 (workload, predictor) cell at a time, heartbeats its progress while\n\
+         \x20 it runs, and delivers each result under a fencing token — a result\n\
+         \x20 whose lease was reclaimed is rejected as stale, never double-counted\n\
+         \x20 (docs/SERVICE.md, Distributed execution). Disconnects reconnect\n\
+         \x20 with capped-exponential seeded backoff; an outage (failed connects\n\
+         \x20 and failed registrations alike) longer than --patience-secs exits 5;\n\
+         \x20 SIGTERM finishes the cell in hand, delivers, and exits\n\
          \x20 \n\
-         \x20 --lanes=N           cells leased (and lane-batched) per grant\n\
          \x20 --name=NAME         worker name in daemon diagnostics (default worker-<pid>)\n\
          \x20 --backoff-seed=N    jitter seed for the reconnect backoff\n\
          \x20 --patience-secs=N   give up after an outage this long (default 30)\n\
-         \x20 --beat-ms=N         heartbeat cadence while cells run (default 250)\n\
+         \x20 --beat-ms=N         heartbeat cadence while a cell runs (default 250)\n\
          \x20 --chaos-net-seed=N  route traffic through a seeded in-process fault\n\
          \x20                     proxy (scripted drops/partitions; for CI/tests)\n\
          \x20 --chaos-drop-at=C:L cut connection C mid-line at its L-th line\n\
@@ -206,7 +202,6 @@ fn main() {
     for a in &args {
         let known = a.starts_with("--addr=")
             || a.starts_with("--workers=")
-            || a.starts_with("--lanes=")
             || a.starts_with("--max-active=")
             || a.starts_with("--json-dir=")
             || a == "--no-json"
@@ -253,12 +248,6 @@ fn main() {
 /// unreachability (exit 5).
 fn run_worker_mode(daemon: &str, args: &[String]) -> i32 {
     let mut cfg = WorkerConfig { addr: daemon.to_string(), ..WorkerConfig::default() };
-    if let Some(v) = flag_value(args, "--lanes") {
-        cfg.lanes = pool::parse_lanes(v).unwrap_or_else(|e| {
-            eprintln!("error: --lanes: {e}");
-            std::process::exit(exit_code::USAGE);
-        });
-    }
     if let Some(v) = flag_value(args, "--name") {
         cfg.name = v.to_string();
     }
@@ -318,12 +307,6 @@ fn run_daemon(addr: String, args: &[String]) -> ! {
     let mut cfg = ServeConfig { addr, ..ServeConfig::default() };
     if let Some(v) = flag_value(args, "--workers") {
         cfg.sched.workers = parse_u64("--workers", v).max(1) as usize;
-    }
-    if let Some(v) = flag_value(args, "--lanes") {
-        cfg.sched.lanes = pool::parse_lanes(v).unwrap_or_else(|e| {
-            eprintln!("error: --lanes: {e}");
-            std::process::exit(exit_code::USAGE);
-        });
     }
     if let Some(v) = flag_value(args, "--max-active") {
         cfg.max_active_sweeps = parse_u64("--max-active", v).max(1) as usize;

@@ -28,10 +28,7 @@ use crate::pool::{self, JobPanic};
 use crate::predictors::{ideal_oracle, PredictorKind};
 use phast_isa::Program;
 use phast_mdp::{DepOracle, MemDepPredictor};
-use phast_ooo::{
-    try_simulate_within, CoreConfig, Deadline, LaneBatch, LaneJob, LaneOutcome, LaneReport,
-    SimError, SimStats,
-};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, SimError, SimStats};
 use phast_sample::{
     capture, estimate, run_window_within, sum_window_stats_weighted, CheckpointSet, SampleConfig,
     SampleMode, WindowRun,
@@ -246,7 +243,7 @@ pub struct RunResult {
     pub sampling: Option<SamplingMeta>,
     /// Digest of the workload's static dependence signature
     /// (`phast_trace::DepSignature::digest`), deterministic for a given
-    /// program — identical between solo, lane-batched, parallel and
+    /// program — identical between serial, parallel, daemon and
     /// trace-replayed runs of the same workload. `"unknown"` when the
     /// run degraded before its program was built.
     pub workload_signature: String,
@@ -459,55 +456,12 @@ fn execute_one_within(
     )
 }
 
-/// Builds the [`LaneJob`] for one full-detail cell — the lane-batched
-/// counterpart of [`execute_one_within`]'s build phase, producing exactly
-/// the program/config/predictor triple the solo path would simulate.
-pub(crate) fn build_lane_job(
-    workload: &Workload,
-    kind: &PredictorKind,
-    cfg: &CoreConfig,
-    budget: &Budget,
-    deadline: Deadline,
-) -> LaneJob {
-    let program = workload.build(budget.workload_iters);
-    let mut core_cfg = cfg.clone();
-    core_cfg.train_point = kind.train_point();
-    let predictor = kind.build(&program, budget.insts);
-    LaneJob::new(program, core_cfg, predictor, budget.insts, deadline)
-}
-
-/// Converts one [`LaneReport`] into the [`RunResult`]
-/// [`simulate_run_within`] would have produced for the same cell: same
-/// statistics and failure taxonomy (lane batching is byte-identical to
-/// solo execution), with `wall` the host time attributed to this lane
-/// alone. A panicked lane maps to [`RunFailure::Panicked`] with zero
-/// wall, matching what the pool's catch boundary reports for solo cells.
-pub(crate) fn lane_run_result(workload: &str, label: &str, report: LaneReport) -> RunResult {
-    let (stats, failure) = match report.outcome {
-        LaneOutcome::Finished(stats) => (stats, None),
-        LaneOutcome::Failed(e) => (e.partial_stats().clone(), Some(RunFailure::Sim(e))),
-        LaneOutcome::Panicked(msg) => {
-            return failed_result(workload, label, RunFailure::Panicked(msg));
-        }
-    };
-    RunResult {
-        workload: workload.to_string(),
-        predictor: label.to_string(),
-        stats,
-        num_paths: report.job.predictor().num_paths(),
-        failure,
-        wall: report.wall,
-        attempts: 1,
-        sampling: None,
-        workload_signature: phast_trace::signature(report.job.program()).digest(),
-        replay: None,
-    }
-}
-
 /// One *attempt* at a full-detail sweep cell, with panic isolation but no
-/// retry loop, journaling, or registry — the execution primitive shared
-/// by [`Sweep::execute_cell`]'s retry loop and the `phast-serve`
-/// scheduler, whose retries are driven externally by lease reclamation.
+/// retry loop, journaling, or registry — the one execution path every
+/// full-detail cell takes: under [`Sweep::execute_cell`]'s retry loop,
+/// and under a lease in the `phast-serve` scheduler's workers and in
+/// remote workers, whose retries are driven externally by lease
+/// reclamation.
 /// A panic inside the cell degrades it to [`RunFailure::Panicked`]; the
 /// cooperative `deadline` carries the service layer's cancellation flag
 /// and progress counter when called from a leased worker.
@@ -696,9 +650,6 @@ struct SampledWorkload {
 #[derive(Debug, Default)]
 pub struct Sweep {
     workers: usize,
-    /// Lanes per worker thread for full-detail grid sweeps; `<= 1` runs
-    /// every cell solo (the serial reference path).
-    lanes: usize,
     sampling: Option<SampleConfig>,
     degraded: Mutex<Vec<String>>,
     records: Mutex<Vec<RunRecord>>,
@@ -752,25 +703,6 @@ impl Sweep {
             Some(t) => Deadline::after(t),
             None => Deadline::none(),
         }
-    }
-
-    /// Sets the lane count: full-detail grid sweeps ([`Sweep::run_all`],
-    /// [`Sweep::run_grid`]) advance up to `lanes` cells per worker thread
-    /// through one interleaved [`LaneBatch`] cycle loop, recycling cache
-    /// hierarchies across waves. Statistics are byte-identical to the
-    /// solo path at any lane count (`--lanes=1` forces solo execution for
-    /// A/B debugging); journal records and the retry policy behave
-    /// identically too. Sampled sweeps ignore the lane count — their
-    /// unit of work is the (predictor, window) pair, already finer than
-    /// a cell.
-    pub fn with_lanes(mut self, lanes: usize) -> Sweep {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// The lane count grid sweeps batch cells at (1 = solo execution).
-    pub fn lanes(&self) -> usize {
-        self.lanes.max(1)
     }
 
     /// Switches this sweep to sampled mode: the run methods
@@ -882,133 +814,6 @@ impl Sweep {
         }
     }
 
-    /// The retry/journal tail shared by the solo and lane-batched cell
-    /// paths: given the attempt-1 result, retries solo (with per-attempt
-    /// fault reseeding and write-ahead `start` lines) until the run
-    /// succeeds or the attempt budget runs out, then logs the `done`
-    /// line. Produces exactly the journal record sequence
-    /// [`Sweep::execute_cell`] does.
-    fn finish_cell(
-        &self,
-        workload: &Workload,
-        kind: &PredictorKind,
-        cfg: &CoreConfig,
-        budget: &Budget,
-        key: &str,
-        mut run: RunResult,
-    ) -> RunResult {
-        let max_attempts = self.max_attempts.max(1);
-        let mut attempt = 1u64;
-        while !run.ok() && attempt < max_attempts {
-            attempt += 1;
-            let (cfg_attempt, seed) = reseed_for_attempt(cfg, attempt);
-            if let Some(j) = &self.journal {
-                j.log_start(key, attempt, seed);
-            }
-            let deadline = self.deadline();
-            run = execute_cell_once(workload, kind, &cfg_attempt, budget, &deadline);
-            run.attempts = attempt;
-        }
-        if let Some(j) = &self.journal {
-            let status = run.failure.as_ref().map_or("ok", RunFailure::kind);
-            j.log_done(key, &run.to_record(), status, attempt);
-        }
-        run
-    }
-
-    /// Runs one contiguous chunk of live grid cells as a single
-    /// [`LaneBatch`]: write-ahead `start` lines for every cell first
-    /// (the whole chunk is in flight at once), then the interleaved
-    /// batch, then the per-cell retry/`done` tail. Build panics are
-    /// caught per cell, so a cell whose program or predictor
-    /// construction panics degrades alone — the same boundary
-    /// [`execute_cell_once`] gives solo cells.
-    fn run_lane_chunk(
-        &self,
-        kinds: &[PredictorKind],
-        workloads: &[Workload],
-        cells: &[(usize, usize)],
-        idxs: &[usize],
-        cfg: &CoreConfig,
-        budget: &Budget,
-    ) -> Vec<RunResult> {
-        let mut results: Vec<Option<RunResult>> = (0..idxs.len()).map(|_| None).collect();
-        let mut jobs: Vec<LaneJob> = Vec::with_capacity(idxs.len());
-        let mut job_slots: Vec<usize> = Vec::with_capacity(idxs.len());
-        for (slot, &i) in idxs.iter().enumerate() {
-            let (k, w) = cells[i];
-            let (workload, kind) = (&workloads[w], &kinds[k]);
-            let key = cell_key(workload.name, &kind.label(), cfg, budget, None);
-            let (cfg_attempt, seed) = reseed_for_attempt(cfg, 1);
-            if let Some(j) = &self.journal {
-                j.log_start(&key, 1, seed);
-            }
-            match pool::catch_job(|| {
-                build_lane_job(workload, kind, &cfg_attempt, budget, self.deadline())
-            }) {
-                Ok(job) => {
-                    jobs.push(job);
-                    job_slots.push(slot);
-                }
-                Err(p) => {
-                    results[slot] = Some(panicked_result(workload.name, &kind.label(), p));
-                }
-            }
-        }
-        let reports = LaneBatch::new(self.lanes()).run(jobs);
-        for (slot, report) in job_slots.into_iter().zip(reports) {
-            let (k, w) = cells[idxs[slot]];
-            results[slot] =
-                Some(lane_run_result(workloads[w].name, &kinds[k].label(), report));
-        }
-        idxs.iter()
-            .zip(results)
-            .map(|(&i, run)| {
-                let (k, w) = cells[i];
-                let (workload, kind) = (&workloads[w], &kinds[k]);
-                let key = cell_key(workload.name, &kind.label(), cfg, budget, None);
-                self.finish_cell(workload, kind, cfg, budget, &key, run.expect("cell resolved"))
-            })
-            .collect()
-    }
-
-    /// The lane-batched full-detail grid path: journal replay first,
-    /// then the live cells split into one contiguous chunk per worker,
-    /// each chunk advancing as an interleaved [`LaneBatch`] (waves of
-    /// [`Sweep::lanes`] cells, hierarchies recycled between waves).
-    /// Results come back in cell order; statistics are byte-identical
-    /// to the solo path.
-    fn run_cells_lanes(
-        &self,
-        kinds: &[PredictorKind],
-        workloads: &[Workload],
-        cells: &[(usize, usize)],
-        cfg: &CoreConfig,
-        budget: &Budget,
-    ) -> Vec<RunResult> {
-        let mut results: Vec<Option<RunResult>> = cells
-            .iter()
-            .map(|&(k, w)| {
-                let key = cell_key(workloads[w].name, &kinds[k].label(), cfg, budget, None);
-                self.journal.as_ref().and_then(|j| j.lookup(&key)).map(replayed_result)
-            })
-            .collect();
-        let live: Vec<usize> = (0..cells.len()).filter(|&i| results[i].is_none()).collect();
-        if !live.is_empty() {
-            let per_chunk = live.len().div_ceil(self.workers.max(1)).max(1);
-            let chunks: Vec<&[usize]> = live.chunks(per_chunk).collect();
-            let chunk_runs = self.map(&chunks, |_, idxs| {
-                self.run_lane_chunk(kinds, workloads, cells, idxs, cfg, budget)
-            });
-            for (idxs, runs) in chunks.iter().zip(chunk_runs) {
-                for (&i, run) in idxs.iter().zip(runs) {
-                    results[i] = Some(run);
-                }
-            }
-        }
-        results.into_iter().map(|r| r.expect("every cell resolved")).collect()
-    }
-
     /// Fans arbitrary run-producing jobs across the pool with **panic
     /// isolation** and records every result: a job that panics yields a
     /// degraded [`RunResult`] (failure kind `"panicked"`, labelled via
@@ -1074,7 +879,7 @@ impl Sweep {
     /// Runs every budgeted workload under one predictor, fanned across
     /// the pool; returns per-workload results in registry order.
     pub fn run_all(&self, kind: &PredictorKind, cfg: &CoreConfig, budget: &Budget) -> Vec<RunResult> {
-        if self.sampling.is_some() || self.lanes() > 1 {
+        if self.sampling.is_some() {
             return self
                 .run_grid(std::slice::from_ref(kind), cfg, budget)
                 .pop()
@@ -1104,13 +909,9 @@ impl Sweep {
         let cells: Vec<(usize, usize)> = (0..kinds.len())
             .flat_map(|k| (0..workloads.len()).map(move |w| (k, w)))
             .collect();
-        let flat = if self.lanes() > 1 {
-            self.run_cells_lanes(kinds, &workloads, &cells, cfg, budget)
-        } else {
-            self.map(&cells, |_, &(k, w)| {
-                self.execute_cell(&workloads[w], &kinds[k], cfg, budget)
-            })
-        };
+        let flat = self.map(&cells, |_, &(k, w)| {
+            self.execute_cell(&workloads[w], &kinds[k], cfg, budget)
+        });
         self.record_all(&flat);
         let mut rows: Vec<Vec<RunResult>> = Vec::with_capacity(kinds.len());
         let mut flat = flat.into_iter();

@@ -55,50 +55,13 @@ pub fn default_workers() -> usize {
     }
 }
 
-/// Environment variable overriding the lane count picked by
-/// [`default_lanes`] (`PHAST_LANES=1` forces the solo per-cell path).
-pub const LANES_ENV: &str = "PHAST_LANES";
-
-/// Parses a lane-count override: a positive decimal integer — the same
-/// reject-garbage contract as [`parse_workers`].
-///
-/// # Errors
-///
-/// Returns a human-readable description of what was wrong with the value
-/// — the callers (`PHAST_LANES`, `--lanes=N`) print it and exit 2 rather
-/// than silently falling back to a default the user did not ask for.
-pub fn parse_lanes(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!("lane count must be at least 1, got '{raw}'")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("expected a positive integer lane count, got '{raw}'")),
-    }
-}
-
-/// The lane count grid sweeps batch cells at by default: 1 (solo
-/// execution — lane batching is opt-in via `--lanes=N`), overridable
-/// with the `PHAST_LANES` environment variable. A malformed override is
-/// a hard error (exit 2), not a silent fallback.
-pub fn default_lanes() -> usize {
-    match std::env::var(LANES_ENV) {
-        Ok(raw) => match parse_lanes(&raw) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("error: invalid {LANES_ENV}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => 1,
-    }
-}
-
 /// Environment variable overriding the phase-mode cluster count picked
 /// by [`default_clusters`] (`PHAST_CLUSTERS=4` pins K=4 for every
 /// phase-mode capture in the process).
 pub const CLUSTERS_ENV: &str = "PHAST_CLUSTERS";
 
 /// Parses a cluster-count override: a positive decimal integer — the
-/// same reject-garbage contract as [`parse_workers`] and [`parse_lanes`].
+/// same reject-garbage contract as [`parse_workers`].
 ///
 /// # Errors
 ///
@@ -310,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_clusters_mirrors_the_lane_contract() {
+    fn parse_clusters_mirrors_the_worker_contract() {
         assert_eq!(parse_clusters("1"), Ok(1));
         assert_eq!(parse_clusters(" 6 "), Ok(6));
         for bad in ["0", "", "six", "-3", "2.5", "4k"] {

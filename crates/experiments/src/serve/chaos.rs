@@ -258,10 +258,11 @@ fn pump(
             let _ = reader.get_ref().shutdown(std::net::Shutdown::Both);
             break;
         }
-        if to.write_all(line.as_bytes()).is_err()
-            || to.write_all(b"\n").is_err()
-            || to.flush().is_err()
-        {
+        // One write per line: the sockets run without TCP_NODELAY, so a
+        // separate write for the newline would sit in Nagle's buffer until
+        // the peer's delayed ACK, adding ~40 ms to every forwarded line.
+        line.push('\n');
+        if to.write_all(line.as_bytes()).is_err() || to.flush().is_err() {
             break;
         }
     }
@@ -364,12 +365,19 @@ mod tests {
         let mut proxy = NetProxy::start(&upstream, NetPlan::none()).expect("proxy");
         let mut sock = TcpStream::connect(proxy.addr()).expect("connect");
         let mut reader = BufReader::new(sock.try_clone().expect("clone"));
-        for msg in ["ping", "pong"] {
+        // Twenty round trips, each line echoed back intact. The time bound
+        // catches a per-line stall (e.g. a newline held back by Nagle
+        // until a delayed ACK), which costs ~40 ms per line.
+        let start = std::time::Instant::now();
+        for i in 0..20 {
+            let msg = format!("line-{i}");
             sock.write_all(format!("{msg}\n").as_bytes()).expect("send");
             let mut reply = String::new();
             reader.read_line(&mut reply).expect("echo");
             assert_eq!(reply, format!("{msg}\n"));
         }
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_millis(500), "20 round trips took {took:?}");
         proxy.stop();
     }
 

@@ -72,9 +72,6 @@ pub enum Request {
     Register {
         /// Worker display name (diagnostics only).
         name: String,
-        /// Simulation lanes the worker runs per batch (its
-        /// `LaneBatch` width).
-        lanes: u64,
     },
     /// Ask for up to `max` cells to execute. The reply is
     /// [`Event::Grant`] (possibly empty: back off and retry) or
@@ -294,10 +291,9 @@ pub fn render_request(req: &Request) -> String {
             JsonValue::obj(vec![("op", s("fetch")), ("digest", s(digest))])
         }
         Request::Shutdown => JsonValue::obj(vec![("op", s("shutdown"))]),
-        Request::Register { name, lanes } => JsonValue::obj(vec![
+        Request::Register { name } => JsonValue::obj(vec![
             ("op", s("register")),
             ("name", s(name)),
-            ("lanes", JsonValue::UInt(*lanes)),
             ("proto", JsonValue::UInt(WORKER_PROTO_VERSION)),
         ]),
         Request::Lease { max } => {
@@ -384,7 +380,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     "unsupported worker proto version {proto} (this daemon speaks {WORKER_PROTO_VERSION})"
                 ));
             }
-            Ok(Request::Register { name: req_str(&v, "name")?, lanes: req_u64(&v, "lanes")? })
+            Ok(Request::Register { name: req_str(&v, "name")? })
         }
         "lease" => Ok(Request::Lease { max: req_u64(&v, "max")? }),
         "beat" => {
@@ -766,7 +762,7 @@ mod tests {
             },
             Request::Fetch { digest: "crc32:deadbeef".into() },
             Request::Shutdown,
-            Request::Register { name: "worker-7".into(), lanes: 4 },
+            Request::Register { name: "worker-7".into() },
             Request::Lease { max: 4 },
             Request::Beat {
                 beats: vec![
@@ -894,6 +890,10 @@ mod tests {
         assert!(parse_request(future).unwrap_err().contains("unsupported worker proto"));
         let missing = "{\"op\":\"register\",\"name\":\"w\",\"lanes\":2}";
         assert!(parse_request(missing).unwrap_err().contains("proto"));
+        // A worker that still sends the retired `lanes` field parses:
+        // unknown fields are ignored.
+        let older = "{\"op\":\"register\",\"name\":\"w\",\"lanes\":2,\"proto\":1}";
+        assert_eq!(parse_request(older), Ok(Request::Register { name: "w".into() }));
     }
 
     #[test]

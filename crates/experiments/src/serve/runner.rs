@@ -20,13 +20,12 @@
 //! the scheduler, exactly as `--resume` does for batch sweeps.
 
 use super::sched::{
-    BatchHandle, CellEvent, JobCtx, JobSpec, LaneCell, RemoteCell, RemoteOutcome, Scheduler,
-    SubmitError,
+    BatchHandle, CellEvent, JobCtx, JobSpec, RemoteCell, RemoteOutcome, Scheduler, SubmitError,
 };
 use crate::artifact::{git_describe, RunRecord, SweepArtifact};
 use crate::harness::{
-    build_lane_job, cell_key, exit_code, execute_cell_once, lane_run_result, remote_result,
-    replayed_result, reseed_for_attempt, Budget, RunFailure, RunResult,
+    cell_key, exit_code, execute_cell_once, remote_result, replayed_result, reseed_for_attempt,
+    Budget, RunFailure, RunResult,
 };
 use crate::journal::JournalScope;
 use crate::predictors::PredictorKind;
@@ -216,8 +215,6 @@ pub fn submit_sweep(
     Ok(SweepRun { spec, handle, replayed, started: Instant::now() })
 }
 
-/// Builds the scheduler job for one live cell: owned data only (the
-/// scheduler's workers outlive any caller stack frame).
 /// The wire-shippable form of one cell, when a remote worker could
 /// rebuild it *exactly*: the workload must be reconstructible by name
 /// ([`phast_workloads::by_name`] — synth/trace extras stay local-only)
@@ -258,6 +255,8 @@ fn remote_cell(
     })
 }
 
+/// Builds the scheduler job for one live cell: owned data only (the
+/// scheduler's workers outlive any caller stack frame).
 fn cell_job(
     workload: phast_workloads::Workload,
     kind: PredictorKind,
@@ -271,32 +270,6 @@ fn cell_job(
     let run_timeout = spec.run_timeout;
     let journal_run = journal.clone();
     let key_run = key.clone();
-    let kind_run = kind.clone();
-    // The lane-batched form of the same cell: identical reseed, journal
-    // `start` line, and deadline wiring — only the cycle loop it runs
-    // under differs, and that is byte-identical by the LaneBatch contract.
-    let cfg_lane = spec.cfg.clone();
-    let budget_lane = spec.budget.clone();
-    let journal_lane = journal.clone();
-    let key_lane = key.clone();
-    let kind_lane = kind.clone();
-    let label = kind.label();
-    let lane = LaneCell {
-        build: Arc::new(move |ctx: &JobCtx| {
-            let (cfg_attempt, seed) = reseed_for_attempt(&cfg_lane, ctx.attempt);
-            if let Some(j) = &journal_lane {
-                j.log_start(&key_lane, ctx.attempt, seed);
-            }
-            let deadline = match run_timeout {
-                Some(t) => Deadline::after(t),
-                None => Deadline::none(),
-            }
-            .with_cancel(Arc::clone(&ctx.cancel))
-            .with_progress(Arc::clone(&ctx.progress));
-            build_lane_job(&workload, &kind_lane, &cfg_attempt, &budget_lane, deadline)
-        }),
-        finish: Arc::new(move |report| lane_run_result(workload.name, &label, report)),
-    };
     JobSpec {
         workload: workload.name.to_string(),
         predictor: kind.label(),
@@ -311,9 +284,8 @@ fn cell_job(
             }
             .with_cancel(Arc::clone(&ctx.cancel))
             .with_progress(Arc::clone(&ctx.progress));
-            execute_cell_once(&workload, &kind_run, &cfg_attempt, &budget, &deadline)
+            execute_cell_once(&workload, &kind, &cfg_attempt, &budget, &deadline)
         }),
-        lane: Some(lane),
         remote,
         on_delivered: Some(Arc::new(move |run: &RunResult| {
             if let Some(j) = &journal {
@@ -378,26 +350,6 @@ mod tests {
             normalize(&outcome.body),
             normalize(&reference),
             "daemon artifact diverges from the serial reference"
-        );
-    }
-
-    #[test]
-    fn lane_batched_daemon_sweep_matches_the_solo_daemon_sweep() {
-        let batched = Scheduler::start(SchedConfig { workers: 2, lanes: 4, ..SchedConfig::default() });
-        let run = submit_sweep(spec("svc-lanes"), &batched, None).expect("admitted");
-        let outcome = run.finish(batched.workers(), None);
-        assert_eq!(outcome.exit, exit_code::OK, "degraded: {:?}", outcome.degraded);
-        batched.drain();
-
-        let solo = Scheduler::start(SchedConfig { workers: 2, lanes: 1, ..SchedConfig::default() });
-        let reference = submit_sweep(spec("svc-lanes"), &solo, None)
-            .expect("admitted")
-            .finish(solo.workers(), None);
-        solo.drain();
-        assert_eq!(
-            normalize(&outcome.body),
-            normalize(&reference.body),
-            "lane-batched daemon sweep diverges from the solo daemon sweep"
         );
     }
 

@@ -32,7 +32,6 @@ use crate::artifact::RunRecord;
 use crate::harness::{failed_result, RunFailure, RunResult};
 use crate::jsonio;
 use crate::pool;
-use phast_ooo::{LaneBatch, LaneJob, LaneReport};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -48,12 +47,10 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 pub struct SchedConfig {
     /// Persistent worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Cells a worker drains from its deque into one [`LaneBatch`]
-    /// (clamped to at least 1). At 1 — the default — every job runs
-    /// solo, exactly as before lane batching existed; at N > 1, a worker
-    /// that picks up a lane-capable job keeps popping until it holds up
-    /// to N of them and interleaves them through one cycle loop, with a
-    /// lease per cell and per-cell at-most-once delivery.
+    /// Ignored: every job runs solo. The field outlives the lane-batched
+    /// cycle loop it used to size only because the benchmark package's
+    /// daemon loop (`simbench/src/serve_loop.rs`) still sets `lanes: 1`
+    /// in a struct literal; delete it once that literal drops it.
     pub lanes: usize,
     /// Lease liveness policy (heartbeat window, age cap).
     pub lease: LeaseConfig,
@@ -70,7 +67,7 @@ impl Default for SchedConfig {
     fn default() -> SchedConfig {
         SchedConfig {
             workers: pool::default_workers(),
-            lanes: pool::default_lanes(),
+            lanes: 1,
             lease: LeaseConfig::default(),
             max_attempts: 3,
             housekeep_every: Duration::from_millis(25),
@@ -96,19 +93,6 @@ pub struct JobCtx {
 
 /// The work function of one job.
 pub type JobFn = Arc<dyn Fn(&JobCtx) -> RunResult + Send + Sync>;
-
-/// The lane-batched representation of a simulation cell: how to build its
-/// [`LaneJob`] for a given attempt (reseed, journal `start` line, and
-/// `Deadline` wiring happen inside, exactly as the solo closure does) and
-/// how to turn the cell's [`LaneReport`] back into its [`RunResult`].
-/// Jobs without one always run solo, whatever the lane count.
-#[derive(Clone)]
-pub struct LaneCell {
-    /// Builds the cell's lane job from its attempt context.
-    pub build: Arc<dyn Fn(&JobCtx) -> LaneJob + Send + Sync>,
-    /// Converts the cell's lane report into its delivered result.
-    pub finish: Arc<dyn Fn(LaneReport) -> RunResult + Send + Sync>,
-}
 
 /// The wire-shippable form of a simulation cell: the plain data a remote
 /// worker process needs to rebuild and execute it (workload name and
@@ -161,8 +145,6 @@ pub struct JobSpec {
     pub predictor: String,
     /// The work.
     pub run: JobFn,
-    /// The cell's lane-batched form; `None` jobs always run solo.
-    pub lane: Option<LaneCell>,
     /// The cell's wire-shippable form; `None` jobs never leave the
     /// process.
     pub remote: Option<RemoteCell>,
@@ -834,14 +816,6 @@ fn worker_loop(inner: Arc<SchedInner>, me: usize, alive: Arc<AtomicBool>) {
                 .expect("park condvar");
             continue;
         };
-        if inner.cfg.lanes > 1 && entry.spec.lane.is_some() {
-            if run_lane_batch(&inner, me, entry) {
-                continue;
-            }
-            // A chaos kill fired while acquiring the batch's leases: die
-            // on the spot holding them, exactly like the solo kill below.
-            break;
-        }
         let attempt = entry.attempt_next.load(Ordering::Relaxed);
         if inner.cfg.chaos.kills_worker(entry.id, attempt) {
             // Simulated SIGKILL: die on the spot *holding the lease* —
@@ -875,101 +849,6 @@ fn worker_loop(inner: Arc<SchedInner>, me: usize, alive: Arc<AtomicBool>) {
         }
     }
     alive.store(false, Ordering::SeqCst);
-}
-
-/// Drains up to `cfg.lanes` lane-capable entries (starting with `first`,
-/// which the caller already popped) into one [`LaneBatch`]: a lease per
-/// cell acquired before any cycle runs, per-cell panic isolation at the
-/// build boundary, and per-cell at-most-once delivery afterwards — a
-/// lease reclaimed mid-batch raises that cell's cancellation flag, its
-/// lane degrades at the next deadline poll, and its result is discarded
-/// as stale while its wave-mates deliver normally.
-///
-/// Returns `false` if a simulated SIGKILL fired while acquiring leases:
-/// the worker thread must die on the spot holding everything it acquired
-/// (the housekeeper reclaims each lease and requeues each cell), which is
-/// exactly the solo path's kill semantics extended to a batch.
-fn run_lane_batch(inner: &Arc<SchedInner>, me: usize, first: Arc<JobEntry>) -> bool {
-    let mut entries = vec![first];
-    while entries.len() < inner.cfg.lanes {
-        let Some(e) = inner.pop_job(me) else { break };
-        if e.spec.lane.is_some() {
-            entries.push(e);
-        } else {
-            // Not a simulation cell: give it back for a solo pickup.
-            inner.push_job(e);
-            break;
-        }
-    }
-    let mut slots = Vec::with_capacity(entries.len());
-    let mut entries = entries.into_iter();
-    while let Some(entry) = entries.next() {
-        let attempt = entry.attempt_next.load(Ordering::Relaxed);
-        if inner.cfg.chaos.kills_worker(entry.id, attempt) {
-            let _grant = inner.leases.acquire(entry.id, attempt, me, false);
-            inner.stats.chaos_kills.fetch_add(1, Ordering::Relaxed);
-            // The cells leased so far (this one included) die with the
-            // worker and are reclaimed by the housekeeper. Cells still
-            // in the drain buffer were never leased, so nothing could
-            // ever reclaim them: hand them back to the deque before
-            // dying or they are lost and the batch never completes.
-            for e in entries {
-                inner.push_job(e);
-            }
-            return false;
-        }
-        let suppress = inner.cfg.chaos.drops_heartbeat(entry.id, attempt);
-        let grant = inner.leases.acquire(entry.id, attempt, me, suppress);
-        let ctx = JobCtx {
-            attempt,
-            cancel: Arc::clone(&grant.cancel),
-            progress: grant.progress(),
-        };
-        slots.push((entry, attempt, ctx));
-    }
-    // Build every lane job; a panicking build degrades its own cell
-    // without touching its wave-mates (the same catch boundary the solo
-    // path puts around the whole run).
-    let mut results: Vec<Option<RunResult>> = Vec::with_capacity(slots.len());
-    let mut jobs: Vec<LaneJob> = Vec::new();
-    let mut job_slot: Vec<usize> = Vec::new();
-    for (i, (entry, _, ctx)) in slots.iter().enumerate() {
-        let lane = entry.spec.lane.as_ref().expect("lane-capable entry");
-        match pool::catch_job(|| (lane.build)(ctx)) {
-            Ok(job) => {
-                jobs.push(job);
-                job_slot.push(i);
-                results.push(None);
-            }
-            Err(p) => results.push(Some(failed_result(
-                &entry.spec.workload,
-                &entry.spec.predictor,
-                RunFailure::Panicked(p.message),
-            ))),
-        }
-    }
-    for (j, report) in LaneBatch::new(inner.cfg.lanes).run(jobs).into_iter().enumerate() {
-        let i = job_slot[j];
-        let (entry, _, _) = &slots[i];
-        let lane = entry.spec.lane.as_ref().expect("lane-capable entry");
-        results[i] = Some(match pool::catch_job(|| (lane.finish)(report)) {
-            Ok(r) => r,
-            Err(p) => failed_result(
-                &entry.spec.workload,
-                &entry.spec.predictor,
-                RunFailure::Panicked(p.message),
-            ),
-        });
-    }
-    for ((entry, attempt, _), result) in slots.into_iter().zip(results) {
-        let result = result.expect("every batched cell produced a result");
-        if inner.leases.release(entry.id, attempt) {
-            inner.deliver(&entry, result, attempt);
-        } else {
-            inner.stats.stale.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    true
 }
 
 /// The housekeeping thread: expire bad leases, requeue or degrade their
@@ -1057,7 +936,6 @@ mod tests {
     fn fast_cfg(workers: usize) -> SchedConfig {
         SchedConfig {
             workers,
-            lanes: 1,
             lease: LeaseConfig {
                 heartbeat: Duration::from_millis(40),
                 max_age: Duration::from_secs(30),
@@ -1065,6 +943,7 @@ mod tests {
             max_attempts: 3,
             housekeep_every: Duration::from_millis(5),
             chaos: ChaosPlan::none(),
+            ..SchedConfig::default()
         }
     }
 
@@ -1078,7 +957,6 @@ mod tests {
                 ctx.progress.fetch_add(1, Ordering::SeqCst);
                 ok_result(&w, "fake")
             }),
-            lane: None,
             remote: None,
             on_delivered: None,
         }
@@ -1127,7 +1005,6 @@ mod tests {
             workload: "boom".to_string(),
             predictor: "fake".to_string(),
             run: Arc::new(|_: &JobCtx| panic!("job exploded")),
-            lane: None,
             remote: None,
             on_delivered: None,
         };
@@ -1169,82 +1046,6 @@ mod tests {
         sched.drain();
     }
 
-    /// A lane-capable spec around a tiny real simulation (the lane path
-    /// needs genuine `LaneJob`s): a short store/load loop under blind
-    /// speculation, finishing in well under a millisecond.
-    fn lane_spec(workload: &str) -> JobSpec {
-        use phast_isa::{AluKind, CondKind, MemSize, ProgramBuilder, Reg};
-        use phast_mdp::BlindSpeculation;
-        use phast_ooo::{CoreConfig, Deadline, LaneOutcome};
-        let w = workload.to_string();
-        let build = Arc::new(move |_: &JobCtx| {
-            let mut b = ProgramBuilder::new();
-            let head = b.block();
-            let exit = b.block();
-            b.at(head)
-                .addi(Reg(1), Reg(1), 1)
-                .alui(AluKind::Shl, Reg(2), Reg(1), 6)
-                .store(Reg(2), 0, Reg(1), MemSize::B8)
-                .load(Reg(3), Reg(2), 0, MemSize::B8)
-                .branchi(CondKind::LtU, Reg(1), 200, head)
-                .fallthrough(exit);
-            b.at(exit).halt();
-            b.set_entry(head);
-            LaneJob::new(
-                b.build().unwrap(),
-                CoreConfig::alder_lake(),
-                Box::new(BlindSpeculation),
-                100_000,
-                Deadline::none(),
-            )
-        });
-        let finish = {
-            let w = w.clone();
-            Arc::new(move |report: LaneReport| match report.outcome {
-                LaneOutcome::Finished(_) => ok_result(&w, "blind"),
-                other => failed_result(&w, "blind", RunFailure::Panicked(format!("{other:?}"))),
-            })
-        };
-        JobSpec {
-            workload: w.clone(),
-            predictor: "blind".to_string(),
-            run: Arc::new(move |_: &JobCtx| ok_result(&w, "blind")),
-            lane: Some(LaneCell { build, finish }),
-            remote: None,
-            on_delivered: None,
-        }
-    }
-
-    /// Regression: a chaos kill firing while `run_lane_batch` acquires
-    /// its leases must not strand the drained-but-unleased tail of the
-    /// batch. Before the fix those cells were popped from the deque,
-    /// never leased, and therefore unreclaimable — the sweep hung
-    /// forever. With the fix they are pushed back, the leased cells are
-    /// reclaimed and retried, and every cell delivers.
-    #[test]
-    fn chaos_kill_mid_batch_drain_loses_no_cells() {
-        let mut cfg = fast_cfg(1);
-        cfg.lanes = 4;
-        // Kill the worker when it leases job 2's first attempt — after
-        // leasing jobs 0 and 1, with job 3 still in the drain buffer.
-        cfg.chaos = ChaosPlan { kill_at: Some((2, 1)), ..ChaosPlan::none() };
-        let sched = Scheduler::start(cfg);
-        let jobs: Vec<JobSpec> = (0..4).map(|i| lane_spec(&format!("w{i}"))).collect();
-        let results = sched.submit(jobs).expect("admitted").wait();
-        assert_eq!(results.len(), 4);
-        for (i, r) in results.iter().enumerate() {
-            assert!(r.ok(), "cell {i} recovered: {:?}", r.failure);
-            assert_eq!(r.workload, format!("w{i}"), "submission order preserved");
-        }
-        let stats = sched.stats();
-        assert_eq!(stats.chaos_kills, 1);
-        assert_eq!(stats.lost, 0, "no cell was stranded by the mid-drain kill");
-        // How many cells were leased before the kill depends on drain
-        // timing; at least the killed cell itself must be reclaimed.
-        assert!(stats.reclaimed >= 1, "the killed cell's lease was reclaimed");
-        sched.drain();
-    }
-
     #[test]
     fn heartbeat_loss_cancels_and_retries_the_attempt() {
         let mut cfg = fast_cfg(2);
@@ -1271,7 +1072,6 @@ mod tests {
                     ok_result("w", "fake")
                 }
             }),
-            lane: None,
             remote: None,
             on_delivered: None,
         };
@@ -1310,7 +1110,6 @@ mod tests {
                 }
                 failed_result("doomed", "fake", RunFailure::Panicked("cancelled".into()))
             }),
-            lane: None,
             remote: None,
             on_delivered: None,
         };
@@ -1334,8 +1133,7 @@ mod tests {
                     workload: w.clone(),
                     predictor: "fake".to_string(),
                     run: Arc::new(move |_: &JobCtx| ok_result(&w, "fake")),
-                    lane: None,
-                    remote: None,
+                            remote: None,
                     on_delivered: Some(Arc::new(move |_: &RunResult| {
                         c.fetch_add(1, Ordering::SeqCst);
                     })),
@@ -1364,8 +1162,7 @@ mod tests {
                         c.fetch_add(1, Ordering::SeqCst);
                         ok_result(&w, "fake")
                     }),
-                    lane: None,
-                    remote: None,
+                            remote: None,
                     on_delivered: None,
                 }
             })
@@ -1404,7 +1201,6 @@ mod tests {
                 }
                 ok_result("blocker", "fake")
             }),
-            lane: None,
             remote: None,
             on_delivered: None,
         }
@@ -1422,7 +1218,6 @@ mod tests {
                 ctx.progress.fetch_add(1, Ordering::SeqCst);
                 ok_result(&w_run, "fake")
             }),
-            lane: None,
             remote: Some(RemoteCell {
                 insts: 1_000,
                 iters: 10,

@@ -1,31 +1,34 @@
 //! The remote worker: `phast-serve --worker=ADDR`.
 //!
 //! A worker process connects to a daemon over the same JSON-lines TCP
-//! protocol clients use, registers, and then loops: **lease** a batch of
-//! (workload, predictor) cells, rebuild each one from its wire name
-//! (workload by [`phast_workloads::by_name`], predictor by
+//! protocol clients use, registers, and then loops: **lease** one
+//! (workload, predictor) cell, rebuild it from its wire name (workload
+//! by [`phast_workloads::by_name`], predictor by
 //! [`PredictorKind::from_label`], core fixed to `alder_lake()` — the
-//! daemon only grants cells it knows are rebuildable), run them under
-//! the same per-attempt fault reseed a local worker would use, stream
-//! **heartbeats** carrying the `Deadline` progress counters while the
-//! simulation runs, and **deliver** each finished cell with its fencing
-//! token, a verbatim `RunRecord` rendering, and a digest over those
-//! exact bytes.
+//! daemon only grants cells it knows are rebuildable), run it through
+//! [`execute_cell_once`] under the same per-attempt fault reseed a local
+//! worker would use, stream **heartbeats** carrying the `Deadline`
+//! progress counter while the simulation runs, and **deliver** the
+//! finished cell with its fencing token, a verbatim `RunRecord`
+//! rendering, and a digest over those exact bytes. One cell per lease
+//! means no leased cell waits, without heartbeats, behind another.
 //!
 //! Fault model, mirroring `docs/RESILIENCE.md`:
 //!
 //! * **Connection loss** (daemon restart, partition, proxy cut): raise
-//!   every in-flight cancel, keep finished results as *pending*, and
+//!   the in-flight cancel, keep the finished result as *pending*, and
 //!   reconnect with capped-exponential seeded backoff
-//!   ([`super::backoff`]). Pending results are redelivered first —
-//!   at-least-once from the worker, deduplicated to at-most-once by the
-//!   daemon's fence table.
+//!   ([`super::backoff`]). One outage spans failed dials and failed
+//!   registrations alike and ends only at a successful `register`; once
+//!   it outlasts the patience window the worker gives up. Pending
+//!   results are redelivered first — at-least-once from the worker,
+//!   deduplicated to at-most-once by the daemon's fence table.
 //! * **Revocation** (the daemon reclaimed a lease that looked dead):
-//!   the `BeatAck` names the revoked fences; the worker cancels those
-//!   runs and discards their results — the daemon has already requeued
-//!   the cell, and a stale delivery would be fenced off anyway.
+//!   the `BeatAck` names the revoked fence; the worker cancels the run
+//!   and discards its result — the daemon has already requeued the
+//!   cell, and a stale delivery would be fenced off anyway.
 //! * **Drain** (daemon shutting down, or local `SIGTERM` via `stop`):
-//!   finish and deliver the cells in hand, then exit cleanly.
+//!   finish and deliver the cell in hand, then exit cleanly.
 //!
 //! Partitions are detected by a read timeout on the socket: a silent
 //! peer is indistinguishable from a dead one, and both roads lead to
@@ -35,36 +38,35 @@ use super::backoff::{Backoff, BackoffPolicy};
 use super::chaos::{NetPlan, NetProxy};
 use super::proto::{self, BeatEntry, Event, GrantCell, Request};
 use crate::harness::{
-    build_lane_job, execute_cell_once, failed_result, lane_run_result, reseed_for_attempt, Budget,
-    RunFailure, RunResult,
+    execute_cell_once, failed_result, reseed_for_attempt, Budget, RunFailure, RunResult,
 };
 use crate::journal::record_digest;
 use crate::predictors::PredictorKind;
-use phast_ooo::{CoreConfig, Deadline, LaneBatch};
+use phast_ooo::{CoreConfig, Deadline};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How a worker run is configured — address, identity, capacity, and
-/// the fault-handling knobs.
+/// How a worker run is configured — address, identity, and the
+/// fault-handling knobs.
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
     /// Daemon address (`host:port`).
     pub addr: String,
     /// Worker name, echoed in daemon-side lease diagnostics.
     pub name: String,
-    /// Cells leased (and simulated, lane-batched) at a time.
-    pub lanes: usize,
-    /// Heartbeat cadence while cells are running.
+    /// Heartbeat cadence while a cell is running.
     pub beat_every: Duration,
     /// Poll interval when the daemon has no work to grant.
     pub idle_poll: Duration,
     /// Socket read timeout — the partition detector.
     pub read_timeout: Duration,
-    /// How long one outage may last before the worker gives up
-    /// (connection attempts within an outage back off under `backoff`).
+    /// How long one outage may last before the worker gives up. An
+    /// outage runs from the first failed dial or registration to the
+    /// next successful `register`; attempts within it back off under
+    /// `backoff`.
     pub patience: Duration,
     /// Reconnect backoff policy (capped exponential, seeded jitter).
     pub backoff: BackoffPolicy,
@@ -78,7 +80,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             addr: "127.0.0.1:7340".to_string(),
             name: format!("worker-{}", std::process::id()),
-            lanes: 4,
             beat_every: Duration::from_millis(250),
             idle_poll: Duration::from_millis(25),
             read_timeout: Duration::from_secs(10),
@@ -107,7 +108,8 @@ pub struct WorkerSummary {
 /// Why a worker run ended unsuccessfully.
 #[derive(Debug)]
 pub enum WorkerError {
-    /// The daemon stayed unreachable for a whole patience window.
+    /// The daemon stayed unreachable (or kept failing registration) for
+    /// a whole patience window.
     Connect(std::io::Error),
     /// The daemon refused the registration handshake.
     Rejected(String),
@@ -173,73 +175,30 @@ struct Pending {
     digest: String,
 }
 
-/// One granted cell in flight: its grant, the cooperative flags the
-/// simulation honours, and whether the daemon has revoked it.
-struct CellRun {
-    grant: GrantCell,
-    cancel: Arc<AtomicBool>,
-    progress: Arc<AtomicU64>,
-    revoked: bool,
-}
-
 /// Runs the worker loop until the daemon drains, `stop` is raised, or
 /// an outage outlasts the patience window. See the module docs for the
 /// fault model.
 ///
 /// # Errors
 ///
-/// [`WorkerError::Connect`] when the daemon stays unreachable for a
-/// whole patience window; [`WorkerError::Rejected`] when registration
-/// is refused.
+/// [`WorkerError::Connect`] when an outage (failed connects and failed
+/// registrations alike) outlasts the patience window;
+/// [`WorkerError::Rejected`] when registration is refused.
 pub fn run_worker(cfg: WorkerConfig, stop: &AtomicBool) -> Result<WorkerSummary, WorkerError> {
-    let mut proxy = None;
-    let dial = match &cfg.net {
+    let proxy = match &cfg.net {
         Some(plan) => {
-            let p = NetProxy::start(&cfg.addr, plan.clone()).map_err(WorkerError::Connect)?;
-            let addr = p.addr();
-            proxy = Some(p);
-            addr
+            Some(NetProxy::start(&cfg.addr, plan.clone()).map_err(WorkerError::Connect)?)
         }
-        None => cfg.addr.clone(),
+        None => None,
     };
+    let dial = proxy.as_ref().map_or_else(|| cfg.addr.clone(), NetProxy::addr);
     let mut summary = WorkerSummary::default();
     let mut pending: Vec<Pending> = Vec::new();
     'outer: loop {
-        if stop.load(Ordering::SeqCst) {
+        let Some(mut conn) = connect(&dial, &cfg, stop, &mut summary)? else {
             summary.drained = true;
             break;
-        }
-        let mut conn = match connect(&dial, &cfg, stop) {
-            Ok(Some(c)) => c,
-            Ok(None) => {
-                summary.drained = true;
-                break;
-            }
-            Err(e) => {
-                drop(proxy);
-                return Err(WorkerError::Connect(e));
-            }
         };
-        summary.connects += 1;
-        match conn.request(&Request::Register { name: cfg.name.clone(), lanes: cfg.lanes as u64 })
-        {
-            Ok(Event::Registered { .. }) => {}
-            Ok(Event::Draining) => {
-                summary.drained = true;
-                break;
-            }
-            Ok(Event::Error { reason }) => {
-                drop(proxy);
-                return Err(WorkerError::Rejected(reason));
-            }
-            Ok(other) => {
-                drop(proxy);
-                return Err(WorkerError::Rejected(format!(
-                    "unexpected reply to register: {other:?}"
-                )));
-            }
-            Err(_) => continue 'outer,
-        }
         // Redeliver anything finished before the last disconnect. The
         // daemon dedups by fence, so this is safe to repeat.
         while let Some(p) = pending.first() {
@@ -250,14 +209,14 @@ pub fn run_worker(cfg: WorkerConfig, stop: &AtomicBool) -> Result<WorkerSummary,
                 Err(_) => continue 'outer,
             }
         }
-        // Lease loop: one grant at a time, heartbeating while it runs.
+        // Lease loop: one cell at a time, heartbeating while it runs.
         let mut backoff = Backoff::new(cfg.backoff);
         loop {
             if stop.load(Ordering::SeqCst) {
                 summary.drained = true;
                 break 'outer;
             }
-            let cells = match conn.request(&Request::Lease { max: cfg.lanes as u64 }) {
+            let cells = match conn.request(&Request::Lease { max: 1 }) {
                 Ok(Event::Grant { cells }) => cells,
                 Ok(Event::Draining) => {
                     summary.drained = true;
@@ -274,41 +233,72 @@ pub fn run_worker(cfg: WorkerConfig, stop: &AtomicBool) -> Result<WorkerSummary,
                 continue;
             }
             backoff.reset();
-            match run_grant(&mut conn, &cfg, cells, &mut pending, &mut summary) {
-                Ok(()) => {}
-                Err(_) => continue 'outer,
+            for grant in cells {
+                if run_grant(&mut conn, &cfg, grant, &mut pending, &mut summary).is_err() {
+                    continue 'outer;
+                }
             }
         }
     }
-    drop(proxy);
     Ok(summary)
 }
 
-/// Dials the daemon, backing off (capped exponential, seeded jitter)
-/// until `cfg.patience` runs out. `Ok(None)` means `stop` was raised
-/// while waiting.
+/// Dials and registers with the daemon. Failed dials and failed
+/// registrations (a proxy that accepts and then closes, a daemon that
+/// hangs up mid-handshake) belong to one outage: one backoff schedule
+/// (capped exponential, seeded jitter) and one start time across every
+/// redial, until a `register` succeeds or the outage outlasts
+/// `cfg.patience`. `Ok(None)` means the worker should drain: `stop` was
+/// raised, or the daemon answered `register` with `draining`.
+///
+/// # Errors
+///
+/// [`WorkerError::Connect`] once the outage outlasts the patience
+/// window; [`WorkerError::Rejected`] when the daemon refuses the
+/// registration.
 fn connect(
     dial: &str,
     cfg: &WorkerConfig,
     stop: &AtomicBool,
-) -> std::io::Result<Option<Conn>> {
+    summary: &mut WorkerSummary,
+) -> Result<Option<Conn>, WorkerError> {
     let mut backoff = Backoff::new(cfg.backoff);
-    let deadline = Instant::now() + cfg.patience;
+    let start = Instant::now();
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(None);
         }
-        match TcpStream::connect(dial) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(cfg.read_timeout))?;
-                let reader = BufReader::new(stream.try_clone()?);
-                return Ok(Some(Conn { reader, writer: stream }));
+        let failure = match dial_once(dial, cfg) {
+            Ok(mut conn) => {
+                summary.connects += 1;
+                match conn.request(&Request::Register { name: cfg.name.clone() }) {
+                    Ok(Event::Registered { .. }) => return Ok(Some(conn)),
+                    Ok(Event::Draining) => return Ok(None),
+                    Ok(Event::Error { reason }) => return Err(WorkerError::Rejected(reason)),
+                    Ok(other) => {
+                        return Err(WorkerError::Rejected(format!(
+                            "unexpected reply to register: {other:?}"
+                        )))
+                    }
+                    Err(e) => e,
+                }
             }
-            Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(backoff.next_delay()),
+            Err(e) => e,
+        };
+        if start.elapsed() >= cfg.patience {
+            return Err(WorkerError::Connect(failure));
         }
+        std::thread::sleep(backoff.next_delay());
     }
+}
+
+/// One TCP connect to the daemon, with the worker's socket options.
+fn dial_once(dial: &str, cfg: &WorkerConfig) -> std::io::Result<Conn> {
+    let stream = TcpStream::connect(dial)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(cfg.read_timeout))?;
+    let reader = BufReader::new(stream.try_clone()?);
+    Ok(Conn { reader, writer: stream })
 }
 
 /// Sends one pending delivery and classifies the daemon's verdict.
@@ -335,75 +325,57 @@ fn deliver_one(
     Ok(())
 }
 
-/// Runs one grant to completion: executes the cells on a separate
-/// thread (lane-batched when more than one), heartbeats progress every
-/// `beat_every`, honours revocations, and delivers the survivors.
+/// Runs one granted cell to completion: executes it on a separate
+/// thread, heartbeats its progress every `beat_every`, honours a
+/// revocation, and delivers the result unless it was revoked.
 ///
-/// A socket error anywhere cancels the in-flight cells, stashes the
-/// finished non-revoked results in `pending`, and bubbles the error so
-/// the caller reconnects.
+/// A socket error anywhere cancels the run, stashes its result in
+/// `pending` (unless revoked), and bubbles the error so the caller
+/// reconnects.
 fn run_grant(
     conn: &mut Conn,
     cfg: &WorkerConfig,
-    cells: Vec<GrantCell>,
+    grant: GrantCell,
     pending: &mut Vec<Pending>,
     summary: &mut WorkerSummary,
 ) -> std::io::Result<()> {
-    let mut runs: Vec<CellRun> = cells
-        .into_iter()
-        .map(|grant| CellRun {
-            grant,
-            cancel: Arc::new(AtomicBool::new(false)),
-            progress: Arc::new(AtomicU64::new(0)),
-            revoked: false,
+    let cancel = Arc::new(AtomicBool::new(false));
+    let progress = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = mpsc::channel::<RunResult>();
+    let executor = {
+        let grant = grant.clone();
+        let (cancel, progress) = (Arc::clone(&cancel), Arc::clone(&progress));
+        std::thread::spawn(move || {
+            let _ = tx.send(execute_grant(&grant, &cancel, &progress));
         })
-        .collect();
-    let (tx, rx) = mpsc::channel::<Vec<RunResult>>();
-    let exec: Vec<(GrantCell, Arc<AtomicBool>, Arc<AtomicU64>)> = runs
-        .iter()
-        .map(|r| (r.grant.clone(), Arc::clone(&r.cancel), Arc::clone(&r.progress)))
-        .collect();
-    let executor = std::thread::spawn(move || {
-        let results = execute_cells(&exec);
-        let _ = tx.send(results);
-    });
+    };
+    let mut revoked = false;
     // Heartbeat until the executor reports in.
-    let results = loop {
+    let result = loop {
         match rx.recv_timeout(cfg.beat_every) {
-            Ok(results) => break results,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break Vec::new(),
+            Ok(result) => break Some(result),
+            Err(mpsc::RecvTimeoutError::Disconnected) => break None,
+            // A revoked run is already cancelled; nothing left to beat.
+            Err(mpsc::RecvTimeoutError::Timeout) if revoked => {}
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                let beats: Vec<BeatEntry> = runs
-                    .iter()
-                    .filter(|r| !r.revoked)
-                    .map(|r| BeatEntry {
-                        fence: r.grant.fence,
-                        progress: r.progress.load(Ordering::Relaxed),
-                    })
-                    .collect();
-                let acked = if beats.is_empty() {
-                    Ok(Event::BeatAck { revoked: Vec::new() })
-                } else {
-                    conn.request(&Request::Beat { beats })
-                };
-                match acked {
-                    Ok(Event::BeatAck { revoked }) => {
-                        for r in runs.iter_mut() {
-                            if revoked.contains(&r.grant.fence) {
-                                r.revoked = true;
-                                r.cancel.store(true, Ordering::SeqCst);
-                            }
+                let beat =
+                    BeatEntry { fence: grant.fence, progress: progress.load(Ordering::Relaxed) };
+                match conn.request(&Request::Beat { beats: vec![beat] }) {
+                    Ok(Event::BeatAck { revoked: fences }) => {
+                        if fences.contains(&grant.fence) {
+                            revoked = true;
+                            cancel.store(true, Ordering::SeqCst);
                         }
                     }
                     Ok(_) | Err(_) => {
-                        // Connection gone: cancel everything, keep what
-                        // finishes, and hand the error up to reconnect.
-                        for r in &runs {
-                            r.cancel.store(true, Ordering::SeqCst);
-                        }
-                        let results = rx.recv().unwrap_or_default();
+                        // Connection gone: cancel the run, keep its result,
+                        // and hand the error up to reconnect.
+                        cancel.store(true, Ordering::SeqCst);
+                        let result = rx.recv().ok();
                         let _ = executor.join();
-                        stash(&runs, results, pending);
+                        if let Some(result) = result.filter(|_| !revoked) {
+                            pending.push(render_pending(&grant, result));
+                        }
                         return Err(std::io::Error::new(
                             std::io::ErrorKind::BrokenPipe,
                             "connection lost mid-grant",
@@ -414,35 +386,16 @@ fn run_grant(
         }
     };
     let _ = executor.join();
-    let mut to_deliver: Vec<Pending> = results
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !runs[*i].revoked)
-        .map(|(i, result)| render_pending(&runs[i].grant, result))
-        .collect();
-    while !to_deliver.is_empty() {
-        let p = to_deliver.remove(0);
-        match deliver_one(conn, &p, summary) {
-            Ok(()) => {}
-            Err(e) => {
-                // This and every later result survive for redelivery.
-                pending.push(p);
-                pending.append(&mut to_deliver);
-                return Err(e);
-            }
-        }
+    let Some(result) = result.filter(|_| !revoked) else {
+        return Ok(());
+    };
+    let p = render_pending(&grant, result);
+    if let Err(e) = deliver_one(conn, &p, summary) {
+        // The result survives for redelivery after reconnecting.
+        pending.push(p);
+        return Err(e);
     }
     Ok(())
-}
-
-/// Keeps the finished, non-revoked results of an interrupted grant for
-/// redelivery after reconnecting.
-fn stash(runs: &[CellRun], results: Vec<RunResult>, pending: &mut Vec<Pending>) {
-    for (i, result) in results.into_iter().enumerate() {
-        if !runs[i].revoked {
-            pending.push(render_pending(&runs[i].grant, result));
-        }
-    }
 }
 
 /// Renders one finished cell into its wire form: the `RunRecord` a
@@ -462,83 +415,44 @@ fn render_pending(grant: &GrantCell, mut result: RunResult) -> Pending {
     }
 }
 
-/// Executes a grant's cells: solo for one cell, interleaved through a
-/// [`LaneBatch`] for several — byte-identical either way, by the lane
-/// contract. Cells that cannot be rebuilt from their wire names degrade
-/// to a `panicked` result rather than wedging the lease.
-fn execute_cells(cells: &[(GrantCell, Arc<AtomicBool>, Arc<AtomicU64>)]) -> Vec<RunResult> {
-    let rebuilt: Vec<Result<(phast_workloads::Workload, PredictorKind), String>> = cells
-        .iter()
-        .map(|(g, _, _)| {
-            let workload = phast_workloads::by_name(&g.workload)
-                .ok_or_else(|| format!("unknown workload {:?}", g.workload))?;
-            let kind = PredictorKind::from_label(&g.predictor)
-                .ok_or_else(|| format!("unknown predictor {:?}", g.predictor))?;
+/// Executes one granted cell through [`execute_cell_once`], the same
+/// solo path a local worker runs. A cell that cannot be rebuilt from its
+/// wire names degrades to a `panicked` result rather than wedging the
+/// lease.
+fn execute_grant(
+    grant: &GrantCell,
+    cancel: &Arc<AtomicBool>,
+    progress: &Arc<AtomicU64>,
+) -> RunResult {
+    let rebuilt = phast_workloads::by_name(&grant.workload)
+        .ok_or_else(|| format!("unknown workload {:?}", grant.workload))
+        .and_then(|workload| {
+            let kind = PredictorKind::from_label(&grant.predictor)
+                .ok_or_else(|| format!("unknown predictor {:?}", grant.predictor))?;
             Ok((workload, kind))
-        })
-        .collect();
-    let deadline_for = |g: &GrantCell, cancel: &Arc<AtomicBool>, progress: &Arc<AtomicU64>| {
-        match g.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::none(),
+        });
+    let (workload, kind) = match rebuilt {
+        Ok(cell) => cell,
+        Err(reason) => {
+            return failed_result(
+                &grant.workload,
+                &grant.predictor,
+                RunFailure::Panicked(format!("worker could not rebuild the cell: {reason}")),
+            )
         }
-        .with_cancel(Arc::clone(cancel))
-        .with_progress(Arc::clone(progress))
     };
-    let budget_for = |g: &GrantCell| Budget {
-        insts: g.insts,
-        workload_iters: g.iters,
+    let deadline = match grant.timeout_ms {
+        Some(ms) => Deadline::after(Duration::from_millis(ms)),
+        None => Deadline::none(),
+    }
+    .with_cancel(Arc::clone(cancel))
+    .with_progress(Arc::clone(progress));
+    let budget = Budget {
+        insts: grant.insts,
+        workload_iters: grant.iters,
         max_workloads: None,
         extra_workloads: Vec::new(),
     };
-    let runnable: Vec<usize> = (0..cells.len()).filter(|&i| rebuilt[i].is_ok()).collect();
-    let mut out: Vec<Option<RunResult>> = (0..cells.len()).map(|_| None).collect();
-    if runnable.len() > 1 {
-        let jobs: Vec<_> = runnable
-            .iter()
-            .map(|&i| {
-                let (g, cancel, progress) = &cells[i];
-                let (workload, kind) = rebuilt[i].as_ref().expect("runnable");
-                let (cfg_attempt, _) =
-                    reseed_for_attempt(&CoreConfig::alder_lake(), g.attempt);
-                build_lane_job(
-                    workload,
-                    kind,
-                    &cfg_attempt,
-                    &budget_for(g),
-                    deadline_for(g, cancel, progress),
-                )
-            })
-            .collect();
-        let reports = LaneBatch::new(jobs.len()).run(jobs);
-        for (&i, report) in runnable.iter().zip(reports) {
-            let (g, _, _) = &cells[i];
-            out[i] = Some(lane_run_result(&g.workload, &g.predictor, report));
-        }
-    } else if let Some(&i) = runnable.first() {
-        let (g, cancel, progress) = &cells[i];
-        let (workload, kind) = rebuilt[i].as_ref().expect("runnable");
-        let (cfg_attempt, _) = reseed_for_attempt(&CoreConfig::alder_lake(), g.attempt);
-        out[i] = Some(execute_cell_once(
-            workload,
-            kind,
-            &cfg_attempt,
-            &budget_for(g),
-            &deadline_for(g, cancel, progress),
-        ));
-    }
-    cells
-        .iter()
-        .zip(out)
-        .zip(rebuilt)
-        .map(|(((g, _, _), slot), built)| match (slot, built) {
-            (Some(r), _) => r,
-            (None, Err(reason)) => failed_result(
-                &g.workload,
-                &g.predictor,
-                RunFailure::Panicked(format!("worker could not rebuild the cell: {reason}")),
-            ),
-            (None, Ok(_)) => unreachable!("runnable cells always produce a result"),
-        })
-        .collect()
+    let (cfg_attempt, _) = reseed_for_attempt(&CoreConfig::alder_lake(), grant.attempt);
+    execute_cell_once(&workload, &kind, &cfg_attempt, &budget, &deadline)
 }

@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn worker_requests_roundtrip(seed in 0u64..10_000, fence in 1u64..1_000_000) {
         let requests = vec![
-            Request::Register { name: format!("box-{seed}"), lanes: seed % 64 + 1 },
+            Request::Register { name: format!("box-{seed}") },
             Request::Lease { max: seed % 4096 + 1 },
             Request::Beat {
                 beats: (0..seed % 8)

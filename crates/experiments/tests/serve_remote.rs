@@ -13,13 +13,13 @@
 use phast_experiments::serve::proto::{self, MAX_REQUEST_LINE};
 use phast_experiments::serve::{
     run_worker, BackoffPolicy, ChaosPlan, Client, Event, LeaseConfig, NetPlan, Request,
-    SchedConfig, ServeConfig, Server, WorkerConfig,
+    SchedConfig, ServeConfig, Server, WorkerConfig, WorkerError,
 };
 use phast_experiments::{exit_code, Budget, PredictorKind, Sweep, SweepArtifact};
 use phast_ooo::CoreConfig;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::AtomicBool;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,7 +47,6 @@ fn test_worker(addr: &str, name: &str) -> WorkerConfig {
     WorkerConfig {
         addr: addr.to_string(),
         name: name.to_string(),
-        lanes: 2,
         beat_every: Duration::from_millis(100),
         idle_poll: Duration::from_millis(10),
         read_timeout: Duration::from_secs(5),
@@ -136,7 +135,7 @@ impl RawWorker {
     }
 
     fn register(&mut self, name: &str) {
-        match self.request(&Request::Register { name: name.to_string(), lanes: 2 }) {
+        match self.request(&Request::Register { name: name.to_string() }) {
             Event::Registered { .. } => {}
             other => panic!("expected registration, got {other:?}"),
         }
@@ -350,13 +349,15 @@ fn scripted_connection_cut_reconnects_and_completes_byte_identically() {
     }
 
     // The worker's traffic flows through the seeded fault proxy, which
-    // cuts its first connection mid-line at the 4th worker→daemon line
-    // (register, lease, ... then snip). The worker reconnects with
+    // cuts its first connection mid-line at the 3rd worker→daemon line:
+    // register, lease, then the first `deliver` (or a `beat`) of the
+    // leased cell — which always comes while the sweep still waits for
+    // that cell, so the cut lands mid-run. The worker reconnects with
     // backoff and finishes.
     let stop = Arc::new(AtomicBool::new(false));
     let worker = {
         let mut cfg = test_worker(&addr, "box-cut");
-        cfg.net = Some(NetPlan { cut_at: Some((0, 3)), ..NetPlan::none() });
+        cfg.net = Some(NetPlan { cut_at: Some((0, 2)), ..NetPlan::none() });
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || run_worker(cfg, &stop))
     };
@@ -379,6 +380,49 @@ fn scripted_connection_cut_reconnects_and_completes_byte_identically() {
         normalize(&reference),
         "post-cut artifact diverges from the serial reference"
     );
+}
+
+/// A daemon address that accepts connections and closes them at once —
+/// a proxy in front of a daemon that has exited — fails every
+/// registration. Those failures belong to one outage with failed
+/// connects: the worker backs off between redials and gives up with
+/// `WorkerError::Connect` (exit 5) once the outage outlasts its
+/// patience, instead of redialling in a hot loop forever.
+#[test]
+fn failed_registrations_exhaust_patience_instead_of_spinning() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let accepted = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    let acceptor = {
+        let (accepted, done) = (Arc::clone(&accepted), Arc::clone(&done));
+        std::thread::spawn(move || {
+            for sock in listener.incoming() {
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                accepted.fetch_add(1, Ordering::SeqCst);
+                drop(sock);
+            }
+        })
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = {
+        let mut cfg = test_worker(&addr, "box-spin");
+        cfg.patience = Duration::from_millis(300);
+        std::thread::spawn(move || {
+            let _ = tx.send(run_worker(cfg, &AtomicBool::new(false)));
+        })
+    };
+    let outcome = rx.recv_timeout(Duration::from_secs(5)).expect("worker gave up within 5 s");
+    assert!(matches!(outcome, Err(WorkerError::Connect(_))), "got {outcome:?}");
+    let connections = accepted.load(Ordering::SeqCst);
+    assert!(connections <= 20, "worker redialled {connections} times in one outage");
+    worker.join().expect("worker thread");
+    // Wake the acceptor so it sees `done` and exits.
+    done.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(&addr);
+    acceptor.join().expect("acceptor thread");
 }
 
 #[test]

@@ -37,12 +37,9 @@ impl CacheConfig {
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Way {
+    valid: bool,
     tag: u64,
     lru: u32,
-    /// A way is live iff its epoch matches the cache's current epoch.
-    /// [`Cache::reset`] bumps the cache epoch, aging out every way in
-    /// O(1) instead of rewriting the (multi-megabyte, for L3) slab.
-    epoch: u32,
 }
 
 /// Per-level statistics.
@@ -70,8 +67,6 @@ pub struct Cache {
     ways: Vec<Way>,
     set_mask: usize,
     lru_clock: u32,
-    /// Current validity epoch; ways whose epoch differs are empty.
-    epoch: u32,
     /// Outstanding misses: (line, completion_cycle). Pruned lazily.
     inflight: VecDeque<(u64, u64)>,
     stats: CacheStats,
@@ -86,34 +81,9 @@ impl Cache {
             ways: vec![Way::default(); sets * cfg.ways],
             set_mask: sets - 1,
             lru_clock: 0,
-            epoch: 1,
             inflight: VecDeque::new(),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Restores the cache to the state `Cache::new(cfg)` would produce,
-    /// keeping the tag-slab allocation.
-    ///
-    /// Validity is epoch-gated, so invalidating every way is a single
-    /// epoch bump — stale ways read as empty to [`probe`](Cache::probe)
-    /// and rank as free slots to [`fill`](Cache::fill)'s victim search,
-    /// exactly like a fresh cache's default ways. `reset_equivalence`
-    /// tests pin fresh/reset indistinguishability, which the lane batch's
-    /// hierarchy recycling relies on for byte-identical statistics.
-    pub fn reset(&mut self) {
-        match self.epoch.checked_add(1) {
-            Some(next) => self.epoch = next,
-            None => {
-                // One slab rewrite every 2^32 resets keeps the epoch
-                // compare a plain equality test.
-                self.ways.fill(Way::default());
-                self.epoch = 1;
-            }
-        }
-        self.lru_clock = 0;
-        self.inflight.clear();
-        self.stats = CacheStats::default();
     }
 
     /// The level's configuration.
@@ -137,9 +107,8 @@ impl Cache {
     pub fn probe(&mut self, line: u64) -> bool {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let epoch = self.epoch;
         for way in self.set_of(line) {
-            if way.epoch == epoch && way.tag == line {
+            if way.valid && way.tag == line {
                 way.lru = clock;
                 return true;
             }
@@ -151,21 +120,20 @@ impl Cache {
     pub fn fill(&mut self, line: u64) -> Option<u64> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let epoch = self.epoch;
         let set = self.set_of(line);
         // Already present (e.g. a prefetch raced a demand fill): refresh.
         for way in set.iter_mut() {
-            if way.epoch == epoch && way.tag == line {
+            if way.valid && way.tag == line {
                 way.lru = clock;
                 return None;
             }
         }
         let victim = set
             .iter_mut()
-            .min_by_key(|w| if w.epoch == epoch { w.lru } else { 0 })
+            .min_by_key(|w| if w.valid { w.lru } else { 0 })
             .expect("ways > 0");
-        let evicted = (victim.epoch == epoch).then_some(victim.tag);
-        *victim = Way { tag: line, lru: clock, epoch };
+        let evicted = victim.valid.then_some(victim.tag);
+        *victim = Way { valid: true, tag: line, lru: clock };
         evicted
     }
 
@@ -302,35 +270,5 @@ mod tests {
         let mut c = small();
         c.fill(0);
         assert_eq!(c.fill(0), None);
-    }
-
-    /// A dirtied-then-reset cache must be observably identical to a fresh
-    /// one: same hits, same victims, same MSHR timing, same stats. The
-    /// lane batch recycles tag slabs on the strength of this.
-    #[test]
-    fn reset_equivalence() {
-        fn drive(c: &mut Cache) -> (Vec<(bool, Option<u64>, u64)>, CacheStats) {
-            let mut log = Vec::new();
-            for i in 0..96u64 {
-                let hit = c.probe((i * 3) % 24);
-                if hit {
-                    c.note_hit();
-                }
-                let evicted = if i % 2 == 0 { c.fill(i % 24) } else { None };
-                let done = c.track_miss(i % 8, i, i + 50);
-                log.push((hit, evicted, done));
-            }
-            (log, *c.stats())
-        }
-        let mut fresh = small();
-        let mut recycled = small();
-        // Dirty every set, the LRU clock, the MSHRs and the stats.
-        for i in 0..200u64 {
-            recycled.probe(i);
-            recycled.fill(i * 7);
-            recycled.track_miss(i, i, i + 90);
-        }
-        recycled.reset();
-        assert_eq!(drive(&mut fresh), drive(&mut recycled));
     }
 }

@@ -85,14 +85,6 @@ impl StridePrefetcher {
     pub fn issued(&self) -> u64 {
         self.issued
     }
-
-    /// Restores the prefetcher to its freshly-constructed state, keeping
-    /// the table allocation (the table is small — 256 entries by default —
-    /// so a plain rewrite is already O(1) for recycling purposes).
-    pub fn reset(&mut self) {
-        self.table.fill(Entry::default());
-        self.issued = 0;
-    }
 }
 
 #[cfg(test)]

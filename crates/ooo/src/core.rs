@@ -318,20 +318,6 @@ pub struct BootState {
     pub indirect: IndirectPredictor,
 }
 
-/// Result of one bounded slice of simulation ([`Core::try_run_slice`]).
-#[derive(Debug)]
-// Boxing `Done` would allocate at run completion, inside the window
-// `tests/alloc_free_lanes.rs` requires to be allocation-free; the value
-// is moved once per run and never stored in a collection, so the size
-// difference costs nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum SliceOutcome {
-    /// The run reached its goal (halt or `max_insts`); statistics follow.
-    Done(SimStats),
-    /// The slice's cycle budget ran out first; call again to continue.
-    Pending,
-}
-
 /// One committed instruction, for equivalence checks against the
 /// functional emulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -354,28 +340,10 @@ impl<'a> Core<'a> {
         predictor: &'a mut dyn MemDepPredictor,
         direction: Box<dyn DirectionPredictor>,
     ) -> Core<'a> {
-        let mem = Hierarchy::new(cfg.memory);
-        Core::with_mem(program, cfg, predictor, direction, mem)
-    }
-
-    /// Creates a core at the program entry, supplying the cache hierarchy.
-    ///
-    /// `mem` must be indistinguishable from `Hierarchy::new(cfg.memory)` —
-    /// either freshly built or recycled through [`Hierarchy::reset`]
-    /// (which is equivalence-tested). The lane batch uses this to reuse
-    /// tag-array slabs across waves instead of reallocating ~12 MB of L3
-    /// tags per cell.
-    pub(crate) fn with_mem(
-        program: &'a Program,
-        cfg: CoreConfig,
-        predictor: &'a mut dyn MemDepPredictor,
-        direction: Box<dyn DirectionPredictor>,
-        mem: Hierarchy,
-    ) -> Core<'a> {
         let checker = cfg.check.lockstep.then(|| CommitChecker::new(program));
         let injector = cfg.check.faults.map(FaultInjector::new);
         Core {
-            mem,
+            mem: Hierarchy::new(cfg.memory),
             cursor: Some((program.entry(), 0)),
             fetch_stalled_until: 0,
             cur_fetch_line: None,
@@ -499,6 +467,11 @@ impl<'a> Core<'a> {
     /// [`SimError::Deadline`]. This is the per-run watchdog the sweep
     /// engine uses to turn hung runs into reportable failures.
     ///
+    /// The run is resumable: calling this again on the same core continues
+    /// toward a larger `max_insts` with statistics that stay cumulative
+    /// (the sampler's detailed windows run a ramp, then the measured
+    /// window, as two calls).
+    ///
     /// # Errors
     ///
     /// As for [`Core::try_run`], plus [`SimError::Deadline`].
@@ -508,43 +481,8 @@ impl<'a> Core<'a> {
         max_cycles: u64,
         deadline: &Deadline,
     ) -> Result<SimStats, SimError> {
-        match self.try_run_slice(max_insts, max_cycles, deadline, u64::MAX)? {
-            SliceOutcome::Done(stats) => Ok(stats),
-            SliceOutcome::Pending => unreachable!("unbounded slice cannot be pending"),
-        }
-    }
-
-    /// Runs at most `slice` further cycles toward the same goal as
-    /// [`Core::try_run_within`], returning [`SliceOutcome::Pending`] if the
-    /// budget was exhausted first.
-    ///
-    /// The deadline poll sits inside the loop on the same
-    /// `cycle & (DEADLINE_CHECK_INTERVAL - 1) == 0` condition as the
-    /// unsliced path, so the sequence of poll points — and therefore every
-    /// observable deadline/heartbeat behavior — is identical at *any* slice
-    /// length. `try_run_within` itself is one unbounded slice, which is how
-    /// the lane batch inherits byte-identity with the serial path by
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Core::try_run_within`]. A slice never converts an exhausted
-    /// slice budget into an error; only the overall `max_cycles` ceiling
-    /// does.
-    pub fn try_run_slice(
-        &mut self,
-        max_insts: u64,
-        max_cycles: u64,
-        deadline: &Deadline,
-        slice: u64,
-    ) -> Result<SliceOutcome, SimError> {
         const MASK: u64 = crate::deadline::DEADLINE_CHECK_INTERVAL - 1;
-        let slice_end = self.cycle.saturating_add(slice);
-        while !self.halted
-            && self.stats.committed < max_insts
-            && self.cycle < max_cycles
-            && self.cycle < slice_end
-        {
+        while !self.halted && self.stats.committed < max_insts && self.cycle < max_cycles {
             if self.cycle & MASK == 0 {
                 deadline.tick();
                 if deadline.expired() {
@@ -556,13 +494,10 @@ impl<'a> Core<'a> {
             }
             self.try_step()?;
         }
-        if self.halted || self.stats.committed >= max_insts {
-            return Ok(SliceOutcome::Done(self.collect_stats()));
-        }
-        if self.cycle >= max_cycles {
+        if !self.halted && self.stats.committed < max_insts {
             return Err(SimError::CycleCeiling { max_cycles, snapshot: self.snapshot() });
         }
-        Ok(SliceOutcome::Pending)
+        Ok(self.collect_stats())
     }
 
     /// Legacy entry point: like [`Core::try_run`] but infallible.
@@ -589,16 +524,6 @@ impl<'a> Core<'a> {
             }
             Err(e) => panic!("simulation failed: {e}"),
         }
-    }
-
-    /// Consumes the core, handing back its cache hierarchy for recycling.
-    ///
-    /// Used by the lane batch between waves: the hierarchy's tag slabs are
-    /// the only allocation worth reusing across cells (the L3 alone is
-    /// ~12 MB of `Way` entries). Callers must [`Hierarchy::reset`] it
-    /// before the next [`Core::with_mem`].
-    pub(crate) fn into_mem(self) -> Hierarchy {
-        self.mem
     }
 
     /// Statistics as of now (used for both clean finishes and snapshots).

@@ -53,12 +53,10 @@ mod config;
 mod core;
 mod deadline;
 mod error;
-mod lane;
 mod runner;
 mod stats;
 
-pub use crate::core::{BootState, CommitRecord, Core, IndirectPredictor, SliceOutcome};
-pub use lane::{LaneBatch, LaneId, LaneJob, LaneOutcome, LaneReport, DEFAULT_LANE_SLICE};
+pub use crate::core::{BootState, CommitRecord, Core, IndirectPredictor};
 pub use check::{CheckConfig, CommitChecker, FaultInjector, FaultPlan};
 pub use config::{CoreConfig, IndirectPredictorKind, MemSquashPolicy, Ports, TrainPoint};
 pub use deadline::{Deadline, DEADLINE_CHECK_INTERVAL};

@@ -13,7 +13,7 @@ use phast_mdp::MemDepPredictor;
 pub const DEFAULT_MAX_INSTS: u64 = 1_000_000;
 
 /// Generous default cycle ceiling: even IPC 0.05 finishes within it.
-pub(crate) fn default_max_cycles(max_insts: u64) -> u64 {
+fn default_max_cycles(max_insts: u64) -> u64 {
     max_insts.saturating_mul(20).max(1_000_000)
 }
 

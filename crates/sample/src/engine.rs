@@ -58,7 +58,7 @@ pub enum SampleMode {
 
 impl SampleMode {
     /// Parses a `--sample-mode` value — same reject-garbage contract as
-    /// `parse_lanes` in the experiments pool: callers print the error and
+    /// `parse_workers` in the experiments pool: callers print the error and
     /// exit 2 rather than silently falling back.
     ///
     /// # Errors

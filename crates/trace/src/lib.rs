@@ -8,7 +8,7 @@
 //!    retirement stream together with the exact program that produced
 //!    it. A decoded trace passes lockstep verification against a fresh
 //!    emulator run and, via [`trace_workload`], drives every simulation
-//!    path (serial, parallel, lanes, sampling, the daemon) as just
+//!    path (serial, parallel, sampling, the daemon) as just
 //!    another workload — byte-identical to the direct run.
 //! 2. **Static dependence analysis** ([`deps`], [`predictor`]): a
 //!    constant-propagation pass over the CFG computes the statically

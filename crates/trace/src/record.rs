@@ -36,7 +36,7 @@ fn to_trace_record(program: &Program, rec: &ExecRecord) -> TraceRecord {
 /// outer-loop iterations.
 ///
 /// The trace embeds the exact program, so any later consumer (replay,
-/// sweeps, lanes, sampling, the daemon) reconstructs bit-identical state.
+/// sweeps, sampling, the daemon) reconstructs bit-identical state.
 ///
 /// # Panics
 ///

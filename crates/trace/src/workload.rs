@@ -1,5 +1,5 @@
 //! Adapting a decoded trace into a [`Workload`] so the whole pipeline
-//! (harness, sweeps, lanes, sampling, the daemon) can consume trace
+//! (harness, sweeps, sampling, the daemon) can consume trace
 //! files as just another workload.
 
 use crate::codec::Trace;

@@ -21,9 +21,7 @@
 //! change in the commit message.
 
 use phast_experiments::PredictorKind;
-use phast_ooo::{
-    try_simulate, CheckConfig, CoreConfig, Deadline, LaneBatch, LaneJob, LaneOutcome,
-};
+use phast_ooo::{try_simulate, CheckConfig, CoreConfig};
 
 const INSTS: u64 = 6_000;
 const ITERS: u64 = 50_000;
@@ -95,46 +93,6 @@ fn run_grid() -> Vec<ObservedRow> {
     rows
 }
 
-/// The same grid as [`run_grid`], interleaved through one [`LaneBatch`]
-/// of `lanes` cells at a time instead of run solo.
-fn run_grid_lanes(lanes: usize) -> Vec<ObservedRow> {
-    let mut jobs = Vec::new();
-    let mut labels = Vec::new();
-    for wname in WORKLOADS {
-        let w = phast_workloads::by_name(wname).expect("workload exists");
-        for kind in predictors() {
-            let program = w.build(ITERS);
-            let mut cfg = CoreConfig::alder_lake();
-            cfg.train_point = kind.train_point();
-            cfg.check = CheckConfig::off();
-            let predictor = kind.build(&program, INSTS);
-            labels.push((wname.to_string(), kind.label()));
-            jobs.push(LaneJob::new(program, cfg, predictor, INSTS, Deadline::none()));
-        }
-    }
-    let reports = LaneBatch::new(lanes).run(jobs);
-    labels
-        .into_iter()
-        .zip(reports)
-        .map(|((w, p), report)| {
-            let stats = match report.outcome {
-                LaneOutcome::Finished(stats) => stats,
-                other => panic!("{w} × {p}: lane degraded: {other:?}"),
-            };
-            (
-                w,
-                p,
-                stats.cycles,
-                stats.committed,
-                stats.violations,
-                stats.false_dependences,
-                stats.forwarded_loads,
-                stats.squashed_uops,
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn timing_matches_the_pinned_goldens() {
     let rows = run_grid();
@@ -164,33 +122,5 @@ fn timing_matches_the_pinned_goldens() {
              expected {:?}",
             got.0, got.1, got.2, got.3, got.4, got.5, got.6, got.7, want
         );
-    }
-}
-
-/// Lane batching must be perf-only at the architectural level: the same
-/// grid interleaved through a `LaneBatch` produces the exact pinned
-/// counters, at any lane count.
-#[test]
-fn lane_batched_timing_matches_the_pinned_goldens() {
-    for lanes in [2, 4, 16] {
-        let rows = run_grid_lanes(lanes);
-        assert_eq!(rows.len(), GOLDEN.len(), "lanes={lanes}: grid shape changed");
-        for (got, want) in rows.iter().zip(GOLDEN) {
-            let got_tuple = (
-                got.0.as_str(),
-                got.1.as_str(),
-                got.2,
-                got.3,
-                got.4,
-                got.5,
-                got.6,
-                got.7,
-            );
-            assert_eq!(
-                got_tuple, *want,
-                "lanes={lanes}: lane-batched timing diverged for {} × {}",
-                got.0, got.1
-            );
-        }
     }
 }

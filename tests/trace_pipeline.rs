@@ -1,7 +1,7 @@
 //! End-to-end trace pipeline acceptance: a recorded PHTR trace, decoded
 //! from its on-disk bytes, drives the sweep harness **byte-identically**
-//! to a direct run of the workload it was recorded from — on the serial,
-//! parallel, and lane-batched execution paths. Also pins that the
+//! to a direct run of the workload it was recorded from — on the serial
+//! and parallel execution paths. Also pins that the
 //! coverage-guided synthesized workloads run clean through a quick sweep.
 
 use phast_experiments::harness::Budget;
@@ -65,7 +65,7 @@ fn assert_rows_identical(direct: &[Vec<RunResult>], replay: &[Vec<RunResult>], p
 }
 
 #[test]
-fn trace_replay_is_byte_identical_on_serial_parallel_and_lane_paths() {
+fn trace_replay_is_byte_identical_on_serial_and_parallel_paths() {
     let kinds = [
         PredictorKind::Blind,
         PredictorKind::StoreSets,
@@ -77,10 +77,9 @@ fn trace_replay_is_byte_identical_on_serial_parallel_and_lane_paths() {
     let replay = replay_budget();
 
     type MkSweep = fn() -> Sweep;
-    let paths: [(&str, MkSweep); 3] = [
+    let paths: [(&str, MkSweep); 2] = [
         ("serial", Sweep::serial),
         ("parallel", || Sweep::with_workers(4)),
-        ("lanes", || Sweep::with_workers(2).with_lanes(2)),
     ];
     let mut reference: Option<Vec<Vec<RunResult>>> = None;
     for (path, mk) in paths {
