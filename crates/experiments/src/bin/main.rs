@@ -83,9 +83,6 @@ const FLAGS: &[&str] = &[
     "--max-workloads=",
     "--synth",
     "--synth=",
-    "--trace=",
-    "--record-trace=",
-    "--trace-workload=",
     "--dump-checkpoints=",
 ];
 
@@ -126,14 +123,11 @@ fn usage() -> ! {
          [--sample-mode=phase|stride] [--clusters=K] \
          [--serial | --workers=N] [--json-dir=DIR | --no-json] \
          [--resume] [--run-timeout=SECS] [--retries=N] \
-         [--max-workloads=N] [--synth[=N]] [--trace=FILE]... <experiment>..."
+         [--max-workloads=N] [--synth[=N]] <experiment>..."
     );
     eprintln!("       phast-experiments --list-workloads | --list-predictors | --list-experiments");
-    eprintln!("       phast-experiments --verify <BENCH.json | checkpoints.phsc | trace.phtr>...");
+    eprintln!("       phast-experiments --verify <BENCH.json | checkpoints.phsc>...");
     eprintln!("       phast-experiments [--quick|--sampled] [sampling flags] --dump-checkpoints=FILE");
-    eprintln!(
-        "       phast-experiments [--quick|--sampled] [--trace-workload=NAME] --record-trace=FILE"
-    );
     eprintln!("experiments: {} all", experiment_ids());
     eprintln!("(--help for resilience flags and the exit-code taxonomy)");
     std::process::exit(exit_code::USAGE);
@@ -167,24 +161,17 @@ fn help() {
          \n\
          workload set (see docs/TRACES.md):\n\
          \x20 --max-workloads=N   keep only the first N built-in workloads; 0 is\n\
-         \x20                     legal and sweeps only --synth/--trace extras\n\
+         \x20                     legal with --synth and sweeps only the synthesized\n\
+         \x20                     workloads (an empty set is a usage error)\n\
          \x20 --synth[=N]         append N (default 8) coverage-guided synthesized\n\
          \x20                     workloads (deterministic: same seed, same programs)\n\
-         \x20 --trace=FILE        append a recorded PHTR trace as a replay workload;\n\
-         \x20                     repeatable; replay is byte-identical to the direct\n\
-         \x20                     run of the recorded workload\n\
-         \x20 --record-trace=FILE record the budget's first workload (or\n\
-         \x20                     --trace-workload=NAME) through the reference\n\
-         \x20                     emulator, write the PHTR bytes to FILE, and exit\n\
          \n\
          artifacts / crash resilience:\n\
          \x20 --json-dir=DIR      where BENCH_<id>.json and journal.jsonl land\n\
          \x20 --no-json           no artifacts, no journal\n\
          \x20 --verify FILE...    verify artifact digests and exit (0 intact, 3 not);\n\
          \x20                     PHSC checkpoint files (magic-sniffed) are decoded\n\
-         \x20                     through the full v3 codec validators, and PHTR\n\
-         \x20                     traces additionally replay in lockstep against\n\
-         \x20                     the reference emulator\n\
+         \x20                     through the full v3 codec validators\n\
          \x20 --dump-checkpoints=FILE\n\
          \x20                     capture the first budgeted workload under the\n\
          \x20                     effective sampling config, write the PHSC bytes\n\
@@ -229,16 +216,6 @@ fn verify_one(file: &PathBuf) -> Result<&'static str, String> {
         } else {
             "checkpoint set"
         });
-    }
-    if head == phast_trace::TRACE_MAGIC {
-        let bytes = std::fs::read(file).map_err(|e| e.to_string())?;
-        let trace =
-            phast_trace::Trace::from_bytes(&bytes).map_err(|e| format!("trace decode: {e}"))?;
-        // Integrity beyond the CRC: the record stream must match a fresh
-        // emulator run of the embedded program, instruction for
-        // instruction.
-        phast_trace::verify_lockstep(&trace).map_err(|e| e.to_string())?;
-        return Ok("PHTR trace, lockstep-verified");
     }
     SweepArtifact::verify_file(file).map_err(|e| e.to_string())?;
     Ok("sweep artifact")
@@ -421,7 +398,7 @@ fn main() {
         Budget::full()
     };
     // --max-workloads=N overrides the tier's built-in truncation. 0 is
-    // legal: combined with --synth/--trace it sweeps only the extras.
+    // legal: combined with --synth it sweeps only the extras.
     if let Some(v) = args.iter().find_map(|a| a.strip_prefix("--max-workloads=")) {
         match v.trim().parse::<usize>() {
             Ok(n) => budget.max_workloads = Some(n),
@@ -445,26 +422,11 @@ fn main() {
             .extra_workloads
             .extend(phast_trace::synth_workloads(n as usize, phast_trace::SYNTH_SEED));
     }
-    // --trace=FILE (repeatable): decode a recorded PHTR trace and append
-    // its embedded program as a replay workload. A file that fails the
-    // codec's integrity checks is an integrity error (exit 3), matching
-    // --verify's taxonomy.
-    for path in args.iter().filter_map(|a| a.strip_prefix("--trace=")) {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: --trace={path}: {e}");
-                std::process::exit(exit_code::USAGE);
-            }
-        };
-        let trace = match phast_trace::Trace::from_bytes(&bytes) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: --trace={path}: {e}");
-                std::process::exit(exit_code::INTEGRITY);
-            }
-        };
-        budget.extra_workloads.push(phast_trace::trace_workload(&trace));
+    // The workload set is now fixed. Every mode below needs at least one
+    // workload, so an empty set is a malformed invocation.
+    if budget.workloads().is_empty() {
+        eprintln!("error: no workloads to run");
+        std::process::exit(exit_code::USAGE);
     }
     let sampling: Option<SampleConfig> =
         (sampled || windows.is_some() || warm.is_some() || phase_mode).then(|| {
@@ -508,38 +470,6 @@ fn main() {
         );
         return;
     }
-    // Trace-record mode: run one workload through the reference emulator
-    // at the effective budget, write the PHTR bytes to FILE, and exit —
-    // the producer side of `--trace` replay and the PHTR `--verify` arm.
-    if let Some(path) = args.iter().find_map(|a| a.strip_prefix("--record-trace=")) {
-        let workload = match args.iter().find_map(|a| a.strip_prefix("--trace-workload=")) {
-            Some(name) => phast_workloads::by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown workload '{name}'; see --list-workloads");
-                std::process::exit(exit_code::USAGE);
-            }),
-            None => match budget.workloads().first() {
-                Some(w) => *w,
-                None => {
-                    eprintln!("error: --record-trace has no workload to record (empty set)");
-                    std::process::exit(exit_code::USAGE);
-                }
-            },
-        };
-        let trace = phast_trace::record_trace(&workload, budget.workload_iters, budget.insts);
-        let bytes = trace.to_bytes();
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("error: could not write {path}: {e}");
-            std::process::exit(exit_code::INTEGRITY);
-        }
-        eprintln!(
-            "wrote {path}: {} record(s), {} byte(s), workload {} at {} iters",
-            trace.records.len(),
-            bytes.len(),
-            trace.name,
-            trace.iters
-        );
-        return;
-    }
     let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
 
     if ids.is_empty() {
@@ -565,7 +495,7 @@ fn main() {
     } else {
         let path = json_dir.join("journal.jsonl");
         // Extras are part of the sweep shape: resuming with a different
-        // synth/trace workload set must be refused like any other
+        // synth workload set must be refused like any other
         // budget mismatch.
         let extras: Vec<&str> = budget.extra_workloads.iter().map(|w| w.name).collect();
         let fingerprint = format!(

@@ -10,9 +10,6 @@
 //! phast-serve --client=submit  --addr=... --id=ci --kinds=phast,storesets --budget=quick
 //! phast-serve --client=fetch   --addr=... --digest=crc32:deadbeef
 //! phast-serve --client=shutdown --addr=...
-//!
-//! # worker mode: join a daemon as a remote worker process
-//! phast-serve --worker=127.0.0.1:7878 --name=box-a
 //! ```
 //!
 //! The daemon accepts sweep submissions over a TCP JSON-lines protocol
@@ -23,7 +20,8 @@
 //! sweeps finish and flush their artifacts, and the process exits with
 //! the worst outcome across everything it ran — the same exit-code
 //! taxonomy as `phast-experiments` (0 ok / 1 degraded / 2 usage /
-//! 3 integrity / 4 deadline).
+//! 3 integrity / 4 deadline); a client that cannot reach the daemon
+//! exits 5.
 //!
 //! The `--chaos-*` flags arm seeded service-layer fault injection
 //! (worker kills, heartbeat loss) — the CI `service` job uses them to
@@ -31,10 +29,7 @@
 
 use phast_experiments::exit_code;
 use phast_experiments::pool;
-use phast_experiments::serve::{
-    run_worker, BackoffPolicy, ChaosPlan, Client, Event, NetPlan, Request, ServeConfig, Server,
-    WorkerConfig,
-};
+use phast_experiments::serve::{ChaosPlan, Client, Event, Request, ServeConfig, Server};
 use phast_experiments::Journal;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -80,10 +75,7 @@ fn usage() -> ! {
         "       phast-serve --client=ping|status|shutdown [--addr=HOST:PORT]\n\
          \x20      phast-serve --client=submit --id=ID --kinds=A,B --budget=TIER \\\n\
          \x20                  [--no-watch] [--drop-after=N] [--addr=HOST:PORT]\n\
-         \x20      phast-serve --client=fetch --digest=DIGEST [--addr=HOST:PORT]\n\
-         \x20      phast-serve --worker=HOST:PORT [--name=NAME] \\\n\
-         \x20                  [--backoff-seed=N] [--patience-secs=N] [--beat-ms=N] \\\n\
-         \x20                  [--chaos-net-seed=N] [--chaos-drop-at=C:L]"
+         \x20      phast-serve --client=fetch --digest=DIGEST [--addr=HOST:PORT]"
     );
     eprintln!("(--help for semantics and the exit-code taxonomy)");
     std::process::exit(exit_code::USAGE);
@@ -123,24 +115,6 @@ fn help() {
          \x20 --chaos-kill-at=J:A scripted: kill the worker serving job J, attempt A\n\
          \x20 --chaos-stall-at=J:A scripted: drop job J's heartbeat on attempt A\n\
          \n\
-         worker mode (--worker=HOST:PORT joins a daemon as a remote worker):\n\
-         \x20 the worker registers over the same JSON-lines protocol, leases one\n\
-         \x20 (workload, predictor) cell at a time, heartbeats its progress while\n\
-         \x20 it runs, and delivers each result under a fencing token — a result\n\
-         \x20 whose lease was reclaimed is rejected as stale, never double-counted\n\
-         \x20 (docs/SERVICE.md, Distributed execution). Disconnects reconnect\n\
-         \x20 with capped-exponential seeded backoff; an outage (failed connects\n\
-         \x20 and failed registrations alike) longer than --patience-secs exits 5;\n\
-         \x20 SIGTERM finishes the cell in hand, delivers, and exits\n\
-         \x20 \n\
-         \x20 --name=NAME         worker name in daemon diagnostics (default worker-<pid>)\n\
-         \x20 --backoff-seed=N    jitter seed for the reconnect backoff\n\
-         \x20 --patience-secs=N   give up after an outage this long (default 30)\n\
-         \x20 --beat-ms=N         heartbeat cadence while a cell runs (default 250)\n\
-         \x20 --chaos-net-seed=N  route traffic through a seeded in-process fault\n\
-         \x20                     proxy (scripted drops/partitions; for CI/tests)\n\
-         \x20 --chaos-drop-at=C:L cut connection C mid-line at its L-th line\n\
-         \n\
          client mode (--client=OP talks to a running daemon):\n\
          \x20 ping                liveness probe; prints worker count\n\
          \x20 status              scheduler health + artifact index\n\
@@ -155,8 +129,7 @@ fn help() {
          \n\
          exit codes (daemon: worst outcome across every sweep it ran):\n\
          \x20 0 ok   1 degraded   2 usage   3 integrity   4 deadline   5 connection\n\
-         \x20 (5: a client could not reach the daemon, or a worker's daemon\n\
-         \x20 stayed unreachable for a whole patience window)\n"
+         \x20 (5: a client could not reach the daemon)\n"
     );
 }
 
@@ -215,13 +188,6 @@ fn main() {
             || a.starts_with("--chaos-kill-at=")
             || a.starts_with("--chaos-stall-at=")
             || a.starts_with("--client=")
-            || a.starts_with("--worker=")
-            || a.starts_with("--name=")
-            || a.starts_with("--backoff-seed=")
-            || a.starts_with("--patience-secs=")
-            || a.starts_with("--beat-ms=")
-            || a.starts_with("--chaos-net-seed=")
-            || a.starts_with("--chaos-drop-at=")
             || a.starts_with("--id=")
             || a.starts_with("--kinds=")
             || a.starts_with("--budget=")
@@ -237,63 +203,7 @@ fn main() {
     if let Some(op) = flag_value(&args, "--client") {
         std::process::exit(run_client(op, &addr, &args));
     }
-    if let Some(daemon) = flag_value(&args, "--worker") {
-        std::process::exit(run_worker_mode(daemon, &args));
-    }
     run_daemon(addr, &args);
-}
-
-/// Worker mode: join the daemon at `daemon` as a remote worker process
-/// and run until it drains, `SIGTERM`, or a whole patience window of
-/// unreachability (exit 5).
-fn run_worker_mode(daemon: &str, args: &[String]) -> i32 {
-    let mut cfg = WorkerConfig { addr: daemon.to_string(), ..WorkerConfig::default() };
-    if let Some(v) = flag_value(args, "--name") {
-        cfg.name = v.to_string();
-    }
-    if let Some(v) = flag_value(args, "--backoff-seed") {
-        cfg.backoff = BackoffPolicy { seed: parse_u64("--backoff-seed", v), ..cfg.backoff };
-    }
-    if let Some(v) = flag_value(args, "--patience-secs") {
-        cfg.patience = Duration::from_secs(parse_u64("--patience-secs", v).max(1));
-    }
-    if let Some(v) = flag_value(args, "--beat-ms") {
-        cfg.beat_every = Duration::from_millis(parse_u64("--beat-ms", v).max(1));
-    }
-    let net_seed = flag_value(args, "--chaos-net-seed").map(|v| parse_u64("--chaos-net-seed", v));
-    let drop_at =
-        flag_value(args, "--chaos-drop-at").map(|v| parse_job_attempt("--chaos-drop-at", v));
-    if net_seed.is_some() || drop_at.is_some() {
-        let plan = NetPlan { seed: net_seed.unwrap_or(0), cut_at: drop_at, ..NetPlan::none() };
-        eprintln!(
-            "chaos-net armed: seed={} cut_at={:?} (traffic via in-process fault proxy)",
-            plan.seed, plan.cut_at
-        );
-        cfg.net = Some(plan);
-    }
-    #[cfg(unix)]
-    sigterm::install();
-    #[cfg(unix)]
-    let stop = &sigterm::TERM;
-    #[cfg(not(unix))]
-    let stop = {
-        static STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-        &STOP
-    };
-    eprintln!("phast-serve worker '{}' joining {}", cfg.name, cfg.addr);
-    match run_worker(cfg, stop) {
-        Ok(summary) => {
-            eprintln!(
-                "worker done: delivered={} stale={} connects={} drained={}",
-                summary.delivered, summary.stale, summary.connects, summary.drained
-            );
-            exit_code::OK
-        }
-        Err(e) => {
-            eprintln!("error: worker: {e}");
-            exit_code::CONNECTION
-        }
-    }
 }
 
 /// Daemon mode: build the configuration from flags, start the server,
@@ -425,10 +335,6 @@ fn run_client(op: &str, addr: &str, args: &[String]) -> i32 {
                 println!(
                     "reclaimed={} lost={} respawns={}",
                     s.reclaimed, s.lost, s.respawns
-                );
-                println!(
-                    "remote_workers={} remote_delivered={} remote_stale={}",
-                    s.remote_workers, s.remote_delivered, s.remote_stale
                 );
                 for (id, digest) in &s.artifacts {
                     println!("artifact {id} {digest}");

@@ -54,9 +54,9 @@ pub mod exit_code {
     pub const INTEGRITY: i32 = 3;
     /// At least one run was cut off by its wall-clock watchdog.
     pub const DEADLINE: i32 = 4;
-    /// A remote worker could not reach (or re-reach) its daemon within
-    /// its connection patience — the worker exits with this so fleet
-    /// supervisors can tell "daemon gone" from "sweep degraded".
+    /// A `phast-serve` client could not reach its daemon — distinct from
+    /// a degraded sweep so scripts can tell "daemon gone" from "results
+    /// partial".
     pub const CONNECTION: i32 = 5;
 
     /// The exit code for a sweep that *completed*: deadline overruns
@@ -87,30 +87,18 @@ pub enum RunFailure {
     /// lease expired (worker death, heartbeat loss) and the retry budget
     /// ran out before any attempt completed.
     Lost(String),
-    /// The run failed on a remote worker process; the failure arrived
-    /// over the wire as its kind tag plus the rendered detail. Display
-    /// prints the detail verbatim, so a degraded-run registry entry is
-    /// byte-identical whether the cell failed locally or remotely.
-    Remote {
-        /// The original failure's [`RunFailure::kind`] tag.
-        kind: String,
-        /// The original failure's display rendering.
-        detail: String,
-    },
 }
 
 impl RunFailure {
     /// Stable failure-kind tag: [`SimError::kind`] for simulation errors,
-    /// `"panicked"` for caught panics, `"lost"` for jobs whose lease
-    /// expired with no result, and the transmitted tag for failures that
-    /// crossed the wire. This is the `status` a journal `done` line
+    /// `"panicked"` for caught panics, and `"lost"` for jobs whose lease
+    /// expired with no result. This is the `status` a journal `done` line
     /// carries for a failed run.
-    pub fn kind(&self) -> &str {
+    pub fn kind(&self) -> &'static str {
         match self {
             RunFailure::Sim(e) => e.kind(),
             RunFailure::Panicked(_) => "panicked",
             RunFailure::Lost(_) => "lost",
-            RunFailure::Remote { kind, .. } => kind,
         }
     }
 }
@@ -121,7 +109,6 @@ impl std::fmt::Display for RunFailure {
             RunFailure::Sim(e) => e.fmt(f),
             RunFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
             RunFailure::Lost(msg) => write!(f, "lost: {msg}"),
-            RunFailure::Remote { detail, .. } => write!(f, "{detail}"),
         }
     }
 }
@@ -144,9 +131,9 @@ pub struct Budget {
     /// Restrict to the first `n` workloads (None = all 23).
     pub max_workloads: Option<usize>,
     /// Extra workloads appended after the built-in set (after
-    /// `max_workloads` truncation): synthesized programs (`--synth`) and
-    /// replayed PHTR traces (`--trace`). `--max-workloads=0` plus extras
-    /// sweeps *only* the extras.
+    /// `max_workloads` truncation): the synthesized programs of
+    /// `--synth`. `--max-workloads=0` plus extras sweeps *only* the
+    /// extras.
     pub extra_workloads: Vec<Workload>,
 }
 
@@ -243,8 +230,8 @@ pub struct RunResult {
     pub sampling: Option<SamplingMeta>,
     /// Digest of the workload's static dependence signature
     /// (`phast_trace::DepSignature::digest`), deterministic for a given
-    /// program — identical between serial, parallel, daemon and
-    /// trace-replayed runs of the same workload. `"unknown"` when the
+    /// program — identical between serial, parallel and daemon runs of
+    /// the same workload. `"unknown"` when the
     /// run degraded before its program was built.
     pub workload_signature: String,
     /// When this result was replayed from a resume journal rather than
@@ -393,44 +380,6 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     }
 }
 
-#[allow(clippy::field_reassign_with_default)] // only four fields are recoverable
-/// Reconstructs a [`RunResult`] from a verified remote delivery, the
-/// wire analogue of [`replayed_result`]: the record the worker rendered
-/// is carried verbatim into the artifact (so a sweep's output is
-/// byte-identical no matter which process ran each cell), the consumable
-/// statistics are inverted from it exactly, and a non-`"ok"` status
-/// becomes a [`RunFailure::Remote`] whose display reproduces the
-/// worker's failure text.
-pub(crate) fn remote_result(status: &str, detail: Option<&str>, record: RunRecord) -> RunResult {
-    let failure = if status == "ok" {
-        None
-    } else {
-        Some(RunFailure::Remote {
-            kind: status.to_string(),
-            detail: detail.unwrap_or("no detail transmitted").to_string(),
-        })
-    };
-    let per_kilo_inverse =
-        |mpki: f64| -> u64 { (mpki * record.committed as f64 / 1000.0).round() as u64 };
-    let mut stats = SimStats::default();
-    stats.cycles = record.cycles;
-    stats.committed = record.committed;
-    stats.violations = per_kilo_inverse(record.violation_mpki);
-    stats.false_dependences = per_kilo_inverse(record.false_dep_mpki);
-    RunResult {
-        workload: record.workload.clone(),
-        predictor: record.predictor.clone(),
-        stats,
-        num_paths: record.num_paths,
-        failure,
-        wall: Duration::from_secs_f64(record.wall_s.max(0.0)),
-        attempts: record.attempts,
-        sampling: record.sampling.clone(),
-        workload_signature: record.workload_signature.clone(),
-        replay: Some(record),
-    }
-}
-
 /// Builds and simulates one (workload, predictor kind) pair without
 /// touching any registry — the unit of work the pool distributes,
 /// under a cooperative deadline ([`Deadline::none`] disarms it).
@@ -459,9 +408,8 @@ fn execute_one_within(
 /// One *attempt* at a full-detail sweep cell, with panic isolation but no
 /// retry loop, journaling, or registry — the one execution path every
 /// full-detail cell takes: under [`Sweep::execute_cell`]'s retry loop,
-/// and under a lease in the `phast-serve` scheduler's workers and in
-/// remote workers, whose retries are driven externally by lease
-/// reclamation.
+/// and under a lease in the `phast-serve` scheduler's workers, whose
+/// retries are driven externally by lease reclamation.
 /// A panic inside the cell degrades it to [`RunFailure::Panicked`]; the
 /// cooperative `deadline` carries the service layer's cancellation flag
 /// and progress counter when called from a leased worker.

@@ -299,10 +299,8 @@ impl Journal {
 }
 
 /// The per-record digest stored on `done` lines: CRC32 of the record's
-/// compact rendering. Also the digest scheme remote workers stamp on
-/// delivered records — the daemon verifies the same function over the
-/// same bytes, so one integrity vocabulary covers disk and wire.
-pub(crate) fn record_digest(record: &JsonValue) -> String {
+/// compact rendering, recomputed over the same bytes on resume.
+fn record_digest(record: &JsonValue) -> String {
     format!("crc32:{:08x}", phast_sample::crc32(record.render_compact().as_bytes()))
 }
 

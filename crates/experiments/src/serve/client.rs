@@ -3,7 +3,6 @@
 //! tests — which also use it to *misbehave*: dropping the connection
 //! mid-stream is one line ([`Client::into_stream`] + drop).
 
-use super::backoff::{Backoff, BackoffPolicy};
 use super::proto::{self, Event, Request};
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -33,27 +32,24 @@ impl Client {
         Ok(Client { reader: BufReader::new(stream.try_clone()?), writer: stream })
     }
 
-    /// Connects, retrying with capped-exponential backoff (shared
-    /// [`Backoff`] policy, seeded jitter) for up to `patience` while the
-    /// daemon binds — for scripts that start the daemon and connect
-    /// immediately.
+    /// Connects, retrying with a capped doubling delay (20 ms up to
+    /// 500 ms) for up to `patience` while the daemon binds — for scripts
+    /// that start the daemon and connect immediately.
     ///
     /// # Errors
     ///
     /// The final connection failure once patience is exhausted.
     pub fn connect_with_patience(addr: &str, patience: Duration) -> std::io::Result<Client> {
-        let policy = BackoffPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(500),
-            ..BackoffPolicy::default()
-        };
-        let mut backoff = Backoff::new(policy);
         let deadline = std::time::Instant::now() + patience;
+        let mut delay = Duration::from_millis(20);
         loop {
             match Client::connect(addr) {
                 Ok(c) => return Ok(c),
                 Err(e) if std::time::Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(backoff.next_delay()),
+                Err(_) => {
+                    std::thread::sleep(delay);
+                    delay = (delay * 2).min(Duration::from_millis(500));
+                }
             }
         }
     }

@@ -21,16 +21,6 @@
 //! **at-most-once**: [`release`](LeaseTable::release) returns `false` for
 //! a reclaimed attempt, telling the worker its result is stale and must
 //! be discarded.
-//!
-//! Remote worker processes ([`crate::serve::worker`]) ride the same
-//! table. A cell granted over the wire holds a lease exactly like a
-//! local attempt — its progress counter is advanced by `beat` requests
-//! instead of an in-process `Deadline`, and the grant's **fencing
-//! token** maps one-to-one onto the `(job, attempt)` pair `release`
-//! checks. Reclaiming a remote lease therefore fences the worker off:
-//! when the connection heals and the worker delivers, the daemon looks
-//! the fence up, finds it gone, and rejects the result as stale through
-//! the very same at-most-once gate local retries use.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -22,17 +22,12 @@
 //!   park/unpark, the housekeeping thread;
 //! * [`lease`] — the lease table: progress heartbeats, stall detection,
 //!   at-most-once delivery;
-//! * [`worker`] — the remote worker loop: lease cells over the wire,
-//!   run them, heartbeat progress, deliver fenced results;
-//! * [`backoff`] — the shared reconnect policy: capped exponential
-//!   delays with seeded jitter;
 //! * [`chaos`] — seeded service-layer fault injection (worker kills,
-//!   heartbeat loss, scripted network faults) driving the chaos tests;
+//!   heartbeat loss) driving the chaos tests;
 //! * [`client`] — the blocking client the CLI, CI, and tests share.
 //!
 //! Protocol and semantics are specified in `docs/SERVICE.md`.
 
-pub mod backoff;
 pub mod chaos;
 pub mod client;
 pub mod lease;
@@ -40,17 +35,11 @@ pub mod proto;
 pub mod runner;
 pub mod sched;
 pub mod server;
-pub mod worker;
 
-pub use backoff::{Backoff, BackoffPolicy};
-pub use chaos::{ChaosPlan, NetPlan, NetProxy};
+pub use chaos::ChaosPlan;
 pub use client::Client;
 pub use lease::{LeaseConfig, LeaseTable};
 pub use proto::{Event, Request, StatusBody};
 pub use runner::{submit_sweep, SweepOutcome, SweepRun, SweepSpec};
-pub use sched::{
-    BatchHandle, JobCtx, JobSpec, RemoteCell, RemoteGrant, RemoteOutcome, RemoteSession,
-    RemoteVerdict, SchedConfig, SchedStats, Scheduler, SubmitError,
-};
+pub use sched::{BatchHandle, JobCtx, JobSpec, SchedConfig, SchedStats, Scheduler, SubmitError};
 pub use server::{ServeConfig, Server};
-pub use worker::{run_worker, WorkerConfig, WorkerError, WorkerSummary};

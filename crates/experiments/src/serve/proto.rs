@@ -18,20 +18,14 @@ use crate::harness::Budget;
 use crate::jsonio;
 use std::io::BufRead;
 
-/// Protocol version remote workers speak. [`Request::Register`] carries
-/// it on the wire; a daemon rejects any other value fail-closed, which
-/// is what lets future revisions change lease semantics without a stale
-/// worker silently mis-executing cells.
-pub const WORKER_PROTO_VERSION: u64 = 1;
-
 /// Cap on one request line read by the daemon. Requests are small —
-/// the largest (a [`Request::Deliver`] carrying one rendered
-/// `RunRecord`) is well under a kilobyte — so anything near this cap is
-/// an attack or a corrupted peer, and the connection is dropped
-/// fail-closed rather than growing an unbounded `String`.
+/// the largest (a [`Request::Submit`] naming a sweep's predictor labels)
+/// is well under a kilobyte — so anything near this cap is an attack or
+/// a corrupted peer, and the connection is dropped fail-closed rather
+/// than growing an unbounded `String`.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// Cap on one event line read by a client or worker. Events include
+/// Cap on one event line read by a client. Events include
 /// [`Event::Artifact`] bodies (a full-tier artifact is a few hundred
 /// KiB), so the ceiling is generous — but still a ceiling.
 pub const MAX_EVENT_LINE: usize = 16 * 1024 * 1024;
@@ -64,78 +58,6 @@ pub enum Request {
     /// Begin a graceful drain: stop admitting, finish in-flight sweeps,
     /// exit.
     Shutdown,
-    /// A remote worker process announces itself. The connection becomes
-    /// a worker session: only [`Request::Lease`], [`Request::Beat`], and
-    /// [`Request::Deliver`] are meaningful afterwards. Carries
-    /// [`WORKER_PROTO_VERSION`] on the wire (`"proto"`); any other value
-    /// is rejected fail-closed.
-    Register {
-        /// Worker display name (diagnostics only).
-        name: String,
-    },
-    /// Ask for up to `max` cells to execute. The reply is
-    /// [`Event::Grant`] (possibly empty: back off and retry) or
-    /// [`Event::Draining`] when the daemon wants the worker to exit.
-    Lease {
-        /// Cell count ceiling for this grant.
-        max: u64,
-    },
-    /// Progress heartbeat for every cell the worker holds, sampled from
-    /// the 2048-cycle `Deadline` progress counter. The reply is
-    /// [`Event::BeatAck`] listing revoked fences.
-    Beat {
-        /// One entry per held cell.
-        beats: Vec<BeatEntry>,
-    },
-    /// Deliver one finished cell. The reply is [`Event::Delivered`];
-    /// `fresh: false` means the fence was already spent (lease
-    /// reclaimed, or a duplicate delivery) and the result was discarded.
-    Deliver {
-        /// The fencing token from the [`GrantCell`].
-        fence: u64,
-        /// `"ok"` or the failure kind (`"sim"`, `"panicked"`, ...).
-        status: String,
-        /// Failure detail (the `RunFailure` display), absent on `"ok"`.
-        detail: Option<String>,
-        /// The run's `RunRecord`, rendered compact — exactly the bytes
-        /// `digest` covers. The daemon re-verifies before accepting, so
-        /// a truncated or bit-flipped record can never reach an
-        /// artifact.
-        record: String,
-        /// `crc32:xxxxxxxx` over `record`.
-        digest: String,
-    },
-}
-
-/// One granted cell inside [`Event::Grant`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct GrantCell {
-    /// Monotonically increasing fencing token, unique per (cell,
-    /// attempt) across the daemon's lifetime. Fence 0 is reserved and
-    /// rejected at parse.
-    pub fence: u64,
-    /// Workload name (rebuilt on the worker via `by_name`).
-    pub workload: String,
-    /// Predictor label (rebuilt via `PredictorKind::from_label`).
-    pub predictor: String,
-    /// Attempt number — the worker reseeds fault plans with it so a
-    /// retried cell replays the daemon's own retry semantics.
-    pub attempt: u64,
-    /// Budget: detailed instructions per run.
-    pub insts: u64,
-    /// Budget: workload drive iterations.
-    pub iters: u64,
-    /// Per-run watchdog, when the sweep carries one.
-    pub timeout_ms: Option<u64>,
-}
-
-/// One per-cell progress report inside [`Request::Beat`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct BeatEntry {
-    /// The cell's fencing token.
-    pub fence: u64,
-    /// The `Deadline` progress counter (ticks every 2048 cycles).
-    pub progress: u64,
 }
 
 /// A daemon event, one per line.
@@ -203,36 +125,8 @@ pub enum Event {
         /// What went wrong.
         reason: String,
     },
-    /// Reply to [`Request::Shutdown`]: the drain has begun. Also the
-    /// reply to [`Request::Lease`] when the daemon is finished with the
-    /// worker — disconnect and exit cleanly.
+    /// Reply to [`Request::Shutdown`]: the drain has begun.
     Draining,
-    /// Reply to [`Request::Register`]: the worker was admitted.
-    Registered {
-        /// The worker id the scheduler assigned (diagnostics; fences,
-        /// not ids, authenticate deliveries).
-        worker: u64,
-    },
-    /// Reply to [`Request::Lease`]: zero or more cells to execute.
-    Grant {
-        /// The granted cells. Empty means no remote-eligible work right
-        /// now — back off and lease again.
-        cells: Vec<GrantCell>,
-    },
-    /// Reply to [`Request::Beat`].
-    BeatAck {
-        /// Fences whose leases were reclaimed — the worker must cancel
-        /// those runs and discard their results.
-        revoked: Vec<u64>,
-    },
-    /// Reply to [`Request::Deliver`].
-    Delivered {
-        /// The fence being acknowledged.
-        fence: u64,
-        /// True if the result was accepted; false if the fence was
-        /// stale (reclaimed or duplicate) and the result was discarded.
-        fresh: bool,
-    },
 }
 
 /// The [`Event::Status`] payload.
@@ -254,12 +148,6 @@ pub struct StatusBody {
     pub lost: u64,
     /// Worker threads respawned since startup.
     pub respawns: u64,
-    /// Remote worker processes currently registered and live.
-    pub remote_workers: u64,
-    /// Cells delivered by remote workers since startup.
-    pub remote_delivered: u64,
-    /// Stale remote deliveries rejected by their fence since startup.
-    pub remote_stale: u64,
     /// Finished artifacts: `(id, digest)`, oldest first.
     pub artifacts: Vec<(String, String)>,
 }
@@ -291,56 +179,8 @@ pub fn render_request(req: &Request) -> String {
             JsonValue::obj(vec![("op", s("fetch")), ("digest", s(digest))])
         }
         Request::Shutdown => JsonValue::obj(vec![("op", s("shutdown"))]),
-        Request::Register { name } => JsonValue::obj(vec![
-            ("op", s("register")),
-            ("name", s(name)),
-            ("proto", JsonValue::UInt(WORKER_PROTO_VERSION)),
-        ]),
-        Request::Lease { max } => {
-            JsonValue::obj(vec![("op", s("lease")), ("max", JsonValue::UInt(*max))])
-        }
-        Request::Beat { beats } => JsonValue::obj(vec![
-            ("op", s("beat")),
-            (
-                "beats",
-                JsonValue::Array(
-                    beats
-                        .iter()
-                        .map(|b| {
-                            JsonValue::obj(vec![
-                                ("fence", JsonValue::UInt(b.fence)),
-                                ("progress", JsonValue::UInt(b.progress)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Request::Deliver { fence, status, detail, record, digest } => {
-            let mut fields = vec![
-                ("op", s("deliver")),
-                ("fence", JsonValue::UInt(*fence)),
-                ("status", s(status)),
-            ];
-            if let Some(d) = detail {
-                fields.push(("detail", s(d)));
-            }
-            fields.push(("record", s(record)));
-            fields.push(("digest", s(digest)));
-            JsonValue::obj(fields)
-        }
     };
     checked(v)
-}
-
-/// Rejects the reserved fence value 0 at parse time, on both sides of
-/// the wire — a zero fence can only come from an uninitialized or
-/// corrupted peer.
-fn req_fence(v: &JsonValue, key: &str) -> Result<u64, String> {
-    match req_u64(v, key)? {
-        0 => Err("fence 0 is reserved".to_string()),
-        f => Ok(f),
-    }
 }
 
 /// Parses one request line.
@@ -370,38 +210,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "fetch" => Ok(Request::Fetch { digest: req_str(&v, "digest")? }),
         "shutdown" => Ok(Request::Shutdown),
-        "register" => {
-            // The version field is load-bearing, not advisory: missing
-            // or mismatched versions are refused before the connection
-            // is promoted to a worker session.
-            let proto = req_u64(&v, "proto")?;
-            if proto != WORKER_PROTO_VERSION {
-                return Err(format!(
-                    "unsupported worker proto version {proto} (this daemon speaks {WORKER_PROTO_VERSION})"
-                ));
-            }
-            Ok(Request::Register { name: req_str(&v, "name")? })
-        }
-        "lease" => Ok(Request::Lease { max: req_u64(&v, "max")? }),
-        "beat" => {
-            let beats = v
-                .get("beats")
-                .and_then(JsonValue::as_array)
-                .ok_or("beat has no 'beats' array")?
-                .iter()
-                .map(|b| {
-                    Ok(BeatEntry { fence: req_fence(b, "fence")?, progress: req_u64(b, "progress")? })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(Request::Beat { beats })
-        }
-        "deliver" => Ok(Request::Deliver {
-            fence: req_fence(&v, "fence")?,
-            status: req_str(&v, "status")?,
-            detail: v.get("detail").and_then(JsonValue::as_str).map(str::to_string),
-            record: req_str(&v, "record")?,
-            digest: req_str(&v, "digest")?,
-        }),
         other => Err(format!("unknown op '{other}'")),
     }
 }
@@ -423,9 +231,6 @@ pub fn render_event(ev: &Event) -> String {
             ("reclaimed", JsonValue::UInt(b.reclaimed)),
             ("lost", JsonValue::UInt(b.lost)),
             ("respawns", JsonValue::UInt(b.respawns)),
-            ("remote_workers", JsonValue::UInt(b.remote_workers)),
-            ("remote_delivered", JsonValue::UInt(b.remote_delivered)),
-            ("remote_stale", JsonValue::UInt(b.remote_stale)),
             (
                 "artifacts",
                 JsonValue::Array(
@@ -476,43 +281,6 @@ pub fn render_event(ev: &Event) -> String {
             JsonValue::obj(vec![("event", s("error")), ("reason", s(reason))])
         }
         Event::Draining => JsonValue::obj(vec![("event", s("draining"))]),
-        Event::Registered { worker } => {
-            JsonValue::obj(vec![("event", s("registered")), ("worker", JsonValue::UInt(*worker))])
-        }
-        Event::Grant { cells } => JsonValue::obj(vec![
-            ("event", s("grant")),
-            (
-                "cells",
-                JsonValue::Array(
-                    cells
-                        .iter()
-                        .map(|c| {
-                            let mut fields = vec![
-                                ("fence", JsonValue::UInt(c.fence)),
-                                ("workload", s(&c.workload)),
-                                ("predictor", s(&c.predictor)),
-                                ("attempt", JsonValue::UInt(c.attempt)),
-                                ("insts", JsonValue::UInt(c.insts)),
-                                ("iters", JsonValue::UInt(c.iters)),
-                            ];
-                            if let Some(ms) = c.timeout_ms {
-                                fields.push(("timeout_ms", JsonValue::UInt(ms)));
-                            }
-                            JsonValue::obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Event::BeatAck { revoked } => JsonValue::obj(vec![
-            ("event", s("beat_ack")),
-            ("revoked", JsonValue::Array(revoked.iter().map(|f| JsonValue::UInt(*f)).collect())),
-        ]),
-        Event::Delivered { fence, fresh } => JsonValue::obj(vec![
-            ("event", s("delivered")),
-            ("fence", JsonValue::UInt(*fence)),
-            ("fresh", JsonValue::Bool(*fresh)),
-        ]),
     };
     checked(v)
 }
@@ -549,14 +317,6 @@ pub fn parse_event(line: &str) -> Result<Event, String> {
                 reclaimed: req_u64(&v, "reclaimed")?,
                 lost: req_u64(&v, "lost")?,
                 respawns: req_u64(&v, "respawns")?,
-                // Absent on pre-distributed daemons: default to 0 so a
-                // new client can still read an old daemon's status.
-                remote_workers: v.get("remote_workers").and_then(JsonValue::as_u64).unwrap_or(0),
-                remote_delivered: v
-                    .get("remote_delivered")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                remote_stale: v.get("remote_stale").and_then(JsonValue::as_u64).unwrap_or(0),
                 artifacts,
             }))
         }
@@ -589,41 +349,6 @@ pub fn parse_event(line: &str) -> Result<Event, String> {
         }),
         "error" => Ok(Event::Error { reason: req_str(&v, "reason")? }),
         "draining" => Ok(Event::Draining),
-        "registered" => Ok(Event::Registered { worker: req_u64(&v, "worker")? }),
-        "grant" => {
-            let cells = v
-                .get("cells")
-                .and_then(JsonValue::as_array)
-                .ok_or("grant has no 'cells' array")?
-                .iter()
-                .map(|c| {
-                    Ok(GrantCell {
-                        fence: req_fence(c, "fence")?,
-                        workload: req_str(c, "workload")?,
-                        predictor: req_str(c, "predictor")?,
-                        attempt: req_u64(c, "attempt")?,
-                        insts: req_u64(c, "insts")?,
-                        iters: req_u64(c, "iters")?,
-                        timeout_ms: c.get("timeout_ms").and_then(JsonValue::as_u64),
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(Event::Grant { cells })
-        }
-        "beat_ack" => {
-            let revoked = v
-                .get("revoked")
-                .and_then(JsonValue::as_array)
-                .ok_or("beat_ack has no 'revoked' array")?
-                .iter()
-                .map(|f| f.as_u64().ok_or("non-uint revoked fence".to_string()))
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(Event::BeatAck { revoked })
-        }
-        "delivered" => Ok(Event::Delivered {
-            fence: req_fence(&v, "fence")?,
-            fresh: v.get("fresh").and_then(JsonValue::as_bool).ok_or("delivered has no 'fresh'")?,
-        }),
         other => Err(format!("unknown event '{other}'")),
     }
 }
@@ -668,7 +393,7 @@ impl From<WireError> for std::io::Error {
 
 /// Reads one `\n`-terminated line into `buf` (newline excluded),
 /// refusing to buffer more than `cap` bytes — the wire-level analogue
-/// of the length-gate PHSC/PHTR readers apply before allocation.
+/// of the length gate the PHSC reader applies before allocation.
 /// Returns the bytes consumed; 0 means EOF.
 ///
 /// # Errors
@@ -762,28 +487,6 @@ mod tests {
             },
             Request::Fetch { digest: "crc32:deadbeef".into() },
             Request::Shutdown,
-            Request::Register { name: "worker-7".into() },
-            Request::Lease { max: 4 },
-            Request::Beat {
-                beats: vec![
-                    BeatEntry { fence: 1, progress: 2048 },
-                    BeatEntry { fence: 9, progress: 0 },
-                ],
-            },
-            Request::Deliver {
-                fence: 3,
-                status: "ok".into(),
-                detail: None,
-                record: "{\"workload\":\"mcf\"}".into(),
-                digest: "crc32:00000000".into(),
-            },
-            Request::Deliver {
-                fence: 4,
-                status: "sim".into(),
-                detail: Some("deadline: cycle ceiling".into()),
-                record: "{}".into(),
-                digest: "crc32:ffffffff".into(),
-            },
         ];
         for req in reqs {
             let line = render_request(&req);
@@ -805,9 +508,6 @@ mod tests {
                 reclaimed: 2,
                 lost: 0,
                 respawns: 2,
-                remote_workers: 1,
-                remote_delivered: 7,
-                remote_stale: 1,
                 artifacts: vec![("quick".into(), "crc32:00000001".into())],
             }),
             Event::Accepted { id: "quick".into(), cells: 12, replayed: 4 },
@@ -833,34 +533,6 @@ mod tests {
             },
             Event::Error { reason: "unknown op 'frob'".into() },
             Event::Draining,
-            Event::Registered { worker: 8 },
-            Event::Grant { cells: vec![] },
-            Event::Grant {
-                cells: vec![
-                    GrantCell {
-                        fence: 17,
-                        workload: "mcf-like".into(),
-                        predictor: "phast".into(),
-                        attempt: 2,
-                        insts: 10_000,
-                        iters: 60_000,
-                        timeout_ms: Some(5_000),
-                    },
-                    GrantCell {
-                        fence: 18,
-                        workload: "hashjoin".into(),
-                        predictor: "blind".into(),
-                        attempt: 1,
-                        insts: 10_000,
-                        iters: 60_000,
-                        timeout_ms: None,
-                    },
-                ],
-            },
-            Event::BeatAck { revoked: vec![] },
-            Event::BeatAck { revoked: vec![17, 19] },
-            Event::Delivered { fence: 17, fresh: true },
-            Event::Delivered { fence: 18, fresh: false },
         ];
         for ev in events {
             let line = render_event(&ev);
@@ -883,38 +555,27 @@ mod tests {
     }
 
     #[test]
-    fn worker_proto_version_is_enforced() {
-        // Version 2 and a missing version are both refused — the field
-        // is reserved, not advisory.
-        let future = "{\"op\":\"register\",\"name\":\"w\",\"lanes\":2,\"proto\":2}";
-        assert!(parse_request(future).unwrap_err().contains("unsupported worker proto"));
-        let missing = "{\"op\":\"register\",\"name\":\"w\",\"lanes\":2}";
-        assert!(parse_request(missing).unwrap_err().contains("proto"));
-        // A worker that still sends the retired `lanes` field parses:
-        // unknown fields are ignored.
-        let older = "{\"op\":\"register\",\"name\":\"w\",\"lanes\":2,\"proto\":1}";
-        assert_eq!(parse_request(older), Ok(Request::Register { name: "w".into() }));
+    fn retired_worker_ops_are_unknown() {
+        for op in ["register", "lease", "beat", "deliver"] {
+            let line = format!("{{\"op\":\"{op}\",\"name\":\"w\",\"proto\":1,\"max\":1}}");
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains("unknown op"), "{op}: {err}");
+        }
     }
 
     #[test]
-    fn fence_zero_is_reserved_everywhere() {
-        let deliver = "{\"op\":\"deliver\",\"fence\":0,\"status\":\"ok\",\"record\":\"{}\",\"digest\":\"crc32:0\"}";
-        assert!(parse_request(deliver).unwrap_err().contains("reserved"));
-        let beat = "{\"op\":\"beat\",\"beats\":[{\"fence\":0,\"progress\":1}]}";
-        assert!(parse_request(beat).unwrap_err().contains("reserved"));
-        let grant = "{\"event\":\"grant\",\"cells\":[{\"fence\":0,\"workload\":\"w\",\
-                     \"predictor\":\"p\",\"attempt\":1,\"insts\":1,\"iters\":1}]}";
-        assert!(parse_event(grant).unwrap_err().contains("reserved"));
-        let delivered = "{\"event\":\"delivered\",\"fence\":0,\"fresh\":true}";
-        assert!(parse_event(delivered).unwrap_err().contains("reserved"));
-    }
-
-    #[test]
-    fn unknown_fields_are_tolerated_on_worker_messages() {
-        let lease = "{\"op\":\"lease\",\"max\":3,\"priority\":\"high\"}";
-        assert_eq!(parse_request(lease).expect("parses"), Request::Lease { max: 3 });
-        let ack = "{\"event\":\"beat_ack\",\"revoked\":[5],\"ignore_me\":[1,2]}";
-        assert_eq!(parse_event(ack).expect("parses"), Event::BeatAck { revoked: vec![5] });
+    fn older_daemon_status_with_remote_fields_still_parses() {
+        let line = "{\"event\":\"status\",\"workers\":2,\"queue_depth\":0,\"outstanding\":0,\
+                    \"active_sweeps\":0,\"draining\":false,\"reclaimed\":1,\"lost\":0,\
+                    \"respawns\":1,\"remote_workers\":1,\"remote_delivered\":7,\
+                    \"remote_stale\":1,\"artifacts\":[]}";
+        let expected = StatusBody {
+            workers: 2,
+            reclaimed: 1,
+            respawns: 1,
+            ..StatusBody::default()
+        };
+        assert_eq!(parse_event(line), Ok(Event::Status(expected)));
     }
 
     #[test]

@@ -19,13 +19,11 @@
 //! Cells the journal already holds as `ok` are replayed without touching
 //! the scheduler, exactly as `--resume` does for batch sweeps.
 
-use super::sched::{
-    BatchHandle, CellEvent, JobCtx, JobSpec, RemoteCell, RemoteOutcome, Scheduler, SubmitError,
-};
+use super::sched::{BatchHandle, CellEvent, JobCtx, JobSpec, Scheduler, SubmitError};
 use crate::artifact::{git_describe, RunRecord, SweepArtifact};
 use crate::harness::{
-    cell_key, exit_code, execute_cell_once, remote_result, replayed_result, reseed_for_attempt,
-    Budget, RunFailure, RunResult,
+    cell_key, exit_code, execute_cell_once, replayed_result, reseed_for_attempt, Budget,
+    RunFailure, RunResult,
 };
 use crate::journal::JournalScope;
 use crate::predictors::PredictorKind;
@@ -215,46 +213,6 @@ pub fn submit_sweep(
     Ok(SweepRun { spec, handle, replayed, started: Instant::now() })
 }
 
-/// The wire-shippable form of one cell, when a remote worker could
-/// rebuild it *exactly*: the workload must be reconstructible by name
-/// ([`phast_workloads::by_name`] — synth/trace extras stay local-only)
-/// and the core must be the stock `alder_lake()` configuration (a
-/// custom config — e.g. an armed fault plan — cannot be shipped over
-/// the wire, so those cells only ever run on local workers).
-///
-/// `on_start` journals the same write-ahead `start` line a local
-/// attempt would, with the same per-attempt fault reseed; `finish`
-/// adopts the worker's delivered record verbatim so the merged
-/// artifact is byte-identical to a local run of the same cell.
-fn remote_cell(
-    workload: &phast_workloads::Workload,
-    spec: &SweepSpec,
-    key: &str,
-    journal: Option<JournalScope>,
-) -> Option<RemoteCell> {
-    let rebuildable = phast_workloads::by_name(workload.name).is_some();
-    let stock_cfg = format!("{:?}", spec.cfg) == format!("{:?}", CoreConfig::alder_lake());
-    if !rebuildable || !stock_cfg {
-        return None;
-    }
-    let cfg = spec.cfg.clone();
-    let key = key.to_string();
-    Some(RemoteCell {
-        insts: spec.budget.insts,
-        iters: spec.budget.workload_iters,
-        timeout_ms: spec.run_timeout.map(|t| t.as_millis() as u64),
-        on_start: Arc::new(move |attempt| {
-            let (_, seed) = reseed_for_attempt(&cfg, attempt);
-            if let Some(j) = &journal {
-                j.log_start(&key, attempt, seed);
-            }
-        }),
-        finish: Arc::new(|out: RemoteOutcome| {
-            remote_result(&out.status, out.detail.as_deref(), out.record)
-        }),
-    })
-}
-
 /// Builds the scheduler job for one live cell: owned data only (the
 /// scheduler's workers outlive any caller stack frame).
 fn cell_job(
@@ -264,7 +222,6 @@ fn cell_job(
     key: String,
     journal: Option<JournalScope>,
 ) -> JobSpec {
-    let remote = remote_cell(&workload, spec, &key, journal.clone());
     let cfg = spec.cfg.clone();
     let budget = spec.budget.clone();
     let run_timeout = spec.run_timeout;
@@ -286,7 +243,6 @@ fn cell_job(
             .with_progress(Arc::clone(&ctx.progress));
             execute_cell_once(&workload, &kind, &cfg_attempt, &budget, &deadline)
         }),
-        remote,
         on_delivered: Some(Arc::new(move |run: &RunResult| {
             if let Some(j) = &journal {
                 let status = run.failure.as_ref().map_or("ok", RunFailure::kind);

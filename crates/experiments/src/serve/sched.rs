@@ -28,11 +28,9 @@
 
 use super::chaos::ChaosPlan;
 use super::lease::{LeaseConfig, LeaseTable};
-use crate::artifact::RunRecord;
 use crate::harness::{failed_result, RunFailure, RunResult};
-use crate::jsonio;
 use crate::pool;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -94,42 +92,6 @@ pub struct JobCtx {
 /// The work function of one job.
 pub type JobFn = Arc<dyn Fn(&JobCtx) -> RunResult + Send + Sync>;
 
-/// The wire-shippable form of a simulation cell: the plain data a remote
-/// worker process needs to rebuild and execute it (workload name and
-/// predictor label travel in the grant; budget and watchdog here), plus
-/// the daemon-side hooks. Jobs without one never leave the process —
-/// custom core configs and synthesized workloads a remote could not
-/// rebuild stay local, which is what keeps remote execution
-/// byte-identical: a cell is only shipped when the worker can
-/// reconstruct *exactly* the computation the daemon would run.
-#[derive(Clone)]
-pub struct RemoteCell {
-    /// Budget: detailed instructions per run.
-    pub insts: u64,
-    /// Budget: workload drive iterations.
-    pub iters: u64,
-    /// Per-run watchdog to arm on the worker, if the sweep carries one.
-    pub timeout_ms: Option<u64>,
-    /// Invoked with the attempt number when a remote lease is granted —
-    /// the runner journals the write-ahead `start` line here, exactly as
-    /// the local path does at pickup.
-    pub on_start: Arc<dyn Fn(u64) + Send + Sync>,
-    /// Converts a verified remote delivery into the cell's [`RunResult`].
-    pub finish: Arc<dyn Fn(RemoteOutcome) -> RunResult + Send + Sync>,
-}
-
-/// A remote delivery that survived verification: digest checked against
-/// the wire bytes, record parsed, and workload/predictor labels matched
-/// against the granted cell.
-pub struct RemoteOutcome {
-    /// `"ok"` or the failure kind the worker reported.
-    pub status: String,
-    /// Failure detail (the worker's `RunFailure` display), if any.
-    pub detail: Option<String>,
-    /// The run record, parsed back from the wire.
-    pub record: RunRecord,
-}
-
 /// Callback invoked exactly once when a job's result is delivered (fresh
 /// lease release or lost-job degradation) — the runner journals `done`
 /// lines here.
@@ -145,9 +107,6 @@ pub struct JobSpec {
     pub predictor: String,
     /// The work.
     pub run: JobFn,
-    /// The cell's wire-shippable form; `None` jobs never leave the
-    /// process.
-    pub remote: Option<RemoteCell>,
     /// Invoked once on delivery, before the batch slot fills.
     pub on_delivered: Option<DeliveredFn>,
 }
@@ -245,11 +204,6 @@ pub struct SchedStats {
     pub respawns: u64,
     /// Worker deaths injected by the chaos plan.
     pub chaos_kills: u64,
-    /// Cells delivered by remote workers (fresh fences only).
-    pub remote_delivered: u64,
-    /// Remote deliveries rejected because their fence was spent —
-    /// reclaimed leases and duplicate deliveries both land here.
-    pub remote_stale: u64,
 }
 
 #[derive(Default)]
@@ -259,8 +213,6 @@ struct StatCells {
     lost: AtomicU64,
     respawns: AtomicU64,
     chaos_kills: AtomicU64,
-    remote_delivered: AtomicU64,
-    remote_stale: AtomicU64,
 }
 
 struct SchedInner {
@@ -278,37 +230,7 @@ struct SchedInner {
     next_job: AtomicU64,
     next_deque: AtomicUsize,
     alive: Mutex<Vec<Arc<AtomicBool>>>,
-    /// Fencing tokens are allocated from here, starting at 1 (fence 0 is
-    /// reserved on the wire) and never reused — monotonicity across the
-    /// daemon's lifetime is what makes a resurrected worker's old fence
-    /// provably stale.
-    next_fence: AtomicU64,
-    /// Remote worker ids are allocated above the local range
-    /// (`cfg.workers..`) so the lease table's `worker` field names
-    /// locals and remotes uniformly.
-    next_worker: AtomicUsize,
-    /// Liveness flag per registered remote worker; dropped sessions
-    /// clear the flag and the housekeeper reclaims from there.
-    remotes: Mutex<HashMap<usize, Arc<AtomicBool>>>,
-    /// Outstanding remote grants by fence. An entry exists exactly while
-    /// the daemon would accept a delivery for that fence; removal (by
-    /// delivery or by lease reclaim) spends the fence forever.
-    remote_held: Mutex<HashMap<u64, RemoteHeld>>,
     stats: StatCells,
-}
-
-/// Daemon-side state of one outstanding remote grant.
-struct RemoteHeld {
-    entry: Arc<JobEntry>,
-    attempt: u64,
-    /// The lease's cancellation flag — raised by reclaim, checked when
-    /// heartbeats arrive so a revoked cell is reported back to the
-    /// worker.
-    cancel: Arc<AtomicBool>,
-    /// The lease's observed-progress cell; wire heartbeats store into
-    /// it, which is what makes the in-process stall detector work
-    /// unchanged for remote attempts.
-    progress: Arc<AtomicU64>,
 }
 
 /// Why a batch was not admitted.
@@ -356,10 +278,6 @@ impl Scheduler {
             next_job: AtomicU64::new(1),
             next_deque: AtomicUsize::new(0),
             alive: Mutex::new(Vec::new()),
-            next_fence: AtomicU64::new(1),
-            next_worker: AtomicUsize::new(n),
-            remotes: Mutex::new(HashMap::new()),
-            remote_held: Mutex::new(HashMap::new()),
             stats: StatCells::default(),
         });
         let mut handles = Vec::with_capacity(n);
@@ -447,34 +365,7 @@ impl Scheduler {
             lost: s.lost.load(Ordering::Relaxed),
             respawns: s.respawns.load(Ordering::Relaxed),
             chaos_kills: s.chaos_kills.load(Ordering::Relaxed),
-            remote_delivered: s.remote_delivered.load(Ordering::Relaxed),
-            remote_stale: s.remote_stale.load(Ordering::Relaxed),
         }
-    }
-
-    /// Registers a remote worker process and returns its session handle.
-    /// Dropping the session (or calling
-    /// [`RemoteSession::disconnect`]) marks the worker dead; the
-    /// housekeeper then reclaims its leases and requeues the cells, so a
-    /// torn TCP connection degrades to exactly the dead-local-worker
-    /// path — and when the last remote vanishes, the local workers drain
-    /// whatever is left.
-    pub fn register_remote(&self, name: &str) -> RemoteSession {
-        let worker = self.inner.next_worker.fetch_add(1, Ordering::SeqCst);
-        let alive = Arc::new(AtomicBool::new(true));
-        self.inner.remotes.lock().expect("remotes").insert(worker, Arc::clone(&alive));
-        RemoteSession { inner: Arc::clone(&self.inner), worker, alive, name: name.to_string() }
-    }
-
-    /// Remote worker processes currently registered and live.
-    pub fn remote_workers(&self) -> usize {
-        self.inner
-            .remotes
-            .lock()
-            .expect("remotes")
-            .values()
-            .filter(|f| f.load(Ordering::SeqCst))
-            .count()
     }
 
     /// True once [`Scheduler::drain`] has begun.
@@ -524,211 +415,6 @@ impl Drop for Scheduler {
     }
 }
 
-/// One cell granted to a remote worker: the fence plus everything the
-/// worker needs to rebuild the run. The server renders this onto the
-/// wire as a `GrantCell`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RemoteGrant {
-    /// The fencing token authenticating this (cell, attempt).
-    pub fence: u64,
-    /// Workload name.
-    pub workload: String,
-    /// Predictor label.
-    pub predictor: String,
-    /// Attempt number the worker must reseed with.
-    pub attempt: u64,
-    /// Budget: detailed instructions.
-    pub insts: u64,
-    /// Budget: drive iterations.
-    pub iters: u64,
-    /// Per-run watchdog, if armed.
-    pub timeout_ms: Option<u64>,
-}
-
-/// The daemon's verdict on one remote delivery.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RemoteVerdict {
-    /// The fence was live and the result was delivered — at most one
-    /// delivery per fence ever gets this.
-    Fresh,
-    /// The fence was spent (lease reclaimed, or an earlier delivery won)
-    /// and the result was discarded.
-    Stale,
-    /// The payload failed verification (digest mismatch, unparseable
-    /// record, or labels not matching the grant). The fence stays live:
-    /// the worker may redeliver an intact copy, and if it never does the
-    /// heartbeat stall reclaims the lease.
-    Corrupt(String),
-}
-
-/// A registered remote worker's session with the scheduler: lease cells,
-/// relay heartbeats, deliver results. One per live connection; the
-/// server thread owns it and drops it when the socket dies.
-pub struct RemoteSession {
-    inner: Arc<SchedInner>,
-    worker: usize,
-    alive: Arc<AtomicBool>,
-    name: String,
-}
-
-impl RemoteSession {
-    /// The worker id the scheduler assigned (above the local range).
-    pub fn worker(&self) -> usize {
-        self.worker
-    }
-
-    /// The name the worker registered with.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Leases up to `max` remote-eligible cells: each is stolen from the
-    /// deques (oldest first), put under a lease held by this worker,
-    /// assigned a fresh fence, and has its write-ahead `start` hook
-    /// fired.
-    pub fn lease(&self, max: usize) -> Vec<RemoteGrant> {
-        let mut grants = Vec::new();
-        if !self.alive.load(Ordering::SeqCst) {
-            return grants;
-        }
-        for _ in 0..max {
-            let Some(entry) = self.inner.pop_remote() else { break };
-            let remote = entry.spec.remote.as_ref().expect("pop_remote returns remote-capable");
-            let attempt = entry.attempt_next.load(Ordering::Relaxed);
-            let grant = self.inner.leases.acquire(entry.id, attempt, self.worker, false);
-            (remote.on_start)(attempt);
-            let fence = self.inner.next_fence.fetch_add(1, Ordering::SeqCst);
-            let grants_entry = RemoteGrant {
-                fence,
-                workload: entry.spec.workload.clone(),
-                predictor: entry.spec.predictor.clone(),
-                attempt,
-                insts: remote.insts,
-                iters: remote.iters,
-                timeout_ms: remote.timeout_ms,
-            };
-            self.inner.remote_held.lock().expect("remote grants").insert(
-                fence,
-                RemoteHeld {
-                    entry: Arc::clone(&entry),
-                    attempt,
-                    cancel: Arc::clone(&grant.cancel),
-                    progress: grant.progress(),
-                },
-            );
-            grants.push(grants_entry);
-        }
-        grants
-    }
-
-    /// Stores wire heartbeats into the corresponding leases' observed
-    /// cells and returns the fences that are no longer live — the worker
-    /// must cancel those runs and discard their results.
-    pub fn beat(&self, beats: &[(u64, u64)]) -> Vec<u64> {
-        let held = self.inner.remote_held.lock().expect("remote grants");
-        beats
-            .iter()
-            .filter(|(fence, progress)| match held.get(fence) {
-                Some(h) if !h.cancel.load(Ordering::SeqCst) => {
-                    h.progress.store(*progress, Ordering::Relaxed);
-                    false
-                }
-                _ => true,
-            })
-            .map(|(fence, _)| *fence)
-            .collect()
-    }
-
-    /// Attempts to deliver a finished cell for `fence`. The payload is
-    /// verified (digest over the exact wire bytes, record parse, label
-    /// match) and then the lease release decides freshness — the same
-    /// at-most-once gate local workers pass through, so duplicate and
-    /// resurrected deliveries are discarded identically.
-    pub fn deliver(
-        &self,
-        fence: u64,
-        status: &str,
-        detail: Option<&str>,
-        record_line: &str,
-        digest: &str,
-    ) -> RemoteVerdict {
-        let Some(h) = self.inner.remote_held.lock().expect("remote grants").remove(&fence) else {
-            self.inner.stats.remote_stale.fetch_add(1, Ordering::Relaxed);
-            return RemoteVerdict::Stale;
-        };
-        // Verification happens against the bytes as received — the same
-        // `crc32:` digest scheme the journal uses — so a record that was
-        // truncated or altered in flight can never reach an artifact.
-        let computed = format!("crc32:{:08x}", phast_sample::crc32(record_line.as_bytes()));
-        let verified = if computed != digest {
-            Err(format!("record digest mismatch: wire {digest}, computed {computed}"))
-        } else {
-            jsonio::parse(record_line)
-                .map_err(|e| format!("unparseable record: {e}"))
-                .and_then(|v| {
-                    RunRecord::from_json(&v).map_err(|e| format!("malformed record: {e}"))
-                })
-                .and_then(|r| {
-                    if r.workload == h.entry.spec.workload && r.predictor == h.entry.spec.predictor
-                    {
-                        Ok(r)
-                    } else {
-                        Err(format!(
-                            "record labels {}x{} do not match the grant {}x{}",
-                            r.workload, r.predictor, h.entry.spec.workload, h.entry.spec.predictor
-                        ))
-                    }
-                })
-        };
-        let record = match verified {
-            Ok(r) => r,
-            Err(reason) => {
-                // The fence stays live for an intact redelivery.
-                self.inner.remote_held.lock().expect("remote grants").insert(fence, h);
-                return RemoteVerdict::Corrupt(reason);
-            }
-        };
-        if !self.inner.leases.release(h.entry.id, h.attempt) {
-            self.inner.stats.remote_stale.fetch_add(1, Ordering::Relaxed);
-            return RemoteVerdict::Stale;
-        }
-        let remote = h.entry.spec.remote.as_ref().expect("remote-held entry is remote-capable");
-        let outcome = RemoteOutcome {
-            status: status.to_string(),
-            detail: detail.map(str::to_string),
-            record,
-        };
-        let result = match pool::catch_job(|| (remote.finish)(outcome)) {
-            Ok(r) => r,
-            Err(p) => failed_result(
-                &h.entry.spec.workload,
-                &h.entry.spec.predictor,
-                RunFailure::Panicked(p.message),
-            ),
-        };
-        self.inner.deliver(&h.entry, result, h.attempt);
-        self.inner.stats.remote_delivered.fetch_add(1, Ordering::Relaxed);
-        RemoteVerdict::Fresh
-    }
-
-    /// Marks the worker dead. The housekeeper reclaims every lease it
-    /// held and requeues the cells for local (or other remote) pickup.
-    pub fn disconnect(&self) {
-        self.alive.store(false, Ordering::SeqCst);
-        // Wake parked local workers: requeued cells are coming.
-        self.inner.park_cv.notify_all();
-    }
-}
-
-impl Drop for RemoteSession {
-    /// A dropped session is a dead worker — the server thread drops it
-    /// when the connection tears, which is the connection-loss ⇒ lease
-    /// reclaim ⇒ requeue path.
-    fn drop(&mut self) {
-        self.disconnect();
-    }
-}
-
 impl SchedInner {
     /// Queues an entry on the next deque round-robin and wakes a parked
     /// worker.
@@ -750,18 +436,6 @@ impl SchedInner {
             let victim = (me + step) % n;
             if let Some(e) = self.deques[victim].lock().expect("deque").pop_back() {
                 return Some(e);
-            }
-        }
-        None
-    }
-
-    /// Steals the oldest remote-eligible entry from any deque, leaving
-    /// local-only jobs in place.
-    fn pop_remote(&self) -> Option<Arc<JobEntry>> {
-        for d in &self.deques {
-            let mut d = d.lock().expect("deque");
-            if let Some(at) = d.iter().position(|e| e.spec.remote.is_some()) {
-                return d.remove(at);
             }
         }
         None
@@ -858,33 +532,8 @@ fn housekeeper_loop(inner: Arc<SchedInner>) {
         std::thread::sleep(inner.cfg.housekeep_every);
         let reclaimed = {
             let alive = inner.alive.lock().expect("alive flags");
-            let remotes = inner.remotes.lock().expect("remotes");
-            // Worker ids below the local range index the alive vector;
-            // everything above is a remote, and a remote the map no
-            // longer knows is dead by definition.
-            inner.leases.expire(|w| {
-                if w < alive.len() {
-                    !alive[w].load(Ordering::SeqCst)
-                } else {
-                    remotes.get(&w).is_none_or(|f| !f.load(Ordering::SeqCst))
-                }
-            })
+            inner.leases.expire(|w| !alive[w].load(Ordering::SeqCst))
         };
-        if !reclaimed.is_empty() {
-            // Spend the fences of reclaimed remote grants: a delivery
-            // arriving later for one of them finds no entry and is
-            // rejected as stale — at-most-once, across the wire.
-            let gone: HashSet<(u64, u64)> =
-                reclaimed.iter().map(|e| (e.job, e.attempt)).collect();
-            inner
-                .remote_held
-                .lock()
-                .expect("remote grants")
-                .retain(|_, h| !gone.contains(&(h.entry.id, h.attempt)));
-        }
-        // Forget dead remotes; their leases were just reclaimed above
-        // (absent-from-map also reads as dead, so ordering is safe).
-        inner.remotes.lock().expect("remotes").retain(|_, f| f.load(Ordering::SeqCst));
         for e in reclaimed {
             inner.stats.reclaimed.fetch_add(1, Ordering::Relaxed);
             let entry = inner.jobs.lock().expect("job map").get(&e.job).cloned();
@@ -957,7 +606,6 @@ mod tests {
                 ctx.progress.fetch_add(1, Ordering::SeqCst);
                 ok_result(&w, "fake")
             }),
-            remote: None,
             on_delivered: None,
         }
     }
@@ -1005,7 +653,6 @@ mod tests {
             workload: "boom".to_string(),
             predictor: "fake".to_string(),
             run: Arc::new(|_: &JobCtx| panic!("job exploded")),
-            remote: None,
             on_delivered: None,
         };
         let jobs = vec![counting_job(Arc::clone(&ran), "a"), boom, counting_job(ran, "b")];
@@ -1072,7 +719,6 @@ mod tests {
                     ok_result("w", "fake")
                 }
             }),
-            remote: None,
             on_delivered: None,
         };
         let results = sched.submit(vec![job]).expect("admitted").wait();
@@ -1110,7 +756,6 @@ mod tests {
                 }
                 failed_result("doomed", "fake", RunFailure::Panicked("cancelled".into()))
             }),
-            remote: None,
             on_delivered: None,
         };
         let results = sched.submit(vec![job]).expect("admitted").wait();
@@ -1133,7 +778,6 @@ mod tests {
                     workload: w.clone(),
                     predictor: "fake".to_string(),
                     run: Arc::new(move |_: &JobCtx| ok_result(&w, "fake")),
-                            remote: None,
                     on_delivered: Some(Arc::new(move |_: &RunResult| {
                         c.fetch_add(1, Ordering::SeqCst);
                     })),
@@ -1162,7 +806,6 @@ mod tests {
                         c.fetch_add(1, Ordering::SeqCst);
                         ok_result(&w, "fake")
                     }),
-                            remote: None,
                     on_delivered: None,
                 }
             })
@@ -1183,182 +826,5 @@ mod tests {
         assert!(results.iter().all(RunResult::ok), "outstanding work finished during drain");
         drainer.join().expect("drain completes");
         assert_eq!(ran.load(Ordering::SeqCst), 4, "the refused job never ran");
-    }
-
-    // ---- remote-worker fencing -------------------------------------
-
-    /// A job that spins (heartbeating) until `gate` opens — pins a local
-    /// worker so remote-capable jobs stay in the deque for a
-    /// [`RemoteSession`] to steal.
-    fn gated_job(gate: Arc<AtomicBool>) -> JobSpec {
-        JobSpec {
-            workload: "blocker".to_string(),
-            predictor: "fake".to_string(),
-            run: Arc::new(move |ctx: &JobCtx| {
-                while !gate.load(Ordering::SeqCst) {
-                    ctx.progress.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                ok_result("blocker", "fake")
-            }),
-            remote: None,
-            on_delivered: None,
-        }
-    }
-
-    /// A remote-capable fake job: runs instantly when a local worker
-    /// gets it, and carries the wire hooks a [`RemoteSession`] needs.
-    fn remote_job(workload: &str) -> JobSpec {
-        let w = workload.to_string();
-        let w_run = w.clone();
-        JobSpec {
-            workload: w.clone(),
-            predictor: "fake".to_string(),
-            run: Arc::new(move |ctx: &JobCtx| {
-                ctx.progress.fetch_add(1, Ordering::SeqCst);
-                ok_result(&w_run, "fake")
-            }),
-            remote: Some(RemoteCell {
-                insts: 1_000,
-                iters: 10,
-                timeout_ms: None,
-                on_start: Arc::new(|_| {}),
-                finish: Arc::new(|out: RemoteOutcome| {
-                    crate::harness::remote_result(&out.status, out.detail.as_deref(), out.record)
-                }),
-            }),
-            on_delivered: None,
-        }
-    }
-
-    /// The wire form of a clean result for `workload`: the compact
-    /// record line plus the `crc32:` digest over those exact bytes.
-    fn wire_record(workload: &str) -> (String, String) {
-        let record = ok_result(workload, "fake").to_record().to_json();
-        (record.render_compact(), crate::journal::record_digest(&record))
-    }
-
-    /// A config whose heartbeat is long enough that an unbeaten lease
-    /// survives the few milliseconds these tests hold one.
-    fn calm_cfg(workers: usize) -> SchedConfig {
-        SchedConfig {
-            lease: LeaseConfig {
-                heartbeat: Duration::from_secs(5),
-                max_age: Duration::from_secs(30),
-            },
-            ..fast_cfg(workers)
-        }
-    }
-
-    #[test]
-    fn remote_delivery_is_fenced_at_most_once() {
-        let sched = Scheduler::start(calm_cfg(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let handle =
-            sched.submit(vec![gated_job(Arc::clone(&gate)), remote_job("r1")]).expect("admitted");
-        let session = sched.register_remote("box-a");
-        let grants = session.lease(4);
-        assert_eq!(grants.len(), 1, "only the remote-capable job is stealable");
-        let g = &grants[0];
-        assert_eq!((g.workload.as_str(), g.attempt), ("r1", 1));
-        assert!(g.fence > 0, "fence 0 is reserved");
-        assert!(session.beat(&[(g.fence, 5)]).is_empty(), "live lease is not revoked");
-        let (line, digest) = wire_record("r1");
-        let first = session.deliver(g.fence, "ok", None, &line, &digest);
-        assert!(matches!(first, RemoteVerdict::Fresh), "first delivery lands: {first:?}");
-        // The duplicate redelivery (worker retrying after a lost ack) is
-        // fenced off — at most once, exactly like the local lease gate.
-        let dup = session.deliver(g.fence, "ok", None, &line, &digest);
-        assert!(matches!(dup, RemoteVerdict::Stale), "duplicate is stale: {dup:?}");
-        gate.store(true, Ordering::SeqCst);
-        let results = handle.wait();
-        assert!(results.iter().all(RunResult::ok));
-        let stats = sched.stats();
-        assert_eq!(stats.remote_delivered, 1);
-        assert_eq!(stats.remote_stale, 1);
-        sched.drain();
-    }
-
-    #[test]
-    fn corrupt_delivery_keeps_the_fence_live_for_an_intact_retry() {
-        let sched = Scheduler::start(calm_cfg(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let handle =
-            sched.submit(vec![gated_job(Arc::clone(&gate)), remote_job("r2")]).expect("admitted");
-        let session = sched.register_remote("box-b");
-        let g = session.lease(1).pop().expect("granted");
-        let (line, digest) = wire_record("r2");
-        let bad = session.deliver(g.fence, "ok", None, &line, "crc32:00000000");
-        assert!(matches!(bad, RemoteVerdict::Corrupt(_)), "digest mismatch refused: {bad:?}");
-        let truncated = &line[..line.len() / 2];
-        let bad = session.deliver(g.fence, "ok", None, truncated, &digest);
-        assert!(matches!(bad, RemoteVerdict::Corrupt(_)), "truncated record refused: {bad:?}");
-        // Wrong-cell record (label mismatch) is refused even with a
-        // valid digest over its own bytes.
-        let (other_line, other_digest) = wire_record("not-r2");
-        let bad = session.deliver(g.fence, "ok", None, &other_line, &other_digest);
-        assert!(matches!(bad, RemoteVerdict::Corrupt(_)), "label mismatch refused: {bad:?}");
-        let good = session.deliver(g.fence, "ok", None, &line, &digest);
-        assert!(matches!(good, RemoteVerdict::Fresh), "intact redelivery lands: {good:?}");
-        gate.store(true, Ordering::SeqCst);
-        assert!(handle.wait().iter().all(RunResult::ok));
-        sched.drain();
-    }
-
-    #[test]
-    fn reclaimed_lease_fences_off_the_resurrected_worker() {
-        let sched = Scheduler::start(fast_cfg(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let handle =
-            sched.submit(vec![gated_job(Arc::clone(&gate)), remote_job("r3")]).expect("admitted");
-        let session = sched.register_remote("box-c");
-        let g = session.lease(1).pop().expect("granted");
-        // Never beat: the housekeeper declares the lease wedged
-        // (heartbeat 40ms in fast_cfg) and requeues the cell.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while sched.stats().reclaimed == 0 {
-            assert!(std::time::Instant::now() < deadline, "lease was never reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // The local worker retries the cell (attempt 2) once unblocked.
-        gate.store(true, Ordering::SeqCst);
-        let results = handle.wait();
-        assert!(results.iter().all(RunResult::ok));
-        assert_eq!(results[1].attempts, 2, "retry after reclamation");
-        // The partitioned worker resurfaces and delivers attempt 1:
-        // fenced off as stale, never double-counted.
-        let (line, digest) = wire_record("r3");
-        let late = session.deliver(g.fence, "ok", None, &line, &digest);
-        assert!(matches!(late, RemoteVerdict::Stale), "stale fence rejected: {late:?}");
-        assert_eq!(sched.stats().remote_delivered, 0);
-        assert!(sched.stats().remote_stale >= 1);
-        sched.drain();
-    }
-
-    #[test]
-    fn dead_remote_worker_reclaims_to_a_local_drain() {
-        let sched = Scheduler::start(fast_cfg(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let handle =
-            sched.submit(vec![gated_job(Arc::clone(&gate)), remote_job("r4")]).expect("admitted");
-        let session = sched.register_remote("box-d");
-        let g = session.lease(1).pop().expect("granted");
-        assert_eq!(sched.remote_workers(), 1);
-        // Connection loss: the session drops, the worker is dead, and
-        // the housekeeper reclaims its lease like a died local worker's.
-        session.disconnect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while sched.stats().reclaimed == 0 {
-            assert!(std::time::Instant::now() < deadline, "dead remote never reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(sched.remote_workers(), 0, "dead remote is forgotten");
-        // Graceful degradation: the local workers drain everything.
-        gate.store(true, Ordering::SeqCst);
-        let results = handle.wait();
-        assert!(results.iter().all(RunResult::ok));
-        let late = session.deliver(g.fence, "ok", None, "{}", "crc32:00000000");
-        assert!(matches!(late, RemoteVerdict::Stale), "post-mortem delivery fenced: {late:?}");
-        sched.drain();
     }
 }

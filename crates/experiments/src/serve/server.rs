@@ -24,7 +24,7 @@
 
 use super::proto::{self, Event, Request, StatusBody, WireError};
 use super::runner::{submit_sweep, SweepRun, SweepSpec};
-use super::sched::{RemoteVerdict, SchedConfig, Scheduler};
+use super::sched::{SchedConfig, Scheduler};
 use crate::harness::exit_code;
 use crate::journal::Journal;
 use crate::predictors::PredictorKind;
@@ -221,9 +221,7 @@ fn read_request_line(
     }
 }
 
-/// One connection: read request lines until EOF, serving each. A
-/// `register` request re-dedicates the connection to a remote worker
-/// ([`worker_session`]).
+/// One connection: read request lines until EOF, serving each.
 fn client_thread(stream: TcpStream, shared: Arc<ServerShared>) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -252,14 +250,6 @@ fn client_thread(stream: TcpStream, shared: Arc<ServerShared>) {
             Request::Ping => send(
                 &mut writer,
                 &Event::Pong { workers: shared.sched.workers() as u64 },
-            )
-            .is_ok(),
-            Request::Register { name, .. } => {
-                return worker_session(&mut reader, &mut writer, &shared, &name);
-            }
-            Request::Lease { .. } | Request::Beat { .. } | Request::Deliver { .. } => send(
-                &mut writer,
-                &Event::Error { reason: "not registered (send register first)".to_string() },
             )
             .is_ok(),
             Request::Status => send(&mut writer, &status_event(&shared)).is_ok(),
@@ -291,93 +281,6 @@ fn client_thread(stream: TcpStream, shared: Arc<ServerShared>) {
     }
 }
 
-/// A registered remote-worker connection: serve `lease`/`beat`/
-/// `deliver` until the worker disconnects or the daemon drains.
-///
-/// The [`super::sched::RemoteSession`] owns the worker's liveness flag;
-/// returning from this function drops it, which marks the worker dead
-/// so the housekeeper reclaims its leases and requeues the cells — the
-/// same path a died local worker takes.
-fn worker_session(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    shared: &Arc<ServerShared>,
-    name: &str,
-) {
-    let session = shared.sched.register_remote(name);
-    if send(writer, &Event::Registered { worker: session.worker() as u64 }).is_err() {
-        return;
-    }
-    let mut line = String::new();
-    loop {
-        if !read_request_line(reader, writer, &mut line) {
-            return;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let request = match proto::parse_request(trimmed) {
-            Ok(r) => r,
-            Err(reason) => {
-                if send(writer, &Event::Error { reason }).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let reply = match request {
-            Request::Lease { max } => {
-                // Drain: once no work is outstanding, tell the worker to
-                // exit cleanly. While cells are still in flight the
-                // worker keeps leasing — remote capacity helps finish
-                // the drain, it does not block it.
-                if shared.shutdown.load(Ordering::SeqCst) && shared.sched.outstanding() == 0 {
-                    Event::Draining
-                } else {
-                    let cells = session
-                        .lease(max.clamp(1, 64) as usize)
-                        .into_iter()
-                        .map(|g| proto::GrantCell {
-                            fence: g.fence,
-                            workload: g.workload,
-                            predictor: g.predictor,
-                            attempt: g.attempt,
-                            insts: g.insts,
-                            iters: g.iters,
-                            timeout_ms: g.timeout_ms,
-                        })
-                        .collect();
-                    Event::Grant { cells }
-                }
-            }
-            Request::Beat { beats } => {
-                let beats: Vec<(u64, u64)> =
-                    beats.iter().map(|b| (b.fence, b.progress)).collect();
-                Event::BeatAck { revoked: session.beat(&beats) }
-            }
-            Request::Deliver { fence, status, detail, record, digest } => {
-                match session.deliver(fence, &status, detail.as_deref(), &record, &digest) {
-                    RemoteVerdict::Fresh => Event::Delivered { fence, fresh: true },
-                    RemoteVerdict::Stale => Event::Delivered { fence, fresh: false },
-                    RemoteVerdict::Corrupt(reason) => Event::Error { reason },
-                }
-            }
-            Request::Ping => Event::Pong { workers: shared.sched.workers() as u64 },
-            Request::Status => status_event(shared),
-            Request::Register { .. } => {
-                Event::Error { reason: "already registered".to_string() }
-            }
-            Request::Submit { .. } | Request::Fetch { .. } | Request::Shutdown => Event::Error {
-                reason: "worker connections serve lease/beat/deliver only".to_string(),
-            },
-        };
-        if send(writer, &reply).is_err() {
-            return;
-        }
-    }
-}
-
 /// The `status` reply: scheduler health plus the artifact index.
 fn status_event(shared: &ServerShared) -> Event {
     let stats = shared.sched.stats();
@@ -397,9 +300,6 @@ fn status_event(shared: &ServerShared) -> Event {
         reclaimed: stats.reclaimed,
         lost: stats.lost,
         respawns: stats.respawns,
-        remote_workers: shared.sched.remote_workers() as u64,
-        remote_delivered: stats.remote_delivered,
-        remote_stale: stats.remote_stale,
         artifacts,
     })
 }

@@ -1,8 +1,10 @@
 //! Both binaries refuse flags they do not parse: exit 2 with the flag
-//! named on stderr, never a silent run with the flag ignored. A retired
-//! flag (the old lane-count flag) gets the same answer as a typo.
+//! named on stderr, never a silent run with the flag ignored. Retired
+//! flags (lane count, trace record/replay, remote workers) get the same
+//! answer as a typo, and so does an invocation with no workloads to run.
 
 use std::io::Read;
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -43,7 +45,14 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn unknown_flags_exit_2_naming_the_flag() {
-    for flag in ["--wokers=4", "--lanes=8"] {
+    for flag in [
+        "--wokers=4",
+        "--lanes=8",
+        "--trace=x.phtr",
+        "--record-trace=x.phtr",
+        "--worker=127.0.0.1:1",
+        "--chaos-net-seed=7",
+    ] {
         let cases: [(&str, Vec<&str>); 2] = [
             (EXPERIMENTS, vec!["--no-json", "--quick", flag, "table1"]),
             (SERVE, vec!["--addr=127.0.0.1:0", flag]),
@@ -63,4 +72,39 @@ fn unknown_flags_exit_2_naming_the_flag() {
 fn known_flags_still_run() {
     let (code, stderr) = run(EXPERIMENTS, &["--no-json", "--quick", "table1"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
+}
+
+/// A path in the temp directory unique to this test process.
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("phast-cli-flags-{tag}-{}", std::process::id()))
+}
+
+#[test]
+fn empty_workload_sets_exit_2() {
+    let dump = temp_path("dump.phsc");
+    let dump_flag = format!("--dump-checkpoints={}", dump.display());
+    let cases: [Vec<&str>; 2] = [
+        vec!["--quick", "--no-json", "--max-workloads=0", "fig15"],
+        vec!["--quick", "--max-workloads=0", &dump_flag],
+    ];
+    for args in cases {
+        let (code, stderr) = run(EXPERIMENTS, &args);
+        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains("no workloads to run"), "{args:?}: {stderr}");
+    }
+    assert!(!dump.exists(), "nothing is dumped for an empty workload set");
+    let (code, stderr) =
+        run(EXPERIMENTS, &["--quick", "--no-json", "--max-workloads=0", "--synth=1", "fig1"]);
+    assert_eq!(code, Some(0), "synthesized extras alone still run: {stderr}");
+}
+
+#[test]
+fn trace_files_fail_verification_closed() {
+    let file = temp_path("trace.phtr");
+    std::fs::write(&file, b"PHTR\x01\x00\x00\x00not an artifact").expect("temp file");
+    let verify = format!("--verify={}", file.display());
+    let (code, stderr) = run(EXPERIMENTS, &[&verify]);
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(code, Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("FAILED"), "{stderr}");
 }

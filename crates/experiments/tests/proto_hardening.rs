@@ -1,58 +1,73 @@
-//! Property tests for the `phast-serve` wire protocol's worker
-//! messages, mirroring the sampling codec's `codec_hardening` suite:
-//! encode→decode identity over generated message shapes, duplicate-key
-//! rejection (fail-closed — a smuggled second value must never win),
-//! unknown-field tolerance (new fields must not strand old daemons),
-//! and reserved-value rejection (`proto` versions other than 1, fence
-//! 0) at the parse boundary.
+//! Property tests for the `phast-serve` wire protocol's sweep messages
+//! (`submit`/`fetch` requests, `cell`/`done`/`rejected` events),
+//! mirroring the sampling codec's `codec_hardening` suite: encode→decode
+//! identity over generated message shapes, duplicate-key rejection
+//! (fail-closed — a smuggled second value must never win), and
+//! unknown-field tolerance (new fields must not strand old daemons).
 
 use phast_experiments::serve::proto::{
-    parse_event, parse_request, render_event, render_request, BeatEntry, Event, GrantCell,
-    Request, WORKER_PROTO_VERSION,
+    parse_event, parse_request, render_event, render_request, Event, Request,
 };
 use proptest::prelude::*;
 
-/// A deliver request with every field populated from the seeds —
-/// including a record body holding quotes and braces, so rendering has
-/// to escape and parsing has to unescape.
-fn deliver(fence: u64, n: u64, with_detail: bool) -> Request {
-    Request::Deliver {
-        fence,
-        status: if n.is_multiple_of(2) { "ok".to_string() } else { "deadline".to_string() },
-        detail: with_detail.then(|| format!("wall clock exceeded {n}s \"hard\" cap")),
-        record: format!("{{\"workload\":\"w{n}\",\"cycles\":{n}}}"),
-        digest: format!("crc32:{:08x}", n as u32),
+/// A watched submit whose labels hold quotes and backslashes, so
+/// rendering has to escape and parsing has to unescape.
+fn submit(n: u64) -> Request {
+    Request::Submit {
+        id: format!("sweep-{n}"),
+        kinds: (0..n % 5).map(|i| format!("k{i}\"{n}\\")).collect(),
+        budget: if n.is_multiple_of(2) { "quick" } else { "bench" }.to_string(),
+        watch: !n.is_multiple_of(3),
     }
 }
 
-/// A grant cell with the optional watchdog present on odd seeds.
-fn cell(fence: u64, n: u64) -> GrantCell {
-    GrantCell {
-        fence,
-        workload: format!("mcf-{n}"),
-        predictor: format!("phast-{n}"),
-        attempt: n % 5 + 1,
-        insts: n.wrapping_mul(1_000) + 1,
-        iters: n + 7,
-        timeout_ms: (n % 2 == 1).then_some(n * 100),
+/// A sweep's final event with every counter populated from the seed.
+fn done(n: u64) -> Event {
+    Event::Done {
+        id: format!("sweep-{n}"),
+        digest: format!("crc32:{:08x}", n as u32),
+        runs: n % 97,
+        degraded: n % 7,
+        deadline_runs: n % 3,
+        exit: n % 5,
     }
+}
+
+/// The `"key":value` pair for `key` in a compact one-line JSON object,
+/// with nested arrays and escaped string contents skipped over.
+fn pair<'a>(line: &'a str, key: &str) -> &'a str {
+    let start = line.find(&format!("\"{key}\":")).expect("field present");
+    let value = start + key.len() + 3;
+    let (mut in_str, mut escaped, mut depth) = (false, false, 0u32);
+    for (i, c) in line[value..].char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_str => escaped = true,
+            '"' => in_str = !in_str,
+            '[' | '{' if !in_str => depth += 1,
+            ']' | '}' if !in_str && depth > 0 => depth -= 1,
+            ',' | '}' if !in_str => return &line[start..value + i],
+            _ => {}
+        }
+    }
+    panic!("field {key} never ends in {line}");
+}
+
+/// `line` with the `"key":value` pair spliced in again just after the
+/// opening brace — a syntactically valid duplicate.
+fn duplicated(line: &str, key: &str) -> String {
+    format!("{{{},{}", pair(line, key), &line[1..])
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Every worker-side request round-trips the wire bit-exactly.
+    /// Every client request round-trips the wire bit-exactly.
     #[test]
-    fn worker_requests_roundtrip(seed in 0u64..10_000, fence in 1u64..1_000_000) {
+    fn requests_roundtrip(seed in 0u64..10_000) {
         let requests = vec![
-            Request::Register { name: format!("box-{seed}") },
-            Request::Lease { max: seed % 4096 + 1 },
-            Request::Beat {
-                beats: (0..seed % 8)
-                    .map(|i| BeatEntry { fence: fence + i, progress: seed.wrapping_mul(i + 1) })
-                    .collect(),
-            },
-            deliver(fence, seed, seed % 3 == 0),
+            submit(seed),
+            Request::Fetch { digest: format!("crc32:{:08x}", seed as u32) },
         ];
         for req in requests {
             let parsed = parse_request(&render_request(&req));
@@ -60,14 +75,21 @@ proptest! {
         }
     }
 
-    /// Every worker-side event round-trips the wire bit-exactly.
+    /// Every sweep event round-trips the wire bit-exactly.
     #[test]
-    fn worker_events_roundtrip(seed in 0u64..10_000, fence in 1u64..1_000_000) {
+    fn events_roundtrip(seed in 0u64..10_000) {
         let events = vec![
-            Event::Registered { worker: seed },
-            Event::Grant { cells: (0..seed % 5).map(|i| cell(fence + i, seed + i)).collect() },
-            Event::BeatAck { revoked: (0..seed % 4).map(|i| fence + i).collect() },
-            Event::Delivered { fence, fresh: seed % 2 == 0 },
+            Event::Cell {
+                workload: format!("mcf-{seed}"),
+                predictor: format!("phast-{seed}"),
+                status: if seed.is_multiple_of(2) { "ok" } else { "deadline" }.to_string(),
+                attempts: seed % 5 + 1,
+            },
+            done(seed),
+            Event::Rejected {
+                reason: "queue-full".to_string(),
+                retry_after_ms: (seed % 2 == 1).then_some(seed * 250),
+            },
         ];
         for ev in events {
             let parsed = parse_event(&render_event(&ev));
@@ -76,84 +98,42 @@ proptest! {
     }
 
     /// A smuggled duplicate key is rejected fail-closed, wherever it
-    /// lands: last-writer-wins parsing would let a forged second
-    /// `fence` or `digest` override the verified one.
+    /// lands: last-writer-wins parsing would let a forged second `id`,
+    /// `digest` or `exit` override the real one.
     #[test]
-    fn duplicate_keys_are_rejected(fence in 1u64..1_000_000) {
-        let line = render_request(&deliver(fence, 3, true));
-        for key in ["\"fence\"", "\"status\"", "\"record\"", "\"digest\""] {
-            let start = line.find(key).expect("field present");
-            // Splice the whole `"key":value` pair in again, just after
-            // the opening brace — a syntactically valid duplicate.
-            let rest = &line[start..];
-            let end = rest
-                .char_indices()
-                .scan(false, |in_str, (i, c)| {
-                    match c {
-                        '"' if !*in_str => *in_str = true,
-                        '"' if *in_str => *in_str = false,
-                        ',' | '}' if !*in_str && i > key.len() => return Some(Some(i)),
-                        _ => {}
-                    }
-                    Some(None)
-                })
-                .flatten()
-                .next()
-                .expect("field ends");
-            let forged = format!("{{{},{}", &rest[..end], &line[1..]);
-            prop_assert!(
-                parse_request(&forged).is_err(),
-                "duplicate {key} must be rejected: {forged}"
-            );
+    fn duplicate_keys_are_rejected(seed in 1u64..10_000) {
+        let request = render_request(&submit(seed));
+        for key in ["id", "kinds", "budget", "watch"] {
+            let forged = duplicated(&request, key);
+            prop_assert!(parse_request(&forged).is_err(), "duplicate {key} must be rejected: {forged}");
+        }
+        let fetch = render_request(&Request::Fetch { digest: format!("crc32:{seed:08x}") });
+        let forged = duplicated(&fetch, "digest");
+        prop_assert!(parse_request(&forged).is_err(), "duplicate digest must be rejected: {forged}");
+        let event = render_event(&done(seed));
+        for key in ["id", "digest", "runs", "exit"] {
+            let forged = duplicated(&event, key);
+            prop_assert!(parse_event(&forged).is_err(), "duplicate {key} must be rejected: {forged}");
         }
     }
 
-    /// Unknown fields are tolerated on every worker message — a newer
+    /// Unknown fields are tolerated on every sweep message — a newer
     /// peer adding fields must not strand this parser.
     #[test]
-    fn unknown_fields_are_tolerated(fence in 1u64..1_000_000) {
-        for line in [
-            render_request(&Request::Lease { max: 4 }),
-            render_request(&deliver(fence, 1, false)),
-            render_event(&Event::Delivered { fence, fresh: true }),
-        ] {
-            let widened = format!("{{\"future_field\":123,{}", &line[1..]);
-            if line.starts_with("{\"op\"") {
-                prop_assert!(parse_request(&widened).is_ok(), "request: {widened}");
-            } else {
-                prop_assert!(parse_event(&widened).is_ok(), "event: {widened}");
-            }
+    fn unknown_fields_are_tolerated(seed in 0u64..10_000) {
+        let widen = |line: &str| format!("{{\"future_field\":[1,{{\"x\":2}}],{}", &line[1..]);
+        let req = submit(seed);
+        let widened = widen(&render_request(&req));
+        let parsed = parse_request(&widened);
+        prop_assert_eq!(parsed.as_ref(), Ok(&req), "request: {}", widened);
+        let events = vec![
+            done(seed),
+            Event::Rejected { reason: "draining".to_string(), retry_after_ms: None },
+        ];
+        for ev in events {
+            let widened = widen(&render_event(&ev));
+            let parsed = parse_event(&widened);
+            prop_assert_eq!(parsed.as_ref(), Ok(&ev), "event: {}", widened);
         }
-    }
-
-    /// `proto` versions other than the supported one are refused at
-    /// registration, so an incompatible worker is turned away before it
-    /// can lease anything.
-    #[test]
-    fn unsupported_proto_versions_are_refused(version in 0u64..100) {
-        let line = format!(
-            "{{\"op\":\"register\",\"name\":\"w\",\"lanes\":2,\"proto\":{version}}}"
-        );
-        let parsed = parse_request(&line);
-        if version == WORKER_PROTO_VERSION {
-            prop_assert!(parsed.is_ok());
-        } else {
-            prop_assert!(parsed.is_err(), "version {version} must be refused");
-        }
-    }
-
-    /// Fence 0 is reserved (the "no fence" sentinel) and rejected
-    /// everywhere a fence crosses the wire.
-    #[test]
-    fn fence_zero_is_rejected_everywhere(progress in 0u64..1_000_000) {
-        let beat = format!(
-            "{{\"op\":\"beat\",\"beats\":[{{\"fence\":0,\"progress\":{progress}}}]}}"
-        );
-        prop_assert!(parse_request(&beat).is_err());
-        let deliver = "{\"op\":\"deliver\",\"fence\":0,\"status\":\"ok\",\
-             \"record\":\"{}\",\"digest\":\"crc32:00000000\"}";
-        prop_assert!(parse_request(deliver).is_err());
-        let delivered = "{\"event\":\"delivered\",\"fence\":0,\"fresh\":true}";
-        prop_assert!(parse_event(delivered).is_err());
     }
 }

@@ -1,19 +1,22 @@
 //! End-to-end chaos tests for the `phast-serve` daemon: scripted worker
 //! kills and heartbeat loss on a live TCP server, torn client
-//! connections, graceful drain, and the journal's write-ahead record of
-//! reclaimed-then-retried attempts.
+//! connections, length-bombed request lines, graceful drain, and the
+//! journal's write-ahead record of reclaimed-then-retried attempts.
 //!
 //! The acceptance bar (mirrored in the CI `service` job): a chaotic
 //! daemon sweep's artifact is byte-identical — modulo wall-clock and
 //! attempt metadata — to an unperturbed serial run's, and a graceful
 //! drain loses no journaled work.
 
+use phast_experiments::serve::proto::MAX_REQUEST_LINE;
 use phast_experiments::serve::{
     ChaosPlan, Client, Event, LeaseConfig, Request, SchedConfig, Scheduler, ServeConfig, Server,
     SweepSpec,
 };
 use phast_experiments::{exit_code, Budget, Journal, PredictorKind, Sweep, SweepArtifact};
 use phast_ooo::{CheckConfig, CoreConfig, FaultPlan};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -311,4 +314,36 @@ fn reclaimed_job_journals_both_attempts_with_distinct_reseeds() {
         .count();
     assert_eq!(done_lines, 1, "only the delivered attempt journals done");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_request_lines_are_refused_fail_closed() {
+    let server = Server::start(ServeConfig {
+        sched: fast_sched(2, ChaosPlan::none()),
+        ..ServeConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = server.local_addr().to_string();
+
+    let mut sock = TcpStream::connect(&addr).expect("connects");
+    sock.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    // A length-bomb: one "line" just over the request cap, no newline
+    // needed — the daemon must refuse it without buffering it whole.
+    let bomb = vec![b'x'; MAX_REQUEST_LINE + 1];
+    sock.write_all(&bomb).expect("bomb sent");
+    sock.flush().expect("flush");
+    let mut reply = String::new();
+    let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+    reader.read_line(&mut reply).expect("typed refusal");
+    assert!(
+        reply.contains("wire cap"),
+        "expected a typed wire-cap error, got: {reply:?}"
+    );
+    // The connection is dropped after the refusal (fail closed).
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("eof");
+    assert!(rest.is_empty(), "no further traffic after a length bomb");
+
+    server.shutdown();
+    assert_eq!(server.join(), exit_code::OK);
 }

@@ -96,11 +96,6 @@ impl ProgramBuilder {
         BlockId(self.blocks.len() as u32 - 1)
     }
 
-    /// Allocates `n` new blocks at once.
-    pub fn blocks(&mut self, n: usize) -> Vec<BlockHandle> {
-        (0..n).map(|_| self.block()).collect()
-    }
-
     /// Returns a cursor for appending instructions to `block`.
     pub fn at(&mut self, block: BlockHandle) -> BlockCursor<'_> {
         BlockCursor { builder: self, block }
@@ -198,11 +193,6 @@ impl BlockCursor<'_> {
     fn push(&mut self, inst: Inst) -> &mut Self {
         self.builder.blocks[self.block.index()].0.push(inst);
         self
-    }
-
-    /// Appends a raw instruction.
-    pub fn inst(&mut self, inst: Inst) -> &mut Self {
-        self.push(inst)
     }
 
     /// `dst = src1 <kind> src2`.

@@ -34,7 +34,7 @@ pub const TEXT_BASE: Pc = 0x0040_0000;
 /// instruction is not a control transfer (or is a conditional branch that
 /// falls through, or a call that returns), execution continues at
 /// `fallthrough`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BasicBlock {
     /// The instructions of the block, in program order.
     pub insts: Vec<Inst>,
@@ -56,7 +56,7 @@ impl BasicBlock {
 /// builder guarantees the structural invariants that [`Program`] relies on
 /// (valid targets, control ops only in terminal position, fallthroughs
 /// present where required).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Program {
     pub(crate) blocks: Vec<BasicBlock>,
     pub(crate) entry: BlockId,

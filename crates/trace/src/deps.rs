@@ -130,7 +130,9 @@ impl DepSignature {
 
     /// Stable digest of the signature, recorded as `workload_signature` in
     /// BENCH artifacts. Deterministic across runs, platforms and worker
-    /// counts (the byte-identity carve-out never needs to cover it).
+    /// counts (the byte-identity carve-out never needs to cover it). The
+    /// `phtr:` prefix names a trace format that no longer exists; it stays
+    /// so that every recorded artifact's signature keeps its value.
     pub fn digest(&self) -> String {
         format!("phtr:{:08x}", crc32(&self.canonical_bytes()))
     }

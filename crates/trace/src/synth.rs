@@ -11,8 +11,8 @@
 //! than re-sampling its center.
 //!
 //! Everything is deterministic: one master seed derives every candidate
-//! recipe, and the same seed always yields byte-identical programs and
-//! signatures (pinned by `tests/synth_determinism.rs`).
+//! recipe, and the same seed always yields identical programs and
+//! signatures (pinned by this module's tests and `tests/synth_pipeline.rs`).
 
 use crate::deps::{signature, DepSignature};
 use phast_workloads::gen::{
@@ -451,7 +451,6 @@ pub fn synth_workloads(count: usize, master_seed: u64) -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::program_bytes;
 
     #[test]
     fn recipes_build_valid_programs() {
@@ -464,11 +463,11 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_same_program_bytes() {
+    fn same_seed_same_program() {
         let a = Recipe::random(42);
         let b = Recipe::random(42);
         assert_eq!(a, b);
-        assert_eq!(program_bytes(&a.build(100)), program_bytes(&b.build(100)));
+        assert_eq!(a.build(100), b.build(100));
     }
 
     #[test]
