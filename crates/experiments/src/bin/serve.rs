@@ -1,4 +1,4 @@
-//! `phast-serve` — the persistent, fault-tolerant simulation daemon.
+//! `phast-serve` — the persistent simulation daemon.
 //!
 //! ```text
 //! # daemon (default mode): bind, accept sweeps, drain on SIGTERM
@@ -13,23 +13,19 @@
 //! ```
 //!
 //! The daemon accepts sweep submissions over a TCP JSON-lines protocol
-//! (`docs/SERVICE.md`), executes them on a work-stealing scheduler whose
-//! every job runs under a lease with a progress heartbeat, and survives
-//! worker death, wedged runs, and client disconnects. `SIGTERM` (or the
-//! `shutdown` op) triggers a graceful drain: admission stops, in-flight
-//! sweeps finish and flush their artifacts, and the process exits with
-//! the worst outcome across everything it ran — the same exit-code
-//! taxonomy as `phast-experiments` (0 ok / 1 degraded / 2 usage /
-//! 3 integrity / 4 deadline); a client that cannot reach the daemon
-//! exits 5.
-//!
-//! The `--chaos-*` flags arm seeded service-layer fault injection
-//! (worker kills, heartbeat loss) — the CI `service` job uses them to
-//! prove the lease/retry machinery on a live daemon.
+//! (`docs/SERVICE.md`) and runs each one on the same batch engine as
+//! `phast-experiments`, one sweep at a time across `--workers` threads;
+//! a client that disconnects mid-stream does not cancel its sweep.
+//! `SIGTERM` (or the `shutdown` op) triggers a graceful drain: admission
+//! stops, in-flight sweeps finish and flush their artifacts, and the
+//! process exits with the worst outcome across everything it ran — the
+//! same exit-code taxonomy as `phast-experiments` (0 ok / 1 degraded /
+//! 2 usage / 3 integrity / 4 deadline); a client that cannot reach the
+//! daemon exits 5.
 
 use phast_experiments::exit_code;
 use phast_experiments::pool;
-use phast_experiments::serve::{ChaosPlan, Client, Event, Request, ServeConfig, Server};
+use phast_experiments::serve::{Client, Event, Request, ServeConfig, Server};
 use phast_experiments::Journal;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -67,9 +63,7 @@ mod sigterm {
 fn usage() -> ! {
     eprintln!(
         "usage: phast-serve [--addr=HOST:PORT] [--workers=N] [--max-active=N] \
-         [--json-dir=DIR | --no-json] [--resume] [--run-timeout=SECS] \
-         [--heartbeat-ms=N] [--lease-secs=N] \
-         [--chaos-seed=N] [--chaos-kill=K] [--chaos-stall=K]"
+         [--json-dir=DIR | --no-json] [--resume] [--run-timeout=SECS]"
     );
     eprintln!(
         "       phast-serve --client=ping|status|shutdown [--addr=HOST:PORT]\n\
@@ -83,11 +77,12 @@ fn usage() -> ! {
 
 fn help() {
     println!(
-        "phast-serve — persistent fault-tolerant simulation daemon\n\
+        "phast-serve — persistent simulation daemon\n\
          \n\
          daemon mode (default):\n\
          \x20 --addr=HOST:PORT    bind address (default 127.0.0.1:7878; port 0 = OS pick)\n\
-         \x20 --workers=N         persistent worker threads (default: all cores)\n\
+         \x20 --workers=N         worker threads a sweep's cells fan across; admitted\n\
+         \x20                     sweeps take turns (default: all cores)\n\
          \x20 --max-active=N      sweeps in flight before submissions are rejected\n\
          \x20                     with retry_after_ms backpressure (default 2)\n\
          \x20 --json-dir=DIR      where BENCH_<id>.json artifacts and the write-ahead\n\
@@ -96,9 +91,6 @@ fn help() {
          \x20 --resume            replay DIR/journal.jsonl: resubmitted sweep ids skip\n\
          \x20                     their completed cells\n\
          \x20 --run-timeout=SECS  per-cell watchdog; hung cells end as 'deadline'\n\
-         \x20 --heartbeat-ms=N    lease heartbeat window: a job whose progress counter\n\
-         \x20                     stalls this long is reclaimed and retried (default 10000)\n\
-         \x20 --lease-secs=N      absolute lease age cap (default 600)\n\
          \n\
          sampling (see docs/SAMPLING.md):\n\
          \x20 daemon sweeps execute every cell full-detail; the sampling engine\n\
@@ -108,16 +100,9 @@ fn help() {
          \x20 with the same exit-2-on-garbage contract (like PHAST_WORKERS), so a\n\
          \x20 misconfigured service environment fails fast, not mid-sweep\n\
          \n\
-         chaos injection (seeded, deterministic; for CI and tests):\n\
-         \x20 --chaos-seed=N      fault-draw seed\n\
-         \x20 --chaos-kill=K      kill the worker mid-job on K of 4096 draws\n\
-         \x20 --chaos-stall=K     drop the job's heartbeat on K of 4096 draws\n\
-         \x20 --chaos-kill-at=J:A scripted: kill the worker serving job J, attempt A\n\
-         \x20 --chaos-stall-at=J:A scripted: drop job J's heartbeat on attempt A\n\
-         \n\
          client mode (--client=OP talks to a running daemon):\n\
          \x20 ping                liveness probe; prints worker count\n\
-         \x20 status              scheduler health + artifact index\n\
+         \x20 status              queue health + artifact index\n\
          \x20 submit              submit a sweep: --id=ID --kinds=A,B --budget=TIER\n\
          \x20                     (tiers: full quick bench sampled); streams cell events\n\
          \x20                     and exits with the sweep's exit code. --no-watch\n\
@@ -145,16 +130,13 @@ fn parse_u64(flag: &str, raw: &str) -> u64 {
     }
 }
 
-/// Parses a scripted chaos target `JOB:ATTEMPT` (both 1-based), exiting
-/// with a clear error (status 2) otherwise.
-fn parse_job_attempt(flag: &str, raw: &str) -> (u64, u64) {
-    let parsed = raw.split_once(':').and_then(|(j, a)| {
-        Some((j.trim().parse::<u64>().ok()?, a.trim().parse::<u64>().ok()?))
-    });
-    match parsed {
-        Some(pair) => pair,
-        None => {
-            eprintln!("error: {flag} expects JOB:ATTEMPT (e.g. 3:1), got '{raw}'");
+/// Parses the value of a `--flag=N` count that must be at least 1,
+/// exiting with a clear error (status 2) otherwise.
+fn parse_count(flag: &str, raw: &str) -> usize {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => {
+            eprintln!("error: {flag} expects a positive integer, got '{raw}'");
             std::process::exit(exit_code::USAGE);
         }
     }
@@ -180,13 +162,6 @@ fn main() {
             || a == "--no-json"
             || a == "--resume"
             || a.starts_with("--run-timeout=")
-            || a.starts_with("--heartbeat-ms=")
-            || a.starts_with("--lease-secs=")
-            || a.starts_with("--chaos-seed=")
-            || a.starts_with("--chaos-kill=")
-            || a.starts_with("--chaos-stall=")
-            || a.starts_with("--chaos-kill-at=")
-            || a.starts_with("--chaos-stall-at=")
             || a.starts_with("--client=")
             || a.starts_with("--id=")
             || a.starts_with("--kinds=")
@@ -216,35 +191,16 @@ fn run_daemon(addr: String, args: &[String]) -> ! {
     let _ = pool::default_clusters();
     let mut cfg = ServeConfig { addr, ..ServeConfig::default() };
     if let Some(v) = flag_value(args, "--workers") {
-        cfg.sched.workers = parse_u64("--workers", v).max(1) as usize;
+        cfg.sched.workers = pool::parse_workers(v).unwrap_or_else(|e| {
+            eprintln!("error: --workers: {e}");
+            std::process::exit(exit_code::USAGE);
+        });
     }
     if let Some(v) = flag_value(args, "--max-active") {
-        cfg.max_active_sweeps = parse_u64("--max-active", v).max(1) as usize;
+        cfg.max_active_sweeps = parse_count("--max-active", v);
     }
     if let Some(v) = flag_value(args, "--run-timeout") {
         cfg.run_timeout = Some(Duration::from_secs(parse_u64("--run-timeout", v)));
-    }
-    if let Some(v) = flag_value(args, "--heartbeat-ms") {
-        cfg.sched.lease.heartbeat = Duration::from_millis(parse_u64("--heartbeat-ms", v).max(1));
-    }
-    if let Some(v) = flag_value(args, "--lease-secs") {
-        cfg.sched.lease.max_age = Duration::from_secs(parse_u64("--lease-secs", v).max(1));
-    }
-    let chaos = ChaosPlan {
-        seed: flag_value(args, "--chaos-seed").map_or(0, |v| parse_u64("--chaos-seed", v)),
-        kill_worker: flag_value(args, "--chaos-kill").map_or(0, |v| parse_u64("--chaos-kill", v)),
-        drop_heartbeat: flag_value(args, "--chaos-stall")
-            .map_or(0, |v| parse_u64("--chaos-stall", v)),
-        kill_at: flag_value(args, "--chaos-kill-at").map(|v| parse_job_attempt("--chaos-kill-at", v)),
-        stall_at: flag_value(args, "--chaos-stall-at")
-            .map(|v| parse_job_attempt("--chaos-stall-at", v)),
-    };
-    if !chaos.is_inert() {
-        eprintln!(
-            "chaos armed: seed={} kill={}/4096 stall={}/4096 kill_at={:?} stall_at={:?}",
-            chaos.seed, chaos.kill_worker, chaos.drop_heartbeat, chaos.kill_at, chaos.stall_at
-        );
-        cfg.sched.chaos = chaos;
     }
     let no_json = args.iter().any(|a| a == "--no-json");
     let resume = args.iter().any(|a| a == "--resume");
@@ -331,10 +287,6 @@ fn run_client(op: &str, addr: &str, args: &[String]) -> i32 {
                 println!(
                     "workers={} queue_depth={} outstanding={} active_sweeps={} draining={}",
                     s.workers, s.queue_depth, s.outstanding, s.active_sweeps, s.draining
-                );
-                println!(
-                    "reclaimed={} lost={} respawns={}",
-                    s.reclaimed, s.lost, s.respawns
                 );
                 for (id, digest) in &s.artifacts {
                     println!("artifact {id} {digest}");

@@ -12,23 +12,6 @@ use phast_branch::{Tage, TageConfig};
 use phast_experiments::PredictorKind;
 use phast_ooo::{Core, CoreConfig};
 
-fn parse_predictor(name: &str) -> Option<PredictorKind> {
-    Some(match name {
-        "ideal" => PredictorKind::Ideal,
-        "blind" => PredictorKind::Blind,
-        "total-order" => PredictorKind::TotalOrder,
-        "phast" => PredictorKind::Phast,
-        "unl-phast" => PredictorKind::UnlimitedPhast(None),
-        "nosq" => PredictorKind::NoSq,
-        "store-sets" => PredictorKind::StoreSets,
-        "store-vector" => PredictorKind::StoreVector,
-        "cht" => PredictorKind::Cht,
-        "mdp-tage" => PredictorKind::MdpTage,
-        "mdp-tage-s" => PredictorKind::MdpTageS,
-        _ => return None,
-    })
-}
-
 fn parse_config(name: &str) -> Option<CoreConfig> {
     CoreConfig::generations().into_iter().find(|c| c.name == name)
 }
@@ -46,8 +29,7 @@ fn main() {
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let usage = "usage: phast-trace <workload> <predictor> [--insts N] [--interval N] \
                  [--config alderlake|skylake|haswell|nehalem]\n\
-                 predictors: ideal blind total-order phast unl-phast nosq store-sets \
-                 store-vector cht mdp-tage mdp-tage-s";
+                 predictors: any label `phast-experiments --list-predictors` prints";
     let (Some(wname), Some(pname)) = (positional.first(), positional.get(1)) else {
         eprintln!("{usage}");
         std::process::exit(2);
@@ -57,7 +39,7 @@ fn main() {
         eprintln!("unknown workload '{wname}'; see phast_workloads::all_workloads()");
         std::process::exit(2);
     };
-    let Some(kind) = parse_predictor(pname) else {
+    let Some(kind) = PredictorKind::from_label(pname) else {
         eprintln!("unknown predictor '{pname}'\n{usage}");
         std::process::exit(2);
     };

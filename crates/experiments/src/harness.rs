@@ -18,6 +18,10 @@
 //! * a **run log** of [`RunRecord`]s feeding the machine-readable
 //!   `BENCH_<id>.json` artifacts ([`crate::artifact`]).
 //!
+//! Both binaries run their cells here: `phast-experiments` one sweep per
+//! experiment, `phast-serve` one per admitted submission
+//! ([`crate::serve`]).
+//!
 //! Budget tiers: [`Budget::full`] (the paper's evaluation, used by the
 //! `phast-experiments` binary), [`Budget::quick`] (smoke tests and CI),
 //! and [`Budget::bench`] (the Criterion benches in `phast-bench`).
@@ -83,22 +87,16 @@ pub enum RunFailure {
     Sim(SimError),
     /// The job panicked; the payload message survives.
     Panicked(String),
-    /// The job was lost without delivering a result: its `phast-serve`
-    /// lease expired (worker death, heartbeat loss) and the retry budget
-    /// ran out before any attempt completed.
-    Lost(String),
 }
 
 impl RunFailure {
     /// Stable failure-kind tag: [`SimError::kind`] for simulation errors,
-    /// `"panicked"` for caught panics, and `"lost"` for jobs whose lease
-    /// expired with no result. This is the `status` a journal `done` line
-    /// carries for a failed run.
+    /// `"panicked"` for caught panics. This is the `status` a journal
+    /// `done` line carries for a failed run.
     pub fn kind(&self) -> &'static str {
         match self {
             RunFailure::Sim(e) => e.kind(),
             RunFailure::Panicked(_) => "panicked",
-            RunFailure::Lost(_) => "lost",
         }
     }
 }
@@ -108,7 +106,6 @@ impl std::fmt::Display for RunFailure {
         match self {
             RunFailure::Sim(e) => e.fmt(f),
             RunFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
-            RunFailure::Lost(msg) => write!(f, "lost: {msg}"),
         }
     }
 }
@@ -327,20 +324,12 @@ pub fn simulate_run_within(
 /// A degraded [`RunResult`] for a job whose panic was caught at the pool
 /// boundary: empty statistics, failure [`RunFailure::Panicked`].
 fn panicked_result(workload: &str, label: &str, panic: JobPanic) -> RunResult {
-    failed_result(workload, label, RunFailure::Panicked(panic.message))
-}
-
-/// A degraded [`RunResult`] carrying `failure` and empty statistics — for
-/// jobs that never produced partial state: caught panics, and
-/// `phast-serve` jobs whose lease expired with no surviving attempt
-/// ([`RunFailure::Lost`]).
-pub fn failed_result(workload: &str, label: &str, failure: RunFailure) -> RunResult {
     RunResult {
         workload: workload.to_string(),
         predictor: label.to_string(),
         stats: SimStats::default(),
         num_paths: 0,
-        failure: Some(failure),
+        failure: Some(RunFailure::Panicked(panic.message)),
         wall: Duration::ZERO,
         attempts: 1,
         sampling: None,
@@ -406,14 +395,10 @@ fn execute_one_within(
 }
 
 /// One *attempt* at a full-detail sweep cell, with panic isolation but no
-/// retry loop, journaling, or registry — the one execution path every
-/// full-detail cell takes: under [`Sweep::execute_cell`]'s retry loop,
-/// and under a lease in the `phast-serve` scheduler's workers, whose
-/// retries are driven externally by lease reclamation.
-/// A panic inside the cell degrades it to [`RunFailure::Panicked`]; the
-/// cooperative `deadline` carries the service layer's cancellation flag
-/// and progress counter when called from a leased worker.
-pub fn execute_cell_once(
+/// retry loop, journaling, or registry — what [`Sweep::execute_cell`]
+/// runs once per attempt. A panic inside the cell degrades it to
+/// [`RunFailure::Panicked`].
+fn execute_cell_once(
     workload: &Workload,
     kind: &PredictorKind,
     cfg: &CoreConfig,
@@ -431,9 +416,7 @@ pub fn execute_cell_once(
 /// re-runs pairs under a different forwarding filter — so the key also
 /// carries a fingerprint of the core configuration (CRC32 of its `Debug`
 /// form, which is deterministic), the instruction budget, and the
-/// sampling shape when in sampled mode. Public because the `phast-serve`
-/// job queue journals cells under exactly the same keys, so a daemon
-/// journal and a batch journal are mutually intelligible.
+/// sampling shape when in sampled mode.
 pub fn cell_key(
     workload: &str,
     label: &str,
@@ -466,10 +449,8 @@ const RESEED_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 /// fault plan (when one is armed) so each retry explores a different
 /// fault schedule. Returns the configuration and the effective fault
 /// seed (0 when fault injection is off) — the seed journaled on the
-/// attempt's `start` line. Shared by the [`Sweep`] retry loop and the
-/// `phast-serve` lease-reclaim requeue path, which must journal the same
-/// reseeding a batch sweep would.
-pub fn reseed_for_attempt(cfg: &CoreConfig, attempt: u64) -> (CoreConfig, u64) {
+/// attempt's `start` line.
+fn reseed_for_attempt(cfg: &CoreConfig, attempt: u64) -> (CoreConfig, u64) {
     let mut cfg_attempt = cfg.clone();
     if attempt > 1 {
         if let Some(f) = &mut cfg_attempt.check.faults {
@@ -588,6 +569,15 @@ struct SampledWorkload {
     oracle: Option<(Result<Arc<DepOracle>, JobPanic>, Duration)>,
 }
 
+/// A live full-detail cell's progress, as [`Sweep::run_grid_observed`]
+/// reports it. Cells replayed from the journal report neither.
+pub(crate) enum CellProgress<'a> {
+    /// The cell's first attempt is about to run.
+    Started,
+    /// The cell has its final result, after any retries.
+    Done(&'a RunResult),
+}
+
 /// A sweep: a worker pool plus the scoped degraded-run registry and run
 /// log for one experiment.
 ///
@@ -657,8 +647,7 @@ impl Sweep {
     /// ([`Sweep::run_one`], [`Sweep::run_all`], [`Sweep::run_grid`])
     /// estimate each (workload, predictor) cell from detailed windows
     /// via `phast-sample` instead of simulating the whole budget
-    /// cycle-accurately. [`Sweep::run_custom`] and [`Sweep::map`] are
-    /// unaffected.
+    /// cycle-accurately. [`Sweep::map`] is unaffected.
     pub fn with_sampling(mut self, scfg: SampleConfig) -> Sweep {
         self.sampling = Some(scfg);
         self
@@ -725,22 +714,26 @@ impl Sweep {
         }
     }
 
-    /// Executes one full-detail cell with the resilience machinery:
-    /// journal replay (a cell the journal holds as `ok` is not
-    /// re-simulated), write-ahead `start`/`done` logging, panic
-    /// isolation, the per-run deadline watchdog, and the capped retry
-    /// policy with per-attempt fault reseeding.
+    /// Executes one full-detail cell with the resilience machinery — the
+    /// one cell lifecycle of both binaries: journal replay (a cell the
+    /// journal holds as `ok` is not re-simulated), write-ahead `start` line,
+    /// an attempt under panic isolation and the per-run deadline watchdog,
+    /// the capped retry policy with per-attempt fault reseeding, and the
+    /// `done` line. A live cell reports its start and its final result to
+    /// `observe`.
     fn execute_cell(
         &self,
         workload: &Workload,
         kind: &PredictorKind,
         cfg: &CoreConfig,
         budget: &Budget,
+        observe: &(dyn Fn(CellProgress<'_>) + Sync),
     ) -> RunResult {
         let key = cell_key(workload.name, &kind.label(), cfg, budget, None);
         if let Some(done) = self.journal.as_ref().and_then(|j| j.lookup(&key)) {
             return replayed_result(done);
         }
+        observe(CellProgress::Started);
         let max_attempts = self.max_attempts.max(1);
         let mut attempt = 0u64;
         loop {
@@ -757,55 +750,10 @@ impl Sweep {
                     let status = run.failure.as_ref().map_or("ok", RunFailure::kind);
                     j.log_done(&key, &run.to_record(), status, attempt);
                 }
+                observe(CellProgress::Done(&run));
                 return run;
             }
         }
-    }
-
-    /// Fans arbitrary run-producing jobs across the pool with **panic
-    /// isolation** and records every result: a job that panics yields a
-    /// degraded [`RunResult`] (failure kind `"panicked"`, labelled via
-    /// `label`) while every other job completes normally. This is the
-    /// resilient counterpart of [`Sweep::map`] + [`Sweep::record_all`]
-    /// for custom work that is not a plain (workload, predictor) cell.
-    pub fn run_jobs<T>(
-        &self,
-        items: &[T],
-        label: impl Fn(usize, &T) -> (String, String) + Sync,
-        exec: impl Fn(usize, &T) -> RunResult + Sync,
-    ) -> Vec<RunResult>
-    where
-        T: Sync,
-    {
-        let runs: Vec<RunResult> = pool::run_matrix_isolated(self.workers, items, &exec)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(run) => run,
-                Err(p) => {
-                    let (workload, predictor) = label(i, &items[i]);
-                    panicked_result(&workload, &predictor, p)
-                }
-            })
-            .collect();
-        self.record_all(&runs);
-        runs
-    }
-
-    /// Runs an already-built predictor on an already-built program and
-    /// records the outcome on this sweep.
-    pub fn run_custom(
-        &self,
-        workload: &str,
-        label: &str,
-        program: &Program,
-        cfg: &CoreConfig,
-        predictor: &mut dyn MemDepPredictor,
-        insts: u64,
-    ) -> RunResult {
-        let run = simulate_run(workload, label, program, cfg, predictor, insts);
-        self.record_all(std::slice::from_ref(&run));
-        run
     }
 
     /// Runs one workload under one predictor on the given core.
@@ -818,7 +766,7 @@ impl Sweep {
     ) -> RunResult {
         let run = match &self.sampling {
             Some(scfg) => execute_sampled(workload, kind, cfg, budget, scfg),
-            None => self.execute_cell(workload, kind, cfg, budget),
+            None => self.execute_cell(workload, kind, cfg, budget, &|_| {}),
         };
         self.record_all(std::slice::from_ref(&run));
         run
@@ -834,7 +782,7 @@ impl Sweep {
                 .expect("one row per kind");
         }
         let workloads = budget.workloads();
-        let runs = self.map(&workloads, |_, w| self.execute_cell(w, kind, cfg, budget));
+        let runs = self.map(&workloads, |_, w| self.execute_cell(w, kind, cfg, budget, &|_| {}));
         self.record_all(&runs);
         runs
     }
@@ -853,12 +801,26 @@ impl Sweep {
         if let Some(scfg) = self.sampling {
             return self.run_grid_sampled(kinds, cfg, budget, scfg);
         }
+        self.run_grid_observed(kinds, cfg, budget, &|_| {})
+    }
+
+    /// The full-detail grid of [`Sweep::run_grid`], reporting each live
+    /// cell's progress to `observe` from whichever worker runs it — how
+    /// `phast-serve` streams a sweep's `cell` events. Sampling is not
+    /// consulted: daemon sweeps run every cell in full detail.
+    pub(crate) fn run_grid_observed(
+        &self,
+        kinds: &[PredictorKind],
+        cfg: &CoreConfig,
+        budget: &Budget,
+        observe: &(dyn Fn(CellProgress<'_>) + Sync),
+    ) -> Vec<Vec<RunResult>> {
         let workloads = budget.workloads();
         let cells: Vec<(usize, usize)> = (0..kinds.len())
             .flat_map(|k| (0..workloads.len()).map(move |w| (k, w)))
             .collect();
         let flat = self.map(&cells, |_, &(k, w)| {
-            self.execute_cell(&workloads[w], &kinds[k], cfg, budget)
+            self.execute_cell(&workloads[w], &kinds[k], cfg, budget, observe)
         });
         self.record_all(&flat);
         let mut rows: Vec<Vec<RunResult>> = Vec::with_capacity(kinds.len());
@@ -867,6 +829,23 @@ impl Sweep {
             rows.push(flat.by_ref().take(workloads.len()).collect());
         }
         rows
+    }
+
+    /// How many cells of the full-detail `kinds` × workloads grid the
+    /// journal holds as `ok`: the cells [`Sweep::run_grid`] replays
+    /// instead of simulating.
+    pub(crate) fn journaled_cells(
+        &self,
+        kinds: &[PredictorKind],
+        cfg: &CoreConfig,
+        budget: &Budget,
+    ) -> usize {
+        let Some(j) = &self.journal else { return 0 };
+        let workloads = budget.workloads();
+        let keys = kinds.iter().flat_map(|k| {
+            workloads.iter().map(move |w| cell_key(w.name, &k.label(), cfg, budget, None))
+        });
+        keys.filter(|key| j.lookup(key).is_some()).count()
     }
 
     /// The sampled grid: **capture once per workload**, then fan every

@@ -172,23 +172,6 @@ pub fn catch_job<R>(f: impl FnOnce() -> R) -> Result<R, JobPanic> {
     })
 }
 
-/// [`run_matrix`] with per-job panic isolation: each slot holds
-/// `Ok(result)` or `Err(JobPanic)` and a panicking job never unwinds
-/// through the pool — every other task still runs, and results still
-/// arrive in task order.
-pub fn run_matrix_isolated<T, R, F>(
-    workers: usize,
-    tasks: &[T],
-    run: F,
-) -> Vec<Result<R, JobPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_matrix(workers, tasks, |i, t| catch_job(|| run(i, t)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,26 +216,6 @@ mod tests {
     fn parse_workers_accepts_positive_integers() {
         assert_eq!(parse_workers("1"), Ok(1));
         assert_eq!(parse_workers(" 16 "), Ok(16));
-    }
-
-    #[test]
-    fn isolated_matrix_survives_panicking_jobs() {
-        let tasks: Vec<usize> = (0..40).collect();
-        for workers in [1, 4, 40] {
-            let out = run_matrix_isolated(workers, &tasks, |_, &t| {
-                assert!(t % 7 != 3, "task {t} exploded");
-                t * 2
-            });
-            assert_eq!(out.len(), 40, "{workers} workers: every slot filled");
-            for (i, r) in out.iter().enumerate() {
-                if i % 7 == 3 {
-                    let p = r.as_ref().expect_err("panicking slot is Err");
-                    assert!(p.message.contains("exploded"), "payload preserved: {p}");
-                } else {
-                    assert_eq!(r.as_ref().unwrap(), &(i * 2), "clean slot unaffected");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A blocking JSON-lines client for `phast-serve`, shared by the CLI
-//! (`phast-serve --client ...`), the CI `service` job, and the chaos
+//! (`phast-serve --client ...`), the CI `service` job, and the daemon
 //! tests — which also use it to *misbehave*: dropping the connection
 //! mid-stream is one line ([`Client::into_stream`] + drop).
 
@@ -156,7 +156,7 @@ impl Client {
     }
 
     /// Surrenders the underlying stream — dropping the return value
-    /// tears the connection, which is exactly what the chaos tests do to
+    /// tears the connection, which is exactly what the daemon tests do to
     /// simulate a client dying mid-watch.
     pub fn into_stream(self) -> TcpStream {
         self.writer

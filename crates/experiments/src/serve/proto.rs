@@ -65,7 +65,7 @@ pub enum Request {
 pub enum Event {
     /// Reply to [`Request::Ping`].
     Pong {
-        /// Worker threads serving the queue.
+        /// Worker threads a sweep fans its cells across.
         workers: u64,
     },
     /// Reply to [`Request::Status`].
@@ -95,7 +95,7 @@ pub enum Event {
         predictor: String,
         /// `"ok"` or the failure kind.
         status: String,
-        /// Attempts the cell consumed across lease reclaims.
+        /// Attempts the cell consumed under the retry policy.
         attempts: u64,
     },
     /// A watched sweep finished.
@@ -129,25 +129,21 @@ pub enum Event {
     Draining,
 }
 
-/// The [`Event::Status`] payload.
+/// The [`Event::Status`] payload. Lines from older daemons that also
+/// carry lease counters (`reclaimed`, `lost`, `respawns`) still parse:
+/// unknown fields are ignored.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatusBody {
-    /// Worker threads.
+    /// Worker threads a sweep fans its cells across.
     pub workers: u64,
-    /// Jobs sitting in deques.
+    /// Live cells admitted but not started.
     pub queue_depth: u64,
-    /// Jobs admitted but not yet delivered.
+    /// Live cells admitted but not delivered.
     pub outstanding: u64,
     /// Sweeps admitted and not yet finished.
     pub active_sweeps: u64,
     /// True once a graceful drain has begun.
     pub draining: bool,
-    /// Leases reclaimed since startup.
-    pub reclaimed: u64,
-    /// Jobs degraded to `lost` since startup.
-    pub lost: u64,
-    /// Worker threads respawned since startup.
-    pub respawns: u64,
     /// Finished artifacts: `(id, digest)`, oldest first.
     pub artifacts: Vec<(String, String)>,
 }
@@ -228,9 +224,6 @@ pub fn render_event(ev: &Event) -> String {
             ("outstanding", JsonValue::UInt(b.outstanding)),
             ("active_sweeps", JsonValue::UInt(b.active_sweeps)),
             ("draining", JsonValue::Bool(b.draining)),
-            ("reclaimed", JsonValue::UInt(b.reclaimed)),
-            ("lost", JsonValue::UInt(b.lost)),
-            ("respawns", JsonValue::UInt(b.respawns)),
             (
                 "artifacts",
                 JsonValue::Array(
@@ -314,9 +307,6 @@ pub fn parse_event(line: &str) -> Result<Event, String> {
                 outstanding: req_u64(&v, "outstanding")?,
                 active_sweeps: req_u64(&v, "active_sweeps")?,
                 draining: v.get("draining").and_then(JsonValue::as_bool).unwrap_or(false),
-                reclaimed: req_u64(&v, "reclaimed")?,
-                lost: req_u64(&v, "lost")?,
-                respawns: req_u64(&v, "respawns")?,
                 artifacts,
             }))
         }
@@ -505,9 +495,6 @@ mod tests {
                 outstanding: 5,
                 active_sweeps: 1,
                 draining: false,
-                reclaimed: 2,
-                lost: 0,
-                respawns: 2,
                 artifacts: vec![("quick".into(), "crc32:00000001".into())],
             }),
             Event::Accepted { id: "quick".into(), cells: 12, replayed: 4 },
@@ -564,17 +551,12 @@ mod tests {
     }
 
     #[test]
-    fn older_daemon_status_with_remote_fields_still_parses() {
+    fn older_daemon_status_with_lease_and_remote_fields_still_parses() {
         let line = "{\"event\":\"status\",\"workers\":2,\"queue_depth\":0,\"outstanding\":0,\
                     \"active_sweeps\":0,\"draining\":false,\"reclaimed\":1,\"lost\":0,\
                     \"respawns\":1,\"remote_workers\":1,\"remote_delivered\":7,\
                     \"remote_stale\":1,\"artifacts\":[]}";
-        let expected = StatusBody {
-            workers: 2,
-            reclaimed: 1,
-            respawns: 1,
-            ..StatusBody::default()
-        };
+        let expected = StatusBody { workers: 2, ..StatusBody::default() };
         assert_eq!(parse_event(line), Ok(Event::Status(expected)));
     }
 

@@ -1,11 +1,20 @@
 //! The daemon itself: TCP accept loop, per-connection protocol threads,
-//! admission control, artifact index, and graceful drain.
+//! admission control, sweep threads, artifact index, and graceful drain.
+//!
+//! Execution model: each admitted sweep runs on a thread of its own as a
+//! batch [`Sweep`] with the daemon's worker count, watchdog and journal
+//! scope — the same kind-major grid, per-cell lifecycle (journal lookup →
+//! `start` → attempt under a deadline → `done`) and artifact as
+//! `phast-experiments`. Sweeps take turns on one daemon-wide lock, so the
+//! worker count caps the cells simulating at once; two admitted sweeps
+//! run one after the other, not interleaved.
 //!
 //! Connection model: one thread per client, blocking JSON-lines reads.
 //! A `submit` with `watch` dedicates the connection to that sweep — the
-//! thread streams [`Event::Cell`] lines and the final [`Event::Done`].
-//! If the client vanishes mid-stream (torn connection, closed socket),
-//! the sweep is **not** cancelled: it downgrades to fire-and-forget, the
+//! thread relays the [`Event::Cell`] lines the sweep's thread sends into
+//! a channel, then the final [`Event::Done`], so a slow watcher never
+//! stalls simulation. If the client vanishes mid-stream (torn
+//! connection, closed socket), the sweep is **not** cancelled: the
 //! daemon finishes it, journals it, writes the artifact, and serves it
 //! later by digest via `fetch` — client lifetime and result lifetime are
 //! deliberately decoupled.
@@ -17,30 +26,49 @@
 //!
 //! Graceful drain ([`Server::shutdown`] or the `shutdown` op): stop
 //! accepting connections and admitting sweeps, let in-flight sweeps
-//! finish (lease reclaims and retries included), flush their artifacts,
-//! drain the scheduler, and publish a process exit code from the
-//! established taxonomy (`0` ok / `1` degraded / `3` integrity / `4`
+//! finish, flush their artifacts, and publish a process exit code from
+//! the established taxonomy (`0` ok / `1` degraded / `3` integrity / `4`
 //! deadline) covering everything the daemon ran.
 
 use super::proto::{self, Event, Request, StatusBody, WireError};
-use super::runner::{submit_sweep, SweepRun, SweepSpec};
-use super::sched::{SchedConfig, Scheduler};
-use crate::harness::exit_code;
+use crate::artifact::SweepArtifact;
+use crate::harness::{exit_code, Budget, CellProgress, RunFailure, Sweep};
 use crate::journal::Journal;
+use crate::pool;
 use crate::predictors::PredictorKind;
+use phast_ooo::CoreConfig;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How many cells the daemon simulates at once.
+#[derive(Clone, Debug)]
+pub struct SchedConfig {
+    /// Worker threads a sweep fans its cells across (clamped to at
+    /// least 1).
+    pub workers: usize,
+    /// Ignored: every cell runs solo. The field outlives the lane-batched
+    /// cycle loop it used to size only because the benchmark package's
+    /// daemon loop (`simbench/src/serve_loop.rs`) still sets `lanes: 1`
+    /// in a struct literal; delete it once that literal drops it.
+    pub lanes: usize,
+}
+
+impl Default for SchedConfig {
+    fn default() -> SchedConfig {
+        SchedConfig { workers: pool::default_workers(), lanes: 1 }
+    }
+}
 
 /// Daemon configuration.
 pub struct ServeConfig {
     /// Bind address; use port `0` to let the OS pick (tests).
     pub addr: String,
-    /// Scheduler shape and resilience policy.
+    /// How many cells simulate at once.
     pub sched: SchedConfig,
     /// Admission cap: sweeps in flight before submissions are rejected
     /// with backpressure.
@@ -76,13 +104,24 @@ struct ArtifactEntry {
 }
 
 struct ServerShared {
-    sched: Scheduler,
+    workers: usize,
     json_dir: Option<PathBuf>,
     journal: Option<Journal>,
     run_timeout: Option<Duration>,
     max_active_sweeps: usize,
     addr: SocketAddr,
+    /// Held by the sweep that is simulating: admitted sweeps take turns.
+    turn: Mutex<()>,
+    /// The threads of admitted sweeps not yet joined: admission joins the
+    /// finished ones, the drain all of them. Admission checks `shutdown`
+    /// while holding this lock, so no sweep is admitted after the drain
+    /// has taken the list.
+    sweeps: Mutex<Vec<JoinHandle<()>>>,
     active_sweeps: AtomicUsize,
+    /// Live cells admitted but not started.
+    queued: AtomicUsize,
+    /// Live cells admitted but not delivered.
+    outstanding: AtomicUsize,
     artifacts: Mutex<Vec<ArtifactEntry>>,
     shutdown: AtomicBool,
     any_degraded: AtomicBool,
@@ -101,8 +140,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `cfg.addr`, starts the scheduler, and begins accepting
-    /// connections.
+    /// Binds `cfg.addr` and begins accepting connections.
     ///
     /// # Errors
     ///
@@ -112,13 +150,17 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
-            sched: Scheduler::start(cfg.sched),
+            workers: cfg.sched.workers.max(1),
             json_dir: cfg.json_dir,
             journal: cfg.journal,
             run_timeout: cfg.run_timeout,
             max_active_sweeps: cfg.max_active_sweeps.max(1),
             addr,
+            turn: Mutex::new(()),
+            sweeps: Mutex::new(Vec::new()),
             active_sweeps: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            outstanding: AtomicUsize::new(0),
             artifacts: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             any_degraded: AtomicBool::new(false),
@@ -176,12 +218,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         }
     }
     drop(listener); // stop accepting: new connections are refused
-    // Let every admitted sweep finish and flush its artifact...
-    while shared.active_sweeps.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // ...then take the scheduler down (no outstanding jobs remain).
-    shared.sched.drain();
+    // Let every admitted sweep finish and flush its artifact.
+    join_sweeps(&shared, std::mem::take(&mut *shared.sweeps.lock().expect("sweep list")));
     let code = if shared.any_integrity.load(Ordering::SeqCst) {
         exit_code::INTEGRITY
     } else {
@@ -192,6 +230,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
     };
     *shared.exit.lock().expect("exit slot") = Some(code);
     shared.exited.notify_all();
+}
+
+/// Joins sweep threads. One that panicked produced no artifact: it
+/// counts as degraded in the daemon's exit code.
+fn join_sweeps(shared: &ServerShared, sweeps: impl IntoIterator<Item = JoinHandle<()>>) {
+    for sweep in sweeps {
+        if sweep.join().is_err() {
+            shared.any_degraded.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Writes one event line; an error means the client is gone.
@@ -247,11 +295,9 @@ fn client_thread(stream: TcpStream, shared: Arc<ServerShared>) {
             }
         };
         let keep_going = match request {
-            Request::Ping => send(
-                &mut writer,
-                &Event::Pong { workers: shared.sched.workers() as u64 },
-            )
-            .is_ok(),
+            Request::Ping => {
+                send(&mut writer, &Event::Pong { workers: shared.workers as u64 }).is_ok()
+            }
             Request::Status => send(&mut writer, &status_event(&shared)).is_ok(),
             Request::Fetch { digest } => {
                 let found = shared
@@ -272,7 +318,7 @@ fn client_thread(stream: TcpStream, shared: Arc<ServerShared>) {
                 send(&mut writer, &Event::Draining).is_ok()
             }
             Request::Submit { id, kinds, budget, watch } => {
-                handle_submit(&shared, &mut writer, id, kinds, budget, watch)
+                handle_submit(&shared, &mut writer, id, &kinds, &budget, watch)
             }
         };
         if !keep_going {
@@ -281,9 +327,8 @@ fn client_thread(stream: TcpStream, shared: Arc<ServerShared>) {
     }
 }
 
-/// The `status` reply: scheduler health plus the artifact index.
+/// The `status` reply: queue health plus the artifact index.
 fn status_event(shared: &ServerShared) -> Event {
-    let stats = shared.sched.stats();
     let artifacts = shared
         .artifacts
         .lock()
@@ -292,185 +337,185 @@ fn status_event(shared: &ServerShared) -> Event {
         .map(|a| (a.id.clone(), a.digest.clone()))
         .collect();
     Event::Status(StatusBody {
-        workers: shared.sched.workers() as u64,
-        queue_depth: shared.sched.queue_depth() as u64,
-        outstanding: shared.sched.outstanding() as u64,
+        workers: shared.workers as u64,
+        queue_depth: shared.queued.load(Ordering::SeqCst) as u64,
+        outstanding: shared.outstanding.load(Ordering::SeqCst) as u64,
         active_sweeps: shared.active_sweeps.load(Ordering::SeqCst) as u64,
-        draining: shared.shutdown.load(Ordering::SeqCst) || shared.sched.draining(),
-        reclaimed: stats.reclaimed,
-        lost: stats.lost,
-        respawns: stats.respawns,
+        draining: shared.shutdown.load(Ordering::SeqCst),
         artifacts,
     })
 }
 
-/// Admission control, submission, and (for watchers) the event stream.
-/// Returns whether the connection is still usable.
+/// Admission, then (for watchers) the sweep's event stream. Returns
+/// whether the connection is still usable.
 fn handle_submit(
     shared: &Arc<ServerShared>,
     writer: &mut TcpStream,
     id: String,
-    kinds: Vec<String>,
-    budget: String,
+    kinds: &[String],
+    budget: &str,
     watch: bool,
 ) -> bool {
-    if shared.shutdown.load(Ordering::SeqCst) || shared.sched.draining() {
-        return send(
-            writer,
-            &Event::Rejected { reason: "draining".to_string(), retry_after_ms: None },
-        )
-        .is_ok();
-    }
-    // Backpressure: admit up to the cap, atomically.
-    let admitted = shared
-        .active_sweeps
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            (n < shared.max_active_sweeps).then_some(n + 1)
-        })
-        .is_ok();
-    if !admitted {
-        let backlog = shared.sched.outstanding() as u64;
-        return send(
-            writer,
-            &Event::Rejected {
-                reason: "queue-full".to_string(),
-                retry_after_ms: Some(250 * (backlog + 1)),
-            },
-        )
-        .is_ok();
-    }
-    // Past admission: every early return must release the slot.
-    let release = |shared: &ServerShared| {
-        shared.active_sweeps.fetch_sub(1, Ordering::SeqCst);
+    let (accepted, events) = match admit(shared, id, kinds, budget) {
+        Ok(admitted) => admitted,
+        Err(refusal) => return send(writer, &refusal).is_ok(),
     };
-    let Some(budget) = proto::parse_budget(&budget) else {
-        release(shared);
-        return send(writer, &Event::Error { reason: format!("unknown budget tier '{budget}'") })
-            .is_ok();
-    };
-    let mut parsed: Vec<PredictorKind> = Vec::with_capacity(kinds.len());
-    for label in &kinds {
-        match PredictorKind::from_label(label) {
-            Some(k) => parsed.push(k),
-            None => {
-                release(shared);
-                return send(
-                    writer,
-                    &Event::Error { reason: format!("unknown predictor label '{label}'") },
-                )
-                .is_ok();
-            }
-        }
-    }
-    if id.is_empty() || !id.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_') {
-        release(shared);
-        return send(
-            writer,
-            &Event::Error { reason: format!("bad sweep id '{id}' (want [A-Za-z0-9_-]+)") },
-        )
-        .is_ok();
-    }
-    let spec = SweepSpec {
-        id: id.clone(),
-        kinds: parsed,
-        budget,
-        cfg: phast_ooo::CoreConfig::alder_lake(),
-        run_timeout: shared.run_timeout,
-    };
-    let scope = shared.journal.as_ref().map(|j| j.scope(&id));
-    let run = match submit_sweep(spec, &shared.sched, scope) {
-        Ok(run) => run,
-        Err(e) => {
-            release(shared);
-            return send(writer, &Event::Rejected { reason: e.to_string(), retry_after_ms: None })
-                .is_ok();
-        }
-    };
-    let accepted = Event::Accepted {
-        id: id.clone(),
-        cells: run.cells() as u64,
-        replayed: run.replayed() as u64,
-    };
+    // From here the sweep runs whatever the client does: a client that
+    // dies before the acknowledgement or mid-stream leaves it running
+    // fire-and-forget, and its artifact is served by digest.
     if send(writer, &accepted).is_err() {
-        // Client died between submit and ack: fire-and-forget from here.
-        drive_sweep(Arc::clone(shared), run);
         return false;
     }
-    if watch {
-        // The connection is dedicated to this sweep until Done (or until
-        // the client tears it down, which downgrades to fire-and-forget).
-        drive_sweep_inline(shared, run, writer)
-    } else {
-        let shared2 = Arc::clone(shared);
-        std::thread::spawn(move || drive_sweep(shared2, run));
-        true
-    }
+    !watch || events.iter().all(|ev| send(writer, &ev).is_ok())
 }
 
-/// Drives a sweep to completion on the calling (connection) thread,
-/// streaming events until the client disconnects. Returns whether the
-/// connection survived.
-fn drive_sweep_inline(shared: &Arc<ServerShared>, run: SweepRun, writer: &mut TcpStream) -> bool {
-    let mut attached = true;
-    while let Some(cell) = run.next_event() {
-        if attached {
-            let ev = Event::Cell {
-                workload: cell.workload,
-                predictor: cell.predictor,
-                status: cell.status,
-                attempts: cell.attempts,
-            };
-            if send(writer, &ev).is_err() {
-                // Torn connection: downgrade to fire-and-forget. The
-                // sweep keeps running; the artifact will be served by
-                // digest.
-                attached = false;
+/// Admission control. Refuses with [`Event::Rejected`] while draining or
+/// at the in-flight cap, and with [`Event::Error`] (consuming no slot)
+/// for an unknown budget tier or predictor label or a bad id. Otherwise
+/// spawns the sweep's thread and returns the `accepted` event plus the
+/// channel its `cell` and `done` events arrive on.
+fn admit(
+    shared: &Arc<ServerShared>,
+    id: String,
+    kinds: &[String],
+    budget: &str,
+) -> Result<(Event, mpsc::Receiver<Event>), Event> {
+    let mut sweeps = shared.sweeps.lock().expect("sweep list");
+    join_sweeps(shared, sweeps.extract_if(.., |sweep| sweep.is_finished()));
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(Event::Rejected { reason: "draining".to_string(), retry_after_ms: None });
+    }
+    if shared.active_sweeps.load(Ordering::SeqCst) >= shared.max_active_sweeps {
+        let backlog = shared.outstanding.load(Ordering::SeqCst) as u64;
+        return Err(Event::Rejected {
+            reason: "queue-full".to_string(),
+            retry_after_ms: Some(250 * (backlog + 1)),
+        });
+    }
+    let error = |reason: String| Event::Error { reason };
+    let budget = proto::parse_budget(budget)
+        .ok_or_else(|| error(format!("unknown budget tier '{budget}'")))?;
+    let kinds = kinds
+        .iter()
+        .map(|label| {
+            PredictorKind::from_label(label)
+                .ok_or_else(|| error(format!("unknown predictor label '{label}'")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if id.is_empty() || !id.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_') {
+        return Err(error(format!("bad sweep id '{id}' (want [A-Za-z0-9_-]+)")));
+    }
+    let mut sweep = Sweep::with_workers(shared.workers);
+    if let Some(t) = shared.run_timeout {
+        sweep = sweep.with_run_timeout(t);
+    }
+    if let Some(j) = &shared.journal {
+        sweep = sweep.with_journal(j.scope(&id));
+    }
+    let cfg = CoreConfig::alder_lake();
+    let cells = kinds.len() * budget.workloads().len();
+    let replayed = sweep.journaled_cells(&kinds, &cfg, &budget);
+    shared.active_sweeps.fetch_add(1, Ordering::SeqCst);
+    shared.queued.fetch_add(cells - replayed, Ordering::SeqCst);
+    shared.outstanding.fetch_add(cells - replayed, Ordering::SeqCst);
+    let accepted =
+        Event::Accepted { id: id.clone(), cells: cells as u64, replayed: replayed as u64 };
+    let (tx, rx) = mpsc::channel();
+    let shared = Arc::clone(shared);
+    sweeps.push(std::thread::spawn(move || {
+        run_sweep(&shared, &sweep, &id, &kinds, &cfg, &budget, &tx);
+    }));
+    Ok((accepted, rx))
+}
+
+/// One admitted sweep, on its own thread: wait for the daemon's turn,
+/// run the grid on the batch engine while sending each live cell's
+/// `cell` event into `events`, then seal the artifact and send `done`.
+fn run_sweep(
+    shared: &ServerShared,
+    sweep: &Sweep,
+    id: &str,
+    kinds: &[PredictorKind],
+    cfg: &CoreConfig,
+    budget: &Budget,
+    events: &mpsc::Sender<Event>,
+) {
+    let wall = {
+        // The turn guards no data, so a poisoned lock is still a turn.
+        let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        let started = Instant::now();
+        // A send fails only once the watcher is gone; the sweep goes on.
+        sweep.run_grid_observed(kinds, cfg, budget, &|progress| match progress {
+            CellProgress::Started => {
+                shared.queued.fetch_sub(1, Ordering::SeqCst);
             }
+            CellProgress::Done(run) => {
+                shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+                let _ = events.send(Event::Cell {
+                    workload: run.workload.clone(),
+                    predictor: run.predictor.clone(),
+                    status: run.failure.as_ref().map_or("ok", RunFailure::kind).to_string(),
+                    attempts: run.attempts,
+                });
+            }
+        });
+        started.elapsed()
+    };
+    let _ = events.send(finish_sweep(shared, sweep, id, budget, wall));
+}
+
+/// Completes a sweep: seal, self-verify and persist the artifact, index
+/// it, fold its verdict into the daemon's exit taxonomy, release the
+/// admission slot, and build the `done` event.
+fn finish_sweep(
+    shared: &ServerShared,
+    sweep: &Sweep,
+    id: &str,
+    budget: &Budget,
+    wall: Duration,
+) -> Event {
+    let artifact = sweep.artifact(id, budget, wall);
+    let body = artifact.to_json();
+    // Fail-closed self-check: the rendered artifact must verify against
+    // its own digest before anyone is told it is good.
+    let integrity_ok = SweepArtifact::verify_json(&body).is_ok();
+    if let (Some(dir), true) = (&shared.json_dir, integrity_ok) {
+        if let Err(e) = artifact.write_to(dir) {
+            eprintln!(
+                "warning: artifact write failed ({}: {e}); serving from memory only",
+                dir.display()
+            );
         }
     }
-    let done = finish_sweep(shared, run);
-    if attached {
-        attached = send(writer, &done).is_ok();
-    }
-    attached
-}
-
-/// Detached driver for fire-and-forget sweeps (no client, or the client
-/// died before acknowledgement).
-fn drive_sweep(shared: Arc<ServerShared>, run: SweepRun) {
-    while run.next_event().is_some() {}
-    let _ = finish_sweep(&shared, run);
-}
-
-/// Completes a sweep: assemble + persist the artifact, index it, fold
-/// its verdict into the daemon's exit taxonomy, release the admission
-/// slot, and build the `done` event.
-fn finish_sweep(shared: &Arc<ServerShared>, run: SweepRun) -> Event {
-    let outcome = run.finish(shared.sched.workers(), shared.json_dir.as_deref());
-    if !outcome.degraded.is_empty() {
+    let degraded = artifact.degraded.len();
+    let deadline_runs = sweep.deadline_count();
+    let exit = if integrity_ok {
+        exit_code::for_outcome(degraded > 0, deadline_runs > 0)
+    } else {
+        exit_code::INTEGRITY
+    };
+    if degraded > 0 {
         shared.any_degraded.store(true, Ordering::SeqCst);
     }
-    if outcome.deadline_runs > 0 {
+    if deadline_runs > 0 {
         shared.any_deadline.store(true, Ordering::SeqCst);
     }
-    if outcome.exit == exit_code::INTEGRITY {
+    if !integrity_ok {
         shared.any_integrity.store(true, Ordering::SeqCst);
     }
-    if let Some(e) = &outcome.write_error {
-        eprintln!("warning: artifact write failed ({e}); serving from memory only");
-    }
+    let digest = artifact.digest();
     let done = Event::Done {
-        id: outcome.artifact.id.clone(),
-        digest: outcome.digest.clone(),
-        runs: outcome.artifact.runs.len() as u64,
-        degraded: outcome.degraded.len() as u64,
-        deadline_runs: outcome.deadline_runs as u64,
-        exit: outcome.exit as u64,
+        id: id.to_string(),
+        digest: digest.clone(),
+        runs: artifact.runs.len() as u64,
+        degraded: degraded as u64,
+        deadline_runs: deadline_runs as u64,
+        exit: exit as u64,
     };
     shared.artifacts.lock().expect("artifact index").push(ArtifactEntry {
-        id: outcome.artifact.id.clone(),
-        digest: outcome.digest,
-        body: outcome.body,
+        id: id.to_string(),
+        digest,
+        body,
     });
     shared.active_sweeps.fetch_sub(1, Ordering::SeqCst);
     done

@@ -1,7 +1,8 @@
-//! Both binaries refuse flags they do not parse: exit 2 with the flag
+//! The binaries refuse flags they do not parse: exit 2 with the flag
 //! named on stderr, never a silent run with the flag ignored. Retired
-//! flags (lane count, trace record/replay, remote workers) get the same
-//! answer as a typo, and so does an invocation with no workloads to run.
+//! flags (lane count, trace record/replay, remote workers, daemon leases
+//! and chaos injection) get the same answer as a typo, and so do a zero
+//! worker or admission count and an invocation with no workloads to run.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -10,6 +11,7 @@ use std::time::{Duration, Instant};
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_phast-experiments");
 const SERVE: &str = env!("CARGO_BIN_EXE_phast-serve");
+const TRACE: &str = env!("CARGO_BIN_EXE_phast-trace");
 
 /// Runs `bin` with `args` and returns its exit code and stderr. A child
 /// still running after 60 s is killed and fails the test: a flag that
@@ -69,8 +71,34 @@ fn unknown_flags_exit_2_naming_the_flag() {
 }
 
 #[test]
+fn serve_refuses_retired_flags_and_non_positive_counts() {
+    for flag in [
+        "--heartbeat-ms=10000",
+        "--lease-secs=600",
+        "--chaos-seed=7",
+        "--chaos-kill=1",
+        "--chaos-stall=1",
+        "--chaos-kill-at=3:1",
+        "--chaos-stall-at=3:1",
+        "--workers=0",
+        "--workers=four",
+        "--max-active=0",
+        "--max-active=-1",
+    ] {
+        let args = ["--addr=127.0.0.1:0", "--no-json", flag];
+        let (code, stderr) = run(SERVE, &args);
+        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+        let name = flag.split('=').next().expect("flag name");
+        assert!(stderr.contains(name), "{args:?} must name {name}: {stderr}");
+    }
+}
+
+#[test]
 fn known_flags_still_run() {
     let (code, stderr) = run(EXPERIMENTS, &["--no-json", "--quick", "table1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    // phast-trace takes every label --list-predictors prints.
+    let (code, stderr) = run(TRACE, &["exchange2", "unl-mdp-tage", "--insts", "5000"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
 }
 

@@ -1,68 +1,75 @@
-//! Panic isolation and watchdog contract of the sweep engine: a job that
-//! panics or hangs degrades *its own* cell — with kind `"panicked"` or
-//! `"deadline"` in the registry — and every other cell of the matrix
-//! still completes with results identical to an undisturbed sweep.
+//! Panic isolation, watchdog and retry contract of the sweep engine's
+//! cell lifecycle: a cell that panics or hangs degrades *its own* cell —
+//! with kind `"panicked"` or `"deadline"` in the registry — and every
+//! other cell of the grid still completes with results identical to an
+//! undisturbed sweep. Every retry journals its own write-ahead `start`
+//! line with its own fault reseed.
 
-use phast_experiments::harness::simulate_run;
-use phast_experiments::{exit_code, Budget, PredictorKind, RunResult, Sweep};
-use phast_ooo::CoreConfig;
+use phast_experiments::artifact::JsonValue;
+use phast_experiments::{exit_code, jsonio, Budget, Journal, PredictorKind, Sweep};
+use phast_isa::{CondKind, ProgramBuilder, Reg};
+use phast_ooo::{CheckConfig, CoreConfig, FaultPlan};
+use phast_workloads::Workload;
 use std::time::Duration;
 
 fn budget() -> Budget {
     Budget { insts: 5_000, workload_iters: 30_000, max_workloads: Some(3), extra_workloads: Vec::new() }
 }
 
-/// One clean full-detail run of workload `w` under the Blind predictor.
-fn clean_run(w: usize, budget: &Budget) -> RunResult {
-    let workload = budget.workloads()[w];
-    let cfg = CoreConfig::alder_lake();
-    let program = workload.build(budget.workload_iters);
-    let mut predictor = PredictorKind::Blind.build(&program, budget.insts);
-    simulate_run(workload.name, "blind", &program, &cfg, predictor.as_mut(), budget.insts)
+/// Emulates cleanly through a 12k-instruction budget, then returns to a
+/// bogus block inside the ideal oracle's look-ahead margin: building the
+/// ideal predictor panics, while every other predictor runs clean.
+fn late_bad_ret() -> Workload {
+    Workload::dynamic("late_bad_ret".into(), "test".into(), |_| {
+        let mut b = ProgramBuilder::new();
+        let (entry, body, tail) = (b.block(), b.block(), b.block());
+        b.at(entry).li(Reg(1), 10_000).li(Reg(2), 999).fallthrough(body);
+        let mut c = b.at(body);
+        c.addi(Reg(1), Reg(1), -1).branchi(CondKind::Ne, Reg(1), 0, body).fallthrough(tail);
+        b.at(tail).ret_via(Reg(2));
+        b.set_entry(entry);
+        b.build().expect("valid program")
+    })
 }
 
 #[test]
-fn panicking_jobs_never_abort_the_sweep() {
-    let budget = budget();
-    let items: Vec<usize> = (0..6).collect();
-    let exploding = |i: usize| i % 3 == 1;
-
+fn panicking_cells_never_abort_the_sweep() {
+    let budget = Budget {
+        insts: 12_000,
+        workload_iters: 30_000,
+        max_workloads: Some(2),
+        extra_workloads: vec![late_bad_ret()],
+    };
+    let kinds = [PredictorKind::Blind, PredictorKind::Ideal, PredictorKind::StoreSets];
+    let mut reference: Option<Vec<u64>> = None;
     for workers in [1, 4] {
         let sweep = Sweep::with_workers(workers);
-        let runs = sweep.run_jobs(
-            &items,
-            |_, &i| (format!("job{i}"), "blind".to_string()),
-            |_, &i| {
-                assert!(!exploding(i), "job {i} exploded");
-                clean_run(i % 3, &budget)
-            },
-        );
-        assert_eq!(runs.len(), items.len(), "every slot filled at {workers} workers");
-
-        for (i, run) in runs.iter().enumerate() {
-            if exploding(i) {
-                let failure = run.failure.as_ref().expect("panicking job is degraded");
-                assert_eq!(failure.kind(), "panicked");
-                assert!(
-                    failure.to_string().contains(&format!("job {i} exploded")),
-                    "payload survives: {failure}"
-                );
-                assert_eq!(run.workload, format!("job{i}"));
-            } else {
-                // Clean neighbours are bit-identical to an undisturbed run.
-                let reference = clean_run(i % 3, &budget);
-                assert!(run.failure.is_none(), "clean job {i} unaffected");
-                assert_eq!(run.stats.ipc().to_bits(), reference.stats.ipc().to_bits());
-                assert_eq!(run.stats.cycles, reference.stats.cycles);
-                assert_eq!(run.stats.committed, reference.stats.committed);
+        let grid = sweep.run_grid(&kinds, &CoreConfig::alder_lake(), &budget);
+        for (kind, row) in kinds.iter().zip(&grid) {
+            assert_eq!(row.len(), 3, "every cell filled at {workers} workers");
+            for run in row {
+                if *kind == PredictorKind::Ideal && run.workload == "late_bad_ret" {
+                    let failure = run.failure.as_ref().expect("the oracle build panics");
+                    assert_eq!(failure.kind(), "panicked");
+                    assert!(
+                        failure.to_string().contains("workloads emulate cleanly"),
+                        "payload survives: {failure}"
+                    );
+                } else {
+                    let cell = format!("{} × {}", run.workload, run.predictor);
+                    assert!(run.ok(), "{cell} unaffected: {:?}", run.failure);
+                }
             }
         }
-
-        let degraded = sweep.take_degraded();
-        assert_eq!(degraded.len(), 2, "exactly the exploding jobs degrade");
-        for d in &degraded {
-            assert!(d.contains("panicked"), "registry names the panic: {d}");
+        // Clean neighbours are identical to the 1-worker sweep's.
+        let cycles: Vec<u64> = grid.iter().flatten().map(|r| r.stats.cycles).collect();
+        match &reference {
+            None => reference = Some(cycles),
+            Some(want) => assert_eq!(&cycles, want, "{workers} workers"),
         }
+        let degraded = sweep.take_degraded();
+        assert_eq!(degraded.len(), 1, "exactly the ideal late_bad_ret cell degrades");
+        assert!(degraded[0].contains("panicked"), "registry names the panic: {}", degraded[0]);
     }
 }
 
@@ -103,4 +110,52 @@ fn retry_policy_caps_attempts_and_keeps_clean_runs_single_shot() {
     assert!(run.failure.is_some(), "poisoned config still fails");
     assert_eq!(run.attempts, 2, "capped at --retries attempts");
     assert_eq!(sweep.take_degraded().len(), 1, "recorded once, not once per attempt");
+}
+
+#[test]
+fn every_retry_journals_its_own_start_line_and_reseed() {
+    let dir = std::env::temp_dir().join(format!("phast-pool-panics-reseed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("journal.jsonl");
+    let journal = Journal::create(&path, "reseed test").expect("journal");
+
+    // Deadlocks before the first commit on every attempt. A zero-rate
+    // fault plan gives the reseed policy a seed to perturb without
+    // injecting any fault.
+    let mut cfg = CoreConfig::alder_lake();
+    cfg.deadlock_cycles = 2;
+    let plan = FaultPlan {
+        seed: 77,
+        drop_prediction: 0,
+        flip_distance: 0,
+        spurious_violation: 0,
+        corrupt_training: 0,
+    };
+    cfg.check = CheckConfig { faults: Some(plan), ..CheckConfig::default() };
+    let budget = budget();
+    let sweep = Sweep::serial().with_retries(3).with_journal(journal.scope("reseed"));
+    let run = sweep.run_one(&budget.workloads()[0], &PredictorKind::Blind, &cfg, &budget);
+    assert_eq!(run.attempts, 3);
+
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let lines: Vec<JsonValue> =
+        text.lines().map(|l| jsonio::parse(l).expect("journal line parses")).collect();
+    let of_kind = |kind: &str| -> Vec<&JsonValue> {
+        lines.iter().filter(|l| l.get("kind").and_then(JsonValue::as_str) == Some(kind)).collect()
+    };
+    let field = |l: &JsonValue, key: &str| l.get(key).and_then(JsonValue::as_u64).expect(key);
+    let starts: Vec<(u64, u64)> =
+        of_kind("start").iter().map(|l| (field(l, "attempt"), field(l, "seed"))).collect();
+    assert_eq!(starts.iter().map(|s| s.0).collect::<Vec<_>>(), [1, 2, 3], "attempts in order");
+    assert_eq!(starts[0].1, 77, "attempt 1 runs the configured fault seed");
+    assert!(
+        starts[1].1 != 77 && starts[2].1 != 77 && starts[1].1 != starts[2].1,
+        "each retry draws a distinct fault seed: {starts:?}"
+    );
+    let done = of_kind("done");
+    assert_eq!(done.len(), 1, "only the final attempt journals done");
+    assert_eq!(done[0].get("status").and_then(JsonValue::as_str), Some("deadlock"));
+    assert_eq!(field(done[0], "attempts"), 3);
 }

@@ -463,9 +463,9 @@ impl<'a> Core<'a> {
     /// token on the cycle-ceiling path — once every
     /// [`DEADLINE_CHECK_INTERVAL`](crate::DEADLINE_CHECK_INTERVAL) cycles,
     /// so the steady-state loop stays allocation-free — and converts an
-    /// expired deadline (or raised cancellation flag) into
-    /// [`SimError::Deadline`]. This is the per-run watchdog the sweep
-    /// engine uses to turn hung runs into reportable failures.
+    /// expired deadline into [`SimError::Deadline`]. This is the per-run
+    /// watchdog the sweep engine uses to turn hung runs into reportable
+    /// failures.
     ///
     /// The run is resumable: calling this again on the same core continues
     /// toward a larger `max_insts` with statistics that stay cumulative
@@ -483,14 +483,11 @@ impl<'a> Core<'a> {
     ) -> Result<SimStats, SimError> {
         const MASK: u64 = crate::deadline::DEADLINE_CHECK_INTERVAL - 1;
         while !self.halted && self.stats.committed < max_insts && self.cycle < max_cycles {
-            if self.cycle & MASK == 0 {
-                deadline.tick();
-                if deadline.expired() {
-                    return Err(SimError::Deadline {
-                        wall: deadline.elapsed(),
-                        snapshot: self.snapshot(),
-                    });
-                }
+            if self.cycle & MASK == 0 && deadline.expired() {
+                return Err(SimError::Deadline {
+                    wall: deadline.elapsed(),
+                    snapshot: self.snapshot(),
+                });
             }
             self.try_step()?;
         }

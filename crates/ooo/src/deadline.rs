@@ -1,4 +1,4 @@
-//! Cooperative per-run watchdog: wall-clock deadlines and cancellation.
+//! Cooperative per-run watchdog: wall-clock deadlines.
 //!
 //! A [`Deadline`] is a cheap token a caller plumbs into
 //! [`Core::try_run_within`](crate::Core::try_run_within) (or
@@ -6,9 +6,9 @@
 //! polls it on the existing cycle-ceiling path — once every
 //! [`DEADLINE_CHECK_INTERVAL`] cycles, so the steady-state loop stays
 //! allocation-free and the poll cost is amortized to nothing — and
-//! converts an expired deadline or a raised cancellation flag into a
-//! structured [`SimError::Deadline`](crate::SimError::Deadline) instead of
-//! letting a hung run stall a whole sweep.
+//! converts an expired deadline into a structured
+//! [`SimError::Deadline`](crate::SimError::Deadline) instead of letting a
+//! hung run stall a whole sweep.
 //!
 //! The token is *cooperative*: it cannot interrupt a single simulated
 //! cycle, only stop the run between cycles. That is exactly the guarantee
@@ -16,28 +16,24 @@
 //! cycle would already have tripped the deadlock watchdog or an invariant
 //! audit.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often (in cycles) the core polls its [`Deadline`]. A power of two,
 /// so the check is a mask against the cycle counter.
 pub const DEADLINE_CHECK_INTERVAL: u64 = 2048;
 
-/// A wall-clock deadline and/or cancellation flag for one simulation run.
+/// A wall-clock deadline for one simulation run.
 ///
 /// The default token is unbounded: [`Deadline::expired`] is `false`
-/// forever and polling it costs two `Option` discriminant reads.
+/// forever and polling it costs one `Option` discriminant read.
 #[derive(Clone, Debug, Default)]
 pub struct Deadline {
     started: Option<Instant>,
     at: Option<Instant>,
-    cancel: Option<Arc<AtomicBool>>,
-    progress: Option<Arc<AtomicU64>>,
 }
 
 impl Deadline {
-    /// An unbounded token: never expires, cannot be cancelled.
+    /// An unbounded token: never expires.
     pub fn none() -> Deadline {
         Deadline::default()
     }
@@ -45,54 +41,11 @@ impl Deadline {
     /// A deadline `budget` of wall-clock time from now.
     pub fn after(budget: Duration) -> Deadline {
         let now = Instant::now();
-        Deadline {
-            started: Some(now),
-            at: Some(now.checked_add(budget).unwrap_or(now)),
-            cancel: None,
-            progress: None,
-        }
+        Deadline { started: Some(now), at: Some(now.checked_add(budget).unwrap_or(now)) }
     }
 
-    /// Attaches a cooperative cancellation flag; raising it (from any
-    /// thread) expires the token at the next poll.
-    pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Deadline {
-        self.cancel = Some(flag);
-        self
-    }
-
-    /// Attaches a shared progress counter: the cycle loop bumps it once
-    /// per deadline poll (every [`DEADLINE_CHECK_INTERVAL`] cycles), so an
-    /// external supervisor — the `phast-serve` lease housekeeper — can
-    /// tell a run that is still making forward progress from one that has
-    /// silently wedged, without the run ever taking a wall-clock reading.
-    pub fn with_progress(mut self, counter: Arc<AtomicU64>) -> Deadline {
-        self.progress = Some(counter);
-        self
-    }
-
-    /// Records one unit of forward progress on the attached counter (a
-    /// no-op without one). Called by the cycle loop on the same amortized
-    /// path that polls [`Deadline::expired`], keeping the steady-state
-    /// loop allocation-free.
-    pub fn tick(&self) {
-        if let Some(p) = &self.progress {
-            p.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// True if this token can never expire.
-    pub fn is_unbounded(&self) -> bool {
-        self.at.is_none() && self.cancel.is_none()
-    }
-
-    /// True once the wall-clock deadline has passed or the cancellation
-    /// flag has been raised.
+    /// True once the wall-clock deadline has passed.
     pub fn expired(&self) -> bool {
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
         match self.at {
             Some(at) => Instant::now() >= at,
             None => false,
@@ -113,7 +66,6 @@ mod tests {
     #[test]
     fn unbounded_never_expires() {
         let d = Deadline::none();
-        assert!(d.is_unbounded());
         assert!(!d.expired());
         assert_eq!(d.elapsed(), Duration::ZERO);
     }
@@ -121,7 +73,6 @@ mod tests {
     #[test]
     fn zero_budget_expires_immediately() {
         let d = Deadline::after(Duration::ZERO);
-        assert!(!d.is_unbounded());
         assert!(d.expired());
     }
 
@@ -132,30 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_flag_expires_the_token() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let d = Deadline::none().with_cancel(Arc::clone(&flag));
-        assert!(!d.is_unbounded());
-        assert!(!d.expired());
-        flag.store(true, Ordering::Relaxed);
-        assert!(d.expired());
-    }
-
-    #[test]
     fn check_interval_is_a_power_of_two() {
         assert!(DEADLINE_CHECK_INTERVAL.is_power_of_two());
-    }
-
-    #[test]
-    fn progress_counter_ticks_and_does_not_bound_the_token() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let d = Deadline::none().with_progress(Arc::clone(&counter));
-        assert!(d.is_unbounded(), "progress alone never expires a token");
-        assert!(!d.expired());
-        d.tick();
-        d.tick();
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
-        // Tokens without a counter tick as a no-op.
-        Deadline::none().tick();
     }
 }

@@ -150,13 +150,10 @@ pub enum SimError {
         snapshot: Box<PipelineSnapshot>,
     },
     /// The per-run watchdog fired: the run's wall-clock deadline passed
-    /// (or its cancellation flag was raised) before it finished. The
-    /// sweep engine uses this to convert a hung run into a reportable
+    /// before it finished. The sweep engine uses this to convert a hung run into a reportable
     /// degraded result instead of stalling the whole sweep.
     Deadline {
-        /// Wall-clock time the run had consumed when the watchdog fired
-        /// (zero when the token had no recorded start, i.e. pure
-        /// cancellation).
+        /// Wall-clock time the run had consumed when the watchdog fired.
         wall: std::time::Duration,
         /// Pipeline state at the poll that observed the expiry.
         snapshot: Box<PipelineSnapshot>,

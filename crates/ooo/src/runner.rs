@@ -76,8 +76,8 @@ pub fn try_simulate_for(
 }
 
 /// Like [`try_simulate`], but under a cooperative [`Deadline`] watchdog:
-/// a run whose wall-clock budget elapses (or whose cancellation flag is
-/// raised) ends with [`SimError::Deadline`] instead of hanging its worker.
+/// a run whose wall-clock budget elapses ends with [`SimError::Deadline`]
+/// instead of hanging its worker.
 ///
 /// # Errors
 ///
