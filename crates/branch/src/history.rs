@@ -143,27 +143,6 @@ impl DivergentHistory {
         Path { entries }
     }
 
-    /// Raw ring-buffer contents for serialization: `(buf, head, count)`.
-    /// `buf` is always exactly [`HISTORY_CAPACITY`] bytes. Together with
-    /// [`from_raw_parts`](Self::from_raw_parts) this round-trips the history
-    /// bit-identically (checkpointing in `phast-sample`).
-    pub fn raw_parts(&self) -> (&[u8], usize, u64) {
-        (&self.buf, self.head, self.count)
-    }
-
-    /// Reconstructs a history from parts captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is not exactly [`HISTORY_CAPACITY`] bytes or `head`
-    /// is out of range.
-    pub fn from_raw_parts(buf: &[u8], head: usize, count: u64) -> DivergentHistory {
-        assert_eq!(buf.len(), HISTORY_CAPACITY, "history buffer must be full-capacity");
-        assert!(head < HISTORY_CAPACITY, "history head out of range");
-        DivergentHistory { buf: buf.to_vec().into_boxed_slice(), head, count }
-    }
-
     /// Allocation-free equivalent of `self.path(len).fold(bits)`.
     pub fn fold_path(&self, len: usize, bits: u32) -> u64 {
         PathFolder::new(self).fold_path(len, bits)

@@ -109,25 +109,6 @@ impl ReturnAddressStack {
     pub fn restore(&mut self, cp: RasCheckpoint) {
         self.top = cp.0;
     }
-
-    /// Raw contents for serialization: `(entries, top)`. `entries` is the
-    /// full circular buffer (capacity slots). Together with
-    /// [`from_raw_parts`](Self::from_raw_parts) this round-trips the stack
-    /// bit-identically (checkpointing in `phast-sample`).
-    pub fn raw_parts(&self) -> (&[BlockId], usize) {
-        (&self.stack, self.top)
-    }
-
-    /// Reconstructs a RAS from parts captured by
-    /// [`raw_parts`](Self::raw_parts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty.
-    pub fn from_raw_parts(entries: &[BlockId], top: usize) -> ReturnAddressStack {
-        assert!(!entries.is_empty(), "RAS must have at least one slot");
-        ReturnAddressStack { stack: entries.to_vec(), top }
-    }
 }
 
 

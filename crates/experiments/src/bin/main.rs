@@ -83,7 +83,6 @@ const FLAGS: &[&str] = &[
     "--max-workloads=",
     "--synth",
     "--synth=",
-    "--dump-checkpoints=",
 ];
 
 /// The space-separated experiment id list for usage/error lines.
@@ -126,8 +125,7 @@ fn usage() -> ! {
          [--max-workloads=N] [--synth[=N]] <experiment>..."
     );
     eprintln!("       phast-experiments --list-workloads | --list-predictors | --list-experiments");
-    eprintln!("       phast-experiments --verify <BENCH.json | checkpoints.phsc>...");
-    eprintln!("       phast-experiments [--quick|--sampled] [sampling flags] --dump-checkpoints=FILE");
+    eprintln!("       phast-experiments --verify <BENCH.json>...");
     eprintln!("experiments: {} all", experiment_ids());
     eprintln!("(--help for resilience flags and the exit-code taxonomy)");
     std::process::exit(exit_code::USAGE);
@@ -169,13 +167,8 @@ fn help() {
          artifacts / crash resilience:\n\
          \x20 --json-dir=DIR      where BENCH_<id>.json and journal.jsonl land\n\
          \x20 --no-json           no artifacts, no journal\n\
-         \x20 --verify FILE...    verify artifact digests and exit (0 intact, 3 not);\n\
-         \x20                     PHSC checkpoint files (magic-sniffed) are decoded\n\
-         \x20                     through the full v3 codec validators\n\
-         \x20 --dump-checkpoints=FILE\n\
-         \x20                     capture the first budgeted workload under the\n\
-         \x20                     effective sampling config, write the PHSC bytes\n\
-         \x20                     to FILE, and exit — the producer side of --verify\n\
+         \x20 --verify FILE...    verify BENCH_<id>.json digests and exit (0 intact,\n\
+         \x20                     3 not); any other file fails verification\n\
          \x20 --resume            replay completed runs from DIR/journal.jsonl and\n\
          \x20                     execute only what is missing; the merged artifact\n\
          \x20                     is byte-identical to an uninterrupted sweep\n\
@@ -188,37 +181,6 @@ fn help() {
          \x20 3  integrity failure (corrupt journal, artifact digest mismatch)\n\
          \x20 4  at least one run hit the --run-timeout deadline\n"
     );
-}
-
-/// Verifies one artifact file, dispatching on its magic: a `PHSC` prefix
-/// is a serialized checkpoint set and goes through the full v3 codec
-/// (CRC trailer, length caps, feature-vector and cluster-plan structural
-/// validators); anything else is a `BENCH_<id>.json` sweep artifact
-/// checked against its sealed digest. Returns a short kind label for the
-/// success line.
-///
-/// # Errors
-///
-/// The codec or digest failure, stringified for the `FAILED` line.
-fn verify_one(file: &PathBuf) -> Result<&'static str, String> {
-    let head = {
-        use std::io::Read;
-        let mut f = std::fs::File::open(file).map_err(|e| e.to_string())?;
-        let mut buf = [0u8; 4];
-        let n = f.read(&mut buf).map_err(|e| e.to_string())?;
-        buf[..n].to_vec()
-    };
-    if head == b"PHSC" {
-        let bytes = std::fs::read(file).map_err(|e| e.to_string())?;
-        let set = phast_sample::CheckpointSet::from_bytes(&bytes).map_err(|e| e.to_string())?;
-        return Ok(if set.clusters.is_some() {
-            "checkpoint set, phase-clustered"
-        } else {
-            "checkpoint set"
-        });
-    }
-    SweepArtifact::verify_file(file).map_err(|e| e.to_string())?;
-    Ok("sweep artifact")
 }
 
 /// Parses the value of a `--flag=N` unsigned-integer option, exiting with
@@ -321,8 +283,8 @@ fn main() {
         }
         let mut intact = true;
         for file in &files {
-            match verify_one(file) {
-                Ok(kind) => println!("ok      {} ({kind})", file.display()),
+            match SweepArtifact::verify_file(file) {
+                Ok(()) => println!("ok      {} (sweep artifact)", file.display()),
                 Err(e) => {
                     intact = false;
                     eprintln!("FAILED  {}: {e}", file.display());
@@ -422,7 +384,7 @@ fn main() {
             .extra_workloads
             .extend(phast_trace::synth_workloads(n as usize, phast_trace::SYNTH_SEED));
     }
-    // The workload set is now fixed. Every mode below needs at least one
+    // The workload set is now fixed. Every experiment needs at least one
     // workload, so an empty set is a malformed invocation.
     if budget.workloads().is_empty() {
         eprintln!("error: no workloads to run");
@@ -445,31 +407,6 @@ fn main() {
             }
             scfg
         });
-    // Checkpoint-dump mode: capture the first budgeted workload's
-    // checkpoint set under the effective sampling config and write the
-    // PHSC bytes to FILE — the producer side of `--verify`'s consumer
-    // check, so CI can exercise the codec end to end on real artifacts.
-    if let Some(path) = args.iter().find_map(|a| a.strip_prefix("--dump-checkpoints=")) {
-        let scfg = sampling.unwrap_or_else(|| budget.default_sampling());
-        let workload = &budget.workloads()[0];
-        let program = workload.build(budget.workload_iters);
-        let cfg = phast_ooo::CoreConfig::alder_lake();
-        let set = phast_sample::capture(&program, &cfg, &scfg, budget.insts)
-            .expect("workloads emulate cleanly");
-        let bytes = set.to_bytes();
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("error: could not write {path}: {e}");
-            std::process::exit(exit_code::INTEGRITY);
-        }
-        eprintln!(
-            "wrote {path}: {} checkpoint(s), {} byte(s), mode {}, workload {}",
-            set.checkpoints.len(),
-            bytes.len(),
-            if set.clusters.is_some() { "phase" } else { "stride" },
-            workload.name
-        );
-        return;
-    }
     let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
 
     if ids.is_empty() {
@@ -536,9 +473,10 @@ fn main() {
         } else {
             workers.map_or_else(Sweep::parallel, Sweep::with_workers)
         };
-        // The validation experiment reads the sampling config off the
-        // sweep but runs its full-detail reference through simulate_run
-        // directly, so setting sampled mode here is safe for every id.
+        // The validation experiments read the sampling config off the
+        // sweep but run their full-detail reference through
+        // `Sweep::full_grid`, so setting sampled mode here is safe for
+        // every id.
         if let Some(scfg) = sampling {
             sweep = sweep.with_sampling(scfg);
         }

@@ -602,7 +602,6 @@ pub mod table2 {
 /// `--quick sampled` — exits non-zero on an accuracy regression.
 pub mod sampled {
     use super::*;
-    use crate::harness::simulate_run;
     use phast_sample::ipc_error_bound;
     use std::time::Instant;
 
@@ -634,34 +633,22 @@ pub mod sampled {
             Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
         let workloads = vbudget.workloads();
         assert!(workloads.len() >= 4, "validation needs at least 4 workloads");
-        let cells: Vec<(usize, usize)> = (0..kinds.len())
-            .flat_map(|k| (0..workloads.len()).map(move |w| (k, w)))
-            .collect();
 
         // Full-detail reference grid (bypasses the sweep's sampling mode
         // on purpose — this *is* the reference).
         let t0 = Instant::now();
-        let full: Vec<RunResult> = sweep.map(&cells, |_, &(k, w)| {
-            let program = workloads[w].build(vbudget.workload_iters);
-            let mut c = cfg.clone();
-            c.train_point = kinds[k].train_point();
-            let mut pred = kinds[k].build(&program, vbudget.insts);
-            simulate_run(
-                workloads[w].name,
-                &kinds[k].label(),
-                &program,
-                &c,
-                pred.as_mut(),
-                vbudget.insts,
-            )
-        });
+        let full: Vec<RunResult> =
+            sweep.full_grid(&kinds, &cfg, &vbudget, &|_| {}).into_iter().flatten().collect();
         let full_wall = t0.elapsed();
 
         // Sampled estimates of the same grid: capture once per workload,
         // windows fanned across the pool.
         let t1 = Instant::now();
-        let mut sampled: Vec<RunResult> =
-            sweep.sampled_grid(&kinds, &cfg, &vbudget, scfg).into_iter().flatten().collect();
+        let mut sampled: Vec<RunResult> = sweep
+            .sampled_grid(&kinds, &workloads, &cfg, &vbudget, scfg)
+            .into_iter()
+            .flatten()
+            .collect();
         let sampled_wall = t1.elapsed();
 
         let mut t = TextTable::new(vec![
@@ -673,7 +660,7 @@ pub mod sampled {
             "bound",
             "verdict",
         ]);
-        let mut out_cells = Vec::with_capacity(cells.len());
+        let mut out_cells = Vec::with_capacity(full.len());
         let mut violations = 0usize;
         for (f, s) in full.iter().zip(sampled.iter_mut()) {
             let full_ipc = f.stats.ipc();
@@ -724,12 +711,12 @@ pub mod sampled {
             scfg.windows,
             scfg.window_insts,
             scfg.warm_insts,
-            cells.len(),
+            full.len(),
             full_wall.as_secs_f64(),
             sampled_wall.as_secs_f64(),
-            vbudget.insts * cells.len() as u64,
+            vbudget.insts * full.len() as u64,
             detailed,
-            (vbudget.insts * cells.len() as u64) as f64 / detailed.max(1) as f64,
+            (vbudget.insts * full.len() as u64) as f64 / detailed.max(1) as f64,
         );
         Results { cells: out_cells, violations, speedup, report }
     }
@@ -746,7 +733,6 @@ pub mod sampled {
 /// in CI on a regression.
 pub mod sampled_v2 {
     use super::*;
-    use crate::harness::simulate_run;
     use phast_sample::{ipc_error_bound, SampleMode};
     use std::time::Instant;
 
@@ -802,35 +788,22 @@ pub mod sampled_v2 {
         let vbudget = Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
         let workloads = vbudget.workloads();
         assert!(workloads.len() >= 4, "validation needs at least 4 workloads");
-        let cells: Vec<(usize, usize)> = (0..kinds.len())
-            .flat_map(|k| (0..workloads.len()).map(move |w| (k, w)))
-            .collect();
 
         let t0 = Instant::now();
-        let full: Vec<RunResult> = sweep.map(&cells, |_, &(k, w)| {
-            let program = workloads[w].build(vbudget.workload_iters);
-            let mut c = cfg.clone();
-            c.train_point = kinds[k].train_point();
-            let mut pred = kinds[k].build(&program, vbudget.insts);
-            simulate_run(
-                workloads[w].name,
-                &kinds[k].label(),
-                &program,
-                &c,
-                pred.as_mut(),
-                vbudget.insts,
-            )
-        });
+        let full: Vec<RunResult> =
+            sweep.full_grid(&kinds, &cfg, &vbudget, &|_| {}).into_iter().flatten().collect();
         let full_wall = t0.elapsed();
 
+        let sampled_grid = |scfg| -> Vec<RunResult> {
+            let rows = sweep.sampled_grid(&kinds, &workloads, &cfg, &vbudget, scfg);
+            rows.into_iter().flatten().collect()
+        };
         let t1 = Instant::now();
-        let mut stride: Vec<RunResult> =
-            sweep.sampled_grid(&kinds, &cfg, &vbudget, stride_cfg).into_iter().flatten().collect();
+        let mut stride = sampled_grid(stride_cfg);
         let stride_wall = t1.elapsed();
 
         let t2 = Instant::now();
-        let mut phase: Vec<RunResult> =
-            sweep.sampled_grid(&kinds, &cfg, &vbudget, phase_cfg).into_iter().flatten().collect();
+        let mut phase = sampled_grid(phase_cfg);
         let phase_wall = t2.elapsed();
 
         let mut t = TextTable::new(vec![
@@ -844,7 +817,7 @@ pub mod sampled_v2 {
             "bound",
             "verdict",
         ]);
-        let mut out_cells = Vec::with_capacity(cells.len());
+        let mut out_cells = Vec::with_capacity(full.len());
         let mut phase_violations = 0usize;
         for ((f, s), p) in full.iter().zip(stride.iter_mut()).zip(phase.iter_mut()) {
             let full_ipc = f.stats.ipc();

@@ -231,10 +231,6 @@ pub struct RunResult {
     /// the same workload. `"unknown"` when the
     /// run degraded before its program was built.
     pub workload_signature: String,
-    /// When this result was replayed from a resume journal rather than
-    /// simulated, the journaled record to emit verbatim — so a resumed
-    /// sweep's artifact is byte-identical to an uninterrupted one.
-    pub(crate) replay: Option<RunRecord>,
 }
 
 impl RunResult {
@@ -317,7 +313,6 @@ pub fn simulate_run_within(
         attempts: 1,
         sampling: None,
         workload_signature: phast_trace::signature(program).digest(),
-        replay: None,
     }
 }
 
@@ -334,18 +329,19 @@ fn panicked_result(workload: &str, label: &str, panic: JobPanic) -> RunResult {
         attempts: 1,
         sampling: None,
         workload_signature: "unknown".to_string(),
-        replay: None,
     }
 }
 
 #[allow(clippy::field_reassign_with_default)] // only four fields are recoverable
 /// Reconstructs a [`RunResult`] from a journaled completed run, for
-/// resume: the embedded record is carried verbatim (so the artifact is
-/// byte-identical to an uninterrupted sweep's), and the statistics the
-/// figures consume are inverted from the record exactly — `ipc`,
-/// `violation_mpki` and `false_dep_mpki` recompute to the identical
-/// values because they were derived from these integers in the first
-/// place.
+/// resume. The statistics the figures consume are inverted from the
+/// record exactly — `ipc`, `violation_mpki` and `false_dep_mpki`
+/// recompute to the identical values because they were derived from
+/// these integers in the first place — so [`RunResult::to_record`]
+/// renders the journaled record again, modulo wall-clock and attempt
+/// metadata, and any annotation an experiment adds after the run (the
+/// sampled validations' `full_ipc`/`ipc_error`) reaches the artifact
+/// as it does for a live run.
 pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     let r = &done.record;
     let per_kilo_inverse =
@@ -365,7 +361,6 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
         attempts: done.attempts,
         sampling: r.sampling.clone(),
         workload_signature: r.workload_signature.clone(),
-        replay: Some(done.record),
     }
 }
 
@@ -516,43 +511,7 @@ fn assemble_sampled(
         }),
         attempts: 1,
         workload_signature,
-        replay: None,
     }
-}
-
-/// Builds and samples one (workload, predictor kind) pair serially:
-/// capture, then every window in checkpoint order. The grid path
-/// ([`Sweep::run_grid`] on a sampling sweep) instead captures once per
-/// workload and fans windows across the pool.
-pub(crate) fn execute_sampled(
-    workload: &Workload,
-    kind: &PredictorKind,
-    cfg: &CoreConfig,
-    budget: &Budget,
-    scfg: &SampleConfig,
-) -> RunResult {
-    let start = Instant::now();
-    let program = workload.build(budget.workload_iters);
-    let set = capture(&program, cfg, scfg, budget.insts).expect("workloads emulate cleanly");
-    // Every window of an ideal cell answers from one oracle over the
-    // whole horizon.
-    let oracle = (*kind == PredictorKind::Ideal).then(|| ideal_oracle(&program, budget.insts));
-    let setup_wall = start.elapsed();
-    let mut core_cfg = cfg.clone();
-    core_cfg.train_point = kind.train_point();
-    let windows: Vec<(WindowRun, u64, Duration)> = set
-        .windows_to_run()
-        .into_iter()
-        .map(|j| {
-            let t = Instant::now();
-            let mut predictor = kind.build_sharing(&program, budget.insts, oracle.as_ref());
-            let run =
-                run_window_within(&program, &core_cfg, predictor.as_mut(), &set, j, &Deadline::none());
-            (run, predictor.num_paths(), t.elapsed())
-        })
-        .collect();
-    let signature = phast_trace::signature(&program).digest();
-    assemble_sampled(workload.name, &kind.label(), &set, windows, setup_wall, signature)
 }
 
 /// One workload of a sampled grid: what its windows share, built before
@@ -569,8 +528,8 @@ struct SampledWorkload {
     oracle: Option<(Result<Arc<DepOracle>, JobPanic>, Duration)>,
 }
 
-/// A live full-detail cell's progress, as [`Sweep::run_grid_observed`]
-/// reports it. Cells replayed from the journal report neither.
+/// A live full-detail cell's progress, as [`Sweep::full_grid`] reports
+/// it. Cells replayed from the journal report neither.
 pub(crate) enum CellProgress<'a> {
     /// The cell's first attempt is about to run.
     Started,
@@ -690,12 +649,13 @@ impl Sweep {
 
     /// Records results in the order given: degraded runs go to this
     /// sweep's registry (and stderr), every run goes to the artifact log
-    /// — results replayed from a resume journal emit their journaled
-    /// record verbatim, so the artifact is byte-identical to an
-    /// uninterrupted sweep's. Deadline-cut runs bump the counter behind
-    /// [`Sweep::deadline_count`]. The [`Sweep`] run methods call this
-    /// internally; call it yourself only after producing [`RunResult`]s
-    /// via [`simulate_run`] in a custom [`Sweep::map`].
+    /// through [`RunResult::to_record`] — results replayed from a resume
+    /// journal included, so the artifact matches an uninterrupted sweep's
+    /// modulo wall-clock and attempt metadata. Deadline-cut runs bump the
+    /// counter behind [`Sweep::deadline_count`]. The [`Sweep`] run
+    /// methods call this internally; call it yourself only after
+    /// producing [`RunResult`]s via [`simulate_run`] in a custom
+    /// [`Sweep::map`].
     pub fn record_all(&self, runs: &[RunResult]) {
         let mut degraded = self.degraded.lock().expect("degraded-run registry");
         let mut records = self.records.lock().expect("run log");
@@ -707,10 +667,7 @@ impl Sweep {
             if run.failure.as_ref().is_some_and(|f| f.kind() == "deadline") {
                 self.deadline_runs.fetch_add(1, Ordering::Relaxed);
             }
-            match &run.replay {
-                Some(record) => records.push(record.clone()),
-                None => records.push(run.to_record()),
-            }
+            records.push(run.to_record());
         }
     }
 
@@ -764,8 +721,13 @@ impl Sweep {
         cfg: &CoreConfig,
         budget: &Budget,
     ) -> RunResult {
-        let run = match &self.sampling {
-            Some(scfg) => execute_sampled(workload, kind, cfg, budget, scfg),
+        let run = match self.sampling {
+            Some(scfg) => {
+                let kinds = std::slice::from_ref(kind);
+                let workloads = std::slice::from_ref(workload);
+                let rows = self.sampled_grid(kinds, workloads, cfg, budget, scfg);
+                rows.into_iter().flatten().next().expect("one cell")
+            }
             None => self.execute_cell(workload, kind, cfg, budget, &|_| {}),
         };
         self.record_all(std::slice::from_ref(&run));
@@ -775,16 +737,7 @@ impl Sweep {
     /// Runs every budgeted workload under one predictor, fanned across
     /// the pool; returns per-workload results in registry order.
     pub fn run_all(&self, kind: &PredictorKind, cfg: &CoreConfig, budget: &Budget) -> Vec<RunResult> {
-        if self.sampling.is_some() {
-            return self
-                .run_grid(std::slice::from_ref(kind), cfg, budget)
-                .pop()
-                .expect("one row per kind");
-        }
-        let workloads = budget.workloads();
-        let runs = self.map(&workloads, |_, w| self.execute_cell(w, kind, cfg, budget, &|_| {}));
-        self.record_all(&runs);
-        runs
+        self.run_grid(std::slice::from_ref(kind), cfg, budget).pop().expect("one row per kind")
     }
 
     /// Runs the full (predictor kind × workload) grid as **one** flat
@@ -798,17 +751,25 @@ impl Sweep {
         cfg: &CoreConfig,
         budget: &Budget,
     ) -> Vec<Vec<RunResult>> {
-        if let Some(scfg) = self.sampling {
-            return self.run_grid_sampled(kinds, cfg, budget, scfg);
+        let rows = match self.sampling {
+            Some(scfg) => self.sampled_grid(kinds, &budget.workloads(), cfg, budget, scfg),
+            None => self.full_grid(kinds, cfg, budget, &|_| {}),
+        };
+        for row in &rows {
+            self.record_all(row);
         }
-        self.run_grid_observed(kinds, cfg, budget, &|_| {})
+        rows
     }
 
-    /// The full-detail grid of [`Sweep::run_grid`], reporting each live
-    /// cell's progress to `observe` from whichever worker runs it — how
-    /// `phast-serve` streams a sweep's `cell` events. Sampling is not
-    /// consulted: daemon sweeps run every cell in full detail.
-    pub(crate) fn run_grid_observed(
+    /// The (kind × workload) grid in full detail whatever this sweep's
+    /// sampling mode, every cell through [`Sweep::execute_cell`] (journal,
+    /// retries, deadline, panic isolation), without recording the
+    /// results. Rows are in kind order, each in registry order. Each live
+    /// cell reports its progress to `observe` from whichever worker runs
+    /// it — how `phast-serve` streams a sweep's `cell` events. The sampled
+    /// validation experiments run their full-detail reference here and
+    /// record it after annotating the sampled cells.
+    pub(crate) fn full_grid(
         &self,
         kinds: &[PredictorKind],
         cfg: &CoreConfig,
@@ -822,7 +783,6 @@ impl Sweep {
         let flat = self.map(&cells, |_, &(k, w)| {
             self.execute_cell(&workloads[w], &kinds[k], cfg, budget, observe)
         });
-        self.record_all(&flat);
         let mut rows: Vec<Vec<RunResult>> = Vec::with_capacity(kinds.len());
         let mut flat = flat.into_iter();
         for _ in kinds {
@@ -848,8 +808,9 @@ impl Sweep {
         keys.filter(|key| j.lookup(key).is_some()).count()
     }
 
-    /// The sampled grid: **capture once per workload**, then fan every
-    /// (kind, workload, window) triple across the pool — windows replay
+    /// The sampled (kind × `workloads`) grid, without recording the
+    /// results: **capture once per workload**, then fan every (kind,
+    /// workload, window) triple across the pool — windows replay
     /// independently from their checkpoints, so the grid parallelizes at
     /// window granularity rather than cell granularity. Results regroup
     /// into the same `rows[kind][workload]` shape as the full-detail
@@ -857,34 +818,19 @@ impl Sweep {
     /// workload and shared by all its windows. The capture wall-clock is
     /// attributed once per workload (to the first kind's cell), the
     /// oracle build to the first ideal cell, so summed walls reflect real
-    /// cost.
-    fn run_grid_sampled(
-        &self,
-        kinds: &[PredictorKind],
-        cfg: &CoreConfig,
-        budget: &Budget,
-        scfg: SampleConfig,
-    ) -> Vec<Vec<RunResult>> {
-        let rows = self.sampled_grid(kinds, cfg, budget, scfg);
-        let all: Vec<RunResult> = rows.iter().flatten().cloned().collect();
-        self.record_all(&all);
-        rows
-    }
-
-    /// [`run_grid_sampled`](Self::run_grid_sampled) without the run-log
-    /// recording — for callers (the `sampled` validation experiment) that
-    /// annotate the results before recording them.
+    /// cost. [`Sweep::run_grid`] and [`Sweep::run_one`] record what it
+    /// returns; the sampled validation experiments annotate it first.
     pub(crate) fn sampled_grid(
         &self,
         kinds: &[PredictorKind],
+        workloads: &[Workload],
         cfg: &CoreConfig,
         budget: &Budget,
         scfg: SampleConfig,
     ) -> Vec<Vec<RunResult>> {
-        let workloads = budget.workloads();
         // Journal replay at cell granularity: a (kind, workload) cell the
-        // journal holds as `ok` is emitted verbatim; a workload none of
-        // whose cells are live skips its capture pass entirely.
+        // journal holds as `ok` is rebuilt from its record; a workload
+        // none of whose cells are live skips its capture pass entirely.
         let replays: Vec<Vec<Option<CompletedRun>>> = kinds
             .iter()
             .map(|kind| {

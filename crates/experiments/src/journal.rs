@@ -4,10 +4,11 @@
 //! each run (`start`) and one as each run finishes (`done`), flushed
 //! immediately — so after a crash, a kill, or a power cut, the journal
 //! holds the exact set of completed runs. `--resume <dir>` replays it:
-//! runs journaled as `ok` are skipped and their embedded [`RunRecord`]s
-//! flow into the aggregate verbatim, so a resumed sweep's `BENCH_*.json`
-//! is byte-identical to an uninterrupted one (modulo wall-clock and
-//! attempt metadata, which are properties of *this* execution).
+//! runs journaled as `ok` are skipped and rebuilt from their embedded
+//! [`RunRecord`]s, which render back into the aggregate unchanged, so a
+//! resumed sweep's `BENCH_*.json` is byte-identical to an uninterrupted
+//! one (modulo wall-clock and attempt metadata, which are properties of
+//! *this* execution).
 //!
 //! Integrity is fail-closed: every `done` line carries a CRC32 digest of
 //! its embedded record; a digest mismatch or an unparseable line in the

@@ -382,8 +382,8 @@ impl From<WireError> for std::io::Error {
 }
 
 /// Reads one `\n`-terminated line into `buf` (newline excluded),
-/// refusing to buffer more than `cap` bytes — the wire-level analogue
-/// of the length gate the PHSC reader applies before allocation.
+/// refusing to buffer more than `cap` bytes, so a peer that never
+/// sends a newline cannot make the daemon allocate without bound.
 /// Returns the bytes consumed; 0 means EOF.
 ///
 /// # Errors

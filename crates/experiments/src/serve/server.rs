@@ -445,7 +445,7 @@ fn run_sweep(
         let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
         let started = Instant::now();
         // A send fails only once the watcher is gone; the sweep goes on.
-        sweep.run_grid_observed(kinds, cfg, budget, &|progress| match progress {
+        let rows = sweep.full_grid(kinds, cfg, budget, &|progress| match progress {
             CellProgress::Started => {
                 shared.queued.fetch_sub(1, Ordering::SeqCst);
             }
@@ -459,6 +459,9 @@ fn run_sweep(
                 });
             }
         });
+        for row in &rows {
+            sweep.record_all(row);
+        }
         started.elapsed()
     };
     let _ = events.send(finish_sweep(shared, sweep, id, budget, wall));

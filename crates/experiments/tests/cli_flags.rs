@@ -1,8 +1,10 @@
 //! The binaries refuse flags they do not parse: exit 2 with the flag
 //! named on stderr, never a silent run with the flag ignored. Retired
-//! flags (lane count, trace record/replay, remote workers, daemon leases
-//! and chaos injection) get the same answer as a typo, and so do a zero
-//! worker or admission count and an invocation with no workloads to run.
+//! flags (lane count, trace record/replay, checkpoint dumps, remote
+//! workers, daemon leases and chaos injection) get the same answer as a
+//! typo, and so do a zero worker or admission count and an invocation
+//! with no workloads to run. `--verify` takes only sweep artifacts: a
+//! retired trace or checkpoint file fails closed.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -52,6 +54,7 @@ fn unknown_flags_exit_2_naming_the_flag() {
         "--lanes=8",
         "--trace=x.phtr",
         "--record-trace=x.phtr",
+        "--dump-checkpoints=x.phsc",
         "--worker=127.0.0.1:1",
         "--chaos-net-seed=7",
     ] {
@@ -109,30 +112,27 @@ fn temp_path(tag: &str) -> PathBuf {
 
 #[test]
 fn empty_workload_sets_exit_2() {
-    let dump = temp_path("dump.phsc");
-    let dump_flag = format!("--dump-checkpoints={}", dump.display());
-    let cases: [Vec<&str>; 2] = [
-        vec!["--quick", "--no-json", "--max-workloads=0", "fig15"],
-        vec!["--quick", "--max-workloads=0", &dump_flag],
-    ];
-    for args in cases {
-        let (code, stderr) = run(EXPERIMENTS, &args);
-        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
-        assert!(stderr.contains("no workloads to run"), "{args:?}: {stderr}");
-    }
-    assert!(!dump.exists(), "nothing is dumped for an empty workload set");
+    let args = ["--quick", "--no-json", "--max-workloads=0", "fig15"];
+    let (code, stderr) = run(EXPERIMENTS, &args);
+    assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+    assert!(stderr.contains("no workloads to run"), "{args:?}: {stderr}");
     let (code, stderr) =
         run(EXPERIMENTS, &["--quick", "--no-json", "--max-workloads=0", "--synth=1", "fig1"]);
     assert_eq!(code, Some(0), "synthesized extras alone still run: {stderr}");
 }
 
 #[test]
-fn trace_files_fail_verification_closed() {
-    let file = temp_path("trace.phtr");
-    std::fs::write(&file, b"PHTR\x01\x00\x00\x00not an artifact").expect("temp file");
-    let verify = format!("--verify={}", file.display());
-    let (code, stderr) = run(EXPERIMENTS, &[&verify]);
-    let _ = std::fs::remove_file(&file);
-    assert_eq!(code, Some(3), "stderr: {stderr}");
-    assert!(stderr.contains("FAILED"), "{stderr}");
+fn trace_and_checkpoint_files_fail_verification_closed() {
+    for (tag, bytes) in [
+        ("trace.phtr", &b"PHTR\x01\x00\x00\x00not an artifact"[..]),
+        ("ckpt.phsc", &b"PHSC\x03\x00\x00\x00not an artifact"[..]),
+    ] {
+        let file = temp_path(tag);
+        std::fs::write(&file, bytes).expect("temp file");
+        let verify = format!("--verify={}", file.display());
+        let (code, stderr) = run(EXPERIMENTS, &[&verify]);
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(code, Some(3), "{tag}: stderr {stderr}");
+        assert!(stderr.contains("FAILED"), "{tag}: {stderr}");
+    }
 }

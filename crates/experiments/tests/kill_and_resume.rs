@@ -2,11 +2,15 @@
 //! (simulated by truncating `journal.jsonl` to a prefix plus a torn final
 //! line), resume it, and the merged `BENCH_*.json` must be byte-identical
 //! to the uninterrupted artifact modulo wall-clock and attempt metadata.
-//! Corruption anywhere *inside* the journal, or a fingerprint from a
-//! different sweep shape, must refuse the resume fail-closed.
+//! The same holds for the sampled validation experiment, whose rows are
+//! annotated after their cells run. Corruption anywhere *inside* the
+//! journal, or a fingerprint from a different sweep shape, must refuse
+//! the resume fail-closed.
 
+use phast_experiments::harness::cell_key;
 use phast_experiments::{
-    ArtifactError, Budget, Journal, JournalError, PredictorKind, Sweep, SweepArtifact,
+    figures, ArtifactError, Budget, Journal, JournalError, PredictorKind, SampleConfig, Sweep,
+    SweepArtifact,
 };
 use phast_ooo::CoreConfig;
 use std::path::{Path, PathBuf};
@@ -104,6 +108,67 @@ fn killed_and_resumed_sweep_reproduces_the_artifact() {
         "resumed artifact must match the uninterrupted sweep byte for byte \
          modulo wall-clock/attempt metadata"
     );
+}
+
+/// The `sampled` validation on a tiny budget: it simulates 25× the
+/// budget's instructions per full-detail cell and needs 4 workloads.
+fn sampled_budget() -> Budget {
+    Budget { insts: 1_000, workload_iters: 30_000, max_workloads: Some(4), extra_workloads: Vec::new() }
+}
+
+/// Runs `figures::sampled` on a serial sweep journaled to `journal` and
+/// writes `BENCH_sampled.json` into `dir`, returning the artifact text.
+fn run_sampled_to(journal: &Journal, dir: &Path) -> String {
+    let budget = sampled_budget();
+    let sweep = Sweep::serial()
+        .with_sampling(SampleConfig::new(3, 600, 400))
+        .with_journal(journal.scope("sampled"));
+    figures::sampled::run(&sweep, &budget);
+    let artifact = sweep.artifact("sampled", &budget, Duration::ZERO);
+    let path = artifact.write_to(dir).expect("artifact written");
+    std::fs::read_to_string(&path).expect("artifact readable")
+}
+
+#[test]
+fn resumed_sampled_validation_reproduces_the_artifact() {
+    let ref_dir = scratch("sampled-ref");
+    let journal_path = ref_dir.join("journal.jsonl");
+    let journal = Journal::create(&journal_path, FINGERPRINT).expect("journal created");
+    let reference = run_sampled_to(&journal, &ref_dir);
+    assert!(!reference.contains("\"full_ipc\": null"), "every sampled row is annotated");
+
+    // Resume against the complete journal: every cell replays, and the
+    // replayed sampled rows are annotated like the live ones.
+    let resumed = Journal::resume(&journal_path, FINGERPRINT).expect("complete journal resumes");
+    let merged = run_sampled_to(&resumed, &scratch("sampled-resumed"));
+    assert_eq!(
+        normalized(&reference),
+        normalized(&merged),
+        "resumed validation artifact must match the uninterrupted run \
+         modulo wall-clock/attempt metadata"
+    );
+}
+
+#[test]
+fn sampled_validation_journals_its_full_detail_cells() {
+    let dir = scratch("sampled-keys");
+    let journal_path = dir.join("journal.jsonl");
+    let journal = Journal::create(&journal_path, FINGERPRINT).expect("journal created");
+    run_sampled_to(&journal, &dir);
+
+    // The full-detail reference cells run through the cell lifecycle, so
+    // the journal holds each one under its full-detail key.
+    let resumed = Journal::resume(&journal_path, FINGERPRINT).expect("complete journal resumes");
+    let scope = resumed.scope("sampled");
+    let budget = sampled_budget();
+    let vbudget = Budget { insts: budget.insts * 25, ..budget };
+    let cfg = CoreConfig::alder_lake();
+    for kind in [PredictorKind::StoreSets, PredictorKind::Phast] {
+        for w in vbudget.workloads() {
+            let key = cell_key(w.name, &kind.label(), &cfg, &vbudget, None);
+            assert!(scope.lookup(&key).is_some(), "no done line for full-detail cell {key}");
+        }
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Property tests for the `phast-serve` wire protocol's sweep messages
-//! (`submit`/`fetch` requests, `cell`/`done`/`rejected` events),
-//! mirroring the sampling codec's `codec_hardening` suite: encode→decode
-//! identity over generated message shapes, duplicate-key rejection
-//! (fail-closed — a smuggled second value must never win), and
+//! (`submit`/`fetch` requests, `cell`/`done`/`rejected` events):
+//! encode→decode identity over generated message shapes, duplicate-key
+//! rejection (fail-closed — a smuggled second value must never win), and
 //! unknown-field tolerance (new fields must not strand old daemons).
 
 use phast_experiments::serve::proto::{

@@ -120,20 +120,6 @@ impl SparseMemory {
     pub fn touched_lines(&self) -> usize {
         self.lines.len()
     }
-
-    /// All touched lines as `(line_index, data)` pairs, sorted by line
-    /// index so that serialization is deterministic.
-    pub fn lines_sorted(&self) -> Vec<(u64, &[u8; 64])> {
-        let mut out: Vec<(u64, &[u8; 64])> = self.lines.iter().map(|(&k, v)| (k, v)).collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
-    }
-
-    /// Installs a full 64-byte line at `line_index` (addresses
-    /// `line_index * 64 ..`). Used when restoring a serialized snapshot.
-    pub fn insert_line(&mut self, line_index: u64, data: [u8; 64]) {
-        self.lines.insert(line_index, data);
-    }
 }
 
 /// Errors the emulator can encounter at run time.

@@ -1,48 +1,27 @@
-//! Checkpoints: serializable architectural + warmed-state snapshots.
+//! Checkpoints: in-memory architectural + warmed-state snapshots.
 //!
 //! A [`Checkpoint`] pins one detailed window: the architectural state at
 //! the start of that window's *warm* phase plus the [`WarmContext`] — the
 //! cheap, continuously-maintained speculation context (branch histories,
 //! RAS, sliding store window) that reflects the entire execution preceding
-//! the window. A [`CheckpointSet`] holds every window of a run and
-//! round-trips through a self-describing little-endian byte format
-//! ([`CheckpointSet::to_bytes`] / [`CheckpointSet::from_bytes`]), so a
-//! sweep can capture a workload once and replay its windows in parallel —
-//! or from disk — without re-executing the fast-forward prefix.
+//! the window. A [`CheckpointSet`] holds every window of one capture pass
+//! ([`capture`](crate::capture)), so a sweep captures a workload once and
+//! replays its windows in parallel, for every predictor, without
+//! re-executing the fast-forward prefix. The set lives only in memory:
+//! capture produces it and window replay consumes it.
 //!
-//! The expensive predictor-independent structures (cache tags, direction
-//! and indirect predictor tables) are warmed continuously by the capture
-//! pass and snapshotted **in memory** alongside each checkpoint
-//! ([`CheckpointSet::warm`]); they are *not* part of the byte format,
-//! because they are a pure function of the program prefix — a set loaded
-//! from bytes regenerates them with one functional pass
-//! (`CheckpointSet::rewarm`). That keeps the format compact and
-//! predictor-agnostic — one capture serves every predictor in the sweep.
-//! MDP training state is predictor-specific and is warmed per window over
-//! the warm phase (see `docs/SAMPLING.md` for the warming rules).
+//! Alongside each checkpoint the set holds a snapshot of the expensive
+//! predictor-independent structures (cache tags, direction and indirect
+//! predictor tables), warmed continuously by the capture pass
+//! ([`CheckpointSet::warm`]). MDP training state is predictor-specific and
+//! is warmed per window over the warm phase (see `docs/SAMPLING.md` for
+//! the warming rules).
 
-use crate::codec::{crc32, ByteReader, ByteWriter, CodecError};
-use crate::features::{FeatureVec, FEATURE_DIM};
 use crate::kmeans::ClusterPlan;
 use crate::warm::WarmState;
-use phast_branch::{DivergentHistory, ReturnAddressStack, HISTORY_CAPACITY};
-use phast_isa::{BlockId, EmuSnapshot, Pc, SparseMemory};
+use phast_branch::{DivergentHistory, ReturnAddressStack};
+use phast_isa::{EmuSnapshot, Pc};
 use std::collections::VecDeque;
-
-/// Serialization magic: "PHSC" (PHast Sample Checkpoint).
-pub(crate) const MAGIC: [u8; 4] = *b"PHSC";
-/// Current format version. v2 appended a little-endian CRC32 trailer over
-/// everything before it; loaders verify the trailer *before* decoding, so
-/// a truncated or bit-flipped file is rejected fail-closed rather than
-/// decoded into silently wrong state. v3 appends the phase-mode sections
-/// after the checkpoints — per-interval feature vectors and the cluster
-/// plan — still under the same trailer (empty sections for stride-mode
-/// sets, so the format stays self-describing either way).
-const VERSION: u32 = 3;
-/// A sanity ceiling on the serialized store window: the modelled cores
-/// have at most a few hundred SQ entries, so anything past this is a
-/// corrupt length field, not a real configuration.
-const MAX_STORE_WINDOW: usize = 1 << 16;
 
 /// One architecturally retired store remembered by the sliding window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,71 +75,6 @@ impl WarmContext {
             store_window,
         }
     }
-
-    fn serialize(&self, w: &mut ByteWriter) {
-        w.put_u128(self.cond_ghr);
-        w.put_u128(self.path_ghr);
-        let (buf, head, count) = self.history.raw_parts();
-        w.put_u64(count);
-        w.put_u32(head as u32);
-        w.put_bytes(buf);
-        let (entries, top) = self.ras.raw_parts();
-        w.put_u64(top as u64);
-        w.put_u32(entries.len() as u32);
-        for e in entries {
-            w.put_u32(e.0);
-        }
-        w.put_u32(self.store_window as u32);
-        w.put_u32(self.stores.len() as u32);
-        for s in &self.stores {
-            w.put_u64(s.seq);
-            w.put_u64(s.pc);
-            w.put_u64(s.addr);
-            w.put_u8(s.size as u8);
-            w.put_u64(s.div_count);
-        }
-    }
-
-    fn deserialize(r: &mut ByteReader<'_>) -> Result<WarmContext, CodecError> {
-        let cond_ghr = r.get_u128()?;
-        let path_ghr = r.get_u128()?;
-        let count = r.get_u64()?;
-        let head = r.get_u32()? as usize;
-        if head >= HISTORY_CAPACITY {
-            return Err(CodecError::Corrupt("history head out of range"));
-        }
-        let buf = r.take(HISTORY_CAPACITY)?;
-        let history = DivergentHistory::from_raw_parts(buf, head, count);
-        let top = r.get_u64()? as usize;
-        // Each RAS entry is 4 bytes: cap the declared length against the
-        // remaining input before allocating.
-        let ras_len = r.get_len(4)?;
-        if ras_len == 0 {
-            return Err(CodecError::Corrupt("empty RAS"));
-        }
-        let mut entries = Vec::with_capacity(ras_len);
-        for _ in 0..ras_len {
-            entries.push(BlockId(r.get_u32()?));
-        }
-        let ras = ReturnAddressStack::from_raw_parts(&entries, top);
-        let store_window = r.get_u32()? as usize;
-        if store_window > MAX_STORE_WINDOW {
-            return Err(CodecError::Corrupt("store window out of range"));
-        }
-        // Each store record is 33 bytes.
-        let n_stores = r.get_len(33)?;
-        let mut stores = VecDeque::with_capacity(store_window.max(n_stores));
-        for _ in 0..n_stores {
-            stores.push_back(StoreRec {
-                seq: r.get_u64()?,
-                pc: r.get_u64()?,
-                addr: r.get_u64()?,
-                size: u64::from(r.get_u8()?),
-                div_count: r.get_u64()?,
-            });
-        }
-        Ok(WarmContext { cond_ghr, path_ghr, history, ras, stores, store_window })
-    }
 }
 
 /// One window's checkpoint: where to resume and with what state.
@@ -175,67 +89,6 @@ pub struct Checkpoint {
     pub ctx: WarmContext,
 }
 
-impl Checkpoint {
-    fn serialize(&self, w: &mut ByteWriter) {
-        w.put_u64(self.detail_start);
-        w.put_u64(self.arch.icount);
-        match self.arch.cursor {
-            Some((b, i)) => {
-                w.put_u8(1);
-                w.put_u32(b.0);
-                w.put_u64(i as u64);
-            }
-            None => {
-                w.put_u8(0);
-                w.put_u32(0);
-                w.put_u64(0);
-            }
-        }
-        for &reg in &self.arch.regs {
-            w.put_u64(reg);
-        }
-        let lines = self.arch.memory.lines_sorted();
-        w.put_u32(lines.len() as u32);
-        for (index, data) in lines {
-            w.put_u64(index);
-            w.put_bytes(data);
-        }
-        self.ctx.serialize(w);
-    }
-
-    fn deserialize(r: &mut ByteReader<'_>) -> Result<Checkpoint, CodecError> {
-        let detail_start = r.get_u64()?;
-        let icount = r.get_u64()?;
-        let cursor = match r.get_u8()? {
-            0 => {
-                let _ = r.get_u32()?;
-                let _ = r.get_u64()?;
-                None
-            }
-            1 => {
-                let b = r.get_u32()?;
-                let i = r.get_u64()? as usize;
-                Some((BlockId(b), i))
-            }
-            _ => return Err(CodecError::Corrupt("bad cursor flag")),
-        };
-        let mut regs = [0u64; phast_isa::NUM_REGS];
-        for reg in &mut regs {
-            *reg = r.get_u64()?;
-        }
-        // Each memory line is 8 bytes of index + 64 bytes of data.
-        let n_lines = r.get_len(72)?;
-        let mut memory = SparseMemory::new();
-        for _ in 0..n_lines {
-            let index = r.get_u64()?;
-            let data: [u8; 64] = r.take(64)?.try_into().expect("64 bytes");
-            memory.insert_line(index, data);
-        }
-        let ctx = WarmContext::deserialize(r)?;
-        Ok(Checkpoint { detail_start, arch: EmuSnapshot { regs, memory, cursor, icount }, ctx })
-    }
-}
-
 /// Every checkpoint of one (program, sampling-config) capture pass.
 #[derive(Clone)]
 pub struct CheckpointSet {
@@ -247,35 +100,16 @@ pub struct CheckpointSet {
     pub window_insts: u64,
     /// The windows, in program order.
     pub checkpoints: Vec<Checkpoint>,
-    /// Per-interval feature vectors (phase mode), parallel to
-    /// `checkpoints`; empty for stride-mode sets.
-    pub features: Vec<FeatureVec>,
-    /// The clustering over [`features`](CheckpointSet::features) (phase
-    /// mode): which windows are representatives, and with what weight.
+    /// The clustering of the intervals' feature vectors (phase mode):
+    /// which windows are representatives, and with what weight.
     /// `None` for stride-mode sets — every window replays with weight 1.
     pub clusters: Option<ClusterPlan>,
     /// Per-checkpoint snapshots of the continuously warmed structures,
     /// parallel to `checkpoints`. `None` slots are windows that will
     /// never replay (non-representative intervals of a clustered set) —
     /// they are pruned after clustering so idle clusters never pay the
-    /// snapshot cost. Empty after
-    /// [`from_bytes`](CheckpointSet::from_bytes) — regenerate with
-    /// `CheckpointSet::rewarm` before replaying windows.
+    /// snapshot cost.
     pub warm: Vec<Option<WarmState>>,
-}
-
-/// Equality is over the *serialized* content (everything except the
-/// regenerable [`warm`](CheckpointSet::warm) snapshots), so a decoded set
-/// compares equal to the set it was encoded from.
-impl PartialEq for CheckpointSet {
-    fn eq(&self, other: &CheckpointSet) -> bool {
-        self.horizon == other.horizon
-            && self.warm_insts == other.warm_insts
-            && self.window_insts == other.window_insts
-            && self.checkpoints == other.checkpoints
-            && self.features == other.features
-            && self.clusters == other.clusters
-    }
 }
 
 impl std::fmt::Debug for CheckpointSet {
@@ -285,7 +119,6 @@ impl std::fmt::Debug for CheckpointSet {
             .field("warm_insts", &self.warm_insts)
             .field("window_insts", &self.window_insts)
             .field("checkpoints", &self.checkpoints)
-            .field("features", &format_args!("[{} vectors]", self.features.len()))
             .field("clusters", &self.clusters)
             .field(
                 "warm",
@@ -300,195 +133,6 @@ impl std::fmt::Debug for CheckpointSet {
 }
 
 impl CheckpointSet {
-    /// Serializes the set to the in-tree byte format, sealed with a
-    /// little-endian CRC32 trailer over every preceding byte.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(&MAGIC);
-        w.put_u32(VERSION);
-        w.put_u64(self.horizon);
-        w.put_u64(self.warm_insts);
-        w.put_u64(self.window_insts);
-        w.put_u32(self.checkpoints.len() as u32);
-        for cp in &self.checkpoints {
-            cp.serialize(&mut w);
-        }
-        // v3: feature-vector section (count, dim, row-major f64 bits).
-        w.put_u32(self.features.len() as u32);
-        w.put_u32(if self.features.is_empty() { 0 } else { FEATURE_DIM as u32 });
-        for f in &self.features {
-            for &d in &f.dims {
-                w.put_u64(d.to_bits());
-            }
-        }
-        // v3: cluster-plan section (presence flag, then the plan).
-        match &self.clusters {
-            None => w.put_u8(0),
-            Some(plan) => {
-                w.put_u8(1);
-                w.put_u32(plan.k as u32);
-                w.put_u64(plan.seed);
-                for &a in &plan.assignment {
-                    w.put_u32(a);
-                }
-                for &weight in &plan.weights {
-                    w.put_u64(weight);
-                }
-                for &rep in &plan.representatives {
-                    w.put_u32(rep);
-                }
-            }
-        }
-        let mut bytes = w.into_bytes();
-        let digest = crc32(&bytes);
-        bytes.extend_from_slice(&digest.to_le_bytes());
-        bytes
-    }
-
-    /// Decodes a set serialized by [`to_bytes`](Self::to_bytes).
-    ///
-    /// The magic and version are probed first (so a non-checkpoint file or
-    /// an old format reports what it *is*), then the CRC32 trailer is
-    /// verified over the whole prefix before any structure is decoded:
-    /// corruption is rejected fail-closed with
-    /// [`CodecError::BadChecksum`] rather than surfacing as an arbitrary
-    /// downstream decode error — or worse, decoding cleanly into wrong
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] on truncated, mis-tagged, checksum-failing or
-    /// structurally invalid input. Decoding is total: no input panics, and
-    /// declared lengths are capped against the remaining input before any
-    /// allocation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointSet, CodecError> {
-        if bytes.len() < 8 || bytes[..4] != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        if bytes.len() < 12 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (covered, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
-        let computed = crc32(covered);
-        if computed != stored {
-            return Err(CodecError::BadChecksum { computed, stored });
-        }
-        let mut r = ByteReader::new(&covered[8..]);
-        let horizon = r.get_u64()?;
-        let warm_insts = r.get_u64()?;
-        let window_insts = r.get_u64()?;
-        // A serialized checkpoint is well over 64 bytes (registers alone
-        // exceed that), so 64 is a safe per-element floor for the cap.
-        let n = r.get_len(64)?;
-        let mut checkpoints = Vec::with_capacity(n);
-        for _ in 0..n {
-            checkpoints.push(Checkpoint::deserialize(&mut r)?);
-        }
-        let features = Self::deserialize_features(&mut r, n)?;
-        let clusters = Self::deserialize_clusters(&mut r, n)?;
-        if clusters.is_some() && features.len() != n {
-            return Err(CodecError::Corrupt("cluster plan without feature vectors"));
-        }
-        if r.remaining() != 0 {
-            return Err(CodecError::Corrupt("trailing bytes"));
-        }
-        Ok(CheckpointSet {
-            horizon,
-            warm_insts,
-            window_insts,
-            checkpoints,
-            features,
-            clusters,
-            warm: Vec::new(),
-        })
-    }
-
-    /// Decodes the v3 feature-vector section: either empty (stride mode)
-    /// or exactly one [`FEATURE_DIM`]-dimension vector per checkpoint.
-    fn deserialize_features(
-        r: &mut ByteReader<'_>,
-        n_checkpoints: usize,
-    ) -> Result<Vec<FeatureVec>, CodecError> {
-        // Each feature row is dim × 8 bytes; with the current dim that is
-        // a safe per-element floor against length-bomb counts.
-        let n_feat = r.get_len(FEATURE_DIM * 8)?;
-        let dim = r.get_u32()? as usize;
-        if n_feat == 0 {
-            if dim != 0 {
-                return Err(CodecError::Corrupt("feature dim without feature vectors"));
-            }
-            return Ok(Vec::new());
-        }
-        if n_feat != n_checkpoints {
-            return Err(CodecError::Corrupt("feature count does not match checkpoints"));
-        }
-        if dim != FEATURE_DIM {
-            return Err(CodecError::Corrupt("unsupported feature dimension"));
-        }
-        let mut features = Vec::with_capacity(n_feat);
-        for _ in 0..n_feat {
-            let mut dims = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                dims.push(f64::from_bits(r.get_u64()?));
-            }
-            features.push(FeatureVec { dims });
-        }
-        Ok(features)
-    }
-
-    /// Decodes the v3 cluster-plan section, validating every structural
-    /// invariant (ids in range, weights consistent, representatives
-    /// members of their cluster) so downstream indexing is total.
-    fn deserialize_clusters(
-        r: &mut ByteReader<'_>,
-        n_checkpoints: usize,
-    ) -> Result<Option<ClusterPlan>, CodecError> {
-        match r.get_u8()? {
-            0 => Ok(None),
-            1 => {
-                let k = r.get_u32()? as usize;
-                if k == 0 || k > n_checkpoints {
-                    return Err(CodecError::Corrupt("cluster count out of range"));
-                }
-                let seed = r.get_u64()?;
-                let mut assignment = Vec::with_capacity(n_checkpoints);
-                for _ in 0..n_checkpoints {
-                    let a = r.get_u32()?;
-                    if a as usize >= k {
-                        return Err(CodecError::Corrupt("assignment out of range"));
-                    }
-                    assignment.push(a);
-                }
-                let mut weights = Vec::with_capacity(k);
-                for _ in 0..k {
-                    weights.push(r.get_u64()?);
-                }
-                let mut counts = vec![0u64; k];
-                for &a in &assignment {
-                    counts[a as usize] += 1;
-                }
-                if counts != weights {
-                    return Err(CodecError::Corrupt("cluster weights disagree with assignment"));
-                }
-                let mut representatives = Vec::with_capacity(k);
-                for c in 0..k {
-                    let rep = r.get_u32()?;
-                    if rep as usize >= n_checkpoints || assignment[rep as usize] as usize != c {
-                        return Err(CodecError::Corrupt("representative outside its cluster"));
-                    }
-                    representatives.push(rep);
-                }
-                Ok(Some(ClusterPlan { k, seed, assignment, weights, representatives }))
-            }
-            _ => Err(CodecError::Corrupt("bad cluster flag")),
-        }
-    }
-
     /// The window indices a replay actually runs: the cluster
     /// representatives of a clustered (phase-mode) set, or every window
     /// of a stride-mode set.
@@ -507,148 +151,5 @@ impl CheckpointSet {
             Some(plan) => plan.weights.clone(),
             None => vec![1; self.checkpoints.len()],
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_set() -> CheckpointSet {
-        let mut ctx = WarmContext::new(4, 8);
-        ctx.cond_ghr = 0b1011;
-        ctx.path_ghr = 0xfeed;
-        ctx.history.push(phast_branch::DivergentEvent { indirect: false, taken: true, target: 7 });
-        ctx.ras.push(BlockId(3));
-        ctx.stores.push_back(StoreRec { seq: 9, pc: 0x40, addr: 0x2000, size: 8, div_count: 1 });
-        let mut memory = SparseMemory::new();
-        memory.write_byte(0x2000, 0x5a);
-        memory.write_byte(0x99, 0x11);
-        let arch = EmuSnapshot {
-            regs: std::array::from_fn(|i| i as u64 * 3),
-            memory,
-            cursor: Some((BlockId(2), 1)),
-            icount: 10,
-        };
-        CheckpointSet {
-            horizon: 1000,
-            warm_insts: 50,
-            window_insts: 25,
-            checkpoints: vec![Checkpoint { detail_start: 60, arch, ctx }],
-            features: Vec::new(),
-            clusters: None,
-            warm: Vec::new(),
-        }
-    }
-
-    fn clustered_set() -> CheckpointSet {
-        let mut set = sample_set();
-        let second = set.checkpoints[0].clone();
-        set.checkpoints.push(second);
-        set.features = (0..2)
-            .map(|i| FeatureVec {
-                dims: (0..FEATURE_DIM).map(|d| (i * FEATURE_DIM + d) as f64 * 0.25).collect(),
-            })
-            .collect();
-        set.clusters = Some(ClusterPlan {
-            k: 2,
-            seed: 0xfeed,
-            assignment: vec![0, 1],
-            weights: vec![1, 1],
-            representatives: vec![0, 1],
-        });
-        set
-    }
-
-    #[test]
-    fn roundtrip_is_identity() {
-        let set = sample_set();
-        let bytes = set.to_bytes();
-        let back = CheckpointSet::from_bytes(&bytes).unwrap();
-        assert_eq!(back, set);
-        assert_eq!(back.to_bytes(), bytes, "re-serialization is byte-identical");
-    }
-
-    #[test]
-    fn clustered_roundtrip_is_identity() {
-        let set = clustered_set();
-        let bytes = set.to_bytes();
-        let back = CheckpointSet::from_bytes(&bytes).unwrap();
-        assert_eq!(back, set);
-        assert_eq!(back.to_bytes(), bytes, "re-serialization is byte-identical");
-        assert_eq!(back.windows_to_run(), vec![0, 1]);
-        assert_eq!(back.run_weights(), vec![1, 1]);
-    }
-
-    #[test]
-    fn invalid_cluster_plans_are_rejected_resealed() {
-        // Corrupt the *decoded* structure and re-seal the CRC, so the
-        // structural validators (not the checksum) must catch it.
-        let reject = |mutate: fn(&mut CheckpointSet)| {
-            let mut set = clustered_set();
-            mutate(&mut set);
-            let bytes = set.to_bytes();
-            assert!(
-                matches!(CheckpointSet::from_bytes(&bytes), Err(CodecError::Corrupt(_))),
-                "structurally invalid plan must be rejected"
-            );
-        };
-        reject(|s| s.clusters.as_mut().unwrap().assignment[1] = 9);
-        reject(|s| s.clusters.as_mut().unwrap().weights[0] = 2);
-        reject(|s| s.clusters.as_mut().unwrap().representatives[0] = 1);
-        reject(|s| s.features.clear());
-    }
-
-    #[test]
-    fn bad_magic_and_truncation_are_errors() {
-        let mut bytes = sample_set().to_bytes();
-        assert_eq!(CheckpointSet::from_bytes(&[]), Err(CodecError::BadMagic));
-        // Any truncation shears the CRC trailer off its payload.
-        let last = bytes.len() - 1;
-        assert!(matches!(
-            CheckpointSet::from_bytes(&bytes[..last]),
-            Err(CodecError::BadChecksum { .. })
-        ));
-        bytes[0] = b'X';
-        assert_eq!(CheckpointSet::from_bytes(&bytes), Err(CodecError::BadMagic));
-    }
-
-    #[test]
-    fn version_is_checked() {
-        let mut bytes = sample_set().to_bytes();
-        bytes[4] = 99;
-        assert_eq!(CheckpointSet::from_bytes(&bytes), Err(CodecError::BadVersion(99)));
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_set().to_bytes();
-        bytes.push(0);
-        assert!(matches!(
-            CheckpointSet::from_bytes(&bytes),
-            Err(CodecError::BadChecksum { .. })
-        ));
-    }
-
-    #[test]
-    fn bit_flips_fail_the_checksum() {
-        let clean = sample_set().to_bytes();
-        // Flip one payload bit: rejected by the trailer, not by whatever
-        // structural check the flipped field happens to land in.
-        let mut bytes = clean.clone();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        assert!(matches!(
-            CheckpointSet::from_bytes(&bytes),
-            Err(CodecError::BadChecksum { .. })
-        ));
-        // Flip a trailer bit: same rejection.
-        let mut bytes = clean;
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            CheckpointSet::from_bytes(&bytes),
-            Err(CodecError::BadChecksum { .. })
-        ));
     }
 }

@@ -221,18 +221,13 @@ pub fn capture(
             }
         }
     }
-    let clusters = if phase && !checkpoints.is_empty() {
-        Some(kmeans::cluster(&features, scfg.clusters, CLUSTER_SEED))
-    } else {
-        features.clear();
-        None
-    };
+    let clusters = (phase && !checkpoints.is_empty())
+        .then(|| kmeans::cluster(&features, scfg.clusters, CLUSTER_SEED));
     let mut set = CheckpointSet {
         horizon,
         warm_insts: scfg.warm_insts,
         window_insts: scfg.window_insts,
         checkpoints,
-        features,
         clusters,
         warm,
     };
@@ -253,61 +248,6 @@ impl CheckpointSet {
                 *slot = None;
             }
         }
-    }
-
-    /// Regenerates the in-memory [`WarmState`](crate::WarmState) snapshots after
-    /// [`from_bytes`](CheckpointSet::from_bytes): one functional pass over
-    /// the same prefix the original capture covered. The snapshots are a
-    /// pure function of the program, so the regenerated states are
-    /// identical to the ones the capture pass held. Only windows that can
-    /// replay are snapshotted — for a clustered set that is the
-    /// representatives, and the pass stops at the last one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an [`EmuError`] from the functional emulator.
-    pub fn rewarm(&mut self, program: &Program, cfg: &CoreConfig) -> Result<(), EmuError> {
-        let needed: Vec<bool> = match &self.clusters {
-            Some(plan) => {
-                let mut needed = vec![false; self.checkpoints.len()];
-                for &r in &plan.representatives {
-                    if let Some(slot) = needed.get_mut(r as usize) {
-                        *slot = true;
-                    }
-                }
-                needed
-            }
-            None => vec![true; self.checkpoints.len()],
-        };
-        let last_needed = needed.iter().rposition(|&n| n);
-        let mut emu = Emulator::new(program);
-        let mut ctx = WarmContext::new(cfg.sq_size, RAS_DEPTH);
-        let mut warmer = Warmer::new(cfg);
-        let mut warm: Vec<Option<crate::WarmState>> =
-            Vec::with_capacity(self.checkpoints.len());
-        for (i, cp) in self.checkpoints.iter().enumerate() {
-            let beyond_last = match last_needed {
-                Some(last) => i > last,
-                None => true,
-            };
-            if beyond_last {
-                warm.push(None);
-                continue;
-            }
-            while emu.retired() < cp.arch.icount {
-                match emu.step()? {
-                    Some(rec) => {
-                        let next_block = emu.cursor().map(|(b, _)| b);
-                        warmer.warm_structures(&ctx, program, &rec, next_block);
-                        ctx.observe(program, &rec);
-                    }
-                    None => break,
-                }
-            }
-            warm.push(needed[i].then(|| warmer.state.clone()));
-        }
-        self.warm = warm;
-        Ok(())
     }
 }
 
@@ -335,9 +275,9 @@ pub struct WindowRun {
 ///
 /// # Panics
 ///
-/// Panics if the set has no warm snapshot for window `w` — a set loaded
-/// with `CheckpointSet::from_bytes` must be
-/// [`rewarm`](CheckpointSet::rewarm)ed first.
+/// Panics if the set has no warm snapshot for window `w`: `w` is not in
+/// [`CheckpointSet::windows_to_run`] (a non-representative interval of a
+/// clustered set).
 pub fn run_window(
     program: &Program,
     cfg: &CoreConfig,
@@ -369,10 +309,7 @@ pub fn run_window_within(
         .warm
         .get(w)
         .and_then(|slot| slot.as_ref())
-        .expect(
-            "window has no warm snapshot — either it is not a representative of this \
-             clustered set, or rewarm() was not called after from_bytes()",
-        )
+        .expect("window has no warm snapshot: it is not a representative of this clustered set")
         .clone();
     let mut emu = Emulator::from_snapshot(program, &cp.arch);
     let mut ctx = cp.ctx.clone();

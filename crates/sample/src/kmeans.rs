@@ -4,8 +4,8 @@
 //! depends on:
 //!
 //! * **Determinism**: the same inputs and seed always produce the same
-//!   clustering — assignments land in journals, artifacts and the PHSC
-//!   byte format, and resumed sweeps must reproduce them exactly.
+//!   clustering — assignments land in journals and artifacts, and
+//!   resumed sweeps must reproduce them exactly.
 //! * **Permutation invariance**: clustering is a function of the
 //!   *multiset* of vectors, not their order. Every data-dependent choice
 //!   (k-means++ draws, tie-breaks, centroid summation order, empty-cluster

@@ -10,9 +10,9 @@
 //! per-window results aggregate into an IPC/MPKI point estimate with a
 //! confidence interval ([`SampleEstimate`]).
 //!
-//! * [`capture`] makes one functional pass and emits a serializable
+//! * [`capture`] makes one functional pass and emits an in-memory
 //!   [`CheckpointSet`] (architectural snapshot + warmed context per
-//!   window; in-tree byte format, no external deps).
+//!   window).
 //! * [`run_window`] replays one window independently: restore → warm the
 //!   caches/branch predictors/MDP over the warm phase → boot the core via
 //!   `phast_ooo::BootState` → run the detailed window. Independence is
@@ -26,14 +26,14 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
-mod codec;
+mod crc;
 mod engine;
 mod features;
 mod kmeans;
 mod warm;
 
 pub use checkpoint::{Checkpoint, CheckpointSet, StoreRec, WarmContext};
-pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
+pub use crc::crc32;
 pub use engine::{
     capture, default_clusters_for, estimate, ipc_error_bound, run_sampled, run_window,
     run_window_within, sum_window_stats, sum_window_stats_weighted, SampleConfig, SampleEstimate,

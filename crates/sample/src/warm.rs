@@ -6,14 +6,12 @@
 //!   **predictor-independent**, so the capture pass maintains them
 //!   continuously across the whole horizon and snapshots them at every
 //!   checkpoint: branch history registers, the divergent-history ring,
-//!   the RAS and the sliding store window (`WarmContext`, cheap and
-//!   serialized), plus the long-lived structures whose state at a window
-//!   boundary reflects the *entire* preceding execution — the cache
-//!   hierarchy with its prefetcher, the direction predictor and the
-//!   indirect-target predictor (`WarmState`, cloned in memory and
-//!   deterministically regenerable from the program, see
-//!   `CheckpointSet::rewarm`). One capture serves every predictor in the
-//!   sweep.
+//!   the RAS and the sliding store window (`WarmContext`, cheap), plus
+//!   the long-lived structures whose state at a window boundary reflects
+//!   the *entire* preceding execution — the cache hierarchy with its
+//!   prefetcher, the direction predictor and the indirect-target
+//!   predictor (`WarmState`, a deep clone). One capture serves every
+//!   predictor in the sweep.
 //! * The active MDP's training state is **predictor-specific**, so it is
 //!   built cold per window and warmed through `phast_mdp::Warmable` over
 //!   the window's bounded warm phase only ([`Warmer::warm_step`]).
@@ -98,11 +96,9 @@ pub fn warm_state_clones() -> u64 {
 }
 
 /// The predictor-independent long-lived structures, warmed continuously
-/// by the capture pass and snapshotted (cloned) into every checkpoint.
-///
-/// Not part of the serialized byte format — the snapshot is a pure
-/// function of the program prefix, so a set loaded from bytes regenerates
-/// it with one functional pass (`CheckpointSet::rewarm`).
+/// by the capture pass and snapshotted (cloned) at every checkpoint;
+/// snapshots of windows that will never replay are then pruned
+/// ([`CheckpointSet::prune_warm`](crate::CheckpointSet::prune_warm)).
 pub struct WarmState {
     /// Cache hierarchy + prefetcher, warmed stat-free.
     pub hierarchy: Hierarchy,

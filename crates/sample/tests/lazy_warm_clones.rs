@@ -10,9 +10,7 @@
 //!   continuously, so this is the floor) — pruning non-representatives
 //!   afterwards *moves* snapshots, it never clones;
 //! * replaying a clustered set clones once per **representative**, not
-//!   once per interval;
-//! * `rewarm()` after `from_bytes()` clones only the representatives and
-//!   stops its functional pass at the last one.
+//!   once per interval.
 //!
 //! Everything lives in ONE `#[test]` so the monotonic counter's deltas
 //! are not interleaved by the parallel test runner; the file is its own
@@ -20,7 +18,7 @@
 
 use phast_baselines::{StoreSets, StoreSetsConfig};
 use phast_ooo::{CheckConfig, CoreConfig};
-use phast_sample::{capture, run_window, warm_state_clones, CheckpointSet, SampleConfig};
+use phast_sample::{capture, run_window, warm_state_clones, SampleConfig};
 
 #[test]
 fn clone_counts_scale_with_clusters_not_intervals() {
@@ -63,23 +61,4 @@ fn clone_counts_scale_with_clusters_not_intervals() {
         reps.len() as u64,
         "replay clones scale with the cluster count, not the interval count"
     );
-
-    // Round-trip through the codec: rewarm() regenerates snapshots for
-    // the representatives only — K clones, not N.
-    let mut decoded = CheckpointSet::from_bytes(&set.to_bytes()).expect("decodes");
-    let before = warm_state_clones();
-    decoded.rewarm(&program, &cfg).expect("rewarm is a clean functional pass");
-    assert_eq!(
-        warm_state_clones() - before,
-        reps.len() as u64,
-        "rewarm snapshots representatives only"
-    );
-    for &j in &reps {
-        let mut p1 = StoreSets::new(StoreSetsConfig::paper());
-        let mut p2 = StoreSets::new(StoreSetsConfig::paper());
-        let a = run_window(&program, &cfg, &mut p1, &set, j);
-        let b = run_window(&program, &cfg, &mut p2, &decoded, j);
-        assert_eq!(a.stats.cycles, b.stats.cycles, "rewarmed replay is identical");
-        assert_eq!(a.stats.committed, b.stats.committed);
-    }
 }
