@@ -61,12 +61,6 @@ impl UnlimitedPhast {
             None => history_len,
         }
     }
-
-    /// Histogram of unique conflicts by their trained history length
-    /// (index = length in divergent branches).
-    pub fn length_histogram(&self) -> &[u64] {
-        &self.length_histogram
-    }
 }
 
 impl Default for UnlimitedPhast {
@@ -140,6 +134,10 @@ impl MemDepPredictor for UnlimitedPhast {
 
     fn num_paths(&self) -> u64 {
         self.entries.len() as u64
+    }
+
+    fn path_lengths(&self) -> Vec<u64> {
+        self.length_histogram.clone()
     }
 
     fn reset_access_stats(&mut self) {
@@ -221,7 +219,7 @@ mod tests {
         let events: Vec<(bool, u64)> = (0..10).map(|i| (true, i)).collect();
         let h = history_with(&events);
         p.train_violation(&violation(0x100, 1, 8, &h));
-        let hist = p.length_histogram();
+        let hist = p.path_lengths();
         assert_eq!(hist[2], 1, "trained at the capped length");
         assert_eq!(p.predict_load(&query(0x100, &h)).dep, DepPrediction::Distance(1));
     }
@@ -234,8 +232,9 @@ mod tests {
         p.train_violation(&violation(0x100, 0, 1, &h1));
         p.train_violation(&violation(0x100, 0, 1, &h1)); // same conflict
         p.train_violation(&violation(0x200, 0, 3, &h3));
-        assert_eq!(p.length_histogram()[1], 1);
-        assert_eq!(p.length_histogram()[3], 1);
+        let hist = p.path_lengths();
+        assert_eq!(hist[1], 1);
+        assert_eq!(hist[3], 1);
     }
 
     #[test]

@@ -15,95 +15,50 @@
 //!   branch-prediction lengths (the paper's "an Omnipredictor cannot be
 //!   tuned for both" claim, §IV-B).
 //!
-//! Every variant fans its per-workload runs across the [`Sweep`]'s worker
-//! pool via [`Sweep::map`] + [`simulate_run`], then records them in
-//! workload order so output stays deterministic.
+//! Each predictor variant is a [`PredictorKind`], so every variant runs
+//! as ordinary sweep cells: one grid with the ideal baseline, plus the
+//! paper's PHAST on an eager-squash core.
 
-use crate::harness::{geomean, normalized_ipc, simulate_run, Budget, RunResult, Sweep};
+use crate::harness::{geomean, normalized_ipc, Budget, RunResult, Sweep};
 use crate::predictors::PredictorKind;
 use crate::tablefmt::TextTable;
-use phast::{Phast, PhastConfig};
-use phast_ooo::{CoreConfig, MemSquashPolicy, TrainPoint};
-
-fn run_phast_variant(
-    sweep: &Sweep,
-    cfg_fn: impl Fn() -> PhastConfig + Sync,
-    core: &CoreConfig,
-    budget: &Budget,
-) -> Vec<RunResult> {
-    let workloads = budget.workloads();
-    let runs = sweep.map(&workloads, |_, w| {
-        let program = w.build(budget.workload_iters);
-        let mut pred = Phast::new(cfg_fn());
-        simulate_run(w.name, "phast-variant", &program, core, &mut pred, budget.insts)
-    });
-    sweep.record_all(&runs);
-    runs
-}
+use phast_ooo::{CoreConfig, MemSquashPolicy};
 
 /// Runs all ablations and renders the report.
 pub fn run(sweep: &Sweep, budget: &Budget) -> String {
-    let base_core = {
-        let mut c = CoreConfig::alder_lake();
-        c.train_point = TrainPoint::Commit;
-        c
-    };
-    let ideal = sweep.run_all(&PredictorKind::Ideal, &CoreConfig::alder_lake(), budget);
-    let score = |runs: &[RunResult]| {
-        let g = geomean(&normalized_ipc(runs, &ideal));
+    let cfg = CoreConfig::alder_lake();
+    let kinds = [
+        PredictorKind::Ideal,
+        PredictorKind::Phast,
+        PredictorKind::PhastNoNPlusOne,
+        PredictorKind::PhastAtDetect,
+        PredictorKind::PhastConfidence(2),
+        PredictorKind::PhastConfidence(6),
+        PredictorKind::PhastTageLengths,
+    ];
+    let rows = sweep.run_grid(&kinds, &cfg, budget);
+    let mut eager_core = cfg.clone();
+    eager_core.mem_squash = MemSquashPolicy::Eager;
+    let eager = sweep.run_all(&PredictorKind::Phast, &eager_core, budget);
+
+    let ideal = &rows[0];
+    let mut t = TextTable::new(vec!["variant", "norm. IPC", "MPKI FN", "MPKI FP"]);
+    let variants: [(&str, &[RunResult]); 7] = [
+        ("phast (paper)", &rows[1]),
+        ("no N+1 rule", &rows[2]),
+        ("train at detect", &rows[3]),
+        ("eager mem squash", &eager),
+        ("2-bit confidence", &rows[4]),
+        ("6-bit confidence", &rows[5]),
+        ("TAGE history lengths", &rows[6]),
+    ];
+    for (name, runs) in variants {
+        let g = geomean(&normalized_ipc(runs, ideal));
         let n = runs.len() as f64;
         let fnm = runs.iter().map(|r| r.stats.violation_mpki()).sum::<f64>() / n;
         let fpm = runs.iter().map(|r| r.stats.false_dep_mpki()).sum::<f64>() / n;
-        (g, fnm, fpm)
-    };
-
-    let mut t = TextTable::new(vec!["variant", "norm. IPC", "MPKI FN", "MPKI FP"]);
-    let mut add = |name: &str, runs: &[RunResult]| {
-        let (g, fnm, fpm) = score(runs);
         t.row(vec![name.to_string(), format!("{g:.4}"), format!("{fnm:.3}"), format!("{fpm:.3}")]);
-    };
-
-    // Baseline: the paper's PHAST.
-    let base = run_phast_variant(sweep, PhastConfig::paper, &base_core, budget);
-    add("phast (paper)", &base);
-
-    // (1) Without the N+1 destination rule.
-    let no_n1 = run_phast_variant(sweep, PhastConfig::without_n_plus_one, &base_core, budget);
-    add("no N+1 rule", &no_n1);
-
-    // (2) Trained at detection instead of commit.
-    let detect_core = {
-        let mut c = base_core.clone();
-        c.train_point = TrainPoint::Detect;
-        c
-    };
-    let at_detect = run_phast_variant(sweep, PhastConfig::paper, &detect_core, budget);
-    add("train at detect", &at_detect);
-
-    // (3) Eager memory-order squash.
-    let eager_core = {
-        let mut c = base_core.clone();
-        c.mem_squash = MemSquashPolicy::Eager;
-        c
-    };
-    let eager = run_phast_variant(sweep, PhastConfig::paper, &eager_core, budget);
-    add("eager mem squash", &eager);
-
-    // (4) Confidence width.
-    for bits in [2u32, 6] {
-        let runs =
-            run_phast_variant(sweep, || PhastConfig::with_confidence_bits(bits), &base_core, budget);
-        add(&format!("{bits}-bit confidence"), &runs);
     }
-
-    // (5) TAGE's branch-prediction history lengths instead of the
-    // MDP-tuned set (the Omnipredictor claim).
-    let tage_lengths = || PhastConfig {
-        history_lengths: vec![2, 4, 8, 16, 32, 64, 96, 128],
-        ..PhastConfig::paper()
-    };
-    let tage_len = run_phast_variant(sweep, tage_lengths, &base_core, budget);
-    add("TAGE history lengths", &tage_len);
 
     format!(
         "Ablations — PHAST design choices (IPC normalized to ideal)\n\n{t}\n\
@@ -115,13 +70,32 @@ pub fn run(sweep: &Sweep, budget: &Budget) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use std::time::Duration;
 
     #[test]
     fn ablations_render_on_tiny_budget() {
         let b = Budget { insts: 4_000, workload_iters: 20_000, max_workloads: Some(2), extra_workloads: Vec::new() };
-        let out = run(&Sweep::parallel(), &b);
+        let sweep = Sweep::parallel();
+        let out = run(&sweep, &b);
         assert!(out.contains("phast (paper)"));
         assert!(out.contains("no N+1 rule"));
         assert!(out.contains("eager mem squash"));
+        // Every variant's rows name it: ideal, phast and five variants.
+        let runs = sweep.artifact("ablations", &b, Duration::ZERO).runs;
+        let labels: BTreeSet<&str> = runs.iter().map(|r| r.predictor.as_str()).collect();
+        assert_eq!(labels.len(), 7, "{labels:?}");
+    }
+
+    #[test]
+    fn sampled_ablations_sample_every_row() {
+        let b = Budget { insts: 6_000, workload_iters: 30_000, max_workloads: Some(2), extra_workloads: Vec::new() };
+        let sweep = Sweep::parallel().with_sampling(phast_sample::SampleConfig::new(3, 600, 400));
+        run(&sweep, &b);
+        let runs = sweep.artifact("ablations", &b, Duration::ZERO).runs;
+        assert_eq!(runs.len(), 8 * 2, "ideal, phast, five variants and eager squash");
+        for r in &runs {
+            assert!(r.sampling.is_some(), "{} × {} ran in full detail", r.workload, r.predictor);
+        }
     }
 }

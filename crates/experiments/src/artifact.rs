@@ -306,7 +306,7 @@ impl SamplingMeta {
     }
 }
 
-fn req_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
+pub(crate) fn req_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
     let items = v
         .get(key)
         .and_then(JsonValue::as_array)
@@ -317,7 +317,7 @@ fn req_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
+pub(crate) fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
     v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing or non-integer '{key}'"))
 }
 

@@ -25,38 +25,13 @@
 //! artifacts against their sealed digests without running anything,
 //! exiting 3 on any mismatch.
 
-use phast_experiments::figures;
+use phast_experiments::figures::{self, EXPERIMENTS};
 use phast_experiments::{
     default_clusters_for, exit_code, pool, Budget, Journal, PredictorKind, SampleConfig,
     SampleMode, Sweep, SweepArtifact,
 };
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Every experiment id with its one-line description — the single source
-/// for dispatch, `--list-experiments`, and the usage line.
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig1", "30 years of branch vs memory dependence predictors (MPKI)"),
-    ("fig2", "MDP MPKI and gap to ideal across processor generations"),
-    ("fig4", "percentage of loads depending on multiple stores"),
-    ("fig6", "unlimited NoSQ/MDP-TAGE/PHAST: IPC and tracked paths vs history"),
-    ("fig7", "UnlimitedPHAST IPC vs ideal per workload (shared with figs. 8-9)"),
-    ("fig8", "UnlimitedPHAST MPKI FN/FP per workload (shared with figs. 7/9)"),
-    ("fig9", "paths registered per workload (shared with figs. 7-8)"),
-    ("fig10", "percentage of unique conflicts per history length"),
-    ("fig11", "UnlimitedPHAST IPC at capped max history lengths"),
-    ("fig12", "forwarding-filter (FWD) ablation across predictors"),
-    ("fig13", "performance vs storage sweep"),
-    ("fig14", "per-workload MPKI of all limited predictors"),
-    ("fig15", "per-workload IPC vs ideal; headline speedups"),
-    ("fig16", "predictor energy, reads/writes breakdown"),
-    ("table1", "system configuration constants"),
-    ("table2", "predictor geometry, sizes and energy per access"),
-    ("ablations", "design-choice ablations beyond the paper's figures"),
-    ("sampled", "sampled-vs-full-detail validation (opt-in)"),
-    ("sampled_v2", "phase-clustered sampling validation (opt-in)"),
-    ("static_baseline", "static dependence signatures and zero-storage baseline"),
-];
 
 /// Every flag [`main`] parses: bare switches, and `--flag=` prefixes for
 /// flags that take a value. Any other `--` argument is a usage error.
@@ -88,32 +63,6 @@ const FLAGS: &[&str] = &[
 /// The space-separated experiment id list for usage/error lines.
 fn experiment_ids() -> String {
     EXPERIMENTS.iter().map(|(id, _)| *id).collect::<Vec<_>>().join(" ")
-}
-
-fn run_experiment(id: &str, sweep: &Sweep, budget: &Budget) -> Option<String> {
-    let out = match id {
-        "fig1" => figures::fig1::run(sweep, budget),
-        "fig2" => figures::fig2::run(sweep, budget),
-        "fig4" => figures::fig4::run(sweep, budget),
-        // Figs. 7, 8 and 9 share one characterization run.
-        "fig6" => figures::fig6::run(sweep, budget),
-        "fig7" | "fig8" | "fig9" => figures::fig789::run(sweep, budget),
-        "fig10" => figures::fig10::run(sweep, budget),
-        "fig11" => figures::fig11::run(sweep, budget),
-        "fig12" => figures::fig12::run(sweep, budget),
-        "fig13" => figures::fig13::run(sweep, budget),
-        "fig14" => figures::fig14::run(sweep, budget),
-        "fig15" => figures::fig15::run(sweep, budget).report,
-        "fig16" => figures::fig16::run(sweep, budget),
-        "table1" => figures::table1::run(sweep, budget),
-        "table2" => figures::table2::run(sweep, budget),
-        "ablations" => phast_experiments::ablations::run(sweep, budget),
-        "sampled" => figures::sampled::run(sweep, budget).report,
-        "sampled_v2" => figures::sampled_v2::run(sweep, budget).report,
-        "static_baseline" => figures::static_baseline::run(sweep, budget),
-        _ => return None,
-    };
-    Some(out)
 }
 
 fn usage() -> ! {
@@ -149,7 +98,7 @@ fn help() {
          \x20                     docs/SAMPLING.md)\n\
          \x20 --clusters=K        phase-mode cluster count (implies\n\
          \x20                     --sample-mode=phase; default: derived from the\n\
-         \x20                     window count, also PHAST_CLUSTERS)\n\
+         \x20                     window count)\n\
          \n\
          execution:\n\
          \x20 --serial            one worker (determinism reference)\n\
@@ -208,6 +157,10 @@ fn list_predictors() {
         (PredictorKind::TotalOrder, "every load waits for all older stores"),
         (PredictorKind::Phast, "PHAST at the paper's 14.5 KB configuration"),
         (PredictorKind::PhastSets(64), "PHAST scaled to N sets per table (--: fig13 sweep)"),
+        (PredictorKind::PhastNoNPlusOne, "PHAST without the N+1 history rule (ablation)"),
+        (PredictorKind::PhastAtDetect, "PHAST trained at detection, not commit (ablation)"),
+        (PredictorKind::PhastConfidence(2), "PHAST with N-bit confidence, N in 1..=7 (ablation)"),
+        (PredictorKind::PhastTageLengths, "PHAST with TAGE's history lengths (ablation)"),
         (PredictorKind::UnlimitedPhast(None), "UnlimitedPHAST (optionally history-capped)"),
         (PredictorKind::NoSq, "NoSQ at the paper's 19 KB configuration"),
         (PredictorKind::NoSqSets(256), "NoSQ scaled to N sets per table"),
@@ -342,8 +295,6 @@ fn main() {
         eprintln!("error: --clusters only applies to --sample-mode=phase");
         std::process::exit(exit_code::USAGE);
     }
-    // --clusters=K implies phase mode; PHAST_CLUSTERS only applies once
-    // phase mode is chosen (it must not flip the mode of a stride run).
     let phase_mode = sample_mode == Some(SampleMode::Phase) || clusters_flag.is_some();
     let json_dir: PathBuf = args
         .iter()
@@ -400,9 +351,7 @@ fn main() {
                 scfg.warm_insts = m;
             }
             if phase_mode {
-                let k = clusters_flag
-                    .or_else(pool::default_clusters)
-                    .unwrap_or_else(|| default_clusters_for(scfg.windows));
+                let k = clusters_flag.unwrap_or_else(|| default_clusters_for(scfg.windows));
                 scfg = scfg.phase(k);
             }
             scfg
@@ -490,7 +439,7 @@ fn main() {
             sweep = sweep.with_journal(j.scope(id));
         }
         let start = std::time::Instant::now();
-        match run_experiment(id, &sweep, &budget) {
+        match figures::run_experiment(id, &sweep, &budget) {
             Some(out) => {
                 println!("=== {id} ===\n{out}");
                 println!(

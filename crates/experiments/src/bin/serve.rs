@@ -95,10 +95,7 @@ fn help() {
          sampling (see docs/SAMPLING.md):\n\
          \x20 daemon sweeps execute every cell full-detail; the sampling engine\n\
          \x20 (stride or phase-clustered windows) belongs to phast-experiments'\n\
-         \x20 --sampled / --sample-mode=phase|stride / --clusters=K runs. The\n\
-         \x20 PHAST_CLUSTERS environment knob is validated at daemon startup\n\
-         \x20 with the same exit-2-on-garbage contract (like PHAST_WORKERS), so a\n\
-         \x20 misconfigured service environment fails fast, not mid-sweep\n\
+         \x20 --sampled / --sample-mode=phase|stride / --clusters=K runs\n\
          \n\
          client mode (--client=OP talks to a running daemon):\n\
          \x20 ping                liveness probe; prints worker count\n\
@@ -184,11 +181,6 @@ fn main() {
 /// Daemon mode: build the configuration from flags, start the server,
 /// and wait for a drain (SIGTERM, SIGINT, or the `shutdown` op).
 fn run_daemon(addr: String, args: &[String]) -> ! {
-    // Fail fast on malformed environment knobs with the same exit-2
-    // contract as the flags: a daemon that would die (or silently
-    // misbehave) on its first sampled capture should refuse to start.
-    // `default_clusters` exits 2 on a garbage PHAST_CLUSTERS.
-    let _ = pool::default_clusters();
     let mut cfg = ServeConfig { addr, ..ServeConfig::default() };
     if let Some(v) = flag_value(args, "--workers") {
         cfg.sched.workers = pool::parse_workers(v).unwrap_or_else(|e| {

@@ -1,16 +1,71 @@
 //! One runner per table/figure of the paper. Every function takes the
 //! [`Sweep`] engine to run on plus a [`Budget`] and returns a displayable
-//! report.
+//! report; [`EXPERIMENTS`] and [`run_experiment`] map experiment ids to
+//! them.
 //!
-//! All runners fan their (workload, predictor, config) matrices across
-//! the sweep's worker pool via [`Sweep::run_grid`]/[`Sweep::map`];
-//! results are collected by matrix index, so a parallel sweep renders the
-//! same bytes as a serial one.
+//! Every (workload, predictor, core) run that writes an artifact row is a
+//! sweep cell ([`Sweep::run_grid`] and friends: journaled, retried,
+//! deadline-bound, panic-isolated); [`Sweep::map`] fans only the work
+//! that is not a cell. Results are collected by matrix index, so a
+//! parallel sweep renders the same bytes as a serial one.
 
 use crate::harness::{geomean, normalized_ipc, Budget, RunResult, Sweep};
 use crate::predictors::PredictorKind;
 use crate::tablefmt::{f3, pct, TextTable};
-use phast_ooo::{simulate_with_direction, CoreConfig};
+use phast_ooo::CoreConfig;
+
+/// Every experiment id with its one-line description — the single source
+/// for dispatch, `--list-experiments`, and the usage line.
+pub const EXPERIMENTS: &[(&str, &str)] = &[
+    ("fig1", "30 years of branch vs memory dependence predictors (MPKI)"),
+    ("fig2", "MDP MPKI and gap to ideal across processor generations"),
+    ("fig4", "percentage of loads depending on multiple stores"),
+    ("fig6", "unlimited NoSQ/MDP-TAGE/PHAST: IPC and tracked paths vs history"),
+    ("fig7", "UnlimitedPHAST IPC vs ideal per workload (shared with figs. 8-9)"),
+    ("fig8", "UnlimitedPHAST MPKI FN/FP per workload (shared with figs. 7/9)"),
+    ("fig9", "paths registered per workload (shared with figs. 7-8)"),
+    ("fig10", "percentage of unique conflicts per history length"),
+    ("fig11", "UnlimitedPHAST IPC at capped max history lengths"),
+    ("fig12", "forwarding-filter (FWD) ablation across predictors"),
+    ("fig13", "performance vs storage sweep"),
+    ("fig14", "per-workload MPKI of all limited predictors"),
+    ("fig15", "per-workload IPC vs ideal; headline speedups"),
+    ("fig16", "predictor energy, reads/writes breakdown"),
+    ("table1", "system configuration constants"),
+    ("table2", "predictor geometry, sizes and energy per access"),
+    ("ablations", "design-choice ablations beyond the paper's figures"),
+    ("sampled", "sampled-vs-full-detail validation (opt-in)"),
+    ("sampled_v2", "phase-clustered sampling validation (opt-in)"),
+    ("static_baseline", "static dependence signatures and zero-storage baseline"),
+];
+
+/// Runs the experiment `id` of [`EXPERIMENTS`] on `sweep` and returns
+/// its report; `None` for an unknown id.
+pub fn run_experiment(id: &str, sweep: &Sweep, budget: &Budget) -> Option<String> {
+    let out = match id {
+        "fig1" => fig1::run(sweep, budget),
+        "fig2" => fig2::run(sweep, budget),
+        "fig4" => fig4::run(sweep, budget),
+        "fig6" => fig6::run(sweep, budget),
+        // Figs. 7, 8 and 9 share one characterization run.
+        "fig7" | "fig8" | "fig9" => fig789::run(sweep, budget),
+        "fig10" => fig10::run(sweep, budget),
+        "fig11" => fig11::run(sweep, budget),
+        "fig12" => fig12::run(sweep, budget),
+        "fig13" => fig13::run(sweep, budget),
+        "fig14" => fig14::run(sweep, budget),
+        "fig15" => fig15::run(sweep, budget).report,
+        "fig16" => fig16::run(sweep, budget),
+        "table1" => table1::run(sweep, budget),
+        "table2" => table2::run(sweep, budget),
+        "ablations" => crate::ablations::run(sweep, budget),
+        "sampled" => sampled::run(sweep, budget).report,
+        "sampled_v2" => sampled_v2::run(sweep, budget).report,
+        "static_baseline" => static_baseline::run(sweep, budget),
+        _ => return None,
+    };
+    Some(out)
+}
 
 /// Runs `kinds` prefixed by the ideal predictor as one flat grid; returns
 /// the ideal row first, then one row per kind.
@@ -32,7 +87,10 @@ fn grid_with_ideal(
 /// predictors, as average MPKI on a Nehalem-like core.
 pub mod fig1 {
     use super::*;
+    use crate::harness::RunFailure;
+    use crate::pool;
     use phast_branch::{Bimodal, DirectionPredictor, GShare, Perceptron, StaticTaken, Tage, TageConfig};
+    use phast_ooo::try_simulate_with_direction;
 
     /// Constructor for one point on the branch-predictor timeline
     /// (`Sync` so the worker pool can build predictors on any thread).
@@ -51,24 +109,37 @@ pub mod fig1 {
             ("perceptron (2001)", Box::new(|| Box::new(Perceptron::new(512, 32)))),
             ("tage (2011)", Box::new(|| Box::new(Tage::new(TageConfig::default())))),
         ];
-        // One flat (direction predictor × workload) matrix across the pool.
+        // One flat (direction predictor × workload) matrix across the
+        // pool. These runs write no artifact row, so they are not cells;
+        // a failed one still degrades (partial statistics, flagged on the
+        // registry) instead of aborting the sweep.
         let workloads = budget.workloads();
         let cells: Vec<(usize, usize)> = (0..dirs.len())
             .flat_map(|d| (0..workloads.len()).map(move |w| (d, w)))
             .collect();
-        let mpki = sweep.map(&cells, |_, &(d, w)| {
-            let program = workloads[w].build(budget.workload_iters);
-            let kind = PredictorKind::StoreSets;
-            let mut pred = kind.build(&program, budget.insts);
-            let mut c = cfg.clone();
-            c.train_point = kind.train_point();
-            let stats =
-                simulate_with_direction(&program, &c, pred.as_mut(), dirs[d].1(), budget.insts);
-            stats.branch_mpki()
+        let runs = sweep.map(&cells, |_, &(d, w)| {
+            let run = pool::catch_job(|| {
+                let program = workloads[w].build(budget.workload_iters);
+                let kind = PredictorKind::StoreSets;
+                let mut pred = kind.build(&program, budget.insts);
+                let mut c = cfg.clone();
+                c.train_point = kind.train_point();
+                try_simulate_with_direction(&program, &c, pred.as_mut(), dirs[d].1(), budget.insts)
+            });
+            match run {
+                Ok(Ok(stats)) => (stats.branch_mpki(), None),
+                Ok(Err(e)) => (e.partial_stats().branch_mpki(), Some(RunFailure::Sim(e))),
+                Err(p) => (0.0, Some(RunFailure::Panicked(p.message))),
+            }
         });
+        for ((d, w), (_, failure)) in cells.iter().zip(&runs) {
+            if let Some(e) = failure {
+                sweep.flag_degraded(format!("{} × {}: {e}", workloads[*w].name, dirs[*d].0));
+            }
+        }
         for (d, (name, _)) in dirs.iter().enumerate() {
-            let row = &mpki[d * workloads.len()..(d + 1) * workloads.len()];
-            let avg = row.iter().sum::<f64>() / row.len() as f64;
+            let row = &runs[d * workloads.len()..(d + 1) * workloads.len()];
+            let avg = row.iter().map(|(mpki, _)| mpki).sum::<f64>() / row.len() as f64;
             t.row(vec![name.to_string(), f3(avg)]);
         }
         out.push_str(&t.to_string());
@@ -236,26 +307,18 @@ pub mod fig789 {
 /// Fig. 10: percentage of unique conflicts detected at each history length.
 pub mod fig10 {
     use super::*;
-    use crate::harness::simulate_run;
-    use phast::UnlimitedPhast;
 
-    /// Runs the study; the histogram needs direct access to the
-    /// UnlimitedPHAST internals, so it bypasses the predictor factory.
+    /// Runs the study: the sum of every UnlimitedPHAST cell's conflict
+    /// lengths. The cells run in full detail whatever the sweep's
+    /// sampling mode, since a window's cold predictor cannot estimate a
+    /// whole run's set of unique conflicts.
     pub fn run(sweep: &Sweep, budget: &Budget) -> String {
-        let workloads = budget.workloads();
-        let per_workload: Vec<(RunResult, Vec<u64>)> = sweep.map(&workloads, |_, w| {
-            let program = w.build(budget.workload_iters);
-            let mut pred = UnlimitedPhast::new();
-            let mut cfg = CoreConfig::alder_lake();
-            cfg.train_point = PredictorKind::UnlimitedPhast(None).train_point();
-            let run = simulate_run(w.name, "unl-phast", &program, &cfg, &mut pred, budget.insts);
-            (run, pred.length_histogram().to_vec())
-        });
-        let runs: Vec<RunResult> = per_workload.iter().map(|(r, _)| r.clone()).collect();
+        let kinds = [PredictorKind::UnlimitedPhast(None)];
+        let runs = sweep.full_grid(&kinds, &CoreConfig::alder_lake(), budget, &|_| {}).remove(0);
         sweep.record_all(&runs);
         let mut histogram: Vec<u64> = Vec::new();
-        for (_, h) in &per_workload {
-            for (len, &n) in h.iter().enumerate() {
+        for run in &runs {
+            for (len, &n) in run.path_lengths.iter().enumerate() {
                 if histogram.len() <= len {
                     histogram.resize(len + 1, 0);
                 }
@@ -1030,6 +1093,29 @@ mod tests {
         let t2 = table2::run(&s, &b);
         assert!(t2.contains("14.500"), "PHAST size row: {t2}");
         assert!(t2.contains("38.625"), "MDP-TAGE size row");
+    }
+
+    #[test]
+    fn fig1_degrades_a_failing_workload_in_both_halves() {
+        use phast_isa::{CondKind, ProgramBuilder, Reg};
+        // Loops 100 times, then returns to a bogus block.
+        let bad_ret = phast_workloads::Workload::dynamic("bad_ret".into(), "test".into(), |_| {
+            let mut b = ProgramBuilder::new();
+            let (entry, body, tail) = (b.block(), b.block(), b.block());
+            b.at(entry).li(Reg(1), 100).li(Reg(2), 999).fallthrough(body);
+            let mut c = b.at(body);
+            c.addi(Reg(1), Reg(1), -1).branchi(CondKind::Ne, Reg(1), 0, body).fallthrough(tail);
+            b.at(tail).ret_via(Reg(2));
+            b.set_entry(entry);
+            b.build().expect("valid program")
+        });
+        let b = Budget { insts: 3_000, extra_workloads: vec![bad_ret], ..tiny_budget() };
+        let sweep = Sweep::with_workers(2);
+        let out = fig1::run(&sweep, &b);
+        assert!(out.contains("tage (2011)") && out.contains("phast (2024)"), "{out}");
+        let degraded = sweep.take_degraded();
+        assert_eq!(degraded.len(), 5 + 6, "{degraded:#?}");
+        assert!(degraded.iter().all(|d| d.starts_with("bad_ret × ")), "{degraded:#?}");
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //!
 //! Budget tiers: [`Budget::full`] (the paper's evaluation, used by the
 //! `phast-experiments` binary), [`Budget::quick`] (smoke tests and CI),
-//! and [`Budget::bench`] (the Criterion benches in `phast-bench`).
+//! and [`Budget::bench`] (the daemon's `bench` tier and the tests).
 
 use crate::artifact::{git_describe, RunRecord, SamplingMeta, SweepArtifact};
 use crate::journal::{CompletedRun, JournalScope};
 use crate::pool::{self, JobPanic};
 use crate::predictors::{ideal_oracle, PredictorKind};
 use phast_isa::Program;
-use phast_mdp::{DepOracle, MemDepPredictor};
+use phast_mdp::DepOracle;
 use phast_ooo::{try_simulate_within, CoreConfig, Deadline, SimError, SimStats};
 use phast_sample::{
     capture, estimate, run_window_within, sum_window_stats_weighted, CheckpointSet, SampleConfig,
@@ -117,8 +117,8 @@ impl From<SimError> for RunFailure {
 }
 
 /// How much work an experiment may do. The binary runs at
-/// [`Budget::full`]; tests and CI use [`Budget::quick`]; the Criterion
-/// benches use [`Budget::bench`].
+/// [`Budget::full`]; tests and CI use [`Budget::quick`]; the daemon's
+/// `bench` tier and the tests use [`Budget::bench`].
 #[derive(Clone, Debug)]
 pub struct Budget {
     /// Instructions simulated per (workload, predictor) pair.
@@ -155,8 +155,8 @@ impl Budget {
         }
     }
 
-    /// The smallest tier, used by the `phast-bench` Criterion benches
-    /// (benches measure harness cost, not paper numbers).
+    /// The smallest tier: the daemon's `bench` tier and the tests, which
+    /// exercise the harness rather than produce paper numbers.
     pub fn bench() -> Budget {
         Budget {
             insts: 10_000,
@@ -214,6 +214,10 @@ pub struct RunResult {
     pub stats: SimStats,
     /// Paths tracked by unlimited predictors (0 for table-based ones).
     pub num_paths: u64,
+    /// Unique conflicts per history length
+    /// (`MemDepPredictor::path_lengths`, Fig. 10): empty except for a
+    /// full-detail UnlimitedPHAST run.
+    pub path_lengths: Vec<u64>,
     /// The failure that ended the run early, if it could not finish
     /// cleanly.
     pub failure: Option<RunFailure>,
@@ -266,53 +270,16 @@ impl RunResult {
             workload_signature: self.workload_signature.clone(),
         }
     }
-}
 
-/// Simulates an already-built predictor on an already-built program,
-/// degrading gracefully: a failed run yields its partial statistics plus
-/// the [`SimError`] instead of aborting.
-///
-/// This is the **pure** execution primitive: it records nothing. Use the
-/// [`Sweep`] methods (or [`Sweep::record_all`] after a custom parallel
-/// map) so degraded runs reach the registry and the artifact log.
-pub fn simulate_run(
-    workload: &str,
-    label: &str,
-    program: &Program,
-    cfg: &CoreConfig,
-    predictor: &mut dyn MemDepPredictor,
-    insts: u64,
-) -> RunResult {
-    simulate_run_within(workload, label, program, cfg, predictor, insts, &Deadline::none())
-}
-
-/// [`simulate_run`] under a cooperative [`Deadline`] watchdog: a run
-/// whose wall-clock budget elapses degrades with `SimError::Deadline`
-/// instead of hanging its worker thread.
-pub fn simulate_run_within(
-    workload: &str,
-    label: &str,
-    program: &Program,
-    cfg: &CoreConfig,
-    predictor: &mut dyn MemDepPredictor,
-    insts: u64,
-    deadline: &Deadline,
-) -> RunResult {
-    let start = Instant::now();
-    let (stats, failure) = match try_simulate_within(program, cfg, predictor, insts, deadline) {
-        Ok(stats) => (stats, None),
-        Err(e) => (e.partial_stats().clone(), Some(RunFailure::Sim(e))),
-    };
-    RunResult {
-        workload: workload.to_string(),
-        predictor: label.to_string(),
-        stats,
-        num_paths: predictor.num_paths(),
-        failure,
-        wall: start.elapsed(),
-        attempts: 1,
-        sampling: None,
-        workload_signature: phast_trace::signature(program).digest(),
+    /// What the journal's `done` line holds for this run: its record plus
+    /// the predictor state the figures read beyond it.
+    fn journaled(&self) -> CompletedRun {
+        CompletedRun {
+            attempts: self.attempts,
+            record: self.to_record(),
+            accesses: self.stats.predictor_accesses,
+            path_lengths: self.path_lengths.clone(),
+        }
     }
 }
 
@@ -324,6 +291,7 @@ fn panicked_result(workload: &str, label: &str, panic: JobPanic) -> RunResult {
         predictor: label.to_string(),
         stats: SimStats::default(),
         num_paths: 0,
+        path_lengths: Vec::new(),
         failure: Some(RunFailure::Panicked(panic.message)),
         wall: Duration::ZERO,
         attempts: 1,
@@ -332,16 +300,18 @@ fn panicked_result(workload: &str, label: &str, panic: JobPanic) -> RunResult {
     }
 }
 
-#[allow(clippy::field_reassign_with_default)] // only four fields are recoverable
+#[allow(clippy::field_reassign_with_default)] // only what the figures read is journaled
 /// Reconstructs a [`RunResult`] from a journaled completed run, for
-/// resume. The statistics the figures consume are inverted from the
-/// record exactly — `ipc`, `violation_mpki` and `false_dep_mpki`
-/// recompute to the identical values because they were derived from
-/// these integers in the first place — so [`RunResult::to_record`]
-/// renders the journaled record again, modulo wall-clock and attempt
-/// metadata, and any annotation an experiment adds after the run (the
-/// sampled validations' `full_ipc`/`ipc_error`) reaches the artifact
-/// as it does for a live run.
+/// resume. Every statistic a figure reads is restored exactly: the
+/// predictor's access counters and conflict lengths from the `done`
+/// line, and the rest inverted from the record — `ipc`,
+/// `violation_mpki` and `false_dep_mpki` recompute to the identical
+/// values because they were derived from these integers in the first
+/// place. So [`RunResult::to_record`] renders the journaled record
+/// again, modulo wall-clock and attempt metadata, a resumed report
+/// matches a live one, and any annotation an experiment adds after the
+/// run (the sampled validations' `full_ipc`/`ipc_error`) reaches the
+/// artifact as it does for a live run.
 pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     let r = &done.record;
     let per_kilo_inverse =
@@ -351,11 +321,13 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     stats.committed = r.committed;
     stats.violations = per_kilo_inverse(r.violation_mpki);
     stats.false_dependences = per_kilo_inverse(r.false_dep_mpki);
+    stats.predictor_accesses = done.accesses;
     RunResult {
         workload: r.workload.clone(),
         predictor: r.predictor.clone(),
         stats,
         num_paths: r.num_paths,
+        path_lengths: done.path_lengths,
         failure: None,
         wall: Duration::from_secs_f64(r.wall_s.max(0.0)),
         attempts: done.attempts,
@@ -365,8 +337,10 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
 }
 
 /// Builds and simulates one (workload, predictor kind) pair without
-/// touching any registry — the unit of work the pool distributes,
-/// under a cooperative deadline ([`Deadline::none`] disarms it).
+/// touching any registry — the unit of work the pool distributes, under
+/// a cooperative deadline. A failed run yields its partial statistics
+/// plus the [`SimError`] instead of aborting. The run's wall-clock
+/// covers the simulation only, not the program or predictor build.
 fn execute_one_within(
     workload: &Workload,
     kind: &PredictorKind,
@@ -378,15 +352,25 @@ fn execute_one_within(
     let mut core_cfg = cfg.clone();
     core_cfg.train_point = kind.train_point();
     let mut predictor = kind.build(&program, budget.insts);
-    simulate_run_within(
-        workload.name,
-        &kind.label(),
-        &program,
-        &core_cfg,
-        predictor.as_mut(),
-        budget.insts,
-        deadline,
-    )
+    let start = Instant::now();
+    let (stats, failure) =
+        match try_simulate_within(&program, &core_cfg, predictor.as_mut(), budget.insts, deadline) {
+            Ok(stats) => (stats, None),
+            Err(e) => (e.partial_stats().clone(), Some(RunFailure::Sim(e))),
+        };
+    let wall = start.elapsed();
+    RunResult {
+        workload: workload.name.to_string(),
+        predictor: kind.label(),
+        stats,
+        num_paths: predictor.num_paths(),
+        path_lengths: predictor.path_lengths(),
+        failure,
+        wall,
+        attempts: 1,
+        sampling: None,
+        workload_signature: phast_trace::signature(&program).digest(),
+    }
 }
 
 /// One *attempt* at a full-detail sweep cell, with panic isolation but no
@@ -492,6 +476,7 @@ fn assemble_sampled(
         predictor: label.to_string(),
         stats: sum_window_stats_weighted(&runs, &weights),
         num_paths,
+        path_lengths: Vec::new(),
         failure,
         wall,
         sampling: Some(SamplingMeta {
@@ -635,9 +620,10 @@ impl Sweep {
     }
 
     /// Fans `f` over `items` on this sweep's worker pool; results come
-    /// back **in item order**. For work that is not a plain (workload,
-    /// predictor) pair — oracle builds, direction-predictor studies,
-    /// custom predictor variants.
+    /// back **in item order**. For work that is not a cell, i.e. not a
+    /// (workload, predictor, core) run that writes an artifact row:
+    /// oracle statistics, direction-predictor studies, static signatures,
+    /// sampled captures and windows.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -652,11 +638,10 @@ impl Sweep {
     /// through [`RunResult::to_record`] — results replayed from a resume
     /// journal included, so the artifact matches an uninterrupted sweep's
     /// modulo wall-clock and attempt metadata. Deadline-cut runs bump the
-    /// counter behind [`Sweep::deadline_count`]. The [`Sweep`] run
-    /// methods call this internally; call it yourself only after
-    /// producing [`RunResult`]s via [`simulate_run`] in a custom
-    /// [`Sweep::map`].
-    pub fn record_all(&self, runs: &[RunResult]) {
+    /// counter behind [`Sweep::deadline_count`]. The run methods call
+    /// this; callers of `full_grid` and `sampled_grid` (experiments that
+    /// annotate their cells first, and the daemon) call it themselves.
+    pub(crate) fn record_all(&self, runs: &[RunResult]) {
         let mut degraded = self.degraded.lock().expect("degraded-run registry");
         let mut records = self.records.lock().expect("run log");
         for run in runs {
@@ -705,7 +690,7 @@ impl Sweep {
             if run.ok() || attempt >= max_attempts {
                 if let Some(j) = &self.journal {
                     let status = run.failure.as_ref().map_or("ok", RunFailure::kind);
-                    j.log_done(&key, &run.to_record(), status, attempt);
+                    j.log_done(&key, &run.journaled(), status);
                 }
                 observe(CellProgress::Done(&run));
                 return run;
@@ -768,7 +753,8 @@ impl Sweep {
     /// cell reports its progress to `observe` from whichever worker runs
     /// it — how `phast-serve` streams a sweep's `cell` events. The sampled
     /// validation experiments run their full-detail reference here and
-    /// record it after annotating the sampled cells.
+    /// record it after annotating the sampled cells; Fig. 10 runs here
+    /// because a sampled window cannot see a whole run's conflicts.
     pub(crate) fn full_grid(
         &self,
         kinds: &[PredictorKind],
@@ -955,9 +941,8 @@ impl Sweep {
                     let status = cell.failure.as_ref().map_or("ok", RunFailure::kind);
                     jn.log_done(
                         &cell_key(workload.name, &kind.label(), cfg, budget, Some(&scfg)),
-                        &cell.to_record(),
+                        &cell.journaled(),
                         status,
-                        1,
                     );
                 }
                 row.push(cell);

@@ -5,13 +5,14 @@
 //! immediately — so after a crash, a kill, or a power cut, the journal
 //! holds the exact set of completed runs. `--resume <dir>` replays it:
 //! runs journaled as `ok` are skipped and rebuilt from their embedded
-//! [`RunRecord`]s, which render back into the aggregate unchanged, so a
-//! resumed sweep's `BENCH_*.json` is byte-identical to an uninterrupted
+//! [`RunRecord`]s plus the predictor state a figure reads beyond the
+//! record (table reads/writes for Fig. 16, conflict lengths for Fig. 10),
+//! so a resumed sweep's reports and `BENCH_*.json` match an uninterrupted
 //! one (modulo wall-clock and attempt metadata, which are properties of
 //! *this* execution).
 //!
 //! Integrity is fail-closed: every `done` line carries a CRC32 digest of
-//! its embedded record; a digest mismatch or an unparseable line in the
+//! everything it replays; a digest mismatch or an unparseable line in the
 //! *interior* of the journal is a typed [`JournalError`] (the journal is
 //! evidence — if it cannot be trusted, resuming from it silently would
 //! corrupt the aggregate). The one tolerated defect is a torn **final**
@@ -20,25 +21,29 @@
 //! Line shapes (all compact JSON, one per line):
 //!
 //! ```text
-//! {"kind":"header","version":1,"fingerprint":"insts=...,..."}
+//! {"kind":"header","version":2,"fingerprint":"insts=...,..."}
 //! {"kind":"start","key":"fig15|mcf|phast|1a2b3c4d|300000","attempt":1,"seed":7}
-//! {"kind":"done","key":"...","status":"ok","attempts":1,"digest":"crc32:...","record":{...}}
+//! {"kind":"done","key":"...","status":"ok","attempts":1,"digest":"crc32:...",
+//!  "reads":9494,"writes":180,"path_lengths":[],"record":{...}}
 //! ```
 //!
-//! The `fingerprint` pins the sweep shape (budget, workload count,
-//! sampling mode); resuming under a different configuration is refused —
-//! mixing records from differently-shaped sweeps would produce an
-//! aggregate no single configuration ever ran.
+//! (The `done` line is one line on disk.) The `fingerprint` pins the
+//! sweep shape (budget, workload count, sampling mode); resuming under a
+//! different configuration is refused — mixing records from
+//! differently-shaped sweeps would produce an aggregate no single
+//! configuration ever ran. A journal of another version is refused too:
+//! a version-1 `done` line lacks the fields a replay restores.
 
-use crate::artifact::{JsonValue, RunRecord};
+use crate::artifact::{req_u64, req_u64_array, JsonValue, RunRecord};
 use crate::jsonio;
+use phast_mdp::AccessStats;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Journal format version.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
 /// Why a journal could not be created or resumed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,7 +85,8 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// One completed (`status == "ok"`) run recovered from the journal.
+/// A finished run as a `done` line holds it; [`JournalScope::lookup`]
+/// returns the completed (`status == "ok"`) ones.
 #[derive(Clone, Debug)]
 pub struct CompletedRun {
     /// Attempts the original execution took.
@@ -88,6 +94,11 @@ pub struct CompletedRun {
     /// The run's record, exactly as the original sweep would have
     /// aggregated it.
     pub record: RunRecord,
+    /// The predictor's table reads and writes (Fig. 16's energy model).
+    pub accesses: AccessStats,
+    /// Unique conflicts per history length (Fig. 10); empty for every
+    /// predictor but UnlimitedPHAST.
+    pub path_lengths: Vec<u64>,
 }
 
 struct JournalInner {
@@ -232,19 +243,33 @@ impl Journal {
                         .and_then(JsonValue::as_str)
                         .ok_or_else(|| corrupt("done line missing 'digest'".to_string()))?
                         .to_string();
-                    let record_v = v
-                        .get("record")
-                        .ok_or_else(|| corrupt("done line missing 'record'".to_string()))?;
-                    let computed = record_digest(record_v);
+                    let field = |k: &str| {
+                        v.get(k).ok_or_else(|| corrupt(format!("done line missing '{k}'")))
+                    };
+                    let payload = [
+                        field("reads")?,
+                        field("writes")?,
+                        field("path_lengths")?,
+                        field("record")?,
+                    ];
+                    let computed = payload_digest(payload);
                     if computed != stored {
                         return Err(corrupt(format!(
-                            "record digest mismatch: recomputed {computed} != stored {stored}"
+                            "digest mismatch: recomputed {computed} != stored {stored}"
                         )));
                     }
                     if status == "ok" {
-                        let record = RunRecord::from_json(record_v)
-                            .map_err(|e| corrupt(format!("bad record: {e}")))?;
-                        completed.insert(key, CompletedRun { attempts, record });
+                        let bad = |e: String| corrupt(format!("bad done line: {e}"));
+                        let done = CompletedRun {
+                            attempts,
+                            record: RunRecord::from_json(payload[3]).map_err(bad)?,
+                            accesses: AccessStats {
+                                reads: req_u64(&v, "reads").map_err(bad)?,
+                                writes: req_u64(&v, "writes").map_err(bad)?,
+                            },
+                            path_lengths: req_u64_array(&v, "path_lengths").map_err(bad)?,
+                        };
+                        completed.insert(key, done);
                     }
                     // Degraded runs are deterministic to re-execute and may
                     // succeed under a retry policy — never skip them.
@@ -299,10 +324,12 @@ impl Journal {
     }
 }
 
-/// The per-record digest stored on `done` lines: CRC32 of the record's
-/// compact rendering, recomputed over the same bytes on resume.
-fn record_digest(record: &JsonValue) -> String {
-    format!("crc32:{:08x}", phast_sample::crc32(record.render_compact().as_bytes()))
+/// The digest stored on `done` lines: CRC32 of the comma-joined compact
+/// renderings of everything a replay restores (`reads`, `writes`,
+/// `path_lengths`, `record`), recomputed over the same bytes on resume.
+fn payload_digest(payload: [&JsonValue; 4]) -> String {
+    let text = payload.map(JsonValue::render_compact).join(",");
+    format!("crc32:{:08x}", phast_sample::crc32(text.as_bytes()))
 }
 
 fn io_err(path: &Path, e: &dyn std::fmt::Display) -> JournalError {
@@ -347,18 +374,25 @@ impl JournalScope {
     }
 
     /// Journals that `key` finished with `status` (`"ok"` or a failure
-    /// kind) after `attempts` attempts, embedding the record and its
+    /// kind) after `done.attempts` attempts, embedding the run and its
     /// digest.
-    pub fn log_done(&self, key: &str, record: &RunRecord, status: &str, attempts: u64) {
-        let record_v = record.to_json();
-        let digest = record_digest(&record_v);
+    pub fn log_done(&self, key: &str, done: &CompletedRun, status: &str) {
+        let reads = JsonValue::UInt(done.accesses.reads);
+        let writes = JsonValue::UInt(done.accesses.writes);
+        let lengths =
+            JsonValue::Array(done.path_lengths.iter().map(|&n| JsonValue::UInt(n)).collect());
+        let record = done.record.to_json();
+        let digest = payload_digest([&reads, &writes, &lengths, &record]);
         self.journal.append(&JsonValue::obj(vec![
             ("kind", JsonValue::Str("done".to_string())),
             ("key", JsonValue::Str(self.full_key(key))),
             ("status", JsonValue::Str(status.to_string())),
-            ("attempts", JsonValue::UInt(attempts)),
+            ("attempts", JsonValue::UInt(done.attempts)),
             ("digest", JsonValue::Str(digest)),
-            ("record", record_v),
+            ("reads", reads),
+            ("writes", writes),
+            ("path_lengths", lengths),
+            ("record", record),
         ]));
     }
 }
@@ -366,6 +400,15 @@ impl JournalScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn done(workload: &str, ipc: f64, attempts: u64) -> CompletedRun {
+        CompletedRun {
+            attempts,
+            record: record(workload, ipc),
+            accesses: AccessStats { reads: 40, writes: 9 },
+            path_lengths: vec![0, 3, 1],
+        }
+    }
 
     fn record(workload: &str, ipc: f64) -> RunRecord {
         RunRecord {
@@ -398,9 +441,9 @@ mod tests {
         let j = Journal::create(&path, "fp-1").expect("creates");
         let scope = j.scope("fig15");
         scope.log_start("mcf|phast|deadbeef|300000", 1, 7);
-        scope.log_done("mcf|phast|deadbeef|300000", &record("mcf", 3.25), "ok", 1);
+        scope.log_done("mcf|phast|deadbeef|300000", &done("mcf", 3.25, 1), "ok");
         scope.log_start("gcc|phast|deadbeef|300000", 1, 7);
-        scope.log_done("gcc|phast|deadbeef|300000", &record("gcc", 2.0), "deadlock", 2);
+        scope.log_done("gcc|phast|deadbeef|300000", &done("gcc", 2.0, 2), "deadlock");
         drop(j);
 
         let r = Journal::resume(&path, "fp-1").expect("resumes");
@@ -410,6 +453,8 @@ mod tests {
         assert_eq!(hit.attempts, 1);
         assert_eq!(hit.record.workload, "mcf");
         assert_eq!(hit.record.ipc, 3.25);
+        assert_eq!(hit.accesses, AccessStats { reads: 40, writes: 9 });
+        assert_eq!(hit.path_lengths, vec![0, 3, 1]);
         assert!(scope.lookup("gcc|phast|deadbeef|300000").is_none(), "degraded runs re-run");
         assert!(r.scope("fig2").lookup("mcf|phast|deadbeef|300000").is_none(), "scoped by exp");
         let _ = std::fs::remove_file(&path);
@@ -419,7 +464,7 @@ mod tests {
     fn torn_final_line_is_tolerated() {
         let path = temp_journal("torn");
         let j = Journal::create(&path, "fp-1").expect("creates");
-        j.scope("e").log_done("k1", &record("mcf", 3.0), "ok", 1);
+        j.scope("e").log_done("k1", &done("mcf", 3.0, 1), "ok");
         drop(j);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"kind\":\"done\",\"key\":\"k2\",\"status");
@@ -428,7 +473,7 @@ mod tests {
         let r = Journal::resume(&path, "fp-1").expect("torn tail tolerated");
         assert_eq!(r.completed_runs(), 1);
         // The journal stays appendable after resume.
-        r.scope("e").log_done("k2", &record("gcc", 2.0), "ok", 1);
+        r.scope("e").log_done("k2", &done("gcc", 2.0, 1), "ok");
         drop(r);
         let _ = std::fs::remove_file(&path);
     }
@@ -437,21 +482,33 @@ mod tests {
     fn interior_corruption_fails_closed() {
         let path = temp_journal("interior");
         let j = Journal::create(&path, "fp-1").expect("creates");
-        j.scope("e").log_done("k1", &record("mcf", 3.0), "ok", 1);
-        j.scope("e").log_done("k2", &record("gcc", 2.0), "ok", 1);
+        j.scope("e").log_done("k1", &done("mcf", 3.0, 1), "ok");
+        j.scope("e").log_done("k2", &done("gcc", 2.0, 1), "ok");
         drop(j);
 
-        // Flip a byte inside the *first* done record: its digest breaks,
-        // and because it is interior the journal must be refused.
+        // Flip a byte inside the *first* done line, in its record or in
+        // the predictor state next to it: the digest breaks, and because
+        // the line is interior the journal must be refused.
         let text = std::fs::read_to_string(&path).unwrap();
-        let tampered = text.replacen("\"ipc\":3", "\"ipc\":9", 1);
-        assert_ne!(text, tampered);
-        std::fs::write(&path, &tampered).unwrap();
-        let err = Journal::resume(&path, "fp-1").expect_err("tampered journal refused");
-        assert!(
-            matches!(err, JournalError::Corrupt { line: 2, ref reason } if reason.contains("digest")),
-            "{err}"
-        );
+        for (from, to) in [("\"ipc\":3", "\"ipc\":9"), ("\"reads\":40", "\"reads\":41")] {
+            let tampered = text.replacen(from, to, 1);
+            assert_ne!(text, tampered);
+            std::fs::write(&path, &tampered).unwrap();
+            let err = Journal::resume(&path, "fp-1").expect_err("tampered journal refused");
+            let JournalError::Corrupt { line, reason } = &err else { panic!("{err}") };
+            assert!(*line == 2 && reason.contains("digest"), "{err}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_one_journals_are_refused() {
+        let path = temp_journal("v1");
+        drop(Journal::create(&path, "fp-1").expect("creates"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+        let err = Journal::resume(&path, "fp-1").expect_err("v1 journal refused");
+        assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,16 +3,16 @@
 //! docs/PIPELINE.md for an end-to-end walkthrough of the pipeline).
 //!
 //! Each `figN` module exposes a `run(&Sweep, &Budget)` function returning
-//! a structured, `Display`able result; the `phast-experiments` binary
-//! maps experiment ids to these functions, and the Criterion benches in
-//! `phast-bench` call them at reduced budgets.
+//! a structured, `Display`able result; [`figures::run_experiment`] maps
+//! experiment ids to these functions for the `phast-experiments` binary
+//! and the tests.
 //!
 //! # Budgets and parallelism
 //!
 //! A [`Budget`] picks the tier — [`Budget::full`] for the paper numbers,
 //! [`Budget::quick`] for smoke tests and CI, [`Budget::bench`] for the
-//! Criterion benches — and a [`Sweep`] supplies the engine: worker count
-//! ([`Sweep::parallel`] fans the run matrix across
+//! daemon's `bench` tier and the tests — and a [`Sweep`] supplies the
+//! engine: worker count ([`Sweep::parallel`] fans the run matrix across
 //! `std::thread::available_parallelism()` threads, overridable with
 //! `PHAST_WORKERS`), the sweep-scoped degraded-run registry, and the run
 //! log behind the machine-readable `BENCH_<id>.json` artifacts

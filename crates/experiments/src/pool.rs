@@ -55,43 +55,19 @@ pub fn default_workers() -> usize {
     }
 }
 
-/// Environment variable overriding the phase-mode cluster count picked
-/// by [`default_clusters`] (`PHAST_CLUSTERS=4` pins K=4 for every
-/// phase-mode capture in the process).
-pub const CLUSTERS_ENV: &str = "PHAST_CLUSTERS";
-
 /// Parses a cluster-count override: a positive decimal integer — the
 /// same reject-garbage contract as [`parse_workers`].
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of what was wrong with the value
-/// — the callers (`PHAST_CLUSTERS`, `--clusters=K`) print it and exit 2
-/// rather than silently falling back to a default the user did not ask
-/// for.
+/// — the caller (`--clusters=K`) prints it and exits 2 rather than
+/// silently falling back to a default the user did not ask for.
 pub fn parse_clusters(raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
         Ok(0) => Err(format!("cluster count must be at least 1, got '{raw}'")),
         Ok(n) => Ok(n),
         Err(_) => Err(format!("expected a positive integer cluster count, got '{raw}'")),
-    }
-}
-
-/// The phase-mode cluster count when neither `--clusters=K` nor the
-/// `PHAST_CLUSTERS` environment variable names one: `None`, which lets
-/// the capture path derive K from the interval count
-/// (`phast_sample::default_clusters_for`). A malformed override is a
-/// hard error (exit 2), not a silent fallback.
-pub fn default_clusters() -> Option<usize> {
-    match std::env::var(CLUSTERS_ENV) {
-        Ok(raw) => match parse_clusters(&raw) {
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!("error: invalid {CLUSTERS_ENV}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => None,
     }
 }
 

@@ -41,6 +41,18 @@ pub enum PredictorKind {
     Phast,
     /// PHAST scaled to `sets` sets per table (Fig. 13 sweep).
     PhastSets(usize),
+    /// PHAST keyed with plain L-entry histories instead of the N+1 rule
+    /// (§IV-A2 ablation).
+    PhastNoNPlusOne,
+    /// PHAST trained when a violation is detected instead of at commit
+    /// (§IV-A1 ablation).
+    PhastAtDetect,
+    /// PHAST with an `n`-bit confidence counter instead of 4 bits
+    /// (ablation; `n` in 1..=7).
+    PhastConfidence(u32),
+    /// PHAST with TAGE's branch-prediction history lengths instead of
+    /// its MDP-tuned set (§IV-B ablation).
+    PhastTageLengths,
     /// UnlimitedPHAST, optionally capped at a maximum history length.
     UnlimitedPhast(Option<u32>),
     /// NoSQ at the paper's 19 KB configuration.
@@ -79,6 +91,10 @@ impl PredictorKind {
             PredictorKind::TotalOrder => "total-order".into(),
             PredictorKind::Phast => "phast".into(),
             PredictorKind::PhastSets(s) => format!("phast-{s}s"),
+            PredictorKind::PhastNoNPlusOne => "phast-no-n1".into(),
+            PredictorKind::PhastAtDetect => "phast-at-detect".into(),
+            PredictorKind::PhastConfidence(n) => format!("phast-conf{n}"),
+            PredictorKind::PhastTageLengths => "phast-tage-lengths".into(),
             PredictorKind::UnlimitedPhast(None) => "unl-phast".into(),
             PredictorKind::UnlimitedPhast(Some(m)) => format!("unl-phast-{m}"),
             PredictorKind::NoSq => "nosq".into(),
@@ -108,6 +124,9 @@ impl PredictorKind {
             "blind" => return Some(PredictorKind::Blind),
             "total-order" => return Some(PredictorKind::TotalOrder),
             "phast" => return Some(PredictorKind::Phast),
+            "phast-no-n1" => return Some(PredictorKind::PhastNoNPlusOne),
+            "phast-at-detect" => return Some(PredictorKind::PhastAtDetect),
+            "phast-tage-lengths" => return Some(PredictorKind::PhastTageLengths),
             "unl-phast" => return Some(PredictorKind::UnlimitedPhast(None)),
             "nosq" => return Some(PredictorKind::NoSq),
             "store-sets" => return Some(PredictorKind::StoreSets),
@@ -120,6 +139,10 @@ impl PredictorKind {
             _ => {}
         }
         let num = |s: &str| s.parse::<usize>().ok().filter(|n| *n > 0);
+        if let Some(rest) = label.strip_prefix("phast-conf") {
+            let bits = rest.parse::<u32>().ok().filter(|n| (1..=7).contains(n))?;
+            return Some(PredictorKind::PhastConfidence(bits));
+        }
         if let Some(rest) = label.strip_prefix("phast-").and_then(|r| r.strip_suffix('s')) {
             return Some(PredictorKind::PhastSets(num(rest)?));
         }
@@ -156,11 +179,15 @@ impl PredictorKind {
     }
 
     /// When the out-of-order core should train this predictor: PHAST
-    /// variants at commit, everything else at detection (§IV-A1 and §V).
+    /// variants at commit (except the train-at-detect ablation),
+    /// everything else at detection (§IV-A1 and §V).
     pub fn train_point(&self) -> TrainPoint {
         match self {
             PredictorKind::Phast
             | PredictorKind::PhastSets(_)
+            | PredictorKind::PhastNoNPlusOne
+            | PredictorKind::PhastConfidence(_)
+            | PredictorKind::PhastTageLengths
             | PredictorKind::UnlimitedPhast(_) => TrainPoint::Commit,
             _ => TrainPoint::Detect,
         }
@@ -190,6 +217,17 @@ impl PredictorKind {
             PredictorKind::TotalOrder => Box::new(TotalOrder),
             PredictorKind::Phast => Box::new(Phast::new(PhastConfig::paper())),
             PredictorKind::PhastSets(s) => Box::new(Phast::new(PhastConfig::with_sets(*s))),
+            PredictorKind::PhastNoNPlusOne => {
+                Box::new(Phast::new(PhastConfig::without_n_plus_one()))
+            }
+            PredictorKind::PhastAtDetect => Box::new(Phast::new(PhastConfig::paper())),
+            PredictorKind::PhastConfidence(n) => {
+                Box::new(Phast::new(PhastConfig::with_confidence_bits(*n)))
+            }
+            PredictorKind::PhastTageLengths => Box::new(Phast::new(PhastConfig {
+                history_lengths: vec![2, 4, 8, 16, 32, 64, 96, 128],
+                ..PhastConfig::paper()
+            })),
             PredictorKind::UnlimitedPhast(max) => Box::new(UnlimitedPhast::with_max_length(*max)),
             PredictorKind::NoSq => Box::new(NoSqPredictor::new(NoSqConfig::paper())),
             PredictorKind::NoSqSets(s) => Box::new(NoSqPredictor::new(NoSqConfig::with_sets(*s))),
@@ -233,6 +271,10 @@ mod tests {
             PredictorKind::TotalOrder,
             PredictorKind::Phast,
             PredictorKind::PhastSets(64),
+            PredictorKind::PhastNoNPlusOne,
+            PredictorKind::PhastAtDetect,
+            PredictorKind::PhastConfidence(2),
+            PredictorKind::PhastTageLengths,
             PredictorKind::UnlimitedPhast(None),
             PredictorKind::UnlimitedPhast(Some(16)),
             PredictorKind::NoSq,
@@ -259,6 +301,7 @@ mod tests {
     fn phast_trains_at_commit_baselines_at_detect() {
         assert_eq!(PredictorKind::Phast.train_point(), TrainPoint::Commit);
         assert_eq!(PredictorKind::UnlimitedPhast(None).train_point(), TrainPoint::Commit);
+        assert_eq!(PredictorKind::PhastAtDetect.train_point(), TrainPoint::Detect);
         assert_eq!(PredictorKind::NoSq.train_point(), TrainPoint::Detect);
         assert_eq!(PredictorKind::StoreSets.train_point(), TrainPoint::Detect);
     }
@@ -276,6 +319,10 @@ mod tests {
             PredictorKind::TotalOrder,
             PredictorKind::Phast,
             PredictorKind::PhastSets(64),
+            PredictorKind::PhastNoNPlusOne,
+            PredictorKind::PhastAtDetect,
+            PredictorKind::PhastConfidence(6),
+            PredictorKind::PhastTageLengths,
             PredictorKind::UnlimitedPhast(None),
             PredictorKind::UnlimitedPhast(Some(12)),
             PredictorKind::NoSq,
@@ -299,8 +346,9 @@ mod tests {
 
     #[test]
     fn from_label_rejects_garbage_without_panicking() {
-        for bad in ["", "phastx", "phast-s", "phast-0s", "nosq-s", "store-sets-4096",
-                    "mdp-tage-0of2", "unl-nosq-", "unl-phast-x", "PHAST", "blind "] {
+        for bad in ["", "phastx", "phast-s", "phast-0s", "phast-conf", "phast-conf0", "nosq-s",
+                    "store-sets-4096", "mdp-tage-0of2", "unl-nosq-", "unl-phast-x", "PHAST",
+                    "blind "] {
             assert_eq!(PredictorKind::from_label(bad), None, "{bad}");
         }
     }

@@ -3,7 +3,8 @@
 //! line), resume it, and the merged `BENCH_*.json` must be byte-identical
 //! to the uninterrupted artifact modulo wall-clock and attempt metadata.
 //! The same holds for the sampled validation experiment, whose rows are
-//! annotated after their cells run. Corruption anywhere *inside* the
+//! annotated after their cells run, and a resume of every other
+//! experiment reproduces its report too. Corruption anywhere *inside* the
 //! journal, or a fingerprint from a different sweep shape, must refuse
 //! the resume fail-closed.
 
@@ -147,6 +148,42 @@ fn resumed_sampled_validation_reproduces_the_artifact() {
         "resumed validation artifact must match the uninterrupted run \
          modulo wall-clock/attempt metadata"
     );
+}
+
+/// Every experiment but the two sampled validations (which have their
+/// own resume test above), journaled and then resumed against the
+/// complete journal: the resume must print the same report and write the
+/// same artifact, so a replayed cell carries every value a report reads,
+/// not just its artifact row.
+#[test]
+fn every_experiment_reports_the_same_after_a_resume() {
+    let budget = Budget {
+        insts: 3_000,
+        workload_iters: 20_000,
+        max_workloads: Some(2),
+        extra_workloads: Vec::new(),
+    };
+    let ids: Vec<&str> = figures::EXPERIMENTS
+        .iter()
+        .map(|(id, _)| *id)
+        .filter(|id| !["sampled", "sampled_v2"].contains(id))
+        .collect();
+    let run_all = |journal: &Journal| -> Vec<(String, String)> {
+        ids.iter()
+            .map(|id| {
+                let sweep = Sweep::with_workers(2).with_journal(journal.scope(id));
+                let report = figures::run_experiment(id, &sweep, &budget).expect("known id");
+                (report, normalized(&sweep.artifact(id, &budget, Duration::ZERO).to_json()))
+            })
+            .collect()
+    };
+    let journal_path = scratch("every").join("journal.jsonl");
+    let first = run_all(&Journal::create(&journal_path, FINGERPRINT).expect("journal created"));
+    let resumed = run_all(&Journal::resume(&journal_path, FINGERPRINT).expect("journal resumes"));
+    for (id, (live, replayed)) in ids.iter().zip(first.iter().zip(&resumed)) {
+        assert_eq!(live.0, replayed.0, "{id}: the resumed report differs");
+        assert_eq!(live.1, replayed.1, "{id}: the resumed artifact differs");
+    }
 }
 
 #[test]

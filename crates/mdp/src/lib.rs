@@ -86,6 +86,14 @@ pub trait MemDepPredictor: Send {
         0
     }
 
+    /// Unique conflicts registered at each history length (index =
+    /// length in divergent branches), the paper's Fig. 10. Only
+    /// UnlimitedPHAST tracks it; every other predictor reports an empty
+    /// vector.
+    fn path_lengths(&self) -> Vec<u64> {
+        Vec::new()
+    }
+
     /// Clears transient per-interval statistics (not learned state).
     fn reset_access_stats(&mut self) {}
 }

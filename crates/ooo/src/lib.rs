@@ -61,8 +61,5 @@ pub use check::{CheckConfig, CommitChecker, FaultInjector, FaultPlan};
 pub use config::{CoreConfig, IndirectPredictorKind, MemSquashPolicy, Ports, TrainPoint};
 pub use deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
 pub use error::{DivergenceReport, HeadUop, PipelineSnapshot, SimError};
-pub use runner::{
-    simulate, simulate_with_direction, try_simulate, try_simulate_for,
-    try_simulate_with_direction, try_simulate_within, DEFAULT_MAX_INSTS,
-};
+pub use runner::{simulate, try_simulate, try_simulate_with_direction, try_simulate_within};
 pub use stats::SimStats;

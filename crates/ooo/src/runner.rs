@@ -9,9 +9,6 @@ use phast_branch::{DirectionPredictor, Tage, TageConfig};
 use phast_isa::Program;
 use phast_mdp::MemDepPredictor;
 
-/// Default instruction budget used by the experiment harness.
-pub const DEFAULT_MAX_INSTS: u64 = 1_000_000;
-
 /// Generous default cycle ceiling: even IPC 0.05 finishes within it.
 fn default_max_cycles(max_insts: u64) -> u64 {
     max_insts.saturating_mul(20).max(1_000_000)
@@ -55,24 +52,8 @@ pub fn try_simulate_with_direction(
     direction: Box<dyn DirectionPredictor>,
     max_insts: u64,
 ) -> Result<SimStats, SimError> {
-    try_simulate_for(program, cfg, predictor, direction, max_insts, default_max_cycles(max_insts))
-}
-
-/// Full-control variant: explicit direction predictor *and* cycle ceiling.
-///
-/// # Errors
-///
-/// As for [`try_simulate`].
-pub fn try_simulate_for(
-    program: &Program,
-    cfg: &CoreConfig,
-    predictor: &mut dyn MemDepPredictor,
-    direction: Box<dyn DirectionPredictor>,
-    max_insts: u64,
-    max_cycles: u64,
-) -> Result<SimStats, SimError> {
     let mut core = Core::new(program, cfg.clone(), predictor, direction);
-    core.try_run(max_insts, max_cycles)
+    core.try_run(max_insts, default_max_cycles(max_insts))
 }
 
 /// Like [`try_simulate`], but under a cooperative [`Deadline`] watchdog:
@@ -113,28 +94,7 @@ pub fn simulate(
     predictor: &mut dyn MemDepPredictor,
     max_insts: u64,
 ) -> SimStats {
-    simulate_with_direction(
-        program,
-        cfg,
-        predictor,
-        Box::new(Tage::new(TageConfig::default())),
-        max_insts,
-    )
-}
-
-/// Like [`simulate`] but with an explicit conditional-direction predictor.
-///
-/// # Panics
-///
-/// As for [`simulate`].
-pub fn simulate_with_direction(
-    program: &Program,
-    cfg: &CoreConfig,
-    predictor: &mut dyn MemDepPredictor,
-    direction: Box<dyn DirectionPredictor>,
-    max_insts: u64,
-) -> SimStats {
-    match try_simulate_with_direction(program, cfg, predictor, direction, max_insts) {
+    match try_simulate(program, cfg, predictor, max_insts) {
         Ok(stats) => stats,
         Err(SimError::CycleCeiling { max_cycles, snapshot }) => {
             eprintln!(
