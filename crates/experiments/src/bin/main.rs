@@ -423,8 +423,8 @@ fn main() {
             workers.map_or_else(Sweep::parallel, Sweep::with_workers)
         };
         // The validation experiments read the sampling config off the
-        // sweep but run their full-detail reference through
-        // `Sweep::full_grid`, so setting sampled mode here is safe for
+        // sweep but run their full-detail reference through `Sweep::grid`
+        // with no sampling, so setting sampled mode here is safe for
         // every id.
         if let Some(scfg) = sampling {
             sweep = sweep.with_sampling(scfg);

@@ -314,7 +314,7 @@ pub mod fig10 {
     /// whole run's set of unique conflicts.
     pub fn run(sweep: &Sweep, budget: &Budget) -> String {
         let kinds = [PredictorKind::UnlimitedPhast(None)];
-        let runs = sweep.full_grid(&kinds, &CoreConfig::alder_lake(), budget, &|_| {}).remove(0);
+        let runs = sweep.grid(&kinds, &CoreConfig::alder_lake(), budget, None, &|_| {}).remove(0);
         sweep.record_all(&runs);
         let mut histogram: Vec<u64> = Vec::new();
         for run in &runs {
@@ -694,24 +694,20 @@ pub mod sampled {
         let kinds = [PredictorKind::StoreSets, PredictorKind::Phast];
         let vbudget =
             Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
-        let workloads = vbudget.workloads();
-        assert!(workloads.len() >= 4, "validation needs at least 4 workloads");
+        assert!(vbudget.workloads().len() >= 4, "validation needs at least 4 workloads");
 
         // Full-detail reference grid (bypasses the sweep's sampling mode
         // on purpose — this *is* the reference).
         let t0 = Instant::now();
         let full: Vec<RunResult> =
-            sweep.full_grid(&kinds, &cfg, &vbudget, &|_| {}).into_iter().flatten().collect();
+            sweep.grid(&kinds, &cfg, &vbudget, None, &|_| {}).into_iter().flatten().collect();
         let full_wall = t0.elapsed();
 
-        // Sampled estimates of the same grid: capture once per workload,
-        // windows fanned across the pool.
+        // Sampled estimates of the same grid: one capture per workload,
+        // cells fanned across the pool.
         let t1 = Instant::now();
-        let mut sampled: Vec<RunResult> = sweep
-            .sampled_grid(&kinds, &workloads, &cfg, &vbudget, scfg)
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut sampled: Vec<RunResult> =
+            sweep.grid(&kinds, &cfg, &vbudget, Some(scfg), &|_| {}).into_iter().flatten().collect();
         let sampled_wall = t1.elapsed();
 
         let mut t = TextTable::new(vec![
@@ -849,24 +845,21 @@ pub mod sampled_v2 {
         let cfg = CoreConfig::alder_lake();
         let kinds = [PredictorKind::StoreSets, PredictorKind::Phast];
         let vbudget = Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
-        let workloads = vbudget.workloads();
-        assert!(workloads.len() >= 4, "validation needs at least 4 workloads");
+        assert!(vbudget.workloads().len() >= 4, "validation needs at least 4 workloads");
 
+        let grid = |scfg| -> Vec<RunResult> {
+            sweep.grid(&kinds, &cfg, &vbudget, scfg, &|_| {}).into_iter().flatten().collect()
+        };
         let t0 = Instant::now();
-        let full: Vec<RunResult> =
-            sweep.full_grid(&kinds, &cfg, &vbudget, &|_| {}).into_iter().flatten().collect();
+        let full = grid(None);
         let full_wall = t0.elapsed();
 
-        let sampled_grid = |scfg| -> Vec<RunResult> {
-            let rows = sweep.sampled_grid(&kinds, &workloads, &cfg, &vbudget, scfg);
-            rows.into_iter().flatten().collect()
-        };
         let t1 = Instant::now();
-        let mut stride = sampled_grid(stride_cfg);
+        let mut stride = grid(Some(stride_cfg));
         let stride_wall = t1.elapsed();
 
         let t2 = Instant::now();
-        let mut phase = sampled_grid(phase_cfg);
+        let mut phase = grid(Some(phase_cfg));
         let phase_wall = t2.elapsed();
 
         let mut t = TextTable::new(vec![

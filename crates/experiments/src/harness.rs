@@ -39,7 +39,7 @@ use phast_sample::{
 };
 use phast_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Process exit codes of the experiment binary — the machine-readable
@@ -336,9 +336,9 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     }
 }
 
-/// Builds and simulates one (workload, predictor kind) pair without
-/// touching any registry — the unit of work the pool distributes, under
-/// a cooperative deadline. A failed run yields its partial statistics
+/// One full-detail attempt at a cell: builds and simulates one
+/// (workload, predictor kind) pair under a cooperative deadline, without
+/// touching any registry. A failed run yields its partial statistics
 /// plus the [`SimError`] instead of aborting. The run's wall-clock
 /// covers the simulation only, not the program or predictor build.
 fn execute_one_within(
@@ -370,23 +370,6 @@ fn execute_one_within(
         attempts: 1,
         sampling: None,
         workload_signature: phast_trace::signature(&program).digest(),
-    }
-}
-
-/// One *attempt* at a full-detail sweep cell, with panic isolation but no
-/// retry loop, journaling, or registry — what [`Sweep::execute_cell`]
-/// runs once per attempt. A panic inside the cell degrades it to
-/// [`RunFailure::Panicked`].
-fn execute_cell_once(
-    workload: &Workload,
-    kind: &PredictorKind,
-    cfg: &CoreConfig,
-    budget: &Budget,
-    deadline: &Deadline,
-) -> RunResult {
-    match pool::catch_job(|| execute_one_within(workload, kind, cfg, budget, deadline)) {
-        Ok(run) => run,
-        Err(p) => panicked_result(workload.name, &kind.label(), p),
     }
 }
 
@@ -440,29 +423,86 @@ fn reseed_for_attempt(cfg: &CoreConfig, attempt: u64) -> (CoreConfig, u64) {
     (cfg_attempt, seed)
 }
 
-/// Assembles the per-window runs of one (workload, predictor) cell into a
-/// [`RunResult`]: statistics are the window sums (so the cell's IPC is
-/// the ratio-of-sums estimate), `sampling` carries the estimate metadata,
-/// and the first window failure (if any) degrades the cell. The cell's
-/// wall is `setup_wall` (its share of capture and oracle building) plus
-/// its windows' walls.
-fn assemble_sampled(
-    workload: &str,
-    label: &str,
-    set: &CheckpointSet,
-    windows: Vec<(WindowRun, u64, Duration)>,
-    setup_wall: Duration,
-    workload_signature: String,
-) -> RunResult {
-    let num_paths = windows.iter().map(|(_, p, _)| *p).max().unwrap_or(0);
-    let wall = setup_wall + windows.iter().map(|(_, _, d)| *d).sum::<Duration>();
-    let runs: Vec<WindowRun> = windows.into_iter().map(|(r, _, _)| r).collect();
+/// What the sampled cells of one workload share: the capture pass
+/// (program plus checkpoint set) and, for ideal cells, the dependence
+/// oracle over the horizon. The first live cell that needs either builds
+/// it, and that cell's wall is charged with it, so a workload whose cells
+/// all replay from the journal is never captured. A build that panicked
+/// degrades every cell that needs it, as a panic in the cell would.
+struct SampledWorkload {
+    scfg: SampleConfig,
+    capture: OnceLock<Result<(Program, CheckpointSet), JobPanic>>,
+    oracle: OnceLock<Result<Arc<DepOracle>, JobPanic>>,
+}
+
+impl SampledWorkload {
+    fn new(scfg: SampleConfig) -> SampledWorkload {
+        SampledWorkload { scfg, capture: OnceLock::new(), oracle: OnceLock::new() }
+    }
+}
+
+/// `slot`'s value, built by `build` under panic isolation if no cell has
+/// built it yet; the build's host time is added to `wall` only when this
+/// call ran it.
+fn build_once<'s, T>(
+    slot: &'s OnceLock<Result<T, JobPanic>>,
+    wall: &mut Duration,
+    build: impl FnOnce() -> T,
+) -> Result<&'s T, JobPanic> {
+    let built = slot.get_or_init(|| {
+        let t = Instant::now();
+        let built = pool::catch_job(build);
+        *wall += t.elapsed();
+        built
+    });
+    built.as_ref().map_err(JobPanic::clone)
+}
+
+/// One sampled attempt at a cell: its workload's windows replayed in
+/// order, each with a freshly built predictor, under the attempt's one
+/// deadline. Statistics are the window sums, weighted by cluster size (so
+/// the cell's ratio statistics equal the weighted estimate); `sampling`
+/// carries the estimate metadata; the first window failure degrades the
+/// cell. The wall is the windows' build-and-replay time plus any capture
+/// or oracle build this attempt ran.
+fn execute_sampled_within(
+    workload: &Workload,
+    kind: &PredictorKind,
+    cfg: &CoreConfig,
+    budget: &Budget,
+    shared: &SampledWorkload,
+    deadline: &Deadline,
+) -> Result<RunResult, JobPanic> {
+    let mut wall = Duration::ZERO;
+    let (program, set) = build_once(&shared.capture, &mut wall, || {
+        let program = workload.build(budget.workload_iters);
+        let set =
+            capture(&program, cfg, &shared.scfg, budget.insts).expect("workloads emulate cleanly");
+        (program, set)
+    })?;
+    let oracle = match kind {
+        PredictorKind::Ideal => {
+            Some(build_once(&shared.oracle, &mut wall, || ideal_oracle(program, budget.insts))?)
+        }
+        _ => None,
+    };
+    let mut core_cfg = cfg.clone();
+    core_cfg.train_point = kind.train_point();
+    let mut num_paths = 0;
+    let runs: Vec<WindowRun> = set
+        .windows_to_run()
+        .into_iter()
+        .map(|j| {
+            let t = Instant::now();
+            let mut predictor = kind.build_sharing(program, budget.insts, oracle);
+            let run = run_window_within(program, &core_cfg, predictor.as_mut(), set, j, deadline);
+            num_paths = num_paths.max(predictor.num_paths());
+            wall += t.elapsed();
+            run
+        })
+        .collect();
     let failure = runs.iter().find_map(|r| r.failure.clone().map(RunFailure::Sim));
     let est = estimate(set, &runs);
-    // Cluster-weight-aware cell statistics: each representative window's
-    // counters scale by its cluster's member count (all 1 for stride
-    // sets), so the cell's ratio statistics equal the weighted estimate.
-    let weights = set.run_weights();
     let (mode, cluster_weights, cluster_representatives) = match &set.clusters {
         Some(plan) => (
             SampleMode::Phase.as_str().to_string(),
@@ -471,10 +511,10 @@ fn assemble_sampled(
         ),
         None => (SampleMode::Stride.as_str().to_string(), Vec::new(), Vec::new()),
     };
-    RunResult {
-        workload: workload.to_string(),
-        predictor: label.to_string(),
-        stats: sum_window_stats_weighted(&runs, &weights),
+    Ok(RunResult {
+        workload: workload.name.to_string(),
+        predictor: kind.label(),
+        stats: sum_window_stats_weighted(&runs, &set.run_weights()),
         num_paths,
         path_lengths: Vec::new(),
         failure,
@@ -495,26 +535,12 @@ fn assemble_sampled(
             cluster_representatives,
         }),
         attempts: 1,
-        workload_signature,
-    }
+        workload_signature: phast_trace::signature(program).digest(),
+    })
 }
 
-/// One workload of a sampled grid: what its windows share, built before
-/// any of them runs and dropped with the grid.
-struct SampledWorkload {
-    program: Program,
-    set: CheckpointSet,
-    /// Host time of the capture pass, charged to the first live cell.
-    capture_wall: Duration,
-    /// The ideal oracle over the horizon and its build time, charged to
-    /// the first live ideal cell. Built only when an ideal cell is live;
-    /// a build that panicked degrades those cells, as a panic in one of
-    /// their windows would.
-    oracle: Option<(Result<Arc<DepOracle>, JobPanic>, Duration)>,
-}
-
-/// A live full-detail cell's progress, as [`Sweep::full_grid`] reports
-/// it. Cells replayed from the journal report neither.
+/// A live cell's progress, as [`Sweep::grid`] reports it. Cells replayed
+/// from the journal report neither.
 pub(crate) enum CellProgress<'a> {
     /// The cell's first attempt is about to run.
     Started,
@@ -547,9 +573,10 @@ impl Sweep {
         Sweep { workers: workers.max(1), ..Sweep::default() }
     }
 
-    /// Arms a per-run wall-clock watchdog: any single run (or sampled
-    /// window) exceeding `timeout` is cut off cooperatively and degrades
-    /// with `SimError::Deadline` instead of hanging its worker thread.
+    /// Arms a per-cell wall-clock watchdog: any attempt at a cell — a
+    /// full-detail run, or all the windows of a sampled cell together —
+    /// exceeding `timeout` is cut off cooperatively and degrades with
+    /// `SimError::Deadline` instead of hanging its worker thread.
     pub fn with_run_timeout(mut self, timeout: Duration) -> Sweep {
         self.run_timeout = Some(timeout);
         self
@@ -579,7 +606,7 @@ impl Sweep {
         self.deadline_runs.load(Ordering::Relaxed)
     }
 
-    /// A fresh per-run deadline from this sweep's watchdog setting.
+    /// A fresh per-attempt deadline from this sweep's watchdog setting.
     fn deadline(&self) -> Deadline {
         match self.run_timeout {
             Some(t) => Deadline::after(t),
@@ -591,7 +618,10 @@ impl Sweep {
     /// ([`Sweep::run_one`], [`Sweep::run_all`], [`Sweep::run_grid`])
     /// estimate each (workload, predictor) cell from detailed windows
     /// via `phast-sample` instead of simulating the whole budget
-    /// cycle-accurately. [`Sweep::map`] is unaffected.
+    /// cycle-accurately. A sampled cell keeps the one cell lifecycle —
+    /// journal, retries, watchdog, panic isolation — and replays its
+    /// workload's windows in order on one worker. [`Sweep::map`] is
+    /// unaffected.
     pub fn with_sampling(mut self, scfg: SampleConfig) -> Sweep {
         self.sampling = Some(scfg);
         self
@@ -622,8 +652,7 @@ impl Sweep {
     /// Fans `f` over `items` on this sweep's worker pool; results come
     /// back **in item order**. For work that is not a cell, i.e. not a
     /// (workload, predictor, core) run that writes an artifact row:
-    /// oracle statistics, direction-predictor studies, static signatures,
-    /// sampled captures and windows.
+    /// oracle statistics, direction-predictor studies, static signatures.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -639,8 +668,8 @@ impl Sweep {
     /// journal included, so the artifact matches an uninterrupted sweep's
     /// modulo wall-clock and attempt metadata. Deadline-cut runs bump the
     /// counter behind [`Sweep::deadline_count`]. The run methods call
-    /// this; callers of `full_grid` and `sampled_grid` (experiments that
-    /// annotate their cells first, and the daemon) call it themselves.
+    /// this; callers of [`Sweep::grid`] (experiments that annotate their
+    /// cells first, and the daemon) call it themselves.
     pub(crate) fn record_all(&self, runs: &[RunResult]) {
         let mut degraded = self.degraded.lock().expect("degraded-run registry");
         let mut records = self.records.lock().expect("run log");
@@ -656,22 +685,25 @@ impl Sweep {
         }
     }
 
-    /// Executes one full-detail cell with the resilience machinery — the
-    /// one cell lifecycle of both binaries: journal replay (a cell the
-    /// journal holds as `ok` is not re-simulated), write-ahead `start` line,
-    /// an attempt under panic isolation and the per-run deadline watchdog,
-    /// the capped retry policy with per-attempt fault reseeding, and the
-    /// `done` line. A live cell reports its start and its final result to
-    /// `observe`.
+    /// Executes one cell with the resilience machinery — the one cell
+    /// lifecycle of both binaries and both sampling modes: journal replay
+    /// (a cell the journal holds as `ok` is not re-simulated), write-ahead
+    /// `start` line, an attempt under panic isolation and the per-cell
+    /// deadline watchdog, the capped retry policy with per-attempt fault
+    /// reseeding, and the `done` line. An attempt simulates the whole
+    /// budget in full detail, or with `sampled` replays the windows of its
+    /// workload's capture. A live cell reports its start and its final
+    /// result to `observe`.
     fn execute_cell(
         &self,
         workload: &Workload,
         kind: &PredictorKind,
         cfg: &CoreConfig,
         budget: &Budget,
+        sampled: Option<&SampledWorkload>,
         observe: &(dyn Fn(CellProgress<'_>) + Sync),
     ) -> RunResult {
-        let key = cell_key(workload.name, &kind.label(), cfg, budget, None);
+        let key = cell_key(workload.name, &kind.label(), cfg, budget, sampled.map(|s| &s.scfg));
         if let Some(done) = self.journal.as_ref().and_then(|j| j.lookup(&key)) {
             return replayed_result(done);
         }
@@ -685,7 +717,14 @@ impl Sweep {
                 j.log_start(&key, attempt, seed);
             }
             let deadline = self.deadline();
-            let mut run = execute_cell_once(workload, kind, &cfg_attempt, budget, &deadline);
+            let mut run = pool::catch_job(|| match sampled {
+                Some(shared) => {
+                    execute_sampled_within(workload, kind, &cfg_attempt, budget, shared, &deadline)
+                }
+                None => Ok(execute_one_within(workload, kind, &cfg_attempt, budget, &deadline)),
+            })
+            .and_then(|run| run)
+            .unwrap_or_else(|p| panicked_result(workload.name, &kind.label(), p));
             run.attempts = attempt;
             if run.ok() || attempt >= max_attempts {
                 if let Some(j) = &self.journal {
@@ -706,15 +745,8 @@ impl Sweep {
         cfg: &CoreConfig,
         budget: &Budget,
     ) -> RunResult {
-        let run = match self.sampling {
-            Some(scfg) => {
-                let kinds = std::slice::from_ref(kind);
-                let workloads = std::slice::from_ref(workload);
-                let rows = self.sampled_grid(kinds, workloads, cfg, budget, scfg);
-                rows.into_iter().flatten().next().expect("one cell")
-            }
-            None => self.execute_cell(workload, kind, cfg, budget, &|_| {}),
-        };
+        let sampled = self.sampling.map(SampledWorkload::new);
+        let run = self.execute_cell(workload, kind, cfg, budget, sampled.as_ref(), &|_| {});
         self.record_all(std::slice::from_ref(&run));
         run
     }
@@ -736,38 +768,41 @@ impl Sweep {
         cfg: &CoreConfig,
         budget: &Budget,
     ) -> Vec<Vec<RunResult>> {
-        let rows = match self.sampling {
-            Some(scfg) => self.sampled_grid(kinds, &budget.workloads(), cfg, budget, scfg),
-            None => self.full_grid(kinds, cfg, budget, &|_| {}),
-        };
+        let rows = self.grid(kinds, cfg, budget, self.sampling, &|_| {});
         for row in &rows {
             self.record_all(row);
         }
         rows
     }
 
-    /// The (kind × workload) grid in full detail whatever this sweep's
-    /// sampling mode, every cell through [`Sweep::execute_cell`] (journal,
-    /// retries, deadline, panic isolation), without recording the
-    /// results. Rows are in kind order, each in registry order. Each live
+    /// The (kind × workload) grid without recording the results: every
+    /// cell through [`Sweep::execute_cell`] (journal, retries, deadline,
+    /// panic isolation), the cells fanned across the pool. With
+    /// `sampling`, each workload is captured once, by its first live cell,
+    /// and each cell replays that capture's windows in order on its
+    /// worker; `None` runs full detail whatever this sweep's sampling
+    /// mode. Rows are in kind order, each in registry order. Each live
     /// cell reports its progress to `observe` from whichever worker runs
     /// it — how `phast-serve` streams a sweep's `cell` events. The sampled
-    /// validation experiments run their full-detail reference here and
-    /// record it after annotating the sampled cells; Fig. 10 runs here
-    /// because a sampled window cannot see a whole run's conflicts.
-    pub(crate) fn full_grid(
+    /// validation experiments record both grids after annotating the
+    /// sampled one; Fig. 10 runs in full detail because a sampled window
+    /// cannot see a whole run's conflicts.
+    pub(crate) fn grid(
         &self,
         kinds: &[PredictorKind],
         cfg: &CoreConfig,
         budget: &Budget,
+        sampling: Option<SampleConfig>,
         observe: &(dyn Fn(CellProgress<'_>) + Sync),
     ) -> Vec<Vec<RunResult>> {
         let workloads = budget.workloads();
+        let sampled: Vec<Option<SampledWorkload>> =
+            workloads.iter().map(|_| sampling.map(SampledWorkload::new)).collect();
         let cells: Vec<(usize, usize)> = (0..kinds.len())
             .flat_map(|k| (0..workloads.len()).map(move |w| (k, w)))
             .collect();
         let flat = self.map(&cells, |_, &(k, w)| {
-            self.execute_cell(&workloads[w], &kinds[k], cfg, budget, observe)
+            self.execute_cell(&workloads[w], &kinds[k], cfg, budget, sampled[w].as_ref(), observe)
         });
         let mut rows: Vec<Vec<RunResult>> = Vec::with_capacity(kinds.len());
         let mut flat = flat.into_iter();
@@ -792,164 +827,6 @@ impl Sweep {
             workloads.iter().map(move |w| cell_key(w.name, &k.label(), cfg, budget, None))
         });
         keys.filter(|key| j.lookup(key).is_some()).count()
-    }
-
-    /// The sampled (kind × `workloads`) grid, without recording the
-    /// results: **capture once per workload**, then fan every (kind,
-    /// workload, window) triple across the pool — windows replay
-    /// independently from their checkpoints, so the grid parallelizes at
-    /// window granularity rather than cell granularity. Results regroup
-    /// into the same `rows[kind][workload]` shape as the full-detail
-    /// grid. The ideal predictor's oracle is likewise built once per
-    /// workload and shared by all its windows. The capture wall-clock is
-    /// attributed once per workload (to the first kind's cell), the
-    /// oracle build to the first ideal cell, so summed walls reflect real
-    /// cost. [`Sweep::run_grid`] and [`Sweep::run_one`] record what it
-    /// returns; the sampled validation experiments annotate it first.
-    pub(crate) fn sampled_grid(
-        &self,
-        kinds: &[PredictorKind],
-        workloads: &[Workload],
-        cfg: &CoreConfig,
-        budget: &Budget,
-        scfg: SampleConfig,
-    ) -> Vec<Vec<RunResult>> {
-        // Journal replay at cell granularity: a (kind, workload) cell the
-        // journal holds as `ok` is rebuilt from its record; a workload
-        // none of whose cells are live skips its capture pass entirely.
-        let replays: Vec<Vec<Option<CompletedRun>>> = kinds
-            .iter()
-            .map(|kind| {
-                workloads
-                    .iter()
-                    .map(|w| {
-                        self.journal.as_ref().and_then(|j| {
-                            j.lookup(&cell_key(w.name, &kind.label(), cfg, budget, Some(&scfg)))
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let live: Vec<bool> = (0..workloads.len())
-            .map(|w| (0..kinds.len()).any(|k| replays[k][w].is_none()))
-            .collect();
-        let first_live_ideal: Vec<Option<usize>> = (0..workloads.len())
-            .map(|w| {
-                (0..kinds.len())
-                    .find(|&k| kinds[k] == PredictorKind::Ideal && replays[k][w].is_none())
-            })
-            .collect();
-        let capture_idx: Vec<usize> = (0..workloads.len()).collect();
-        let captures: Vec<Option<SampledWorkload>> = self.map(&capture_idx, |_, &w| {
-            if !live[w] {
-                return None;
-            }
-            let t = Instant::now();
-            let program = workloads[w].build(budget.workload_iters);
-            let set =
-                capture(&program, cfg, &scfg, budget.insts).expect("workloads emulate cleanly");
-            let capture_wall = t.elapsed();
-            let oracle = first_live_ideal[w].map(|_| {
-                let t = Instant::now();
-                let built = pool::catch_job(|| ideal_oracle(&program, budget.insts));
-                (built, t.elapsed())
-            });
-            Some(SampledWorkload { program, set, capture_wall, oracle })
-        });
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for (k, kind) in kinds.iter().enumerate() {
-            for (w, capture) in captures.iter().enumerate() {
-                if replays[k][w].is_some() {
-                    continue;
-                }
-                let set = &capture.as_ref().expect("live workload was captured").set;
-                // Write-ahead: the start line lands before the cell's
-                // windows enter the pool.
-                if let Some(j) = &self.journal {
-                    j.log_start(
-                        &cell_key(workloads[w].name, &kind.label(), cfg, budget, Some(&scfg)),
-                        1,
-                        0,
-                    );
-                }
-                for j in set.windows_to_run() {
-                    tasks.push((k, w, j));
-                }
-            }
-        }
-        // Windows run under panic isolation and a per-window deadline: a
-        // single poisoned or hung window degrades its cell, not the grid.
-        let flat = self.map(&tasks, |_, &(k, w, j)| {
-            let c = captures[w].as_ref().expect("live workload was captured");
-            let oracle = match &c.oracle {
-                Some((built, _)) if kinds[k] == PredictorKind::Ideal => {
-                    Some(built.as_ref().map_err(JobPanic::clone)?)
-                }
-                _ => None,
-            };
-            pool::catch_job(|| {
-                let (program, set) = (&c.program, &c.set);
-                let t = Instant::now();
-                let mut core_cfg = cfg.clone();
-                core_cfg.train_point = kinds[k].train_point();
-                let mut predictor = kinds[k].build_sharing(program, budget.insts, oracle);
-                let deadline = self.deadline();
-                let run = run_window_within(program, &core_cfg, predictor.as_mut(), set, j, &deadline);
-                (run, predictor.num_paths(), t.elapsed())
-            })
-        });
-        let mut flat = flat.into_iter();
-        let mut rows: Vec<Vec<RunResult>> = Vec::with_capacity(kinds.len());
-        for (k, kind) in kinds.iter().enumerate() {
-            let mut row = Vec::with_capacity(workloads.len());
-            for (w, workload) in workloads.iter().enumerate() {
-                if let Some(done) = &replays[k][w] {
-                    row.push(replayed_result(done.clone()));
-                    continue;
-                }
-                let c = captures[w].as_ref().expect("live workload was captured");
-                let n = c.set.windows_to_run().len();
-                let mut windows = Vec::with_capacity(n);
-                let mut panic: Option<JobPanic> = None;
-                for r in flat.by_ref().take(n) {
-                    match r {
-                        Ok(win) => windows.push(win),
-                        Err(p) => panic = Some(p),
-                    }
-                }
-                let first_live = (0..kinds.len()).find(|&kk| replays[kk][w].is_none());
-                let mut setup_share = Duration::ZERO;
-                if first_live == Some(k) {
-                    setup_share += c.capture_wall;
-                }
-                if first_live_ideal[w] == Some(k) {
-                    setup_share += c.oracle.as_ref().map_or(Duration::ZERO, |(_, d)| *d);
-                }
-                let mut cell = match panic {
-                    Some(p) => panicked_result(workload.name, &kind.label(), p),
-                    None => assemble_sampled(
-                        workload.name,
-                        &kind.label(),
-                        &c.set,
-                        windows,
-                        setup_share,
-                        phast_trace::signature(&c.program).digest(),
-                    ),
-                };
-                cell.attempts = 1;
-                if let Some(jn) = &self.journal {
-                    let status = cell.failure.as_ref().map_or("ok", RunFailure::kind);
-                    jn.log_done(
-                        &cell_key(workload.name, &kind.label(), cfg, budget, Some(&scfg)),
-                        &cell.journaled(),
-                        status,
-                    );
-                }
-                row.push(cell);
-            }
-            rows.push(row);
-        }
-        rows
     }
 
     /// Flags a failure that is not a single run's [`SimError`] — e.g. a

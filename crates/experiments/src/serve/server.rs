@@ -445,7 +445,7 @@ fn run_sweep(
         let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
         let started = Instant::now();
         // A send fails only once the watcher is gone; the sweep goes on.
-        let rows = sweep.full_grid(kinds, cfg, budget, &|progress| match progress {
+        let rows = sweep.grid(kinds, cfg, budget, None, &|progress| match progress {
             CellProgress::Started => {
                 shared.queued.fetch_sub(1, Ordering::SeqCst);
             }

@@ -258,13 +258,6 @@ impl<'p> Emulator<'p> {
         self.regs[r.index()]
     }
 
-    /// Sets a register (no-op for r0). Useful for test setup.
-    pub fn set_reg(&mut self, r: Reg, value: u64) {
-        if !r.is_zero() {
-            self.regs[r.index()] = value;
-        }
-    }
-
     /// The program being executed.
     pub fn program(&self) -> &'p Program {
         self.program
@@ -273,11 +266,6 @@ impl<'p> Emulator<'p> {
     /// The architectural memory.
     pub fn memory(&self) -> &SparseMemory {
         &self.mem
-    }
-
-    /// Mutable access to architectural memory, for test setup.
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
     }
 
     /// Number of instructions retired so far.

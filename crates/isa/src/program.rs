@@ -42,13 +42,6 @@ pub struct BasicBlock {
     pub fallthrough: Option<BlockId>,
 }
 
-impl BasicBlock {
-    /// Returns true if the block's last instruction is a control transfer.
-    pub fn ends_in_control(&self) -> bool {
-        self.insts.last().is_some_and(|i| i.op.is_control())
-    }
-}
-
 /// A validated program: a CFG of basic blocks plus a deterministic address
 /// layout.
 ///
@@ -104,13 +97,6 @@ impl Program {
     #[inline]
     pub fn block(&self, id: BlockId) -> &BasicBlock {
         &self.blocks[id.index()]
-    }
-
-    /// Returns the block with the given id, or `None` if out of range.
-    /// Wrong-path execution uses this to tolerate garbage indirect targets.
-    #[inline]
-    pub fn try_block(&self, id: BlockId) -> Option<&BasicBlock> {
-        self.blocks.get(id.index())
     }
 
     /// The instruction at `(block, index)`.

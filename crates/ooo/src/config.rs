@@ -18,16 +18,6 @@ pub enum MemSquashPolicy {
     Eager,
 }
 
-/// Which indirect-target predictor the front end uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndirectPredictorKind {
-    /// A tagged last-target table (cheap, mispredicts polymorphic sites).
-    LastTarget,
-    /// ITTAGE: tagged geometric-history target prediction, as in the
-    /// paper's TAGE-SC-L + ITTAGE front end.
-    Ittage,
-}
-
 /// When the memory dependence predictor is trained after a violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrainPoint {
@@ -91,8 +81,6 @@ pub struct CoreConfig {
     pub train_point: TrainPoint,
     /// When to squash on a memory-order violation.
     pub mem_squash: MemSquashPolicy,
-    /// Indirect-target predictor flavour.
-    pub indirect_predictor: IndirectPredictorKind,
     /// §IV-A1 forwarding filter: ignore "violations" from stores older
     /// than the store that forwarded the load's data (Fig. 3c). On for
     /// every headline result; Fig. 12 evaluates it off.
@@ -122,7 +110,6 @@ impl CoreConfig {
             memory: HierarchyConfig::default(),
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
-            indirect_predictor: IndirectPredictorKind::Ittage,
             forwarding_filter: true,
             deadlock_cycles: 200_000,
             check: CheckConfig::default(),
@@ -158,7 +145,6 @@ impl CoreConfig {
             },
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
-            indirect_predictor: IndirectPredictorKind::Ittage,
             forwarding_filter: true,
             deadlock_cycles: 200_000,
             check: CheckConfig::default(),
@@ -194,7 +180,6 @@ impl CoreConfig {
             },
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
-            indirect_predictor: IndirectPredictorKind::Ittage,
             forwarding_filter: true,
             deadlock_cycles: 200_000,
             check: CheckConfig::default(),
@@ -230,7 +215,6 @@ impl CoreConfig {
             },
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
-            indirect_predictor: IndirectPredictorKind::Ittage,
             forwarding_filter: true,
             deadlock_cycles: 200_000,
             check: CheckConfig::default(),

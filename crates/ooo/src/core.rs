@@ -17,17 +17,17 @@
 //! Fig. 12.
 
 use crate::check::{CommitChecker, FaultInjector};
-use crate::config::{CoreConfig, IndirectPredictorKind, MemSquashPolicy, TrainPoint};
+use crate::config::{CoreConfig, MemSquashPolicy, TrainPoint};
 use crate::deadline::Deadline;
 use crate::error::{HeadUop, PipelineSnapshot, SimError};
 use crate::stats::SimStats;
 use phast_branch::{
     DirectionPredictor, DivergentEvent, DivergentHistory, HistoryCheckpoint, Ittage, IttageConfig,
-    LastTargetPredictor, ReturnAddressStack,
+    ReturnAddressStack,
 };
 use phast_isa::{
-    compute_value, ranges_overlap, BlockId, EmuSnapshot, ExecClass, Inst, MemSize, Op, Pc,
-    Program, Reg, SparseMemory, NUM_REGS,
+    compute_value, ranges_overlap, BlockId, EmuSnapshot, Emulator, ExecClass, Inst, MemSize, Op,
+    Pc, Program, Reg, SparseMemory, NUM_REGS,
 };
 use phast_mdp::{
     DepPrediction, LoadCommit, LoadQuery, MemDepPredictor, PredictionOutcome, StoreQuery,
@@ -39,6 +39,9 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// How many wait tokens a [`TokenList`] stores inline before spilling.
 const TOKENS_INLINE: usize = 8;
+
+/// Entries of the core's return-address stack.
+pub const RAS_DEPTH: usize = 32;
 
 /// A small set of store tokens, inline up to [`TOKENS_INLINE`] entries.
 ///
@@ -171,51 +174,6 @@ struct Uop {
     mdp_delayed: bool,
 }
 
-/// The front end's indirect-target predictor (configurable flavour).
-///
-/// Public so the sampled-simulation engine (`phast-sample`) can warm the
-/// same structure during functional fast-forward and hand it back to the
-/// core via [`BootState`].
-#[derive(Clone)]
-pub enum IndirectPredictor {
-    /// PC-indexed last-target table.
-    LastTarget(LastTargetPredictor),
-    /// Path-history-tagged geometric predictor.
-    Ittage(Box<Ittage>),
-}
-
-impl IndirectPredictor {
-    /// Creates a cold predictor of the configured flavour, sized exactly
-    /// like the one [`Core::new`] builds.
-    pub fn new(kind: IndirectPredictorKind) -> IndirectPredictor {
-        match kind {
-            IndirectPredictorKind::LastTarget => {
-                IndirectPredictor::LastTarget(LastTargetPredictor::new(512))
-            }
-            IndirectPredictorKind::Ittage => {
-                IndirectPredictor::Ittage(Box::new(Ittage::new(IttageConfig::default())))
-            }
-        }
-    }
-
-    /// Predicted target for the indirect branch at `pc` under path history
-    /// `ghr`, if any.
-    pub fn predict(&self, pc: Pc, ghr: u128) -> Option<BlockId> {
-        match self {
-            IndirectPredictor::LastTarget(p) => p.predict(pc),
-            IndirectPredictor::Ittage(p) => p.predict(pc, ghr),
-        }
-    }
-
-    /// Records the resolved target of the indirect branch at `pc`.
-    pub fn update(&mut self, pc: Pc, ghr: u128, target: BlockId) {
-        match self {
-            IndirectPredictor::LastTarget(p) => p.update(pc, target),
-            IndirectPredictor::Ittage(p) => p.update(pc, ghr, target),
-        }
-    }
-}
-
 /// Where fetch resumes after a squash.
 enum Redirect {
     /// Re-fetch from this exact static location (violation squash).
@@ -246,7 +204,7 @@ pub struct Core<'a> {
     path_ghr: u128,
     spec_hist: DivergentHistory,
     commit_hist: DivergentHistory,
-    indirect: IndirectPredictor,
+    indirect: Box<Ittage>,
     ras: ReturnAddressStack,
 
     // Rename and architectural state.
@@ -314,8 +272,8 @@ pub struct BootState {
     pub ras: ReturnAddressStack,
     /// Warmed cache hierarchy (use a freshly created one for cold boots).
     pub hierarchy: Hierarchy,
-    /// Warmed indirect-target predictor.
-    pub indirect: IndirectPredictor,
+    /// Warmed indirect-target predictor (the front end's ITTAGE).
+    pub indirect: Box<Ittage>,
 }
 
 /// One committed instruction, for equivalence checks against the
@@ -333,53 +291,26 @@ pub struct CommitRecord {
 }
 
 impl<'a> Core<'a> {
-    /// Creates a core at the program entry with cold predictors and caches.
+    /// Creates a core at the program entry with cold predictors and caches:
+    /// [`Core::with_state`] booted from the entry snapshot of a fresh
+    /// emulator, zero branch histories, an empty return-address stack, and
+    /// new hierarchy and indirect predictor.
     pub fn new(
         program: &'a Program,
         cfg: CoreConfig,
         predictor: &'a mut dyn MemDepPredictor,
         direction: Box<dyn DirectionPredictor>,
     ) -> Core<'a> {
-        let checker = cfg.check.lockstep.then(|| CommitChecker::new(program));
-        let injector = cfg.check.faults.map(FaultInjector::new);
-        Core {
-            mem: Hierarchy::new(cfg.memory),
-            cursor: Some((program.entry(), 0)),
-            fetch_stalled_until: 0,
-            cur_fetch_line: None,
-            next_token: 0,
-            next_arch_seq: 0,
-            halt_fetched: false,
+        let boot = BootState {
+            arch: Emulator::new(program).snapshot(),
             cond_ghr: 0,
             path_ghr: 0,
-            spec_hist: DivergentHistory::new(),
-            commit_hist: DivergentHistory::new(),
-            indirect: IndirectPredictor::new(cfg.indirect_predictor),
-            ras: ReturnAddressStack::new(32),
-            rat: [None; NUM_REGS],
-            arch_regs: [0; NUM_REGS],
-            memory_state: SparseMemory::new(),
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            rob_head_token: 0,
-            iq_tokens: VecDeque::with_capacity(cfg.iq_size),
-            lq_tokens: VecDeque::with_capacity(cfg.lq_size),
-            sq_tokens: VecDeque::with_capacity(cfg.sq_size),
-            completions: BinaryHeap::with_capacity(2 * cfg.rob_size),
-            reg_writers: [0; NUM_REGS],
-            scratch_violations: Vec::with_capacity(16),
-            sb_drains: VecDeque::with_capacity(cfg.sq_size),
-            cycle: 0,
-            last_commit_cycle: 0,
-            stats: SimStats::default(),
-            halted: false,
-            commit_log: None,
-            checker,
-            injector,
-            program,
-            cfg,
-            predictor,
-            direction,
-        }
+            history: DivergentHistory::new(),
+            ras: ReturnAddressStack::new(RAS_DEPTH),
+            hierarchy: Hierarchy::new(cfg.memory),
+            indirect: Box::new(Ittage::new(IttageConfig::default())),
+        };
+        Core::with_state(program, cfg, predictor, direction, boot)
     }
 
     /// Creates a core resuming mid-program from warmed [`BootState`].
@@ -577,11 +508,6 @@ impl<'a> Core<'a> {
     /// Architectural register value (for oracle-style verification).
     pub fn arch_reg(&self, r: Reg) -> u64 {
         self.arch_regs[r.index()]
-    }
-
-    /// Committed architectural memory (for oracle-style verification).
-    pub fn arch_memory(&self) -> &SparseMemory {
-        &self.memory_state
     }
 
     /// Advances one cycle: commit → writeback → issue → fetch.

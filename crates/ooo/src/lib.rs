@@ -56,9 +56,9 @@ mod error;
 mod runner;
 mod stats;
 
-pub use crate::core::{BootState, CommitRecord, Core, IndirectPredictor};
+pub use crate::core::{BootState, CommitRecord, Core, RAS_DEPTH};
 pub use check::{CheckConfig, CommitChecker, FaultInjector, FaultPlan};
-pub use config::{CoreConfig, IndirectPredictorKind, MemSquashPolicy, Ports, TrainPoint};
+pub use config::{CoreConfig, MemSquashPolicy, Ports, TrainPoint};
 pub use deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
 pub use error::{DivergenceReport, HeadUop, PipelineSnapshot, SimError};
 pub use runner::{simulate, try_simulate, try_simulate_with_direction, try_simulate_within};

@@ -184,42 +184,35 @@ fn branch_stats_populate() {
     let stats = simulate(&p, &CoreConfig::alder_lake(), &mut BlindSpeculation, 50_000);
     assert!(stats.committed_cond_branches > 1_000);
     assert!(stats.branch_mispredicts > 0, "hash-driven selectors must mispredict sometimes");
-    assert!(stats.indirect_mispredicts > 0, "the dispatch farm must miss the last-target table");
+    assert!(stats.indirect_mispredicts > 0, "the dispatch farm must miss sometimes");
 }
 
 #[test]
 fn ittage_front_end_beats_last_target_on_dispatch_code() {
-    use phast_ooo::IndirectPredictorKind;
+    use phast_branch::LastTargetPredictor;
+    use phast_isa::Op;
     // povray's indirect dispatch cycles through targets with a short
-    // period: ITTAGE learns the pattern, a last-target table cannot.
+    // period: the core's ITTAGE learns the pattern, a last-target table
+    // cannot. The table replays the same committed stream functionally,
+    // trained in commit order and never on the wrong path.
     let w = phast_workloads::by_name("povray").unwrap();
     let p = w.build(300_000);
-    let mut lt_cfg = CoreConfig::alder_lake();
-    lt_cfg.indirect_predictor = IndirectPredictorKind::LastTarget;
-    let lt = simulate(&p, &lt_cfg, &mut BlindSpeculation, 60_000);
-    let mut it_cfg = CoreConfig::alder_lake();
-    it_cfg.indirect_predictor = IndirectPredictorKind::Ittage;
-    let it = simulate(&p, &it_cfg, &mut BlindSpeculation, 60_000);
+    let insts = 60_000;
+    let it = simulate(&p, &CoreConfig::alder_lake(), &mut BlindSpeculation, insts);
+    let mut lt = LastTargetPredictor::new(512);
+    let mut lt_misses = 0u64;
+    let mut emu = Emulator::new(&p);
+    while emu.retired() < it.committed {
+        let rec = emu.step().expect("povray emulates cleanly").expect("not halted");
+        if let Op::IndirectJump(ts) = &p.inst(rec.block, rec.index).op {
+            let actual = emu.cursor().expect("dispatch continues").0;
+            lt_misses += u64::from(lt.predict(rec.pc).unwrap_or(ts[0]) != actual);
+            lt.update(rec.pc, actual);
+        }
+    }
     assert!(
-        it.indirect_mispredicts * 2 < lt.indirect_mispredicts,
-        "ITTAGE must at least halve indirect misses ({} vs {})",
+        it.indirect_mispredicts * 2 < lt_misses,
+        "ITTAGE must at least halve indirect misses ({} vs {lt_misses})",
         it.indirect_mispredicts,
-        lt.indirect_mispredicts
-    );
-    // Under blind speculation, deeper correct speculation can *add*
-    // memory-order violations; with a real MDP the front-end win shows.
-    use phast::{Phast, PhastConfig};
-    use phast_ooo::TrainPoint;
-    let mut lt_mdp = lt_cfg.clone();
-    lt_mdp.train_point = TrainPoint::Commit;
-    let mut it_mdp = it_cfg.clone();
-    it_mdp.train_point = TrainPoint::Commit;
-    let lt_ph = simulate(&p, &lt_mdp, &mut Phast::new(PhastConfig::paper()), 60_000);
-    let it_ph = simulate(&p, &it_mdp, &mut Phast::new(PhastConfig::paper()), 60_000);
-    assert!(
-        it_ph.ipc() >= lt_ph.ipc(),
-        "with PHAST the better front end must not cost IPC ({:.3} vs {:.3})",
-        it_ph.ipc(),
-        lt_ph.ipc()
     );
 }

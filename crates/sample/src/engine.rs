@@ -16,8 +16,8 @@
 //!    deliberately not sampled — its weight in a full run vanishes as the
 //!    horizon grows, whereas a cold window would overweight it by the
 //!    stride-to-window ratio (see `docs/SAMPLING.md`).
-//! 2. **Replay** ([`run_window`]): per window — and independently, so
-//!    windows parallelize across workers — restore the emulator and the
+//! 2. **Replay** ([`run_window`]): per window — independently, from a
+//!    shared reference to the capture — restore the emulator and the
 //!    warmed structures from the checkpoint, warm the predictor-specific
 //!    MDP training state over the warm phase (structures keep warming
 //!    alongside), then boot a `phast-ooo` core from the warmed state and
@@ -33,10 +33,7 @@ use crate::kmeans;
 use crate::warm::Warmer;
 use phast_isa::{EmuError, Emulator, Program};
 use phast_mdp::MemDepPredictor;
-use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats};
-
-/// Depth of the core's return-address stack (mirrors `Core::new`).
-const RAS_DEPTH: usize = 32;
+use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats, RAS_DEPTH};
 
 /// Seed the capture pass keys its k-means++ draws with. Fixed — a
 /// clustered capture is a pure function of (program, config, horizon),
@@ -266,9 +263,9 @@ pub struct WindowRun {
 /// Replays window `w` of the set: restore, warm, run detailed.
 ///
 /// Windows are independent — this function takes everything it needs by
-/// shared reference to the capture artifacts, so callers can fan windows
-/// out across worker threads. The predictor must be freshly built (cold):
-/// its training state is warmed here, over the warm phase, through
+/// shared reference to the capture artifacts, so any number of cells can
+/// replay from one capture, on any thread. The predictor must be freshly
+/// built (cold): its training state is warmed here, over the warm phase, through
 /// `phast_mdp::Warmable`. The predictor-independent structures resume
 /// from the checkpoint's [`WarmState`](crate::WarmState) snapshot, which reflects the
 /// entire execution preceding the window.
@@ -534,20 +531,15 @@ impl SampleEstimate {
     }
 }
 
-/// Sums window statistics into one `SimStats`-shaped record so sampled
-/// runs flow through the same reporting paths as full-detail runs.
-/// Per-window hierarchy and predictor-access counters are summed
-/// field-wise; `halted` is true if any window observed the program halt.
-pub fn sum_window_stats(runs: &[WindowRun]) -> SimStats {
-    sum_window_stats_weighted(runs, &vec![1; runs.len()])
-}
-
-/// [`sum_window_stats`] with an integer weight per window — the cell
-/// record of a clustered run scales each representative's counters by its
-/// cluster's member count, so the summed record keeps the horizon's
-/// phase proportions (and its ratio statistics match the weighted
-/// ratio-of-sums estimate) exactly, in integer arithmetic. Weight 1
-/// everywhere reproduces the plain sum bit-for-bit.
+/// Sums window statistics into one `SimStats`-shaped record, so sampled
+/// runs flow through the same reporting paths as full-detail runs, with
+/// an integer weight per window: the cell record of a clustered run
+/// scales each representative's counters by its cluster's member count,
+/// so the summed record keeps the horizon's phase proportions (and its
+/// ratio statistics match the weighted ratio-of-sums estimate) exactly,
+/// in integer arithmetic. Stride runs weigh every window 1. Hierarchy and
+/// predictor-access counters are summed field-wise; `halted` is true if
+/// any window observed the program halt.
 ///
 /// # Panics
 ///
@@ -609,9 +601,10 @@ fn scale_cache(a: phast_mem::CacheStats, wt: u64) -> phast_mem::CacheStats {
 }
 
 /// Serial convenience: capture + replay every window + estimate, building
-/// a fresh predictor per window via `build`. The parallel path lives in
-/// `phast-experiments`, which fans [`run_window`] calls across its worker
-/// pool; this entry point serves tests and single-run callers.
+/// a fresh predictor per window via `build`. The sweep path lives in
+/// `phast-experiments`, which shares one capture among a workload's cells
+/// and replays each cell's windows as one journaled, retried sweep cell;
+/// this entry point serves tests and single-run callers.
 ///
 /// # Errors
 ///

@@ -15,8 +15,10 @@
 //!   window).
 //! * [`run_window`] replays one window independently: restore → warm the
 //!   caches/branch predictors/MDP over the warm phase → boot the core via
-//!   `phast_ooo::BootState` → run the detailed window. Independence is
-//!   what lets `phast-experiments` fan windows across its worker pool.
+//!   `phast_ooo::BootState` → run the detailed window. It reads the set
+//!   by shared reference, so every (predictor) cell of a workload replays
+//!   from one capture; `phast-experiments` runs a cell's windows in order
+//!   on one worker, as one sweep cell.
 //! * [`estimate`] turns window runs into the point estimate and
 //!   instruction accounting (measured vs warmed vs fast-forwarded).
 //!
@@ -36,8 +38,8 @@ pub use checkpoint::{Checkpoint, CheckpointSet, StoreRec, WarmContext};
 pub use crc::crc32;
 pub use engine::{
     capture, default_clusters_for, estimate, ipc_error_bound, run_sampled, run_window,
-    run_window_within, sum_window_stats, sum_window_stats_weighted, SampleConfig, SampleEstimate,
-    SampleMode, WindowRun, CLUSTER_SEED,
+    run_window_within, sum_window_stats_weighted, SampleConfig, SampleEstimate, SampleMode,
+    WindowRun, CLUSTER_SEED,
 };
 pub use features::{FeatureCollector, FeatureVec, FEATURE_DIM};
 pub use kmeans::{cluster, ClusterPlan};

@@ -25,13 +25,13 @@
 //! `docs/SAMPLING.md` for why this converges to the same steady state.
 
 use crate::checkpoint::{StoreRec, WarmContext};
-use phast_branch::{DirectionPredictor, DivergentEvent, Tage, TageConfig};
+use phast_branch::{DirectionPredictor, DivergentEvent, Ittage, IttageConfig, Tage, TageConfig};
 use phast_isa::{ranges_overlap, BlockId, ExecRecord, Op, Program};
 use phast_mdp::{
     DepPrediction, LoadCommit, LoadQuery, MemDepPredictor, StoreQuery, Violation, Warmable,
 };
 use phast_mem::{AccessKind, Hierarchy};
-use phast_ooo::{CoreConfig, IndirectPredictor};
+use phast_ooo::CoreConfig;
 
 impl WarmContext {
     /// Folds one architecturally retired instruction into the context.
@@ -105,8 +105,8 @@ pub struct WarmState {
     /// Conditional-direction predictor (the default TAGE, as used by the
     /// `phast-ooo` runner entry points).
     pub direction: Tage,
-    /// Indirect-target predictor of the configured flavour.
-    pub indirect: IndirectPredictor,
+    /// Indirect-target predictor (the core's ITTAGE).
+    pub indirect: Box<Ittage>,
 }
 
 /// Every clone is a deep copy of the warmed tables, so each one bumps
@@ -128,7 +128,7 @@ impl WarmState {
         WarmState {
             hierarchy: Hierarchy::new(cfg.memory),
             direction: Tage::new(TageConfig::default()),
-            indirect: IndirectPredictor::new(cfg.indirect_predictor),
+            indirect: Box::new(Ittage::new(IttageConfig::default())),
         }
     }
 }
