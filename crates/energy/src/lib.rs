@@ -3,10 +3,8 @@
 //! The paper computes per-access energies with Cacti-P at 7 nm
 //! (Table II) and reports total predictor energy split into reads and
 //! writes (Fig. 16). We anchor the model on the published Table II
-//! numbers — they *are* the Cacti-P output — and extrapolate to other
-//! geometries with the usual √capacity scaling of SRAM wordline/bitline
-//! energy. Writes are charged 10% above reads (drivers plus cell flip),
-//! a standard SRAM ratio.
+//! numbers — they *are* the Cacti-P output. Writes are charged 10% above
+//! reads (drivers plus cell flip), a standard SRAM ratio.
 
 #![warn(missing_docs)]
 
@@ -68,30 +66,9 @@ impl Structure {
         }
     }
 
-    /// The paper storage of the structure in bits (the calibration
-    /// anchor for scaling).
-    pub fn paper_bits(self) -> usize {
-        match self {
-            Structure::StoreSetsSsit => 8 * 1024 * 13,
-            Structure::StoreSetsLfst => 4 * 1024 * 11,
-            Structure::NoSq => 19 * 8192,
-            Structure::MdpTage => (38.625 * 8192.0) as usize,
-            Structure::MdpTageS => 13 * 8192,
-            Structure::Phast => (14.5 * 8192.0) as usize,
-        }
-    }
-
     /// Per-*table-probe* energy at the paper geometry.
     pub fn per_table_probe(self) -> AccessEnergy {
         AccessEnergy::from_read(self.paper_access_pj() / f64::from(self.tables()))
-    }
-
-    /// Per-table-probe energy for a scaled variant of this structure
-    /// holding `bits` total (√capacity scaling around the paper anchor).
-    pub fn per_table_probe_scaled(self, bits: usize) -> AccessEnergy {
-        let base = self.per_table_probe();
-        let scale = (bits as f64 / self.paper_bits() as f64).sqrt();
-        AccessEnergy::from_read(base.read_pj * scale)
     }
 }
 
@@ -119,15 +96,6 @@ mod tests {
         let p = Structure::Phast.per_table_probe();
         assert!((p.read_pj - 0.4856 / 8.0).abs() < 1e-9);
         assert!(p.write_pj > p.read_pj, "writes cost more than reads");
-    }
-
-    #[test]
-    fn scaling_follows_sqrt_capacity() {
-        let base = Structure::Phast.per_table_probe();
-        let half = Structure::Phast.per_table_probe_scaled(Structure::Phast.paper_bits() / 2);
-        let quad = Structure::Phast.per_table_probe_scaled(Structure::Phast.paper_bits() * 4);
-        assert!((half.read_pj / base.read_pj - 0.5f64.sqrt()).abs() < 1e-9);
-        assert!((quad.read_pj / base.read_pj - 2.0).abs() < 1e-9);
     }
 
     #[test]

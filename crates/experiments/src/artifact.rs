@@ -57,25 +57,14 @@ impl JsonValue {
         out
     }
 
-    /// [`render`](Self::render), but a non-finite float anywhere in the
-    /// document is a typed error instead of a silent `null`. The lossy
-    /// `render` is correct for *artifacts* (a panicked run's `0/0` IPC is
-    /// honestly unknowable and `null` is its faithful encoding, pinned by
-    /// the digest scheme); on a **protocol boundary** silent nulls turn a
-    /// producer bug into a consumer's missing-field error two hops later,
-    /// so the wire layer renders through this checked path.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonWriteError::NonFinite`] naming the JSON path of the first
-    /// offending value.
-    pub fn try_render(&self) -> Result<String, JsonWriteError> {
-        self.check_finite("$")?;
-        Ok(self.render())
-    }
-
-    /// [`render_compact`](Self::render_compact) with the same non-finite
-    /// check as [`try_render`](Self::try_render).
+    /// [`render_compact`](Self::render_compact), but a non-finite float
+    /// anywhere in the document is a typed error instead of a silent
+    /// `null`. The lossy renderers are correct for *artifacts* (a panicked
+    /// run's `0/0` IPC is honestly unknowable and `null` is its faithful
+    /// encoding, pinned by the digest scheme); on a **protocol boundary**
+    /// silent nulls turn a producer bug into a consumer's missing-field
+    /// error two hops later, so the wire layer renders through this
+    /// checked path.
     ///
     /// # Errors
     ///
@@ -732,16 +721,14 @@ mod tests {
                 ]),
             ),
         ]);
-        let err = v.try_render().expect_err("NaN rejected");
+        let err = v.try_render_compact().expect_err("NaN rejected");
         assert!(
             matches!(&err, JsonWriteError::NonFinite { path, .. } if path == "$.runs[1].ipc"),
             "{err}"
         );
-        assert!(v.try_render_compact().is_err());
         assert!(err.to_string().contains("$.runs[1].ipc"), "{err}");
 
         let clean = JsonValue::obj(vec![("x", JsonValue::Float(0.25))]);
-        assert_eq!(clean.try_render().unwrap(), clean.render());
         assert_eq!(clean.try_render_compact().unwrap(), clean.render_compact());
     }
 

@@ -921,8 +921,8 @@ mod tests {
         }
         assert!(sweep.take_degraded().is_empty());
 
-        // The window-parallel grid and the serial per-cell path agree:
-        // capture and replay are deterministic.
+        // The 4-worker grid and the serial per-cell path agree: capture
+        // and replay are deterministic.
         let serial = Sweep::serial().with_sampling(scfg);
         let w = budget.workloads();
         let one = serial.run_one(&w[0], &kinds[0], &cfg, &budget);

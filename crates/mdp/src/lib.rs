@@ -20,6 +20,11 @@
 //!    store→load path information (history length N+1, §IV-A2).
 //! 4. When a load commits, [`MemDepPredictor::load_committed`] lets the
 //!    predictor maintain its confidence counters.
+//!
+//! The sampled engine (`phast-sample`) warms a predictor before each
+//! detailed window through these same entry points, called against the
+//! architectural instruction stream, so every predictor warms with no
+//! per-predictor code.
 
 #![warn(missing_docs)]
 
@@ -96,44 +101,4 @@ pub trait MemDepPredictor: Send {
 
     /// Clears transient per-interval statistics (not learned state).
     fn reset_access_stats(&mut self) {}
-}
-
-/// Functional warming of a predictor's training state, used by the sampled
-/// simulation engine (`phast-sample`) before each detailed window.
-///
-/// During fast-forward there is no pipeline, so the warming pass replays
-/// the same training calls the core would issue — predict on every load,
-/// dispatch/execute every store, train on every real (in-ROB-range)
-/// store→load dependence the prediction did not cover — against the
-/// architectural instruction stream. The blanket impl forwards to the
-/// ordinary [`MemDepPredictor`] entry points, so all predictors warm with
-/// no per-predictor code.
-pub trait Warmable {
-    /// Warms on a load: the prediction the predictor just made for this
-    /// load plus the architecturally observed dependence outcome.
-    fn warm_load(&mut self, c: &LoadCommit<'_>);
-
-    /// Warms on an uncovered store→load dependence (what the core would
-    /// have seen as a memory-order violation).
-    fn warm_violation(&mut self, v: &Violation<'_>);
-
-    /// Warms on a store: architecturally a store dispatches and executes
-    /// at the same point, so both notifications fire back to back.
-    fn warm_store(&mut self, q: &StoreQuery<'_>);
-}
-
-impl<T: MemDepPredictor + ?Sized> Warmable for T {
-    fn warm_load(&mut self, c: &LoadCommit<'_>) {
-        self.load_committed(c);
-    }
-
-    fn warm_violation(&mut self, v: &Violation<'_>) {
-        self.train_violation(v);
-    }
-
-    fn warm_store(&mut self, q: &StoreQuery<'_>) {
-        let (pc, token) = (q.pc, q.token);
-        let _ = self.store_dispatched(q);
-        self.store_executed(pc, token);
-    }
 }

@@ -57,6 +57,33 @@ pub struct CacheStats {
     pub prefetch_fills: u64,
 }
 
+impl CacheStats {
+    /// The counters of the span between two cumulative snapshots of one
+    /// cache, `self` taken after `before`: field-wise `self − before`.
+    pub fn since(self, before: CacheStats) -> CacheStats {
+        self.combine(before, |a, b| a - b)
+    }
+
+    /// Field-wise `self + wt × other`: the weighted sum of sampled
+    /// windows' counters.
+    pub fn add_weighted(self, other: CacheStats, wt: u64) -> CacheStats {
+        self.combine(other, |a, b| a + wt * b)
+    }
+
+    /// `f` over each pair of counters. Destructured and rebuilt without
+    /// `..`, so a new counter does not compile until it is handled here.
+    fn combine(self, other: CacheStats, f: impl Fn(u64, u64) -> u64) -> CacheStats {
+        let CacheStats { hits, misses, mshr_merges, mshr_stall_cycles, prefetch_fills } = self;
+        CacheStats {
+            hits: f(hits, other.hits),
+            misses: f(misses, other.misses),
+            mshr_merges: f(mshr_merges, other.mshr_merges),
+            mshr_stall_cycles: f(mshr_stall_cycles, other.mshr_stall_cycles),
+            prefetch_fills: f(prefetch_fills, other.prefetch_fills),
+        }
+    }
+}
+
 /// One cache level: tag array + MSHRs.
 #[derive(Clone, Debug)]
 pub struct Cache {

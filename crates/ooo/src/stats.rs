@@ -1,7 +1,7 @@
 //! Simulation statistics and the paper's derived metrics.
 
 use phast_mdp::AccessStats;
-use phast_mem::HierarchyStats;
+use phast_mem::{CacheStats, HierarchyStats};
 
 /// Everything measured during one simulation run.
 #[derive(Clone, Debug, Default)]
@@ -95,6 +95,88 @@ impl SimStats {
             1000.0 * self.branch_mispredicts as f64 / self.committed as f64
         }
     }
+
+    /// The counters of the span between two cumulative snapshots of one
+    /// run, `self` taken after `before`: field-wise `self − before`, with
+    /// `self`'s flags. A sampled window's statistics are this delta
+    /// between two resumable `try_run` calls.
+    pub fn since(&self, before: &SimStats) -> SimStats {
+        self.combine(before, |a, b| a - b, |a, _| a, CacheStats::since)
+    }
+
+    /// Field-wise `self + wt × other`, with the flags OR'd: the weighted
+    /// sum of sampled windows' statistics.
+    pub fn add_weighted(&self, other: &SimStats, wt: u64) -> SimStats {
+        self.combine(other, |a, b| a + wt * b, |a, b| a || b, |a, b| a.add_weighted(b, wt))
+    }
+
+    /// One field list for [`since`](Self::since) and
+    /// [`add_weighted`](Self::add_weighted): `count` over each pair of
+    /// counters, `flag` over each pair of flags, `cache` over each cache
+    /// level. Destructured and rebuilt without `..`, so a new field does
+    /// not compile until it is handled here.
+    fn combine(
+        &self,
+        other: &SimStats,
+        count: impl Fn(u64, u64) -> u64,
+        flag: impl Fn(bool, bool) -> bool,
+        cache: impl Fn(CacheStats, CacheStats) -> CacheStats,
+    ) -> SimStats {
+        let SimStats {
+            cycles,
+            committed,
+            committed_loads,
+            committed_stores,
+            committed_cond_branches,
+            branch_mispredicts,
+            indirect_mispredicts,
+            violations,
+            false_dependences,
+            forwarded_loads,
+            filtered_violations,
+            squashed_uops,
+            mdp_stalled_loads,
+            predictor_accesses: AccessStats { reads, writes },
+            memory: HierarchyStats { l1i, l1d, l2, l3, dram_accesses },
+            halted,
+            ceiling_hit,
+            checked_commits,
+            injected_faults,
+            invariant_audits,
+        } = *self;
+        let m = &other.memory;
+        SimStats {
+            cycles: count(cycles, other.cycles),
+            committed: count(committed, other.committed),
+            committed_loads: count(committed_loads, other.committed_loads),
+            committed_stores: count(committed_stores, other.committed_stores),
+            committed_cond_branches: count(committed_cond_branches, other.committed_cond_branches),
+            branch_mispredicts: count(branch_mispredicts, other.branch_mispredicts),
+            indirect_mispredicts: count(indirect_mispredicts, other.indirect_mispredicts),
+            violations: count(violations, other.violations),
+            false_dependences: count(false_dependences, other.false_dependences),
+            forwarded_loads: count(forwarded_loads, other.forwarded_loads),
+            filtered_violations: count(filtered_violations, other.filtered_violations),
+            squashed_uops: count(squashed_uops, other.squashed_uops),
+            mdp_stalled_loads: count(mdp_stalled_loads, other.mdp_stalled_loads),
+            predictor_accesses: AccessStats {
+                reads: count(reads, other.predictor_accesses.reads),
+                writes: count(writes, other.predictor_accesses.writes),
+            },
+            memory: HierarchyStats {
+                l1i: cache(l1i, m.l1i),
+                l1d: cache(l1d, m.l1d),
+                l2: cache(l2, m.l2),
+                l3: cache(l3, m.l3),
+                dram_accesses: count(dram_accesses, m.dram_accesses),
+            },
+            halted: flag(halted, other.halted),
+            ceiling_hit: flag(ceiling_hit, other.ceiling_hit),
+            checked_commits: count(checked_commits, other.checked_commits),
+            injected_faults: count(injected_faults, other.injected_faults),
+            invariant_audits: count(invariant_audits, other.invariant_audits),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -116,6 +198,40 @@ mod tests {
         assert_eq!(s.false_dep_mpki(), 1.0);
         assert_eq!(s.total_mpki(), 3.0);
         assert_eq!(s.branch_mpki(), 10.0);
+    }
+
+    #[test]
+    fn window_arithmetic_covers_every_field() {
+        let cache = |n| CacheStats {
+            hits: n,
+            misses: n + 1,
+            mshr_merges: n + 2,
+            mshr_stall_cycles: n + 3,
+            prefetch_fills: n + 4,
+        };
+        let w = SimStats {
+            cycles: 100,
+            committed: 400,
+            violations: 3,
+            predictor_accesses: AccessStats { reads: 7, writes: 5 },
+            memory: HierarchyStats {
+                l1i: cache(10),
+                l1d: cache(20),
+                l2: cache(30),
+                l3: cache(40),
+                dram_accesses: 9,
+            },
+            halted: true,
+            invariant_audits: 2,
+            ..SimStats::default()
+        };
+        // Distinct values per field, so a field mapped to another one's
+        // counter breaks the round trip.
+        let tripled = SimStats::default().add_weighted(&w, 3);
+        assert_eq!(tripled.memory.l3.prefetch_fills, 132);
+        assert!(tripled.halted && !tripled.ceiling_hit);
+        let doubled = w.add_weighted(&w, 1);
+        assert_eq!(format!("{:?}", tripled.since(&doubled)), format!("{w:?}"));
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! RAS, sliding store window) that reflects the entire execution preceding
 //! the window. A [`CheckpointSet`] holds every window of one capture pass
 //! ([`capture`](crate::capture)), so a sweep captures a workload once and
-//! replays its windows in parallel, for every predictor, without
-//! re-executing the fast-forward prefix. The set lives only in memory:
+//! replays its windows for every predictor without re-executing the
+//! fast-forward prefix. The set lives only in memory:
 //! capture produces it and window replay consumes it.
 //!
 //! Alongside each checkpoint the set holds a snapshot of the expensive
 //! predictor-independent structures (cache tags, direction and indirect
-//! predictor tables), warmed continuously by the capture pass
-//! ([`CheckpointSet::warm`]). MDP training state is predictor-specific and
-//! is warmed per window over the warm phase (see `docs/SAMPLING.md` for
-//! the warming rules).
+//! predictor tables), warmed continuously by the capture pass and taken
+//! at the window's *detailed* start ([`CheckpointSet::warm`]), so replay
+//! never re-steps them. MDP training state is predictor-specific and is
+//! warmed per window over the warm phase (see `docs/SAMPLING.md` for the
+//! warming rules).
 
 use crate::kmeans::ClusterPlan;
 use crate::warm::WarmState;
@@ -104,11 +105,12 @@ pub struct CheckpointSet {
     /// which windows are representatives, and with what weight.
     /// `None` for stride-mode sets — every window replays with weight 1.
     pub clusters: Option<ClusterPlan>,
-    /// Per-checkpoint snapshots of the continuously warmed structures,
-    /// parallel to `checkpoints`. `None` slots are windows that will
-    /// never replay (non-representative intervals of a clustered set) —
-    /// they are pruned after clustering so idle clusters never pay the
-    /// snapshot cost.
+    /// Per-checkpoint snapshots of the continuously warmed structures at
+    /// the window's detailed start, parallel to `checkpoints`. `None`
+    /// slots are windows that will never replay (non-representative
+    /// intervals of a clustered set, pruned after clustering so idle
+    /// clusters never hold a snapshot) or whose program halted before
+    /// the detailed start.
     pub warm: Vec<Option<WarmState>>,
 }
 

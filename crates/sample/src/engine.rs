@@ -6,11 +6,12 @@
 //! 1. **Capture** ([`capture`]): one functional pass through the
 //!    `phast-isa` emulator, maintaining the cheap [`WarmContext`] *and*
 //!    the predictor-independent long-lived structures
-//!    ([`WarmState`](crate::WarmState): caches + prefetcher, direction predictor,
-//!    indirect-target predictor) continuously, and snapshotting both at
-//!    the start of each window's warm phase. Windows are placed
-//!    systematically (SMARTS style): the horizon is divided into
-//!    `windows` equal strides and the detailed window sits at the
+//!    ([`WarmState`]: caches + prefetcher, direction predictor,
+//!    indirect-target predictor) continuously. It snapshots the
+//!    architecture and the context at the start of each window's warm
+//!    phase, and the structures at the window's detailed start. Windows
+//!    are placed systematically (SMARTS style): the horizon is divided
+//!    into `windows` equal strides and the detailed window sits at the
 //!    *middle* of each stride, preceded by its warm phase. Mid-stride
 //!    placement keeps every window fully warmed; the startup transient is
 //!    deliberately not sampled — its weight in a full run vanishes as the
@@ -18,10 +19,9 @@
 //!    stride-to-window ratio (see `docs/SAMPLING.md`).
 //! 2. **Replay** ([`run_window`]): per window — independently, from a
 //!    shared reference to the capture — restore the emulator and the
-//!    warmed structures from the checkpoint, warm the predictor-specific
-//!    MDP training state over the warm phase (structures keep warming
-//!    alongside), then boot a `phast-ooo` core from the warmed state and
-//!    run the detailed window cycle-accurately.
+//!    context from the checkpoint, train the predictor-specific MDP over
+//!    the warm phase, then boot a `phast-ooo` core from the captured
+//!    structures and run the detailed window cycle-accurately.
 //!
 //! [`estimate`] aggregates per-window statistics into a point estimate
 //! with a 95% confidence interval plus measured/warmed/fast-forwarded
@@ -30,10 +30,13 @@
 use crate::checkpoint::{Checkpoint, CheckpointSet, WarmContext};
 use crate::features::FeatureCollector;
 use crate::kmeans;
-use crate::warm::Warmer;
-use phast_isa::{EmuError, Emulator, Program};
+use crate::warm::{warm_mdp, WarmState};
+use phast_branch::DirectionPredictor;
+use phast_isa::{EmuError, Emulator, ExecRecord, Op, Program};
 use phast_mdp::MemDepPredictor;
+use phast_mem::AccessKind;
 use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats, RAS_DEPTH};
+use std::collections::VecDeque;
 
 /// Seed the capture pass keys its k-means++ draws with. Fixed — a
 /// clustered capture is a pure function of (program, config, horizon),
@@ -144,9 +147,10 @@ pub fn default_clusters_for(windows: usize) -> usize {
 ///
 /// One functional pass: fast-forwards the emulator, maintaining the cheap
 /// warming context *and* the predictor-independent structures
-/// ([`WarmState`](crate::WarmState)) continuously, and snapshots both at each window's
-/// warm-phase start. If the program halts before the horizon, capture
-/// stops early and returns the windows placed so far.
+/// ([`WarmState`]) continuously. It snapshots the architecture and the
+/// context at each window's warm start, and the structures at its
+/// detailed start. If the program halts before the horizon, capture stops
+/// early and returns the windows placed so far.
 ///
 /// # Errors
 ///
@@ -164,60 +168,51 @@ pub fn capture(
     // each stride, so every window (including the first) is preceded by
     // fast-forwarded execution and a warm phase.
     let offset = (stride - scfg.window_insts.min(stride)) / 2;
-    let mut emu = Emulator::new(program);
-    let mut ctx = WarmContext::new(cfg.sq_size, RAS_DEPTH);
-    let mut warmer = Warmer::new(cfg);
     let phase = scfg.mode == SampleMode::Phase;
-    let mut collector = FeatureCollector::new();
-    let rob_window = cfg.rob_size as u64;
+    let mut pass = Pass {
+        program,
+        emu: Emulator::new(program),
+        ctx: WarmContext::new(cfg.sq_size, RAS_DEPTH),
+        state: WarmState::new(cfg),
+        last_fetch_line: None,
+        collector: phase.then(FeatureCollector::new),
+        rob_window: cfg.rob_size as u64,
+        due: VecDeque::new(),
+        warm: Vec::with_capacity(windows as usize),
+    };
     let mut checkpoints = Vec::with_capacity(windows as usize);
-    let mut features = Vec::with_capacity(if phase { windows as usize } else { 0 });
-    let mut warm: Vec<Option<crate::WarmState>> = Vec::with_capacity(windows as usize);
-    'place: for w in 0..windows {
+    let mut features = Vec::new();
+    for w in 0..windows {
         let detail_start = w * stride + offset;
-        let warm_start = detail_start.saturating_sub(scfg.warm_insts);
-        while emu.retired() < warm_start {
-            match emu.step()? {
-                Some(rec) => {
-                    let next_block = emu.cursor().map(|(b, _)| b);
-                    warmer.warm_structures(&ctx, program, &rec, next_block);
-                    if phase {
-                        collector.observe(&ctx, program, &rec, rob_window);
-                    }
-                    ctx.observe(program, &rec);
-                }
-                None => break 'place,
-            }
-        }
-        if emu.halted() {
+        if !pass.run_to(detail_start.saturating_sub(scfg.warm_insts))? {
             break;
         }
-        checkpoints.push(Checkpoint { detail_start, arch: emu.snapshot(), ctx: ctx.clone() });
-        warm.push(Some(warmer.state.clone()));
+        checkpoints.push(Checkpoint {
+            detail_start,
+            arch: pass.emu.snapshot(),
+            ctx: pass.ctx.clone(),
+        });
+        pass.due.push_back(detail_start);
         if phase {
             // Run the pass on to the interval boundary so the feature
             // vector summarizes the *whole* interval, not just the part
             // before its checkpoint. Still the same single pass — stride
             // mode skips this because the next iteration fast-forwards
             // through the same region anyway.
-            let interval_end = ((w + 1) * stride).min(horizon);
-            while emu.retired() < interval_end {
-                match emu.step()? {
-                    Some(rec) => {
-                        let next_block = emu.cursor().map(|(b, _)| b);
-                        warmer.warm_structures(&ctx, program, &rec, next_block);
-                        collector.observe(&ctx, program, &rec, rob_window);
-                        ctx.observe(program, &rec);
-                    }
-                    None => break,
-                }
-            }
+            let running = pass.run_to(((w + 1) * stride).min(horizon))?;
+            let collector = pass.collector.as_mut().expect("phase mode collects features");
             features.push(collector.finish_interval());
-            if emu.halted() {
+            if !running {
                 break;
             }
         }
     }
+    // The last windows' detailed starts lie past the last warm start.
+    if let Some(&last) = pass.due.back() {
+        pass.run_to(last)?;
+    }
+    let mut warm = pass.warm;
+    warm.resize_with(checkpoints.len(), || None);
     let clusters = (phase && !checkpoints.is_empty())
         .then(|| kmeans::cluster(&features, scfg.clusters, CLUSTER_SEED));
     let mut set = CheckpointSet {
@@ -230,6 +225,90 @@ pub fn capture(
     };
     set.prune_warm();
     Ok(set)
+}
+
+/// The capture's single functional pass: the emulator and everything
+/// predictor-independent that it keeps warm.
+struct Pass<'p> {
+    program: &'p Program,
+    emu: Emulator<'p>,
+    ctx: WarmContext,
+    state: WarmState,
+    /// Cache line of the previous instruction fetch. Immediately
+    /// consecutive fetches to the same line are L1I hits whose only
+    /// effect is an LRU touch that the *next* access to that set would
+    /// re-establish anyway, so they are skipped — exactly
+    /// behavior-preserving, and fetch is the hottest warm path.
+    last_fetch_line: Option<u64>,
+    /// Phase mode's per-interval feature collector.
+    collector: Option<FeatureCollector>,
+    rob_window: u64,
+    /// Detailed starts not yet reached, oldest first. A window's warm
+    /// phase begins before the previous window's detailed start whenever
+    /// the warm phase is longer than the stride.
+    due: VecDeque<u64>,
+    /// The structures snapshotted at each detailed start reached so far.
+    warm: Vec<Option<WarmState>>,
+}
+
+impl Pass<'_> {
+    /// Steps the pass until `target` instructions have retired, cloning
+    /// the structures at every due detailed start on the way. `Ok(false)`
+    /// if the program halted first.
+    fn run_to(&mut self, target: u64) -> Result<bool, EmuError> {
+        loop {
+            if self.emu.halted() {
+                return Ok(false);
+            }
+            if self.due.front() == Some(&self.emu.retired()) {
+                self.due.pop_front();
+                self.warm.push(Some(self.state.clone()));
+            }
+            if self.emu.retired() >= target {
+                return Ok(true);
+            }
+            let rec = self.emu.step()?.expect("checked not halted");
+            self.warm_structures(&rec);
+            if let Some(collector) = &mut self.collector {
+                collector.observe(&self.ctx, self.program, &rec, self.rob_window);
+            }
+            self.ctx.observe(self.program, &rec);
+        }
+    }
+
+    /// Warms the structures on one retired instruction. Runs before
+    /// `ctx.observe` folds the instruction in, so branch training sees
+    /// the *pre-update* history values, exactly like branch resolution in
+    /// the core.
+    fn warm_structures(&mut self, rec: &ExecRecord) {
+        let state = &mut self.state;
+        let fetch_line = rec.pc >> 6;
+        if self.last_fetch_line != Some(fetch_line) {
+            state.hierarchy.warm(AccessKind::Fetch, rec.pc, rec.pc);
+            self.last_fetch_line = Some(fetch_line);
+        }
+        match &self.program.inst(rec.block, rec.index).op {
+            Op::CondBranch { .. } => {
+                let taken = rec.taken.expect("cond branch records taken");
+                state.direction.update(rec.pc, self.ctx.cond_ghr, taken);
+            }
+            Op::IndirectJump(_) | Op::Ret => {
+                // The emulator's post-step cursor is the resolved target.
+                if let Some((b, _)) = self.emu.cursor() {
+                    state.indirect.update(rec.pc, self.ctx.path_ghr, b);
+                }
+            }
+            Op::Load(_) => {
+                let addr = rec.eff_addr.expect("load records address");
+                state.hierarchy.warm(AccessKind::Load, rec.pc, addr);
+            }
+            Op::Store(_) => {
+                let addr = rec.eff_addr.expect("store records address");
+                state.hierarchy.warm(AccessKind::Store, rec.pc, addr);
+            }
+            _ => {}
+        }
+    }
 }
 
 impl CheckpointSet {
@@ -260,21 +339,22 @@ pub struct WindowRun {
     pub warmed: u64,
 }
 
-/// Replays window `w` of the set: restore, warm, run detailed.
+/// Replays window `w` of the set: restore, warm the MDP, run detailed.
 ///
 /// Windows are independent — this function takes everything it needs by
 /// shared reference to the capture artifacts, so any number of cells can
-/// replay from one capture, on any thread. The predictor must be freshly
-/// built (cold): its training state is warmed here, over the warm phase, through
-/// `phast_mdp::Warmable`. The predictor-independent structures resume
-/// from the checkpoint's [`WarmState`](crate::WarmState) snapshot, which reflects the
-/// entire execution preceding the window.
+/// replay from one capture, on any thread. The predictor's training state
+/// is warmed here, over the warm phase: the emulator and the
+/// [`WarmContext`] step from the checkpoint, and only the predictor
+/// trains. The core then boots from the set's snapshot of the structures
+/// ([`WarmState`]) at the detailed start, which reflects the entire
+/// execution preceding the window.
 ///
 /// # Panics
 ///
-/// Panics if the set has no warm snapshot for window `w`: `w` is not in
-/// [`CheckpointSet::windows_to_run`] (a non-representative interval of a
-/// clustered set).
+/// Panics if the window reaches its detailed start and the set has no
+/// snapshot for it: `w` is not in [`CheckpointSet::windows_to_run`] (a
+/// non-representative interval of a clustered set).
 pub fn run_window(
     program: &Program,
     cfg: &CoreConfig,
@@ -302,22 +382,16 @@ pub fn run_window_within(
     deadline: &Deadline,
 ) -> WindowRun {
     let cp = &set.checkpoints[w];
-    let state = set
-        .warm
-        .get(w)
-        .and_then(|slot| slot.as_ref())
-        .expect("window has no warm snapshot: it is not a representative of this clustered set")
-        .clone();
     let mut emu = Emulator::from_snapshot(program, &cp.arch);
     let mut ctx = cp.ctx.clone();
-    let mut warmer = Warmer::from_state(state, cfg);
+    let rob_window = cfg.rob_size as u64;
     while emu.retired() < cp.detail_start && !emu.halted() {
         let rec = emu
             .step()
             .expect("capture pass emulated this prefix")
             .expect("checked not halted");
-        let next_block = emu.cursor().map(|(b, _)| b);
-        warmer.warm_step(&mut ctx, program, &rec, next_block, predictor);
+        warm_mdp(predictor, &ctx, program, &rec, rob_window);
+        ctx.observe(program, &rec);
     }
     let warmed = emu.retired() - cp.arch.icount;
     // Warming traffic must not pollute the measured window's counters.
@@ -325,17 +399,23 @@ pub fn run_window_within(
     if emu.halted() {
         return WindowRun { stats: SimStats::default(), failure: None, warmed };
     }
+    let state = set
+        .warm
+        .get(w)
+        .and_then(|slot| slot.as_ref())
+        .expect("window has no warm snapshot: it is not a representative of this clustered set")
+        .clone();
     let boot = BootState {
         arch: emu.snapshot(),
         cond_ghr: ctx.cond_ghr,
         path_ghr: ctx.path_ghr,
-        history: ctx.history.clone(),
-        ras: ctx.ras.clone(),
-        hierarchy: warmer.state.hierarchy,
-        indirect: warmer.state.indirect,
+        history: ctx.history,
+        ras: ctx.ras,
+        hierarchy: state.hierarchy,
+        indirect: state.indirect,
     };
     let mut core =
-        Core::with_state(program, cfg.clone(), predictor, Box::new(warmer.state.direction), boot);
+        Core::with_state(program, cfg.clone(), predictor, Box::new(state.direction), boot);
     // Detailed ramp: the core boots with an empty pipeline, so the first
     // ~ROB-size instructions commit below steady-state IPC while the
     // window fills. Run them cycle-accurately but *discard* them from the
@@ -352,57 +432,11 @@ pub fn run_window_within(
     }
     match core.try_run_within(ramp + set.window_insts, max_cycles, deadline) {
         Ok(stats) => WindowRun {
-            stats: diff_stats(&stats, &before),
+            stats: stats.since(&before),
             failure: None,
             warmed: warmed + before.committed,
         },
         Err(e) => WindowRun { stats: SimStats::default(), failure: Some(e), warmed: warmed + before.committed },
-    }
-}
-
-/// Field-wise `after − before` of two cumulative statistics snapshots
-/// from the same core (the measured window between two resumable
-/// `try_run` calls). Flags (`halted`, `ceiling_hit`) come from `after`.
-#[allow(clippy::field_reassign_with_default)] // one line per field beats a 25-field literal
-fn diff_stats(after: &SimStats, before: &SimStats) -> SimStats {
-    let mut out = SimStats::default();
-    out.cycles = after.cycles - before.cycles;
-    out.committed = after.committed - before.committed;
-    out.committed_loads = after.committed_loads - before.committed_loads;
-    out.committed_stores = after.committed_stores - before.committed_stores;
-    out.committed_cond_branches = after.committed_cond_branches - before.committed_cond_branches;
-    out.branch_mispredicts = after.branch_mispredicts - before.branch_mispredicts;
-    out.indirect_mispredicts = after.indirect_mispredicts - before.indirect_mispredicts;
-    out.violations = after.violations - before.violations;
-    out.false_dependences = after.false_dependences - before.false_dependences;
-    out.forwarded_loads = after.forwarded_loads - before.forwarded_loads;
-    out.filtered_violations = after.filtered_violations - before.filtered_violations;
-    out.squashed_uops = after.squashed_uops - before.squashed_uops;
-    out.mdp_stalled_loads = after.mdp_stalled_loads - before.mdp_stalled_loads;
-    out.predictor_accesses = phast_mdp::AccessStats {
-        reads: after.predictor_accesses.reads - before.predictor_accesses.reads,
-        writes: after.predictor_accesses.writes - before.predictor_accesses.writes,
-    };
-    out.memory.l1i = sub_cache(after.memory.l1i, before.memory.l1i);
-    out.memory.l1d = sub_cache(after.memory.l1d, before.memory.l1d);
-    out.memory.l2 = sub_cache(after.memory.l2, before.memory.l2);
-    out.memory.l3 = sub_cache(after.memory.l3, before.memory.l3);
-    out.memory.dram_accesses = after.memory.dram_accesses - before.memory.dram_accesses;
-    out.halted = after.halted;
-    out.ceiling_hit = after.ceiling_hit;
-    out.checked_commits = after.checked_commits - before.checked_commits;
-    out.injected_faults = after.injected_faults - before.injected_faults;
-    out.invariant_audits = after.invariant_audits - before.invariant_audits;
-    out
-}
-
-fn sub_cache(a: phast_mem::CacheStats, b: phast_mem::CacheStats) -> phast_mem::CacheStats {
-    phast_mem::CacheStats {
-        hits: a.hits - b.hits,
-        misses: a.misses - b.misses,
-        mshr_merges: a.mshr_merges - b.mshr_merges,
-        mshr_stall_cycles: a.mshr_stall_cycles - b.mshr_stall_cycles,
-        prefetch_fills: a.prefetch_fills - b.prefetch_fills,
     }
 }
 
@@ -523,81 +557,24 @@ pub fn ipc_error_bound(full_ipc: f64, ci_half: f64) -> f64 {
     (0.12 * full_ipc).max(2.0 * ci_half).max(0.05)
 }
 
-impl SampleEstimate {
-    /// [`ipc_error_bound`] evaluated with this estimate's confidence
-    /// half-width.
-    pub fn ipc_error_bound(&self, full_ipc: f64) -> f64 {
-        ipc_error_bound(full_ipc, self.ipc_ci_half)
-    }
-}
-
 /// Sums window statistics into one `SimStats`-shaped record, so sampled
 /// runs flow through the same reporting paths as full-detail runs, with
 /// an integer weight per window: the cell record of a clustered run
 /// scales each representative's counters by its cluster's member count,
 /// so the summed record keeps the horizon's phase proportions (and its
 /// ratio statistics match the weighted ratio-of-sums estimate) exactly,
-/// in integer arithmetic. Stride runs weigh every window 1. Hierarchy and
-/// predictor-access counters are summed field-wise; `halted` is true if
-/// any window observed the program halt.
+/// in integer arithmetic. Stride runs weigh every window 1. The sum runs
+/// through [`SimStats::add_weighted`], so `halted` is true if any window
+/// observed the program halt.
 ///
 /// # Panics
 ///
 /// Panics if `weights` is not parallel to `runs`.
 pub fn sum_window_stats_weighted(runs: &[WindowRun], weights: &[u64]) -> SimStats {
     assert_eq!(runs.len(), weights.len(), "one weight per window run");
-    let mut out = SimStats::default();
-    for (r, &wt) in runs.iter().zip(weights) {
-        let s = &r.stats;
-        out.cycles += wt * s.cycles;
-        out.committed += wt * s.committed;
-        out.committed_loads += wt * s.committed_loads;
-        out.committed_stores += wt * s.committed_stores;
-        out.committed_cond_branches += wt * s.committed_cond_branches;
-        out.branch_mispredicts += wt * s.branch_mispredicts;
-        out.indirect_mispredicts += wt * s.indirect_mispredicts;
-        out.violations += wt * s.violations;
-        out.false_dependences += wt * s.false_dependences;
-        out.forwarded_loads += wt * s.forwarded_loads;
-        out.filtered_violations += wt * s.filtered_violations;
-        out.squashed_uops += wt * s.squashed_uops;
-        out.mdp_stalled_loads += wt * s.mdp_stalled_loads;
-        out.predictor_accesses.add(phast_mdp::AccessStats {
-            reads: wt * s.predictor_accesses.reads,
-            writes: wt * s.predictor_accesses.writes,
-        });
-        out.memory.l1i = add_cache(out.memory.l1i, scale_cache(s.memory.l1i, wt));
-        out.memory.l1d = add_cache(out.memory.l1d, scale_cache(s.memory.l1d, wt));
-        out.memory.l2 = add_cache(out.memory.l2, scale_cache(s.memory.l2, wt));
-        out.memory.l3 = add_cache(out.memory.l3, scale_cache(s.memory.l3, wt));
-        out.memory.dram_accesses += wt * s.memory.dram_accesses;
-        out.halted |= s.halted;
-        out.ceiling_hit |= s.ceiling_hit;
-        out.checked_commits += wt * s.checked_commits;
-        out.injected_faults += wt * s.injected_faults;
-        out.invariant_audits += wt * s.invariant_audits;
-    }
-    out
-}
-
-fn add_cache(a: phast_mem::CacheStats, b: phast_mem::CacheStats) -> phast_mem::CacheStats {
-    phast_mem::CacheStats {
-        hits: a.hits + b.hits,
-        misses: a.misses + b.misses,
-        mshr_merges: a.mshr_merges + b.mshr_merges,
-        mshr_stall_cycles: a.mshr_stall_cycles + b.mshr_stall_cycles,
-        prefetch_fills: a.prefetch_fills + b.prefetch_fills,
-    }
-}
-
-fn scale_cache(a: phast_mem::CacheStats, wt: u64) -> phast_mem::CacheStats {
-    phast_mem::CacheStats {
-        hits: wt * a.hits,
-        misses: wt * a.misses,
-        mshr_merges: wt * a.mshr_merges,
-        mshr_stall_cycles: wt * a.mshr_stall_cycles,
-        prefetch_fills: wt * a.prefetch_fills,
-    }
+    runs.iter()
+        .zip(weights)
+        .fold(SimStats::default(), |sum, (r, &wt)| sum.add_weighted(&r.stats, wt))
 }
 
 /// Serial convenience: capture + replay every window + estimate, building
@@ -626,4 +603,32 @@ pub fn run_sampled(
         })
         .collect();
     Ok((estimate(&set, &runs), runs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phast_mdp::BlindSpeculation;
+
+    /// A window whose program halts inside its warm phase never reaches
+    /// its detailed start: capture takes no structure snapshot for it,
+    /// and replay reports it as halted without needing one.
+    #[test]
+    fn a_window_halting_in_its_warm_phase_replays_without_a_snapshot() {
+        let program = phast_workloads::by_name("mcf").expect("workload exists").build(20);
+        let mut emu = Emulator::new(&program);
+        while emu.step().expect("clean").is_some() {}
+        let total = emu.retired();
+        // Two strides of `total` each: window 1's warm phase starts
+        // mid-run, and its detailed start lies past the halt.
+        let cfg = CoreConfig::alder_lake();
+        let set =
+            capture(&program, &cfg, &SampleConfig::new(2, total, 10), 2 * total).expect("clean");
+        assert_eq!(set.checkpoints.len(), 2);
+        assert!(set.warm[0].is_some() && set.warm[1].is_none());
+        let run = run_window(&program, &cfg, &mut BlindSpeculation, &set, 1);
+        assert!(run.failure.is_none());
+        assert_eq!(run.stats.committed, 0);
+        assert_eq!(run.warmed, total - set.checkpoints[1].arch.icount);
+    }
 }

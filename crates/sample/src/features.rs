@@ -4,7 +4,7 @@
 //! divides the horizon into equal intervals and summarizes each one with
 //! a fixed-dimension [`FeatureVec`] collected *during the existing
 //! capture pass* — the raw events (retired blocks, effective addresses,
-//! the sliding store window) are already flowing through the warmer, so
+//! the sliding store window) are already flowing through that pass, so
 //! feature collection adds a handful of table updates per instruction and
 //! no second pass.
 //!

@@ -11,14 +11,16 @@
 //! confidence interval ([`SampleEstimate`]).
 //!
 //! * [`capture`] makes one functional pass and emits an in-memory
-//!   [`CheckpointSet`] (architectural snapshot + warmed context per
-//!   window).
-//! * [`run_window`] replays one window independently: restore → warm the
-//!   caches/branch predictors/MDP over the warm phase → boot the core via
-//!   `phast_ooo::BootState` → run the detailed window. It reads the set
-//!   by shared reference, so every (predictor) cell of a workload replays
-//!   from one capture; `phast-experiments` runs a cell's windows in order
-//!   on one worker, as one sweep cell.
+//!   [`CheckpointSet`]: per window, the architectural snapshot and warmed
+//!   context at the warm start, and the warmed caches and branch
+//!   predictors at the detailed start.
+//! * [`run_window`] replays one window independently: restore → train
+//!   the MDP over the warm phase → boot the core via
+//!   `phast_ooo::BootState` from the captured structures → run the
+//!   detailed window. It reads the set by shared reference, so every
+//!   (predictor) cell of a workload replays from one capture;
+//!   `phast-experiments` runs a cell's windows in order on one worker, as
+//!   one sweep cell.
 //! * [`estimate`] turns window runs into the point estimate and
 //!   instruction accounting (measured vs warmed vs fast-forwarded).
 //!
@@ -43,4 +45,4 @@ pub use engine::{
 };
 pub use features::{FeatureCollector, FeatureVec, FEATURE_DIM};
 pub use kmeans::{cluster, ClusterPlan};
-pub use warm::{warm_state_clones, WarmState, Warmer};
+pub use warm::{warm_state_clones, WarmState};

@@ -1,20 +1,20 @@
-//! Microarchitectural warming during functional fast-forward.
+//! Microarchitectural warming during functional fast-forward, with one
+//! owner per kind of state:
 //!
-//! Two tiers, split by who can share them:
-//!
-//! * [`WarmContext`] (`checkpoint.rs`) and [`WarmState`] are
-//!   **predictor-independent**, so the capture pass maintains them
-//!   continuously across the whole horizon and snapshots them at every
-//!   checkpoint: branch history registers, the divergent-history ring,
-//!   the RAS and the sliding store window (`WarmContext`, cheap), plus
-//!   the long-lived structures whose state at a window boundary reflects
-//!   the *entire* preceding execution — the cache hierarchy with its
-//!   prefetcher, the direction predictor and the indirect-target
-//!   predictor (`WarmState`, a deep clone). One capture serves every
-//!   predictor in the sweep.
-//! * The active MDP's training state is **predictor-specific**, so it is
-//!   built cold per window and warmed through `phast_mdp::Warmable` over
-//!   the window's bounded warm phase only ([`Warmer::warm_step`]).
+//! * The **capture pass** ([`capture`](crate::capture)) owns everything
+//!   predictor-independent and keeps it warm over the whole horizon in
+//!   one pass, so one capture serves every predictor in the sweep. It
+//!   snapshots the cheap [`WarmContext`] (`checkpoint.rs`: branch history
+//!   registers, the divergent-history ring, the RAS and the sliding store
+//!   window) at each window's warm start, and the long-lived
+//!   [`WarmState`] structures (the cache hierarchy with its prefetcher,
+//!   the direction predictor and the indirect-target predictor, a deep
+//!   clone) at each window's detailed start.
+//! * **Window replay** ([`run_window`](crate::run_window)) owns the
+//!   active MDP's training state, which is predictor-specific. It steps
+//!   the emulator and the context over the window's warm phase and trains
+//!   only the MDP ([`warm_mdp`]), then boots the core from the captured
+//!   structures.
 //!
 //! Every update rule here mirrors the front end / commit stage of
 //! `phast-ooo` exactly (same GHR shift amounts, same push ordering, same
@@ -25,12 +25,10 @@
 //! `docs/SAMPLING.md` for why this converges to the same steady state.
 
 use crate::checkpoint::{StoreRec, WarmContext};
-use phast_branch::{DirectionPredictor, DivergentEvent, Ittage, IttageConfig, Tage, TageConfig};
+use phast_branch::{DivergentEvent, Ittage, IttageConfig, Tage, TageConfig};
 use phast_isa::{ranges_overlap, BlockId, ExecRecord, Op, Program};
-use phast_mdp::{
-    DepPrediction, LoadCommit, LoadQuery, MemDepPredictor, StoreQuery, Violation, Warmable,
-};
-use phast_mem::{AccessKind, Hierarchy};
+use phast_mdp::{DepPrediction, LoadCommit, LoadQuery, MemDepPredictor, StoreQuery, Violation};
+use phast_mem::Hierarchy;
 use phast_ooo::CoreConfig;
 
 impl WarmContext {
@@ -96,9 +94,9 @@ pub fn warm_state_clones() -> u64 {
 }
 
 /// The predictor-independent long-lived structures, warmed continuously
-/// by the capture pass and snapshotted (cloned) at every checkpoint;
-/// snapshots of windows that will never replay are then pruned
-/// ([`CheckpointSet::prune_warm`](crate::CheckpointSet::prune_warm)).
+/// by the capture pass and snapshotted (cloned) at every window's
+/// detailed start; snapshots of windows that will never replay are then
+/// pruned ([`CheckpointSet::prune_warm`](crate::CheckpointSet::prune_warm)).
 pub struct WarmState {
     /// Cache hierarchy + prefetcher, warmed stat-free.
     pub hierarchy: Hierarchy,
@@ -133,188 +131,99 @@ impl WarmState {
     }
 }
 
-/// Drives warming: the shared [`WarmState`] on every instruction of the
-/// capture pass ([`warm_structures`](Warmer::warm_structures)), plus the
-/// per-window MDP warm phase ([`warm_step`](Warmer::warm_step)).
-pub struct Warmer {
-    /// The structures being warmed; after a window's warm phase these
-    /// move into a `phast_ooo::BootState`.
-    pub state: WarmState,
-    /// In-flight span approximation: stores further than this many
-    /// instructions from a load could not coexist with it in the ROB.
+/// Trains a window's MDP on one architecturally retired instruction of
+/// its warm phase, reading `ctx` before the caller folds the instruction
+/// in (`ctx.observe`). The calls are the ones the core would make: a load
+/// is predicted, trained as a violation if the prediction did not cover
+/// its youngest overlapping store that could still be in flight, and
+/// committed; a store dispatches and executes back to back, as it does
+/// architecturally.
+pub(crate) fn warm_mdp(
+    predictor: &mut dyn MemDepPredictor,
+    ctx: &WarmContext,
+    program: &Program,
+    rec: &ExecRecord,
     rob_window: u64,
-    /// Cache line of the previous instruction fetch. Immediately
-    /// consecutive fetches to the same line are L1I hits whose only
-    /// effect is an LRU touch that the *next* access to that set would
-    /// re-establish anyway, so they are skipped — exactly
-    /// behavior-preserving, and fetch is the hottest warm path.
-    last_fetch_line: Option<u64>,
+) {
+    match &program.inst(rec.block, rec.index).op {
+        Op::Load(size) => warm_load(predictor, ctx, rec, size.bytes(), rob_window),
+        Op::Store(_) => {
+            let _ = predictor.store_dispatched(&StoreQuery {
+                pc: rec.pc,
+                token: rec.seq,
+                history: &ctx.history,
+            });
+            predictor.store_executed(rec.pc, rec.seq);
+        }
+        _ => {}
+    }
 }
 
-impl Warmer {
-    /// Creates cold structures sized exactly like `Core::new` builds them.
-    pub fn new(cfg: &CoreConfig) -> Warmer {
-        Warmer::from_state(WarmState::new(cfg), cfg)
-    }
+/// MDP warming for one load of `size` bytes. Stores further than
+/// `rob_window` instructions back could not coexist with the load in the
+/// ROB, so they neither count as in flight nor as its dependence.
+fn warm_load(
+    predictor: &mut dyn MemDepPredictor,
+    ctx: &WarmContext,
+    rec: &ExecRecord,
+    size: u64,
+    rob_window: u64,
+) {
+    let addr = rec.eff_addr.expect("load records address");
+    let in_flight =
+        ctx.stores.iter().rev().take_while(|s| rec.seq - s.seq <= rob_window).count() as u32;
+    let outcome = predictor.predict_load(&LoadQuery {
+        pc: rec.pc,
+        token: rec.seq,
+        history: &ctx.history,
+        arch_seq: rec.seq,
+        older_stores: in_flight,
+    });
 
-    /// Resumes warming from a checkpointed snapshot.
-    pub fn from_state(state: WarmState, cfg: &CoreConfig) -> Warmer {
-        Warmer { state, rob_window: cfg.rob_size as u64, last_fetch_line: None }
-    }
-
-    /// Warms the predictor-independent structures on one architecturally
-    /// retired instruction. Does **not** touch `ctx` — the caller folds
-    /// the instruction in afterwards (`ctx.observe`), because updates here
-    /// must see the *pre-update* history values, exactly like branch
-    /// resolution in the core.
-    ///
-    /// `next_block` is the block the emulator moved to after this
-    /// instruction (its post-step cursor) — the resolved target that
-    /// trains the indirect predictor.
-    pub fn warm_structures(
-        &mut self,
-        ctx: &WarmContext,
-        program: &Program,
-        rec: &ExecRecord,
-        next_block: Option<BlockId>,
-    ) {
-        let fetch_line = rec.pc >> 6;
-        if self.last_fetch_line != Some(fetch_line) {
-            self.state.hierarchy.warm(AccessKind::Fetch, rec.pc, rec.pc);
-            self.last_fetch_line = Some(fetch_line);
+    // Youngest overlapping store that could still be in flight — the
+    // store the core would have forwarded from (or squashed on).
+    let mut dep: Option<(StoreRec, u32)> = None;
+    let len = ctx.stores.len();
+    for (i, s) in ctx.stores.iter().enumerate().rev() {
+        if rec.seq - s.seq > rob_window {
+            break;
         }
-        let inst = program.inst(rec.block, rec.index);
-        match &inst.op {
-            Op::CondBranch { .. } => {
-                let taken = rec.taken.expect("cond branch records taken");
-                self.state.direction.update(rec.pc, ctx.cond_ghr, taken);
-            }
-            Op::IndirectJump(_) | Op::Ret => {
-                if let Some(b) = next_block {
-                    self.state.indirect.update(rec.pc, ctx.path_ghr, b);
-                }
-            }
-            Op::Load(_) => {
-                let addr = rec.eff_addr.expect("load records address");
-                self.state.hierarchy.warm(AccessKind::Load, rec.pc, addr);
-            }
-            Op::Store(_) => {
-                let addr = rec.eff_addr.expect("store records address");
-                self.state.hierarchy.warm(AccessKind::Store, rec.pc, addr);
-            }
-            _ => {}
+        if ranges_overlap(addr, size, s.addr, s.size) {
+            dep = Some((*s, (len - 1 - i) as u32));
+            break;
         }
     }
 
-    /// Warms everything — shared structures *and* the window's MDP — on
-    /// one retired instruction, then folds it into `ctx`. This is the
-    /// per-window warm phase.
-    pub fn warm_step(
-        &mut self,
-        ctx: &mut WarmContext,
-        program: &Program,
-        rec: &ExecRecord,
-        next_block: Option<BlockId>,
-        predictor: &mut dyn MemDepPredictor,
-    ) {
-        self.warm_structures(ctx, program, rec, next_block);
-        let inst = program.inst(rec.block, rec.index);
-        match &inst.op {
-            Op::Load(size) => {
-                let addr = rec.eff_addr.expect("load records address");
-                self.warm_load(ctx, rec, addr, size.bytes(), predictor);
-            }
-            Op::Store(_) => {
-                predictor.warm_store(&StoreQuery {
-                    pc: rec.pc,
-                    token: rec.seq,
+    let (actual_distance, waited_correct) = match dep {
+        Some((store, distance)) => {
+            let covered = match outcome.dep {
+                DepPrediction::None => false,
+                DepPrediction::Distance(d) => d == distance,
+                DepPrediction::StoreToken(t) => t == store.seq,
+                DepPrediction::DistanceMask(m) => distance < 128 && (m >> distance) & 1 == 1,
+                DepPrediction::AllOlder => true,
+            };
+            if !covered {
+                predictor.train_violation(&Violation {
+                    load_pc: rec.pc,
+                    store_pc: store.pc,
+                    store_distance: distance,
+                    history_len: (ctx.history.count() - store.div_count) as u32,
                     history: &ctx.history,
+                    load_token: rec.seq,
+                    store_token: store.seq,
+                    prior: outcome,
                 });
             }
-            _ => {}
+            (Some(distance), covered && outcome.dep.is_dependence())
         }
-        ctx.observe(program, rec);
-    }
-
-    /// MDP warming for one load: predict, detect the youngest overlapping
-    /// in-ROB-range store, train an uncovered dependence as a violation,
-    /// and close the loop with the commit notification.
-    fn warm_load(
-        &mut self,
-        ctx: &WarmContext,
-        rec: &ExecRecord,
-        addr: u64,
-        size: u64,
-        predictor: &mut dyn MemDepPredictor,
-    ) {
-        let in_flight = ctx
-            .stores
-            .iter()
-            .rev()
-            .take_while(|s| rec.seq - s.seq <= self.rob_window)
-            .count() as u32;
-        let outcome = predictor.predict_load(&LoadQuery {
-            pc: rec.pc,
-            token: rec.seq,
-            history: &ctx.history,
-            arch_seq: rec.seq,
-            older_stores: in_flight,
-        });
-
-        // Youngest overlapping store that could still be in flight — the
-        // store the core would have forwarded from (or squashed on).
-        let mut dep: Option<(StoreRec, u32)> = None;
-        let len = ctx.stores.len();
-        for (i, s) in ctx.stores.iter().enumerate().rev() {
-            if rec.seq - s.seq > self.rob_window {
-                break;
-            }
-            if ranges_overlap(addr, size, s.addr, s.size) {
-                dep = Some((*s, (len - 1 - i) as u32));
-                break;
-            }
-        }
-
-        match dep {
-            Some((store, distance)) => {
-                let covered = match outcome.dep {
-                    DepPrediction::None => false,
-                    DepPrediction::Distance(d) => d == distance,
-                    DepPrediction::StoreToken(t) => t == store.seq,
-                    DepPrediction::DistanceMask(m) => {
-                        distance < 128 && (m >> distance) & 1 == 1
-                    }
-                    DepPrediction::AllOlder => true,
-                };
-                if !covered {
-                    predictor.warm_violation(&Violation {
-                        load_pc: rec.pc,
-                        store_pc: store.pc,
-                        store_distance: distance,
-                        history_len: (ctx.history.count() - store.div_count) as u32,
-                        history: &ctx.history,
-                        load_token: rec.seq,
-                        store_token: store.seq,
-                        prior: outcome,
-                    });
-                }
-                predictor.warm_load(&LoadCommit {
-                    pc: rec.pc,
-                    prediction: outcome,
-                    actual_distance: Some(distance),
-                    waited_correct: covered && outcome.dep.is_dependence(),
-                    history: &ctx.history,
-                });
-            }
-            None => {
-                predictor.warm_load(&LoadCommit {
-                    pc: rec.pc,
-                    prediction: outcome,
-                    actual_distance: None,
-                    waited_correct: false,
-                    history: &ctx.history,
-                });
-            }
-        }
-    }
+        None => (None, false),
+    };
+    predictor.load_committed(&LoadCommit {
+        pc: rec.pc,
+        prediction: outcome,
+        actual_distance,
+        waited_correct,
+        history: &ctx.history,
+    });
 }
