@@ -99,6 +99,10 @@ impl MdpTageConfig {
     }
 }
 
+/// Most components an [`MdpTage`] may have, so one training call's keys
+/// fit a fixed array.
+const MAX_COMPONENTS: usize = 16;
+
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     distance: u8,
@@ -125,12 +129,15 @@ pub struct MdpTage {
 impl MdpTage {
     /// Creates an MDP-TAGE predictor.
     pub fn new(cfg: MdpTageConfig) -> MdpTage {
-        // `provider` folds every component from one incremental history
-        // walk, which requires the documented shortest-first ordering.
+        // `provider` and `train_violation` fold every component from one
+        // incremental history walk, which requires the documented
+        // shortest-first ordering; training keeps their keys in a fixed
+        // array.
         assert!(
             cfg.components.windows(2).all(|w| w[0].history_len <= w[1].history_len),
             "components must be ordered shortest history first"
         );
+        assert!(cfg.components.len() <= MAX_COMPONENTS, "at most 16 components");
         let tables = cfg
             .components
             .iter()
@@ -143,16 +150,12 @@ impl MdpTage {
         MdpTage { tables, cfg, name, accesses: 0, lfsr: 0xbeef, stats: AccessStats::default() }
     }
 
-    fn keys(&self, ci: usize, pc: Pc, history: &DivergentHistory) -> (u64, u64) {
+    /// Index/tag of component `ci`, folding its history with `folder`
+    /// (components shortest history first, as [`PathFolder`] requires).
+    fn keys_from(&self, ci: usize, pc: Pc, folder: &mut PathFolder<'_>) -> (u64, u64) {
         let c = &self.cfg.components[ci];
         let index_bits = c.sets.trailing_zeros();
-        let folded = history.fold_plain(c.history_len as usize, index_bits + c.tag_bits);
-        self.keys_folded(ci, pc, folded)
-    }
-
-    /// Index/tag from an already folded history (see [`PathFolder`]).
-    fn keys_folded(&self, ci: usize, pc: Pc, folded: u64) -> (u64, u64) {
-        let index_bits = self.cfg.components[ci].sets.trailing_zeros();
+        let folded = folder.fold_plain(c.history_len as usize, index_bits + c.tag_bits);
         let index = pc_index_hash(pc) ^ (folded & ((1 << index_bits) - 1));
         let tag = pc_tag_hash(pc) ^ (folded >> index_bits);
         (index, tag)
@@ -186,10 +189,7 @@ impl MdpTage {
         let mut folder = PathFolder::new(history);
         for ci in 0..self.tables.len() {
             self.stats.reads += 1;
-            let c = &self.cfg.components[ci];
-            let bits = c.sets.trailing_zeros() + c.tag_bits;
-            let folded = folder.fold_plain(c.history_len as usize, bits);
-            let (index, tag) = self.keys_folded(ci, pc, folded);
+            let (index, tag) = self.keys_from(ci, pc, &mut folder);
             if let Some(e) = self.tables[ci].peek(index, tag) {
                 if e.useful {
                     found = Some((ci, e.distance));
@@ -199,8 +199,7 @@ impl MdpTage {
         found
     }
 
-    fn allocate(&mut self, ci: usize, pc: Pc, history: &DivergentHistory, distance: u32) {
-        let (index, tag) = self.keys(ci, pc, history);
+    fn allocate(&mut self, ci: usize, (index, tag): (u64, u64), distance: u32) {
         self.stats.writes += 1;
         self.tables[ci].insert(
             index,
@@ -240,10 +239,14 @@ impl MemDepPredictor for MdpTage {
         } else {
             0
         };
-        // An existing entry for this exact context retrains in place.
-        for ci in start..self.tables.len() {
-            let (index, tag) = self.keys(ci, v.load_pc, v.history);
-            if let Some(e) = self.tables[ci].lookup(index, tag) {
+        // An existing entry for this exact context retrains in place. One
+        // ascending walk of the history folds every candidate component.
+        let n = self.tables.len();
+        let mut keys = [(0, 0); MAX_COMPONENTS];
+        let mut folder = PathFolder::new(v.history);
+        for (ci, key) in keys[..n].iter_mut().enumerate().skip(start) {
+            *key = self.keys_from(ci, v.load_pc, &mut folder);
+            if let Some(e) = self.tables[ci].lookup(key.0, key.1) {
                 e.distance = v.store_distance.min(MAX_STORE_DISTANCE) as u8;
                 e.useful = true;
                 self.stats.writes += 1;
@@ -251,18 +254,17 @@ impl MemDepPredictor for MdpTage {
             }
         }
         // Otherwise claim the first slot that is free or not useful.
-        for ci in start..self.tables.len() {
-            let (index, _tag) = self.keys(ci, v.load_pc, v.history);
+        for (ci, &(index, tag)) in keys[..n].iter().enumerate().skip(start) {
             let claimable = !self.tables[ci].set_full(index)
                 || self.tables[ci].lru_victim_mut(index).is_some_and(|e| !e.useful);
             if claimable {
-                self.allocate(ci, v.load_pc, v.history, v.store_distance);
+                self.allocate(ci, (index, tag), v.store_distance);
                 return;
             }
         }
         // Everything useful along the path: age the shortest candidate so
         // a future allocation can succeed (TAGE's u decay).
-        let (index, _) = self.keys(start, v.load_pc, v.history);
+        let index = keys[start].0;
         if let Some(e) = self.tables[start].lru_victim_mut(index) {
             e.useful = false;
             self.stats.writes += 1;
@@ -279,7 +281,7 @@ impl MemDepPredictor for MdpTage {
         let denom = self.cfg.false_dep_reset_denom;
         if self.rand().is_multiple_of(denom) {
             let ci = (c.prediction.hint - 1) as usize;
-            let (index, tag) = self.keys(ci, c.pc, c.history);
+            let (index, tag) = self.keys_from(ci, c.pc, &mut PathFolder::new(c.history));
             self.stats.writes += 1;
             if let Some(e) = self.tables[ci].lookup(index, tag) {
                 e.useful = false;

@@ -34,7 +34,7 @@ impl DivergentEvent {
     /// * younger conditional branches contribute only their outcome bit;
     /// * younger indirect branches contribute their destination bits.
     #[inline]
-    pub fn contribution(packed: u8, oldest: bool) -> u8 {
+    pub const fn contribution(packed: u8, oldest: bool) -> u8 {
         if oldest {
             packed
         } else if packed & 0x40 != 0 {
@@ -44,6 +44,18 @@ impl DivergentEvent {
         }
     }
 }
+
+/// `DivergentEvent::contribution(p, false)` for every 7-bit packed event
+/// `p`: the younger-entry contribution, looked up per step of a walk.
+const PLAIN_CONTRIBUTION: [u8; 128] = {
+    let mut table = [0u8; 128];
+    let mut p = 0;
+    while p < 128 {
+        table[p] = DivergentEvent::contribution(p as u8, false);
+        p += 1;
+    }
+    table
+};
 
 /// Checkpoint of a [`DivergentHistory`], restorable in O(1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -256,14 +268,28 @@ impl<'a> PathFolder<'a> {
         PathFolder { hist, pos: 0, limit, acc: 0 }
     }
 
+    /// Mixes events `pos..len` (newest first) into the accumulator.
+    ///
+    /// Newest first, the ring reads `buf[..head]` backwards, then
+    /// `buf[head..]` backwards, so the walk is two reversed slices rather
+    /// than a modulo per event. `len ≤ limit` keeps it to recorded events:
+    /// the ring wraps into `buf[head..]` only once `count ≥ capacity`.
     #[inline]
     fn advance_to(&mut self, len: usize) {
         debug_assert!(len >= self.pos, "PathFolder lengths must be non-decreasing");
-        while self.pos < len {
-            let v = DivergentEvent::contribution(self.hist.packed_at(self.pos), false);
-            self.acc = mix(self.acc, v);
-            self.pos += 1;
+        debug_assert!(len <= self.limit, "PathFolder walks only recorded events");
+        let (newer, older) = self.hist.buf.split_at(self.hist.head);
+        let (head, tail) = (newer.len(), older.len());
+        let mut acc = self.acc;
+        for &p in newer[head - len.min(head)..head - self.pos.min(head)].iter().rev() {
+            acc = mix(acc, PLAIN_CONTRIBUTION[usize::from(p & 0x7f)]);
         }
+        let (from, to) = (self.pos.max(head) - head, len.max(head) - head);
+        for &p in older[tail - to..tail - from].iter().rev() {
+            acc = mix(acc, PLAIN_CONTRIBUTION[usize::from(p & 0x7f)]);
+        }
+        self.acc = acc;
+        self.pos = len;
     }
 
     /// Folds the `len`-newest plain path (no oldest-entry rule) into

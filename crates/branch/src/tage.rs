@@ -59,63 +59,79 @@ struct Lookup {
     alt_pred: bool,
 }
 
+/// Most tagged components a [`Tage`] may have, so one lookup's keys fit a
+/// fixed array.
+const MAX_COMPONENTS: usize = 16;
+
+/// One tagged component's table index and tag for a (pc, history) pair.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Key {
+    index: usize,
+    tag: u16,
+}
+
 impl Tage {
     /// Creates a TAGE predictor from a configuration.
     ///
     /// # Panics
     ///
-    /// Panics if any history length exceeds 128 or the length list is empty.
+    /// Panics if any history length exceeds 128 or the length list is empty
+    /// or longer than 16.
     pub fn new(cfg: TageConfig) -> Tage {
         assert!(!cfg.history_lengths.is_empty(), "need at least one tagged component");
+        assert!(cfg.history_lengths.len() <= MAX_COMPONENTS, "at most 16 tagged components");
         assert!(cfg.history_lengths.iter().all(|&h| h <= 128), "histories must fit u128");
         let tables =
             vec![vec![TaggedEntry::default(); 1 << cfg.tagged_log2]; cfg.history_lengths.len()];
         Tage { base: vec![1; 1 << cfg.base_log2], tables, cfg, updates: 0, lfsr: 0xace1 }
     }
 
+    /// XOR of the `bits`-wide chunks of the `len` newest history bits.
+    ///
+    /// Computed by doubling: after the step at shift `s`, bit `p` holds
+    /// the XOR of the bits at `p`, `p + bits`, … up to `p + 2s − bits`, so
+    /// once `2s ≥ len` the low `bits` bits hold every chunk.
     fn fold_hist(ghr: u128, len: u32, bits: u32) -> u64 {
-        let mut acc = 0u64;
-        let mask = (1u64 << bits) - 1;
-        let mut remaining = len;
-        let mut h = ghr;
-        while remaining > 0 {
-            let take = remaining.min(bits);
-            acc ^= (h as u64) & ((1u64 << take) - 1);
-            acc &= mask;
-            h >>= take;
-            remaining -= take;
+        // `len` may be 128, where `1 << len` would overflow.
+        let mut x = ghr & 1u128.checked_shl(len).map_or(u128::MAX, |b| b - 1);
+        let mut s = bits;
+        while s < len {
+            x ^= x >> s;
+            s *= 2;
         }
-        acc
+        x as u64 & ((1u64 << bits) - 1)
     }
 
-    fn index(&self, t: usize, pc: Pc, ghr: u128) -> usize {
-        let bits = self.cfg.tagged_log2;
-        let h = Self::fold_hist(ghr, self.cfg.history_lengths[t], bits);
-        let pch = (pc >> 2) ^ (pc >> (2 + bits as u64)) ^ (t as u64);
-        ((pch ^ h) & ((1 << bits) - 1)) as usize
-    }
-
-    fn tag(&self, t: usize, pc: Pc, ghr: u128) -> u16 {
-        let bits = self.cfg.tag_bits;
-        let h = Self::fold_hist(ghr, self.cfg.history_lengths[t], bits);
-        let h2 = Self::fold_hist(ghr, self.cfg.history_lengths[t], bits - 1) << 1;
-        (((pc >> 2) ^ h ^ h2) & ((1 << bits) - 1)) as u16
+    /// Every component's index and tag for one lookup, folded once and
+    /// shared by prediction, allocation and usefulness decay.
+    fn keys(&self, pc: Pc, ghr: u128) -> [Key; MAX_COMPONENTS] {
+        let (index_bits, tag_bits) = (self.cfg.tagged_log2, self.cfg.tag_bits);
+        let mut keys = [Key::default(); MAX_COMPONENTS];
+        for (t, (key, &len)) in keys.iter_mut().zip(&self.cfg.history_lengths).enumerate() {
+            let h = Self::fold_hist(ghr, len, index_bits);
+            let pch = (pc >> 2) ^ (pc >> (2 + index_bits as u64)) ^ (t as u64);
+            key.index = ((pch ^ h) & ((1 << index_bits) - 1)) as usize;
+            let ht = if tag_bits == index_bits { h } else { Self::fold_hist(ghr, len, tag_bits) };
+            let h2 = Self::fold_hist(ghr, len, tag_bits - 1) << 1;
+            key.tag = (((pc >> 2) ^ ht ^ h2) & ((1 << tag_bits) - 1)) as u16;
+        }
+        keys
     }
 
     fn base_index(&self, pc: Pc) -> usize {
         ((pc >> 2) & ((1 << self.cfg.base_log2) - 1)) as usize
     }
 
-    fn lookup(&self, pc: Pc, ghr: u128) -> Lookup {
+    fn lookup(&self, pc: Pc, keys: &[Key]) -> Lookup {
         let mut provider = None;
         let mut alt: Option<(usize, usize)> = None;
         for t in (0..self.tables.len()).rev() {
-            let idx = self.index(t, pc, ghr);
-            if self.tables[t][idx].tag == self.tag(t, pc, ghr) {
+            let Key { index, tag } = keys[t];
+            if self.tables[t][index].tag == tag {
                 if provider.is_none() {
-                    provider = Some((t, idx));
+                    provider = Some((t, index));
                 } else {
-                    alt = Some((t, idx));
+                    alt = Some((t, index));
                     break;
                 }
             }
@@ -145,11 +161,12 @@ impl Tage {
 
 impl DirectionPredictor for Tage {
     fn predict(&self, pc: Pc, ghr: u128) -> bool {
-        self.lookup(pc, ghr).pred
+        self.lookup(pc, &self.keys(pc, ghr)).pred
     }
 
     fn update(&mut self, pc: Pc, ghr: u128, taken: bool) {
-        let l = self.lookup(pc, ghr);
+        let keys = self.keys(pc, ghr);
+        let l = self.lookup(pc, &keys);
         let mispredicted = l.pred != taken;
 
         // Update provider (or base) counter.
@@ -181,15 +198,14 @@ impl DirectionPredictor for Tage {
             let start = l.provider.map_or(0, |(t, _)| t + 1);
             let mut allocated = false;
             let r = self.rand();
-            for t in start..self.tables.len() {
-                let idx = self.index(t, pc, ghr);
+            let n = self.tables.len();
+            for (t, &Key { index: idx, tag }) in keys[..n].iter().enumerate().skip(start) {
                 if self.tables[t][idx].useful == 0 {
                     // Skip a free slot with probability 1/2 to spread
                     // allocations across components, but never skip the
                     // last candidate.
-                    let last = t + 1 == self.tables.len();
+                    let last = t + 1 == n;
                     if last || r & (1 << t) == 0 {
-                        let tag = self.tag(t, pc, ghr);
                         self.tables[t][idx] =
                             TaggedEntry { tag, ctr: if taken { 4 } else { 3 }, useful: 0 };
                         allocated = true;
@@ -199,9 +215,8 @@ impl DirectionPredictor for Tage {
             }
             if !allocated {
                 // Decay usefulness along the would-be allocation path.
-                for t in start..self.tables.len() {
-                    let idx = self.index(t, pc, ghr);
-                    self.tables[t][idx].useful = self.tables[t][idx].useful.saturating_sub(1);
+                for (table, key) in self.tables.iter_mut().zip(&keys).skip(start) {
+                    table[key.index].useful = table[key.index].useful.saturating_sub(1);
                 }
             }
         }
@@ -287,6 +302,83 @@ mod tests {
         let p = Tage::new(TageConfig::default());
         // 4K*2 + 8*1K*(10+3+2) bits.
         assert_eq!(p.storage_bits(), 4096 * 2 + 8 * 1024 * 15);
+    }
+
+    /// The chunk loop `fold_hist` replaced, kept as its reference model:
+    /// XOR the `len` newest history bits into `bits` bits, `bits` at a time.
+    fn fold_hist_chunked(ghr: u128, len: u32, bits: u32) -> u64 {
+        let mut acc = 0u64;
+        let mask = (1u64 << bits) - 1;
+        let mut remaining = len;
+        let mut h = ghr;
+        while remaining > 0 {
+            let take = remaining.min(bits);
+            acc ^= (h as u64) & ((1u64 << take) - 1);
+            acc &= mask;
+            h >>= take;
+            remaining -= take;
+        }
+        acc
+    }
+
+    #[test]
+    fn doubling_fold_matches_the_chunk_loop() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(22);
+        let mut histories = vec![0, u128::MAX, 1, 1 << 127];
+        histories.extend((0..60).map(|_| rng.gen::<u128>()));
+        for ghr in histories {
+            for len in 0..=128 {
+                for bits in 1..=16 {
+                    assert_eq!(
+                        Tage::fold_hist(ghr, len, bits),
+                        fold_hist_chunked(ghr, len, bits),
+                        "ghr {ghr:#x} len {len} bits {bits}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_array_matches_per_component_index_and_tag() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // The index and tag each component computed per call before the
+        // keys were shared (both folds through the reference chunk loop).
+        fn index(cfg: &TageConfig, t: usize, pc: Pc, ghr: u128) -> usize {
+            let bits = cfg.tagged_log2;
+            let h = fold_hist_chunked(ghr, cfg.history_lengths[t], bits);
+            let pch = (pc >> 2) ^ (pc >> (2 + bits as u64)) ^ (t as u64);
+            ((pch ^ h) & ((1 << bits) - 1)) as usize
+        }
+        fn tag(cfg: &TageConfig, t: usize, pc: Pc, ghr: u128) -> u16 {
+            let bits = cfg.tag_bits;
+            let h = fold_hist_chunked(ghr, cfg.history_lengths[t], bits);
+            let h2 = fold_hist_chunked(ghr, cfg.history_lengths[t], bits - 1) << 1;
+            (((pc >> 2) ^ h ^ h2) & ((1 << bits) - 1)) as u16
+        }
+        let mut rng = SmallRng::seed_from_u64(23);
+        let configs = [
+            TageConfig::default(),
+            TageConfig { tag_bits: 12, ..TageConfig::default() },
+            TageConfig {
+                tagged_log2: 7,
+                tag_bits: 9,
+                history_lengths: vec![0, 5, 13, 128],
+                ..TageConfig::default()
+            },
+        ];
+        for cfg in configs {
+            let p = Tage::new(cfg.clone());
+            for _ in 0..500 {
+                let (pc, ghr) = (rng.gen::<u64>(), rng.gen::<u128>());
+                let keys = p.keys(pc, ghr);
+                for (t, key) in keys[..cfg.history_lengths.len()].iter().enumerate() {
+                    let want = Key { index: index(&cfg, t, pc, ghr), tag: tag(&cfg, t, pc, ghr) };
+                    assert_eq!(*key, want, "component {t} pc {pc:#x} ghr {ghr:#x}");
+                }
+            }
+        }
     }
 
     #[test]

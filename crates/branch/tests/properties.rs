@@ -1,6 +1,6 @@
 //! Property-based tests for the divergent-branch history machinery.
 
-use phast_branch::{fold_bits, DivergentEvent, DivergentHistory};
+use phast_branch::{fold_bits, DivergentEvent, DivergentHistory, PathFolder, HISTORY_CAPACITY};
 use proptest::prelude::*;
 
 fn event_strategy() -> impl Strategy<Value = DivergentEvent> {
@@ -9,6 +9,41 @@ fn event_strategy() -> impl Strategy<Value = DivergentEvent> {
 }
 
 proptest! {
+    /// A [`PathFolder`] walking ascending lengths folds exactly what the
+    /// collected paths fold, wherever the ring's head sits: before the
+    /// first wrap, past it, and after a rewind to an older checkpoint.
+    #[test]
+    fn path_folder_matches_collected_paths_anywhere_in_the_ring(
+        seed in any::<u64>(),
+        pushes in 0usize..3 * HISTORY_CAPACITY,
+        rewind in 0usize..600,
+        lens in prop::collection::vec(0usize..HISTORY_CAPACITY + 8, 1..8),
+        bits in 1u32..40,
+    ) {
+        let mut h = DivergentHistory::new();
+        let mut checkpoints = Vec::with_capacity(pushes);
+        let mut x = seed;
+        for _ in 0..pushes {
+            checkpoints.push(h.checkpoint());
+            x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(0x1405_7b7e_f767_814f);
+            let r = x >> 32;
+            h.push(DivergentEvent { indirect: r & 1 != 0, taken: r & 2 != 0, target: r >> 2 });
+        }
+        if let Some(&cp) = checkpoints.get(pushes.saturating_sub(rewind)) {
+            h.restore(cp);
+        }
+        let mut lens = lens;
+        lens.sort_unstable();
+        let mut plain = PathFolder::new(&h);
+        let mut n_plus_one = PathFolder::new(&h);
+        for &len in &lens {
+            let want = h.path_plain(len).fold(bits);
+            prop_assert_eq!(plain.fold_plain(len, bits), want, "plain {}", len);
+            let want = h.path(len).fold(bits);
+            prop_assert_eq!(n_plus_one.fold_path(len, bits), want, "n+1 {}", len);
+        }
+    }
+
     /// A collected path never exceeds the requested length or the number
     /// of recorded events.
     #[test]

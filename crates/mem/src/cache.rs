@@ -35,13 +35,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Way {
-    valid: bool,
-    tag: u64,
-    lru: u32,
-}
-
 /// Per-level statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -91,7 +84,13 @@ pub struct Cache {
     /// Flat tag array, `cfg.ways` consecutive entries per set — one
     /// contiguous allocation so a probe walks a single cache-line-sized
     /// span instead of chasing a per-set pointer.
-    ways: Vec<Way>,
+    tags: Vec<u64>,
+    /// Last-use stamp of each way, parallel to `tags`. A way is valid iff
+    /// its stamp is non-zero: stamps come from `lru_clock`, which is
+    /// incremented before every use, so a zeroed array is an empty cache.
+    /// Both arrays are allocated zeroed, which a fresh mapping provides
+    /// without writing the sets a run never touches.
+    lru: Vec<u32>,
     set_mask: usize,
     lru_clock: u32,
     /// Outstanding misses: (line, completion_cycle). Pruned lazily.
@@ -105,7 +104,8 @@ impl Cache {
         let sets = cfg.sets();
         Cache {
             cfg,
-            ways: vec![Way::default(); sets * cfg.ways],
+            tags: vec![0; sets * cfg.ways],
+            lru: vec![0; sets * cfg.ways],
             set_mask: sets - 1,
             lru_clock: 0,
             inflight: VecDeque::new(),
@@ -123,20 +123,22 @@ impl Cache {
         &self.stats
     }
 
-    /// The slice of ways holding `line`'s set.
+    /// The tags and stamps of `line`'s set.
     #[inline]
-    fn set_of(&mut self, line: u64) -> &mut [Way] {
+    fn set_of(&mut self, line: u64) -> (&mut [u64], &mut [u32]) {
         let base = ((line as usize) & self.set_mask) * self.cfg.ways;
-        &mut self.ways[base..base + self.cfg.ways]
+        let ways = base..base + self.cfg.ways;
+        (&mut self.tags[ways.clone()], &mut self.lru[ways])
     }
 
     /// Looks up `line`, updating LRU on hit. Returns true on hit.
     pub fn probe(&mut self, line: u64) -> bool {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        for way in self.set_of(line) {
-            if way.valid && way.tag == line {
-                way.lru = clock;
+        let (tags, lru) = self.set_of(line);
+        for (&tag, stamp) in tags.iter().zip(lru) {
+            if tag == line && *stamp != 0 {
+                *stamp = clock;
                 return true;
             }
         }
@@ -147,20 +149,19 @@ impl Cache {
     pub fn fill(&mut self, line: u64) -> Option<u64> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let set = self.set_of(line);
+        let (tags, lru) = self.set_of(line);
         // Already present (e.g. a prefetch raced a demand fill): refresh.
-        for way in set.iter_mut() {
-            if way.valid && way.tag == line {
-                way.lru = clock;
+        for (&tag, stamp) in tags.iter().zip(lru.iter_mut()) {
+            if tag == line && *stamp != 0 {
+                *stamp = clock;
                 return None;
             }
         }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("ways > 0");
-        let evicted = victim.valid.then_some(victim.tag);
-        *victim = Way { valid: true, tag: line, lru: clock };
+        // The first smallest stamp: an invalid way (stamp 0) if any.
+        let victim = (0..lru.len()).min_by_key(|&w| lru[w]).expect("ways > 0");
+        let evicted = (lru[victim] != 0).then_some(tags[victim]);
+        tags[victim] = line;
+        lru[victim] = clock;
         evicted
     }
 
@@ -297,5 +298,93 @@ mod tests {
         let mut c = small();
         c.fill(0);
         assert_eq!(c.fill(0), None);
+    }
+
+    /// The `Vec<Way>` layout the parallel tag and stamp arrays replaced,
+    /// kept as their reference model.
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Way {
+        valid: bool,
+        tag: u64,
+        lru: u32,
+    }
+
+    struct WayModel {
+        ways: Vec<Way>,
+        n_ways: usize,
+        set_mask: usize,
+        lru_clock: u32,
+    }
+
+    impl WayModel {
+        fn set_of(&mut self, line: u64) -> &mut [Way] {
+            let base = ((line as usize) & self.set_mask) * self.n_ways;
+            &mut self.ways[base..base + self.n_ways]
+        }
+
+        fn probe(&mut self, line: u64) -> bool {
+            self.lru_clock += 1;
+            let clock = self.lru_clock;
+            for way in self.set_of(line) {
+                if way.valid && way.tag == line {
+                    way.lru = clock;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn fill(&mut self, line: u64) -> Option<u64> {
+            self.lru_clock += 1;
+            let clock = self.lru_clock;
+            let set = self.set_of(line);
+            for way in set.iter_mut() {
+                if way.valid && way.tag == line {
+                    way.lru = clock;
+                    return None;
+                }
+            }
+            let victim =
+                set.iter_mut().min_by_key(|w| if w.valid { w.lru } else { 0 }).expect("ways > 0");
+            let evicted = victim.valid.then_some(victim.tag);
+            *victim = Way { valid: true, tag: line, lru: clock };
+            evicted
+        }
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The same probe/fill stream gives the same hits and evictions
+        /// as the `Vec<Way>` model, from states with invalid ways whose
+        /// tags match probed lines and with valid ways of equal stamps.
+        #[test]
+        fn matches_the_array_of_ways_model(
+            preset in vec((0usize..16, 0u64..24, 0u32..4), 0..12),
+            ops in vec((any::<bool>(), 0u64..24), 1..200),
+        ) {
+            // 4 sets × 4 ways; lines 0..24 put up to six lines in a set.
+            let mut cache =
+                Cache::new(CacheConfig { size_bytes: 16 * 64, ways: 4, hit_latency: 1, mshrs: 1 });
+            let mut model =
+                WayModel { ways: vec![Way::default(); 16], n_ways: 4, set_mask: 3, lru_clock: 0 };
+            // Stamps 0..4 tie with each other and with the first ops'
+            // stamps; a 0 stamp leaves the way invalid with a stale tag.
+            for (w, tag, stamp) in preset {
+                cache.tags[w] = tag;
+                cache.lru[w] = stamp;
+                model.ways[w] = Way { valid: stamp != 0, tag, lru: stamp };
+            }
+            for (i, (is_fill, line)) in ops.into_iter().enumerate() {
+                if is_fill {
+                    let (got, want) = (cache.fill(line), model.fill(line));
+                    prop_assert_eq!(got, want, "op {} fill {}", i, line);
+                } else {
+                    let (got, want) = (cache.probe(line), model.probe(line));
+                    prop_assert_eq!(got, want, "op {} probe {}", i, line);
+                }
+            }
+        }
     }
 }

@@ -37,75 +37,19 @@ use phast_mem::{line_of, AccessKind, Hierarchy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// How many wait tokens a [`TokenList`] stores inline before spilling.
-const TOKENS_INLINE: usize = 8;
-
 /// Entries of the core's return-address stack.
 pub const RAS_DEPTH: usize = 32;
 
-/// A small set of store tokens, inline up to [`TOKENS_INLINE`] entries.
-///
-/// Store Vectors is the only predictor that asks a load to wait on more
-/// than one store, and its masked distances almost never name more than a
-/// handful of live stores — so the common case stays off the heap and
-/// dispatching a load allocates nothing.
-#[derive(Clone, Debug)]
-enum TokenList {
-    Inline { len: u8, buf: [u64; TOKENS_INLINE] },
-    Spilled(Vec<u64>),
-}
-
-impl TokenList {
-    fn new() -> TokenList {
-        TokenList::Inline { len: 0, buf: [0; TOKENS_INLINE] }
-    }
-
-    fn push(&mut self, t: u64) {
-        match self {
-            TokenList::Inline { len, buf } => {
-                if (*len as usize) < TOKENS_INLINE {
-                    buf[*len as usize] = t;
-                    *len += 1;
-                } else {
-                    let mut v = Vec::with_capacity(TOKENS_INLINE * 2);
-                    v.extend_from_slice(buf);
-                    v.push(t);
-                    *self = TokenList::Spilled(v);
-                }
-            }
-            TokenList::Spilled(v) => v.push(t),
-        }
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            TokenList::Inline { len, buf } => &buf[..*len as usize],
-            TokenList::Spilled(v) => v,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-impl PartialEq for TokenList {
-    fn eq(&self, other: &TokenList) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for TokenList {}
-
 /// What a load has been told to wait for.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WaitSpec {
     /// No dependence predicted.
     None,
     /// Wait until one specific store token has executed.
     One(u64),
-    /// Wait until each of these store tokens has executed (Store Vectors).
-    Many(TokenList),
+    /// Wait until each store token in the load's slot of
+    /// `Core::wait_lists` has executed (Store Vectors).
+    Many,
     /// Wait until every older in-flight store has executed.
     AllOlder,
 }
@@ -119,7 +63,9 @@ struct PendingViolation {
     history_len: u32,
 }
 
-/// One in-flight micro-operation.
+/// One in-flight micro-operation. Plain data: the ROB pops and truncates
+/// entries without running drop glue.
+#[derive(Clone, Copy)]
 struct Uop {
     token: u64,
     arch_seq: u64,
@@ -237,6 +183,13 @@ pub struct Core<'a> {
     reg_writers: [u32; NUM_REGS],
     /// Reused buffer for the violation search in `store_search_lq`.
     scratch_violations: Vec<u64>,
+    /// The store tokens of each load told to wait on several stores
+    /// ([`WaitSpec::Many`]; Store Vectors is the only predictor that asks),
+    /// one list per ROB slot: a uop's slot is `token & (len - 1)`. The
+    /// length is a power of two no smaller than the ROB, and in-flight
+    /// tokens are dense, so no two in-flight uops share a slot. Lists keep
+    /// their capacity, so steady state allocates nothing.
+    wait_lists: Vec<Vec<u64>>,
     sb_drains: VecDeque<u64>,
     mem: Hierarchy,
 
@@ -361,6 +314,7 @@ impl<'a> Core<'a> {
             completions: BinaryHeap::with_capacity(2 * cfg.rob_size),
             reg_writers: [0; NUM_REGS],
             scratch_violations: Vec::with_capacity(16),
+            wait_lists: vec![Vec::new(); cfg.rob_size.next_power_of_two()],
             sb_drains: VecDeque::with_capacity(cfg.sq_size),
             cycle: 0,
             last_commit_cycle: 0,
@@ -544,6 +498,12 @@ impl<'a> Core<'a> {
         &self.rob[self.rob_index(token)]
     }
 
+    /// The [`WaitSpec::Many`] store tokens of the in-flight load `token`.
+    #[inline]
+    fn wait_list(&self, token: u64) -> &[u64] {
+        &self.wait_lists[token as usize & (self.wait_lists.len() - 1)]
+    }
+
     /// Number of in-flight stores with `lo < token < hi`. The SQ is
     /// token-sorted, so two binary searches answer the distance counts
     /// that used to be linear filters.
@@ -656,8 +616,9 @@ impl<'a> Core<'a> {
     }
 
     fn commit_one(&mut self) -> Result<(), SimError> {
-        let u = self.rob.pop_front().expect("head exists");
-        self.rob_head_token += 1;
+        // The head is read in place and popped once retired: a `Uop` is
+        // ~500 bytes, far more than commit reads of it.
+        let u = self.rob.front().expect("head exists");
         self.stats.committed += 1;
         self.last_commit_cycle = self.cycle;
         if let Some(log) = &mut self.commit_log {
@@ -710,10 +671,12 @@ impl<'a> Core<'a> {
                 if u.forward_source.is_some() {
                     self.stats.forwarded_loads += 1;
                 }
-                let waited_correct = match &u.wait {
+                let waited_correct = match u.wait {
                     WaitSpec::None => false,
-                    WaitSpec::One(t) => u.forward_source == Some(*t),
-                    WaitSpec::Many(ts) => u.forward_source.is_some_and(|f| ts.as_slice().contains(&f)),
+                    WaitSpec::One(t) => u.forward_source == Some(t),
+                    WaitSpec::Many => {
+                        u.forward_source.is_some_and(|f| self.wait_list(u.token).contains(&f))
+                    }
                     WaitSpec::AllOlder => u.forward_source.is_some(),
                 };
                 if u.wait != WaitSpec::None && u.mdp_delayed && !waited_correct {
@@ -760,12 +723,9 @@ impl<'a> Core<'a> {
                     self.commit_hist.push(ev);
                 }
                 if matches!(inst.op, Op::Ret) && u.actual_next.is_none() {
-                    let target = u.actual_event.map_or(0, |e| e.target);
-                    return Err(SimError::CorruptRet {
-                        pc: u.pc,
-                        target,
-                        snapshot: self.snapshot(),
-                    });
+                    let (pc, target) = (u.pc, u.actual_event.map_or(0, |e| e.target));
+                    self.pop_head();
+                    return Err(SimError::CorruptRet { pc, target, snapshot: self.snapshot() });
                 }
             }
             _ => {}
@@ -773,18 +733,27 @@ impl<'a> Core<'a> {
 
         // Lockstep: this commit must match the reference emulator's next
         // retired instruction exactly.
-        if let Some(checker) = &mut self.checker {
-            let result =
-                checker.check_commit(u.arch_seq, u.pc, u.dst.and(u.result), u.addr, u.store_data);
-            if let Err(report) = result {
-                return Err(SimError::Divergence { report, snapshot: self.snapshot() });
+        let lockstep = match &mut self.checker {
+            Some(checker) => {
+                checker.check_commit(u.arch_seq, u.pc, u.dst.and(u.result), u.addr, u.store_data)
             }
+            None => Ok(()),
+        };
+        let is_halt = u.is_halt;
+        self.pop_head();
+        if let Err(report) = lockstep {
+            return Err(SimError::Divergence { report, snapshot: self.snapshot() });
         }
-
-        if u.is_halt {
+        if is_halt {
             self.halted = true;
         }
         Ok(())
+    }
+
+    /// Retires the ROB head (after `commit_one` has read it).
+    fn pop_head(&mut self) {
+        self.rob.pop_front();
+        self.rob_head_token += 1;
     }
 
     // ------------------------------------------------------------------
@@ -1004,10 +973,10 @@ impl<'a> Core<'a> {
 
     fn wait_satisfied(&self, i: usize) -> bool {
         let u = &self.rob[i];
-        match &u.wait {
+        match u.wait {
             WaitSpec::None => true,
-            WaitSpec::One(t) => self.store_done(*t),
-            WaitSpec::Many(ts) => ts.as_slice().iter().all(|&t| self.store_done(t)),
+            WaitSpec::One(t) => self.store_done(t),
+            WaitSpec::Many => self.wait_list(u.token).iter().all(|&t| self.store_done(t)),
             WaitSpec::AllOlder => {
                 let token = u.token;
                 self.sq_tokens.iter().take_while(|&&t| t < token).all(|&t| self.store_done(t))
@@ -1422,7 +1391,7 @@ impl<'a> Core<'a> {
                     prediction.dep = dep;
                 }
             }
-            wait = self.resolve_wait(prediction.dep);
+            wait = self.resolve_wait(token, prediction.dep);
             self.lq_tokens.push_back(token);
         } else if inst.op.is_store() {
             let dep = self
@@ -1492,9 +1461,9 @@ impl<'a> Core<'a> {
         predicted_next != seq_next
     }
 
-    /// Maps a [`DepPrediction`] to the concrete store tokens to wait for,
-    /// given the current speculative SQ contents.
-    fn resolve_wait(&self, dep: DepPrediction) -> WaitSpec {
+    /// Maps a [`DepPrediction`] to the concrete store tokens load `token`
+    /// waits for, given the current speculative SQ contents.
+    fn resolve_wait(&mut self, token: u64, dep: DepPrediction) -> WaitSpec {
         let n = self.sq_tokens.len();
         let by_distance = |d: u32| -> Option<u64> {
             let d = d as usize;
@@ -1517,7 +1486,9 @@ impl<'a> Core<'a> {
                 }
             }
             DepPrediction::DistanceMask(mask) => {
-                let mut ts = TokenList::new();
+                let slot = token as usize & (self.wait_lists.len() - 1);
+                let mut ts = std::mem::take(&mut self.wait_lists[slot]);
+                ts.clear();
                 let mut rest = mask;
                 while rest != 0 {
                     let d = rest.trailing_zeros();
@@ -1528,11 +1499,9 @@ impl<'a> Core<'a> {
                         }
                     }
                 }
-                if ts.is_empty() {
-                    WaitSpec::None
-                } else {
-                    WaitSpec::Many(ts)
-                }
+                let wait = if ts.is_empty() { WaitSpec::None } else { WaitSpec::Many };
+                self.wait_lists[slot] = ts;
+                wait
             }
             DepPrediction::AllOlder => {
                 if n == 0 {
@@ -1703,17 +1672,17 @@ impl<'a> Core<'a> {
     /// Removes every uop with `token >= boundary` from the pipeline,
     /// unwinding the RAT, and redirects fetch.
     fn squash_from(&mut self, boundary: u64, redirect: Redirect) {
-        while let Some(u) = self.rob.back() {
-            if u.token < boundary {
-                break;
-            }
-            let u = self.rob.pop_back().expect("non-empty");
+        // Unwind the RAT youngest first, reading the squashed uops in
+        // place, then drop them all at once.
+        let keep = boundary.saturating_sub(self.rob_head_token).min(self.rob.len() as u64) as usize;
+        for u in self.rob.range(keep..).rev() {
             if let Some(d) = u.dst {
                 self.rat[d.index()] = u.prev_rat;
                 self.reg_writers[d.index()] -= 1;
             }
-            self.stats.squashed_uops += 1;
         }
+        self.stats.squashed_uops += (self.rob.len() - keep) as u64;
+        self.rob.truncate(keep);
         // Tokens index the ROB (token - head == position), so the next
         // token restarts at the squash boundary to keep the range dense.
         self.next_token = boundary.max(self.rob_head_token);

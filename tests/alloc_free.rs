@@ -9,12 +9,20 @@
 //! a cloned instruction on fetch, a per-event boxed wait list — fails
 //! here with an exact count instead of only showing up as a slow sweep.
 //!
-//! This file must hold exactly one `#[test]`: the libtest runner executes
-//! tests of one binary concurrently, and a neighbour's allocations would
-//! leak into the measured window.
+//! It measures a `BlindSpeculation` core on `lbm` (the core alone), then
+//! MDP-TAGE, MDP-TAGE-S, NoSQ, Store Sets and PHAST cores on `gcc_1`,
+//! whose violations and mispredicted branches drive the predictors'
+//! history folds, their training paths and the squash path.
+//!
+//! This file must hold exactly one `#[test]`, and it measures its cores
+//! one after another: the counter and the trap are process-wide, and the
+//! libtest runner executes tests of one binary concurrently, so a
+//! neighbour's allocations would leak into the measured window.
 
-use phast_mdp::BlindSpeculation;
-use phast_ooo::{CheckConfig, Core, CoreConfig};
+use phast_experiments::PredictorKind;
+use phast_isa::Program;
+use phast_mdp::{BlindSpeculation, MemDepPredictor};
+use phast_ooo::{CheckConfig, Core, CoreConfig, TrainPoint};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,27 +68,31 @@ const WARMUP_INSTS: u64 = 120_000;
 const MEASURED_INSTS: u64 = 20_000;
 const MAX_CYCLES: u64 = 10_000_000;
 
-#[test]
-fn steady_state_cycle_loop_does_not_allocate() {
-    let w = phast_workloads::by_name("lbm").expect("workload exists");
-    let program = w.build(100_000);
+/// Warms a core on `program` past its data footprint, then resumes it for
+/// [`MEASURED_INSTS`] more and returns the heap allocations made meanwhile.
+fn measured_allocations(
+    label: &str,
+    program: &Program,
+    train_point: TrainPoint,
+    predictor: &mut dyn MemDepPredictor,
+) -> u64 {
     let mut cfg = CoreConfig::alder_lake();
+    cfg.train_point = train_point;
     // The integrity layer is off on the perf path (golden_stats pins that
     // timing); the lockstep emulator would allocate for its own state.
     cfg.check = CheckConfig::off();
-    let mut predictor = BlindSpeculation;
     let direction = Box::new(phast_branch::Tage::new(phast_branch::TageConfig::default()));
-    let mut core = Core::new(&program, cfg, &mut predictor, direction);
+    let mut core = Core::new(program, cfg, predictor, direction);
 
-    let warm = core.try_run(WARMUP_INSTS, MAX_CYCLES).expect("warmup runs clean");
-    assert!(warm.committed >= WARMUP_INSTS, "warmup must commit its budget");
+    let warm = core
+        .try_run(WARMUP_INSTS, MAX_CYCLES)
+        .unwrap_or_else(|e| panic!("{label}: warmup failed: {e}"));
+    assert!(warm.committed >= WARMUP_INSTS, "{label}: warmup must commit its budget");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     #[cfg(debug_assertions)]
     TRAP.store(true, Ordering::SeqCst);
-    let stats = core
-        .try_run(WARMUP_INSTS + MEASURED_INSTS, MAX_CYCLES)
-        .expect("measured window runs clean");
+    let stats = core.try_run(WARMUP_INSTS + MEASURED_INSTS, MAX_CYCLES);
     // Disarm before returning control to libtest: the harness itself
     // allocates to report the finished test, and a trap firing there
     // kills the test thread mid-send and hangs the runner.
@@ -88,13 +100,40 @@ fn steady_state_cycle_loop_does_not_allocate() {
     TRAP.store(false, Ordering::SeqCst);
     let during = ALLOCATIONS.load(Ordering::SeqCst) - before;
 
+    let stats = stats.unwrap_or_else(|e| panic!("{label}: measured window failed: {e}"));
     assert!(
         stats.committed >= WARMUP_INSTS + MEASURED_INSTS,
-        "measured window must commit its budget (committed {})",
+        "{label}: measured window must commit its budget (committed {})",
         stats.committed
     );
-    assert_eq!(
-        during, 0,
-        "steady-state commit loop allocated {during} times over {MEASURED_INSTS} instructions"
+    during
+}
+
+#[test]
+fn steady_state_cycle_loop_does_not_allocate() {
+    let lbm = phast_workloads::by_name("lbm").expect("workload exists").build(100_000);
+    let mut counts = vec![(
+        "lbm × blind".to_string(),
+        measured_allocations("lbm × blind", &lbm, TrainPoint::Detect, &mut BlindSpeculation),
+    )];
+
+    let gcc = phast_workloads::by_name("gcc_1").expect("workload exists").build(100_000);
+    for kind in [
+        PredictorKind::MdpTage,
+        PredictorKind::MdpTageS,
+        PredictorKind::NoSq,
+        PredictorKind::StoreSets,
+        PredictorKind::Phast,
+    ] {
+        let label = format!("gcc_1 × {}", kind.label());
+        let mut predictor = kind.build(&gcc, WARMUP_INSTS + MEASURED_INSTS);
+        let n = measured_allocations(&label, &gcc, kind.train_point(), predictor.as_mut());
+        counts.push((label, n));
+    }
+
+    let allocating: Vec<_> = counts.iter().filter(|(_, n)| *n > 0).collect();
+    assert!(
+        allocating.is_empty(),
+        "steady-state commit loop allocated over {MEASURED_INSTS} instructions: {allocating:?}"
     );
 }
