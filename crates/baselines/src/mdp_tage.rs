@@ -121,6 +121,9 @@ pub struct MdpTage {
     /// Cached display name (`name()` must not allocate per call).
     name: String,
     tables: Vec<AssocTable<Entry>>,
+    /// One past the longest component `allocate` has ever written. No
+    /// entry is ever removed, so the components from here on are empty.
+    populated: usize,
     accesses: u64,
     lfsr: u32,
     stats: AccessStats,
@@ -129,7 +132,7 @@ pub struct MdpTage {
 impl MdpTage {
     /// Creates an MDP-TAGE predictor.
     pub fn new(cfg: MdpTageConfig) -> MdpTage {
-        // `provider` and `train_violation` fold every component from one
+        // `provider` and `train_violation` fold their components from one
         // incremental history walk, which requires the documented
         // shortest-first ordering; training keeps their keys in a fixed
         // array.
@@ -147,7 +150,15 @@ impl MdpTage {
             .collect();
         let style = if cfg.lru_bits > 0 { "mdp-tage-s" } else { "mdp-tage" };
         let name = format!("{style}-{:.1}KB", cfg.storage_bits() as f64 / 8192.0);
-        MdpTage { tables, cfg, name, accesses: 0, lfsr: 0xbeef, stats: AccessStats::default() }
+        MdpTage {
+            tables,
+            cfg,
+            name,
+            populated: 0,
+            accesses: 0,
+            lfsr: 0xbeef,
+            stats: AccessStats::default(),
+        }
     }
 
     /// Index/tag of component `ci`, folding its history with `folder`
@@ -182,13 +193,16 @@ impl MdpTage {
     }
 
     fn provider(&mut self, pc: Pc, history: &DivergentHistory) -> Option<(usize, u8)> {
-        // One incremental walk of the history serves every component:
+        // A prediction reads every component (Fig. 16's energy), but an
+        // empty one cannot match, so only the filled ones are folded and
+        // probed: the long components, whose folds walk most of the
+        // history, fill last if at all. One incremental walk serves them:
         // the geometric series probes shortest history first, so each
         // component's path is a prefix of the next (per-load hot path).
+        self.stats.reads += self.tables.len() as u64;
         let mut found = None;
         let mut folder = PathFolder::new(history);
-        for ci in 0..self.tables.len() {
-            self.stats.reads += 1;
+        for ci in 0..self.populated {
             let (index, tag) = self.keys_from(ci, pc, &mut folder);
             if let Some(e) = self.tables[ci].peek(index, tag) {
                 if e.useful {
@@ -201,6 +215,7 @@ impl MdpTage {
 
     fn allocate(&mut self, ci: usize, (index, tag): (u64, u64), distance: u32) {
         self.stats.writes += 1;
+        self.populated = self.populated.max(ci + 1);
         self.tables[ci].insert(
             index,
             tag,
@@ -334,6 +349,167 @@ mod tests {
             load_token: 0,
             store_token: 0,
             prior,
+        }
+    }
+
+    /// The provider before the probe bound: folds and probes every
+    /// component, filled or not.
+    fn reference_provider(
+        p: &mut MdpTage,
+        pc: Pc,
+        history: &DivergentHistory,
+    ) -> Option<(usize, u8)> {
+        let mut found = None;
+        let mut folder = PathFolder::new(history);
+        for ci in 0..p.tables.len() {
+            p.stats.reads += 1;
+            let (index, tag) = p.keys_from(ci, pc, &mut folder);
+            if let Some(e) = p.tables[ci].peek(index, tag) {
+                if e.useful {
+                    found = Some((ci, e.distance));
+                }
+            }
+        }
+        found
+    }
+
+    /// `predict_load` through [`reference_provider`].
+    fn reference_predict(p: &mut MdpTage, q: &LoadQuery<'_>) -> PredictionOutcome {
+        p.tick();
+        match reference_provider(p, q.pc, q.history) {
+            Some((ci, dist)) => PredictionOutcome {
+                dep: DepPrediction::Distance(u32::from(dist)),
+                hint: ci as u64 + 1,
+            },
+            None => PredictionOutcome::none(),
+        }
+    }
+
+    /// One divergent event: (indirect, taken, target).
+    type Event = (bool, bool, u64);
+
+    /// One call: (kind: predict / violation / commit, load, history,
+    /// flag, hint, store distance). The flag makes a violation's prior a
+    /// dependence, or a commit's wait correct.
+    type Call = (u8, usize, usize, bool, u64, u32);
+
+    /// Drives two predictors built from `cfg` through `calls`, one as it
+    /// is and one predicting through [`reference_provider`], and requires
+    /// the same outcome and access counts after every call. The histories
+    /// share `base` (oldest events) and differ in their newest `tails`.
+    fn matches_reference(
+        mut cfg: MdpTageConfig,
+        base: &[Event],
+        tails: &[Vec<Event>],
+        calls: &[Call],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        cfg.false_dep_reset_denom = 1;
+        let n = cfg.components.len() as u64;
+        let histories: Vec<DivergentHistory> = tails
+            .iter()
+            .map(|tail| {
+                let mut h = DivergentHistory::new();
+                for &(indirect, taken, target) in base.iter().chain(tail) {
+                    h.push(DivergentEvent { indirect, taken, target });
+                }
+                h
+            })
+            .collect();
+        let mut p = MdpTage::new(cfg.clone());
+        let mut r = MdpTage::new(cfg);
+        for (i, &(kind, load, hi, flag, hint, distance)) in calls.iter().enumerate() {
+            let pc = 0x4000 + 0x44 * load as u64;
+            let h = &histories[hi % histories.len()];
+            let hint = hint % (n + 1);
+            match kind {
+                0 => {
+                    let q = lq(pc, h);
+                    prop_assert_eq!(
+                        p.predict_load(&q),
+                        reference_predict(&mut r, &q),
+                        "call {}",
+                        i
+                    );
+                }
+                1 => {
+                    let dep =
+                        if flag { DepPrediction::Distance(distance) } else { DepPrediction::None };
+                    let v = viol(pc, distance, PredictionOutcome { dep, hint }, h);
+                    p.train_violation(&v);
+                    r.train_violation(&v);
+                }
+                _ => {
+                    let c = LoadCommit {
+                        pc,
+                        prediction: PredictionOutcome {
+                            dep: DepPrediction::Distance(distance),
+                            hint,
+                        },
+                        actual_distance: None,
+                        waited_correct: flag,
+                        history: h,
+                    };
+                    p.load_committed(&c);
+                    r.load_committed(&c);
+                }
+            }
+            prop_assert_eq!(p.access_stats(), r.access_stats(), "call {}", i);
+        }
+        Ok(())
+    }
+
+    /// Twelve components of 16 sets on the paper's lengths, so every
+    /// component fills, with a short `u` reset period.
+    fn small_tables() -> MdpTageConfig {
+        let mut cfg = MdpTageConfig::paper();
+        for c in &mut cfg.components {
+            c.sets = 16;
+        }
+        cfg.u_reset_period = 64;
+        cfg
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn event() -> impl Strategy<Value = Event> {
+        (any::<bool>(), any::<bool>(), 0u64..32)
+    }
+
+    fn call() -> impl Strategy<Value = Call> {
+        (0u8..3, 0usize..6, 0usize..5, any::<bool>(), 0u64..17, 0u32..140)
+    }
+
+    proptest! {
+        /// Probing only the filled components predicts and counts as
+        /// probing all twelve of the paper's (6..2,000 branches).
+        #[test]
+        fn paper_probe_bound_matches_the_reference(
+            base in vec(event(), 0..2_100),
+            tails in vec(vec(event(), 0..24), 1..5),
+            calls in vec(call(), 1..160),
+        ) {
+            matches_reference(MdpTageConfig::paper(), &base, &tails, &calls)?;
+        }
+
+        /// The same for MDP-TAGE-S's eight 4-way tables (0..32 branches).
+        #[test]
+        fn short_probe_bound_matches_the_reference(
+            base in vec(event(), 0..48),
+            tails in vec(vec(event(), 0..24), 1..5),
+            calls in vec(call(), 1..160),
+        ) {
+            matches_reference(MdpTageConfig::short(), &base, &tails, &calls)?;
+        }
+
+        /// The same when every component fills and `u` bits reset often.
+        #[test]
+        fn filled_probe_bound_matches_the_reference(
+            base in vec(event(), 0..2_100),
+            tails in vec(vec(event(), 0..24), 1..5),
+            calls in vec(call(), 1..160),
+        ) {
+            matches_reference(small_tables(), &base, &tails, &calls)?;
         }
     }
 

@@ -115,7 +115,12 @@ impl Ittage {
     /// Predicts the target of the indirect branch at `pc` under history
     /// `ghr` (the same conditional-outcome history TAGE uses).
     pub fn predict(&self, pc: Pc, ghr: u128) -> Option<BlockId> {
-        match self.provider(pc, ghr) {
+        self.target_of(pc, self.provider(pc, ghr))
+    }
+
+    /// The target `provider` (or, without one, the base table) predicts.
+    fn target_of(&self, pc: Pc, provider: Option<(usize, usize)>) -> Option<BlockId> {
+        match provider {
             Some((t, i)) => Some(self.tables[t][i].target),
             None => self.base[self.base_index(pc)],
         }
@@ -123,8 +128,8 @@ impl Ittage {
 
     /// Trains with the resolved target.
     pub fn update(&mut self, pc: Pc, ghr: u128, target: BlockId) {
-        let predicted = self.predict(pc, ghr);
         let provider = self.provider(pc, ghr);
+        let predicted = self.target_of(pc, provider);
 
         match provider {
             Some((t, i)) => {
