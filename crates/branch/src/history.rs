@@ -1,4 +1,8 @@
-//! Divergent-branch global history (§III-B, §IV-A2 of the paper).
+//! Divergent-branch global history (§III-B, §IV-A2 of the paper), and
+//! the front end's whole branch-history state built around it.
+
+use crate::indirect::{RasCheckpoint, ReturnAddressStack};
+use phast_isa::BlockId;
 
 /// Capacity of the divergent-history ring buffer. Large enough to cover the
 /// longest history any predictor uses (MDP-TAGE's longest component) plus
@@ -172,6 +176,140 @@ impl std::fmt::Debug for DivergentHistory {
             .field("count", &self.count)
             .field("head", &self.head)
             .finish()
+    }
+}
+
+/// Entries of the return-address stack a [`BranchHistory`] holds.
+pub const RAS_DEPTH: usize = 32;
+
+/// Every history register a front end keeps about branches, updated by
+/// one rule: the conditional GHR (one outcome bit per conditional, what
+/// the direction predictor keys on), the path GHR (one outcome bit per
+/// conditional, five destination bits per indirect transfer, what ITTAGE
+/// keys on), the [`DivergentHistory`] the memory dependence predictors
+/// hash (§III-B), and the return-address stack.
+///
+/// The out-of-order core keeps one speculatively (pushed at fetch,
+/// restored on a squash, pushed with the actual outcome on branch
+/// repair), and sampled simulation's warm phase keeps one
+/// architecturally. Both go through [`push`](Self::push), so a core
+/// booted from warmed state sees the history it would have built itself.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BranchHistory {
+    cond_ghr: u128,
+    path_ghr: u128,
+    divergent: DivergentHistory,
+    ras: ReturnAddressStack,
+}
+
+/// Checkpoint of a [`BranchHistory`], restorable in O(1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BranchCheckpoint {
+    cond_ghr: u128,
+    path_ghr: u128,
+    divergent: HistoryCheckpoint,
+    ras: RasCheckpoint,
+}
+
+impl BranchCheckpoint {
+    /// The divergent count at the checkpoint (an instruction's
+    /// decode-time counter, §IV-A2, when taken at its fetch).
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.divergent.count
+    }
+
+    /// The conditional GHR at the checkpoint.
+    #[inline]
+    pub fn cond_ghr(&self) -> u128 {
+        self.cond_ghr
+    }
+
+    /// The path GHR at the checkpoint.
+    #[inline]
+    pub fn path_ghr(&self) -> u128 {
+        self.path_ghr
+    }
+}
+
+/// Empty histories and a [`RAS_DEPTH`]-entry return-address stack.
+impl Default for BranchHistory {
+    fn default() -> Self {
+        BranchHistory {
+            cond_ghr: 0,
+            path_ghr: 0,
+            divergent: DivergentHistory::new(),
+            ras: ReturnAddressStack::new(RAS_DEPTH),
+        }
+    }
+}
+
+impl BranchHistory {
+    /// Records a divergent-branch outcome in every register it feeds: a
+    /// conditional branch shifts its outcome into both GHRs, an indirect
+    /// transfer the five low bits of its destination into the path GHR.
+    #[inline]
+    pub fn push(&mut self, event: DivergentEvent) {
+        if event.indirect {
+            self.path_ghr = (self.path_ghr << 5) | u128::from(event.target & 0x1f);
+        } else {
+            self.cond_ghr = (self.cond_ghr << 1) | u128::from(event.taken);
+            self.path_ghr = (self.path_ghr << 1) | u128::from(event.taken);
+        }
+        self.divergent.push(event);
+    }
+
+    /// Pushes a call's return block onto the return-address stack.
+    #[inline]
+    pub fn push_return(&mut self, ret_to: BlockId) {
+        self.ras.push(ret_to);
+    }
+
+    /// Pops the predicted return block (`None` on an empty stack).
+    #[inline]
+    pub fn pop_return(&mut self) -> Option<BlockId> {
+        self.ras.pop()
+    }
+
+    /// The conditional GHR.
+    #[inline]
+    pub fn cond_ghr(&self) -> u128 {
+        self.cond_ghr
+    }
+
+    /// The path GHR.
+    #[inline]
+    pub fn path_ghr(&self) -> u128 {
+        self.path_ghr
+    }
+
+    /// The divergent-branch history.
+    #[inline]
+    pub fn divergent(&self) -> &DivergentHistory {
+        &self.divergent
+    }
+
+    /// Takes a checkpoint for later [`restore`](Self::restore).
+    #[inline]
+    pub fn checkpoint(&self) -> BranchCheckpoint {
+        BranchCheckpoint {
+            cond_ghr: self.cond_ghr,
+            path_ghr: self.path_ghr,
+            divergent: self.divergent.checkpoint(),
+            ras: self.ras.checkpoint(),
+        }
+    }
+
+    /// Restores every register to a checkpoint taken on this history,
+    /// exact in both directions as [`DivergentHistory::restore`] is; the
+    /// return-address stack restores only its top pointer, as hardware
+    /// does.
+    #[inline]
+    pub fn restore(&mut self, cp: BranchCheckpoint) {
+        self.cond_ghr = cp.cond_ghr;
+        self.path_ghr = cp.path_ghr;
+        self.divergent.restore(cp.divergent);
+        self.ras.restore(cp.ras);
     }
 }
 

@@ -95,11 +95,6 @@ impl ReturnAddressStack {
         Some(self.stack[self.top % self.stack.len()])
     }
 
-    /// Current speculative depth (saturating at capacity for wrap purposes).
-    pub fn depth(&self) -> usize {
-        self.top
-    }
-
     /// Takes a checkpoint of the top-of-stack pointer.
     pub fn checkpoint(&self) -> RasCheckpoint {
         RasCheckpoint(self.top)
@@ -110,8 +105,6 @@ impl ReturnAddressStack {
         self.top = cp.0;
     }
 }
-
-
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,8 @@
 //!    outcome bit, indirect branches their destination, and the oldest
 //!    entry — the divergent branch *previous to the conflicting store* —
 //!    always contributes its destination, the paper's N+1 rule).
+//!    [`BranchHistory`] bundles it with both GHRs and the RAS behind one
+//!    update rule, for the core's front end and sampled warming alike.
 
 #![warn(missing_docs)]
 
@@ -27,8 +29,8 @@ mod tage;
 
 pub use direction::{Bimodal, DirectionPredictor, GShare, Perceptron, StaticTaken};
 pub use history::{
-    fold_bits, DivergentEvent, DivergentHistory, HistoryCheckpoint, Path, PathFolder,
-    HISTORY_CAPACITY,
+    fold_bits, BranchCheckpoint, BranchHistory, DivergentEvent, DivergentHistory,
+    HistoryCheckpoint, Path, PathFolder, HISTORY_CAPACITY, RAS_DEPTH,
 };
 pub use indirect::{LastTargetPredictor, RasCheckpoint, ReturnAddressStack};
 pub use ittage::{Ittage, IttageConfig};

@@ -1,6 +1,10 @@
 //! Property-based tests for the divergent-branch history machinery.
 
-use phast_branch::{fold_bits, DivergentEvent, DivergentHistory, PathFolder, HISTORY_CAPACITY};
+use phast_branch::{
+    fold_bits, BranchHistory, DivergentEvent, DivergentHistory, PathFolder, ReturnAddressStack,
+    HISTORY_CAPACITY, RAS_DEPTH,
+};
+use phast_isa::BlockId;
 use proptest::prelude::*;
 
 fn event_strategy() -> impl Strategy<Value = DivergentEvent> {
@@ -140,5 +144,137 @@ proptest! {
         h2.push(DivergentEvent { indirect: true, taken: true, target });
         let plain2 = h2.path_plain(1);
         prop_assert_eq!(u64::from(plain2.entries[0] & 0x1f), target & 0x1f, "indirect target kept");
+    }
+}
+
+/// One front-end step of a random branch stream.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Cond { taken: bool, target: u64 },
+    /// An indirect transfer; a return (`ret`) pops the RAS first.
+    Indirect { target: u64, ret: bool },
+    Call(u32),
+    Checkpoint,
+    /// Restores the checkpoint with this index (modulo those taken).
+    Restore(usize),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (any::<bool>(), any::<u64>()).prop_map(|(taken, target)| Step::Cond { taken, target }),
+        (any::<u64>(), any::<bool>()).prop_map(|(target, ret)| Step::Indirect { target, ret }),
+        (0u32..1_000).prop_map(Step::Call),
+        Just(Step::Checkpoint),
+        any::<usize>().prop_map(Step::Restore),
+    ]
+}
+
+/// What a consumer can read of a branch history: both GHRs, the
+/// divergent count, the 64 newest packed events and `pops` RAS pops.
+type Observed = (u128, u128, u64, Vec<u8>, Vec<Option<BlockId>>);
+
+fn observed(
+    (cond_ghr, path_ghr): (u128, u128),
+    history: &DivergentHistory,
+    mut pop: impl FnMut() -> Option<BlockId>,
+    pops: usize,
+) -> Observed {
+    let events = (0..64).map(|i| history.packed_at(i)).collect();
+    (cond_ghr, path_ghr, history.count(), events, (0..pops).map(|_| pop()).collect())
+}
+
+fn observed_history(h: &BranchHistory, pops: usize) -> Observed {
+    let mut ras = h.clone();
+    observed((h.cond_ghr(), h.path_ghr()), h.divergent(), || ras.pop_return(), pops)
+}
+
+/// Applies a branch step to `h`; returns a return's RAS pop.
+fn apply(h: &mut BranchHistory, step: Step) -> Option<BlockId> {
+    match step {
+        Step::Cond { taken, target } => h.push(DivergentEvent { indirect: false, taken, target }),
+        Step::Indirect { target, ret } => {
+            let popped = if ret { h.pop_return() } else { None };
+            h.push(DivergentEvent { indirect: true, taken: true, target });
+            return popped;
+        }
+        Step::Call(b) => h.push_return(BlockId(b)),
+        Step::Checkpoint | Step::Restore(_) => {}
+    }
+    None
+}
+
+proptest! {
+    /// Over random conditional and indirect events, calls, returns,
+    /// checkpoints and restores, `BranchHistory` reads exactly like the
+    /// written-out per-register rules after every step, and pops the
+    /// same return blocks.
+    #[test]
+    fn branch_history_matches_the_written_out_update_rules(
+        steps in prop::collection::vec(step_strategy(), 0..200),
+    ) {
+        // The reference: the update rules written out register by
+        // register, as the core's fetch stage and the sampled warm phase
+        // each spelled them before both moved onto `BranchHistory`.
+        let (mut ghrs, mut hist) = ((0u128, 0u128), DivergentHistory::new());
+        let mut ras = ReturnAddressStack::new(RAS_DEPTH);
+        let mut h = BranchHistory::default();
+        let mut checkpoints = Vec::new();
+        for (i, &step) in steps.iter().enumerate() {
+            let popped = apply(&mut h, step);
+            match step {
+                Step::Cond { taken, target } => {
+                    hist.push(DivergentEvent { indirect: false, taken, target });
+                    ghrs.0 = (ghrs.0 << 1) | u128::from(taken);
+                    ghrs.1 = (ghrs.1 << 1) | u128::from(taken);
+                }
+                Step::Indirect { target, ret } => {
+                    let want = if ret { ras.pop() } else { None };
+                    prop_assert_eq!(popped, want, "RAS pop at step {}", i);
+                    hist.push(DivergentEvent { indirect: true, taken: true, target });
+                    ghrs.1 = (ghrs.1 << 5) | u128::from(target & 0x1f);
+                }
+                Step::Call(b) => ras.push(BlockId(b)),
+                Step::Checkpoint => {
+                    checkpoints.push((h.checkpoint(), ghrs, hist.checkpoint(), ras.checkpoint()));
+                }
+                Step::Restore(k) if !checkpoints.is_empty() => {
+                    let (cp, ghrs_cp, hist_cp, ras_cp) = checkpoints[k % checkpoints.len()];
+                    h.restore(cp);
+                    ghrs = ghrs_cp;
+                    hist.restore(hist_cp);
+                    ras.restore(ras_cp);
+                }
+                Step::Restore(_) => {}
+            }
+            let pops = if i + 1 == steps.len() { RAS_DEPTH } else { 0 };
+            let mut reference_ras = ras.clone();
+            let want = observed(ghrs, &hist, || reference_ras.pop(), pops);
+            prop_assert_eq!(observed_history(&h, pops), want, "step {}", i);
+        }
+    }
+
+    /// `restore(cp)` after further pushes (conditional and indirect
+    /// events, calls) returns a state that reads exactly like the one
+    /// `cp` was taken from.
+    #[test]
+    fn branch_history_restore_undoes_further_pushes(
+        prefix in prop::collection::vec(step_strategy(), 0..120),
+        further in prop::collection::vec(step_strategy(), 0..16),
+    ) {
+        let mut h = BranchHistory::default();
+        for &step in &prefix {
+            apply(&mut h, step);
+        }
+        let (before, cp) = (h.clone(), h.checkpoint());
+        for &step in &further {
+            if !matches!(step, Step::Indirect { ret: true, .. }) {
+                apply(&mut h, step);
+            }
+        }
+        h.restore(cp);
+        // At most 15 calls follow `cp`, so the 16 newest RAS slots below
+        // its top are intact (the RAS restores only its top pointer).
+        prop_assert_eq!(observed_history(&h, 16), observed_history(&before, 16));
+        prop_assert_eq!(h.checkpoint(), cp);
     }
 }

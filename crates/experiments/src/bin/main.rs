@@ -367,7 +367,7 @@ fn main() {
         // fig7/8/9 share a runner; keep one instance. The sampled-vs-full
         // validation runs its own full-detail reference grid, so it is
         // opt-in rather than part of "all".
-        v.retain(|e| *e != "fig8" && *e != "fig9" && *e != "sampled" && *e != "sampled_v2");
+        v.retain(|e| *e != "fig8" && *e != "fig9" && *e != "sampled");
         v
     } else {
         ids

@@ -34,8 +34,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("table1", "system configuration constants"),
     ("table2", "predictor geometry, sizes and energy per access"),
     ("ablations", "design-choice ablations beyond the paper's figures"),
-    ("sampled", "sampled-vs-full-detail validation (opt-in)"),
-    ("sampled_v2", "phase-clustered sampling validation (opt-in)"),
+    ("sampled", "sampled-vs-full validation: stride and phase legs, one reference (opt-in)"),
     ("static_baseline", "static dependence signatures and zero-storage baseline"),
 ];
 
@@ -60,7 +59,6 @@ pub fn run_experiment(id: &str, sweep: &Sweep, budget: &Budget) -> Option<String
         "table2" => table2::run(sweep, budget),
         "ablations" => crate::ablations::run(sweep, budget),
         "sampled" => sampled::run(sweep, budget).report,
-        "sampled_v2" => sampled_v2::run(sweep, budget).report,
         "static_baseline" => static_baseline::run(sweep, budget),
         _ => return None,
     };
@@ -657,143 +655,24 @@ pub mod table2 {
     }
 }
 
-/// Sampled-versus-full validation: estimates every cell of a (workload ×
-/// predictor) grid with the sampling engine, simulates the same cells in
-/// full detail, and checks each sampled IPC against the documented error
-/// bound (`docs/SAMPLING.md`). A cell outside its bound is flagged on the
-/// sweep's degraded registry, so the binary — and the CI step that runs
-/// `--quick sampled` — exits non-zero on an accuracy regression.
+/// Sampled-versus-full validation: one (workload × predictor) grid run in
+/// full detail, stride-sampled and phase-sampled over the same intervals,
+/// each sampled IPC checked against the documented error bound
+/// (`docs/SAMPLING.md`). Every stride estimate must lie inside its bound;
+/// every phase estimate inside the *tighter* of the cell's two bounds, so
+/// phase mode's widened CI never buys it a pass stride would not get; and
+/// phase must spend at least 1.3× fewer detailed (measured + warm)
+/// instructions than stride. A missed gate lands on the sweep's degraded
+/// registry, so the binary — and the CI step running `--quick sampled` —
+/// exits non-zero.
 pub mod sampled {
     use super::*;
-    use phast_sample::ipc_error_bound;
+    use phast_sample::{ipc_error_bound, SampleConfig, SampleMode};
     use std::time::Instant;
 
-    /// Structured result for tests.
-    pub struct Results {
-        /// Per-cell (workload, predictor, full IPC, sampled IPC, |error|,
-        /// bound) in grid order.
-        pub cells: Vec<(String, String, f64, f64, f64, f64)>,
-        /// Cells whose error exceeded the bound.
-        pub violations: usize,
-        /// Wall-clock speedup of the sampled grid over the full grid.
-        pub speedup: f64,
-        /// Rendered report.
-        pub report: String,
-    }
-
-    /// Runs the validation grid.
-    ///
-    /// The validation horizon is 25× the tier's detailed-instruction
-    /// budget: sampling exists for horizons where the detailed windows
-    /// are a small fraction of the run, and the full-detail reference
-    /// covers the *same* horizon, so both the accuracy check and the
-    /// recorded speedup are honest like-for-like comparisons.
-    pub fn run(sweep: &Sweep, budget: &Budget) -> Results {
-        let scfg = sweep.sampling().unwrap_or_else(|| budget.default_sampling());
-        let cfg = CoreConfig::alder_lake();
-        let kinds = [PredictorKind::StoreSets, PredictorKind::Phast];
-        let vbudget =
-            Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
-        assert!(vbudget.workloads().len() >= 4, "validation needs at least 4 workloads");
-
-        // Full-detail reference grid (bypasses the sweep's sampling mode
-        // on purpose — this *is* the reference).
-        let t0 = Instant::now();
-        let full: Vec<RunResult> =
-            sweep.grid(&kinds, &cfg, &vbudget, None, &|_| {}).into_iter().flatten().collect();
-        let full_wall = t0.elapsed();
-
-        // Sampled estimates of the same grid: one capture per workload,
-        // cells fanned across the pool.
-        let t1 = Instant::now();
-        let mut sampled: Vec<RunResult> =
-            sweep.grid(&kinds, &cfg, &vbudget, Some(scfg), &|_| {}).into_iter().flatten().collect();
-        let sampled_wall = t1.elapsed();
-
-        let mut t = TextTable::new(vec![
-            "workload",
-            "predictor",
-            "full IPC",
-            "sampled IPC",
-            "|error|",
-            "bound",
-            "verdict",
-        ]);
-        let mut out_cells = Vec::with_capacity(full.len());
-        let mut violations = 0usize;
-        for (f, s) in full.iter().zip(sampled.iter_mut()) {
-            let full_ipc = f.stats.ipc();
-            let sampled_ipc = s.stats.ipc();
-            let err = (sampled_ipc - full_ipc).abs();
-            let meta = s.sampling.as_mut().expect("sampled run carries metadata");
-            let bound = ipc_error_bound(full_ipc, meta.ipc_ci_half);
-            meta.full_ipc = Some(full_ipc);
-            meta.ipc_error = Some(err);
-            let ok = err <= bound;
-            if !ok {
-                violations += 1;
-                sweep.flag_degraded(format!(
-                    "{} × {}: sampled IPC {sampled_ipc:.4} vs full {full_ipc:.4} — \
-                     error {err:.4} exceeds bound {bound:.4}",
-                    s.workload, s.predictor
-                ));
-            }
-            t.row(vec![
-                s.workload.clone(),
-                s.predictor.clone(),
-                format!("{full_ipc:.4}"),
-                format!("{sampled_ipc:.4}"),
-                format!("{err:.4}"),
-                format!("{bound:.4}"),
-                if ok { "ok".into() } else { "VIOLATION".into() },
-            ]);
-            out_cells.push((s.workload.clone(), s.predictor.clone(), full_ipc, sampled_ipc, err, bound));
-        }
-        // Sampled rows (now annotated with full_ipc/ipc_error) first,
-        // then the full-detail reference rows, into BENCH_sampled.json.
-        sweep.record_all(&sampled);
-        sweep.record_all(&full);
-
-        let speedup = full_wall.as_secs_f64() / sampled_wall.as_secs_f64().max(1e-9);
-        let detailed: u64 = sampled
-            .iter()
-            .filter_map(|s| s.sampling.as_ref())
-            .map(|m| m.measured_insts + m.warmed_insts)
-            .sum();
-        let report = format!(
-            "Sampled-vs-full validation ({} insts horizon; {} windows × {} insts, {} warm; \
-             see docs/SAMPLING.md)\n\n{t}\n\
-             violations: {violations} of {}\n\
-             wall-clock: full {:.2}s, sampled {:.2}s — speedup {speedup:.1}x\n\
-             measured+warm instructions: full {}, sampled {} ({:.1}x fewer)\n",
-            vbudget.insts,
-            scfg.windows,
-            scfg.window_insts,
-            scfg.warm_insts,
-            full.len(),
-            full_wall.as_secs_f64(),
-            sampled_wall.as_secs_f64(),
-            vbudget.insts * full.len() as u64,
-            detailed,
-            (vbudget.insts * full.len() as u64) as f64 / detailed.max(1) as f64,
-        );
-        Results { cells: out_cells, violations, speedup, report }
-    }
-}
-
-/// Phase-aware sampling (v2) validation: the same grid estimated three
-/// ways — full detail, stride sampling (v1), and phase-clustered
-/// sampling (v2) — on one horizon. The gate is the ISSUE-8 acceptance
-/// bar: phase must spend ≥1.3× fewer detailed (measured + warm)
-/// instructions than stride while every phase estimate stays inside the
-/// *tighter* of the two cells' documented error bounds — widening its CI
-/// never buys phase a pass that stride would not have gotten. Failures
-/// land on the degraded registry, so `--quick sampled_v2` exits non-zero
-/// in CI on a regression.
-pub mod sampled_v2 {
-    use super::*;
-    use phast_sample::{ipc_error_bound, SampleMode};
-    use std::time::Instant;
+    /// The detailed-instruction ratio (stride over phase) phase mode must
+    /// reach.
+    pub const INSTS_RATIO_BAR: f64 = 1.3;
 
     /// One grid cell of the three-way comparison.
     pub struct Cell {
@@ -803,64 +682,61 @@ pub mod sampled_v2 {
         pub predictor: String,
         /// Full-detail reference IPC.
         pub full_ipc: f64,
-        /// Stride-sampled (v1) IPC estimate.
+        /// Stride-sampled IPC estimate.
         pub stride_ipc: f64,
-        /// Phase-sampled (v2) IPC estimate.
+        /// Phase-sampled IPC estimate.
         pub phase_ipc: f64,
         /// `|stride − full|`.
         pub stride_err: f64,
         /// `|phase − full|`.
         pub phase_err: f64,
-        /// The bound the phase estimate was held to:
+        /// The bound the stride estimate is held to: `bound(stride CI)`.
+        pub stride_bound: f64,
+        /// The bound the phase estimate is held to:
         /// `min(bound(stride CI), bound(phase CI))`.
-        pub bound: f64,
+        pub phase_bound: f64,
     }
 
-    /// Structured result for tests and the CI gate.
+    /// Structured result for tests; the gates report through the
+    /// sweep's degraded registry.
     pub struct Results {
         /// Per-cell comparison in grid order.
         pub cells: Vec<Cell>,
-        /// Phase cells whose error exceeded the (tighter) bound.
-        pub phase_violations: usize,
         /// Detailed-instruction ratio: stride (measured + warm) over
-        /// phase (measured + warm). The acceptance bar is ≥ 1.3.
+        /// phase (measured + warm). The bar is [`INSTS_RATIO_BAR`].
         pub insts_ratio: f64,
-        /// Wall-clock speedup of the phase grid over the full grid.
-        pub phase_speedup: f64,
-        /// Wall-clock speedup of the stride grid over the full grid.
-        pub stride_speedup: f64,
         /// Rendered report.
         pub report: String,
     }
 
-    /// Runs the three-way validation grid (same 25× horizon rule as
-    /// [`sampled`](super::sampled)).
+    /// Runs the validation grid.
+    ///
+    /// The validation horizon is 25× the tier's detailed-instruction
+    /// budget: sampling exists for horizons where the detailed windows
+    /// are a small fraction of the run, and the full-detail reference
+    /// covers the *same* horizon, so both the accuracy checks and the
+    /// recorded speedups are honest like-for-like comparisons. Both legs
+    /// take the sweep's sampling shape (or the budget's default).
     pub fn run(sweep: &Sweep, budget: &Budget) -> Results {
         let base = sweep.sampling().unwrap_or_else(|| budget.default_sampling());
-        // Normalize: stride legs with the v1 mode, phase legs with the
-        // clustered mode, both over identical interval geometry.
-        let mut stride_cfg = base;
-        stride_cfg.mode = SampleMode::Stride;
+        let stride_cfg = SampleConfig { mode: SampleMode::Stride, ..base };
         let phase_cfg = base.phase(base.clusters);
         let cfg = CoreConfig::alder_lake();
         let kinds = [PredictorKind::StoreSets, PredictorKind::Phast];
         let vbudget = Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
         assert!(vbudget.workloads().len() >= 4, "validation needs at least 4 workloads");
 
-        let grid = |scfg| -> Vec<RunResult> {
-            sweep.grid(&kinds, &cfg, &vbudget, scfg, &|_| {}).into_iter().flatten().collect()
+        // Each leg is one grid through the cell lifecycle; the full-detail
+        // reference bypasses the sweep's sampling mode on purpose.
+        let grid = |scfg| -> (Vec<RunResult>, f64) {
+            let t = Instant::now();
+            let rows: Vec<RunResult> =
+                sweep.grid(&kinds, &cfg, &vbudget, scfg, &|_| {}).into_iter().flatten().collect();
+            (rows, t.elapsed().as_secs_f64())
         };
-        let t0 = Instant::now();
-        let full = grid(None);
-        let full_wall = t0.elapsed();
-
-        let t1 = Instant::now();
-        let mut stride = grid(Some(stride_cfg));
-        let stride_wall = t1.elapsed();
-
-        let t2 = Instant::now();
-        let mut phase = grid(Some(phase_cfg));
-        let phase_wall = t2.elapsed();
+        let (full, full_wall) = grid(None);
+        let (mut stride, stride_wall) = grid(Some(stride_cfg));
+        let (mut phase, phase_wall) = grid(Some(phase_cfg));
 
         let mut t = TextTable::new(vec![
             "workload",
@@ -870,36 +746,42 @@ pub mod sampled_v2 {
             "phase IPC",
             "|err| stride",
             "|err| phase",
-            "bound",
+            "stride bound",
+            "phase bound",
             "verdict",
         ]);
-        let mut out_cells = Vec::with_capacity(full.len());
-        let mut phase_violations = 0usize;
+        let mut cells = Vec::with_capacity(full.len());
+        let (mut stride_violations, mut phase_violations) = (0usize, 0usize);
         for ((f, s), p) in full.iter().zip(stride.iter_mut()).zip(phase.iter_mut()) {
             let full_ipc = f.stats.ipc();
-            let stride_ipc = s.stats.ipc();
-            let phase_ipc = p.stats.ipc();
+            let (stride_ipc, phase_ipc) = (s.stats.ipc(), p.stats.ipc());
             let stride_err = (stride_ipc - full_ipc).abs();
             let phase_err = (phase_ipc - full_ipc).abs();
             let smeta = s.sampling.as_mut().expect("stride run carries metadata");
-            let sbound = ipc_error_bound(full_ipc, smeta.ipc_ci_half);
+            let stride_bound = ipc_error_bound(full_ipc, smeta.ipc_ci_half);
             smeta.full_ipc = Some(full_ipc);
             smeta.ipc_error = Some(stride_err);
             let pmeta = p.sampling.as_mut().expect("phase run carries metadata");
-            // Equal-or-tighter: phase is judged against the smaller of
-            // the two bounds, so its widened CI cannot loosen the gate.
-            let bound = ipc_error_bound(full_ipc, pmeta.ipc_ci_half).min(sbound);
+            let phase_bound = ipc_error_bound(full_ipc, pmeta.ipc_ci_half).min(stride_bound);
             pmeta.full_ipc = Some(full_ipc);
             pmeta.ipc_error = Some(phase_err);
-            let ok = phase_err <= bound;
-            if !ok {
-                phase_violations += 1;
-                sweep.flag_degraded(format!(
-                    "{} × {}: phase IPC {phase_ipc:.4} vs full {full_ipc:.4} — \
-                     error {phase_err:.4} exceeds bound {bound:.4}",
-                    p.workload, p.predictor
-                ));
+            let legs = [
+                ("stride", stride_ipc, stride_err, stride_bound),
+                ("phase", phase_ipc, phase_err, phase_bound),
+            ];
+            let mut missed = Vec::new();
+            for (leg, ipc, err, bound) in legs {
+                if err > bound {
+                    missed.push(leg);
+                    sweep.flag_degraded(format!(
+                        "{} × {}: {leg} IPC {ipc:.4} vs full {full_ipc:.4} — \
+                         error {err:.4} exceeds bound {bound:.4}",
+                        p.workload, p.predictor
+                    ));
+                }
             }
+            stride_violations += usize::from(missed.contains(&"stride"));
+            phase_violations += usize::from(missed.contains(&"phase"));
             t.row(vec![
                 p.workload.clone(),
                 p.predictor.clone(),
@@ -908,10 +790,14 @@ pub mod sampled_v2 {
                 format!("{phase_ipc:.4}"),
                 format!("{stride_err:.4}"),
                 format!("{phase_err:.4}"),
-                format!("{bound:.4}"),
-                if ok { "ok".into() } else { "VIOLATION".into() },
+                format!("{stride_bound:.4}"),
+                format!("{phase_bound:.4}"),
+                match missed.as_slice() {
+                    [] => "ok".into(),
+                    legs => format!("VIOLATION ({})", legs.join("+")),
+                },
             ]);
-            out_cells.push(Cell {
+            cells.push(Cell {
                 workload: p.workload.clone(),
                 predictor: p.predictor.clone(),
                 full_ipc,
@@ -919,7 +805,8 @@ pub mod sampled_v2 {
                 phase_ipc,
                 stride_err,
                 phase_err,
-                bound,
+                stride_bound,
+                phase_bound,
             });
         }
 
@@ -929,25 +816,27 @@ pub mod sampled_v2 {
                 .map(|m| m.measured_insts + m.warmed_insts)
                 .sum()
         };
+        let full_detailed = vbudget.insts * full.len() as u64;
         let stride_detailed = detailed(&stride);
         let phase_detailed = detailed(&phase);
         let insts_ratio = stride_detailed as f64 / phase_detailed.max(1) as f64;
-        if insts_ratio < 1.3 {
+        if insts_ratio < INSTS_RATIO_BAR {
             sweep.flag_degraded(format!(
                 "phase spent only {insts_ratio:.2}x fewer detailed instructions than \
-                 stride (acceptance bar: 1.3x) — {phase_detailed} vs {stride_detailed}"
+                 stride (acceptance bar: {INSTS_RATIO_BAR:.1}x) — {phase_detailed} vs \
+                 {stride_detailed}"
             ));
         }
 
         // Phase rows first, then stride, then the full reference, into
-        // BENCH_sampled_v2.json — every row annotated before recording.
+        // BENCH_sampled.json — every sampled row annotated before
+        // recording.
         sweep.record_all(&phase);
         sweep.record_all(&stride);
         sweep.record_all(&full);
 
-        let phase_speedup = full_wall.as_secs_f64() / phase_wall.as_secs_f64().max(1e-9);
-        let stride_speedup = full_wall.as_secs_f64() / stride_wall.as_secs_f64().max(1e-9);
-        let mean = |sel: fn(&Cell) -> f64, cells: &[Cell]| -> f64 {
+        let speedup = |wall: f64| full_wall / wall.max(1e-9);
+        let mean = |sel: fn(&Cell) -> f64| -> f64 {
             cells.iter().map(sel).sum::<f64>() / cells.len().max(1) as f64
         };
         let clusters: Vec<usize> = phase
@@ -956,26 +845,32 @@ pub mod sampled_v2 {
             .map(|m| m.cluster_weights.len())
             .collect();
         let report = format!(
-            "Phase-aware sampling v2 validation ({} insts horizon; {} intervals, K={} target \
-             clusters; see docs/SAMPLING.md §v2)\n\n{t}\n\
-             phase violations: {phase_violations} of {} (bound = tighter of stride/phase)\n\
+            "Sampled-vs-full validation ({} insts horizon; {} windows × {} insts, {} warm; \
+             phase mode clusters the intervals into K={} target clusters; see \
+             docs/SAMPLING.md)\n\n{t}\n\
+             stride violations: {stride_violations} of {n} (bound = the stride estimate's)\n\
+             phase violations: {phase_violations} of {n} (bound = tighter of stride/phase)\n\
              mean |error|: stride {:.4}, phase {:.4}\n\
+             measured+warm instructions (stride leg): full {full_detailed}, sampled \
+             {stride_detailed} ({:.1}x fewer)\n\
              detailed (measured+warm) instructions: stride {stride_detailed}, phase \
-             {phase_detailed} — {insts_ratio:.2}x fewer (bar: 1.30x)\n\
+             {phase_detailed} — {insts_ratio:.2}x fewer (bar: {INSTS_RATIO_BAR:.2}x)\n\
              effective clusters per cell: {clusters:?}\n\
-             wall-clock: full {:.2}s, stride {:.2}s ({stride_speedup:.1}x), phase {:.2}s \
-             ({phase_speedup:.1}x)\n",
+             wall-clock: full {full_wall:.2}s, stride {stride_wall:.2}s ({:.1}x), \
+             phase {phase_wall:.2}s ({:.1}x)\n",
             vbudget.insts,
             base.windows,
+            base.window_insts,
+            base.warm_insts,
             base.clusters,
-            out_cells.len(),
-            mean(|c| c.stride_err, &out_cells),
-            mean(|c| c.phase_err, &out_cells),
-            full_wall.as_secs_f64(),
-            stride_wall.as_secs_f64(),
-            phase_wall.as_secs_f64(),
+            mean(|c| c.stride_err),
+            mean(|c| c.phase_err),
+            full_detailed as f64 / stride_detailed.max(1) as f64,
+            speedup(stride_wall),
+            speedup(phase_wall),
+            n = cells.len(),
         );
-        Results { cells: out_cells, phase_violations, insts_ratio, phase_speedup, stride_speedup, report }
+        Results { cells, insts_ratio, report }
     }
 }
 
@@ -1118,33 +1013,19 @@ mod tests {
     }
 
     #[test]
-    fn sampled_validation_runs_on_small_budget() {
-        let b = Budget { insts: 8_000, workload_iters: 50_000, max_workloads: Some(4), extra_workloads: Vec::new() };
-        let sweep =
-            Sweep::parallel().with_sampling(phast_sample::SampleConfig::new(4, 800, 500));
-        let r = sampled::run(&sweep, &b);
-        assert_eq!(r.cells.len(), 8, "4 workloads × 2 predictors");
-        assert!(r.report.contains("violations"));
-        for (w, p, full, est, err, bound) in &r.cells {
-            assert!(*full > 0.0 && *est > 0.0, "{w} × {p}");
-            assert!((err - (est - full).abs()).abs() < 1e-12);
-            assert!(*bound >= 0.05);
-        }
-    }
-
-    #[test]
-    fn sampled_v2_compares_three_legs_on_small_budget() {
+    fn sampled_validation_compares_three_legs_on_small_budget() {
         let b = Budget { insts: 8_000, workload_iters: 50_000, max_workloads: Some(4), extra_workloads: Vec::new() };
         let sweep =
             Sweep::parallel().with_sampling(phast_sample::SampleConfig::new(6, 800, 500));
-        let r = sampled_v2::run(&sweep, &b);
+        let r = sampled::run(&sweep, &b);
         assert_eq!(r.cells.len(), 8, "4 workloads × 2 predictors");
         assert!(r.insts_ratio > 1.0, "phase must replay fewer windows: {}", r.insts_ratio);
-        assert!(r.report.contains("phase violations"));
+        assert!(r.report.contains("stride violations") && r.report.contains("phase violations"));
         for c in &r.cells {
             assert!(c.full_ipc > 0.0 && c.stride_ipc > 0.0 && c.phase_ipc > 0.0);
+            assert!((c.stride_err - (c.stride_ipc - c.full_ipc).abs()).abs() < 1e-12);
             assert!((c.phase_err - (c.phase_ipc - c.full_ipc).abs()).abs() < 1e-12);
-            assert!(c.bound >= 0.05);
+            assert!(c.phase_bound >= 0.05 && c.phase_bound <= c.stride_bound);
         }
     }
 

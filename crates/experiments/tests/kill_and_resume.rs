@@ -150,9 +150,8 @@ fn resumed_sampled_validation_reproduces_the_artifact() {
     );
 }
 
-/// Every experiment but the two sampled validations (which have their
-/// own resume test above), journaled and then resumed against the
-/// complete journal: the resume must print the same report and write the
+/// Every experiment but the sampled validation (which has its own resume
+/// test above), journaled and then resumed against the complete journal: the resume must print the same report and write the
 /// same artifact, so a replayed cell carries every value a report reads,
 /// not just its artifact row.
 #[test]
@@ -166,7 +165,7 @@ fn every_experiment_reports_the_same_after_a_resume() {
     let ids: Vec<&str> = figures::EXPERIMENTS
         .iter()
         .map(|(id, _)| *id)
-        .filter(|id| !["sampled", "sampled_v2"].contains(id))
+        .filter(|id| *id != "sampled")
         .collect();
     let run_all = |journal: &Journal| -> Vec<(String, String)> {
         ids.iter()

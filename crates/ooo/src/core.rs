@@ -22,8 +22,8 @@ use crate::deadline::Deadline;
 use crate::error::{HeadUop, PipelineSnapshot, SimError};
 use crate::stats::SimStats;
 use phast_branch::{
-    DirectionPredictor, DivergentEvent, DivergentHistory, HistoryCheckpoint, Ittage, IttageConfig,
-    ReturnAddressStack,
+    BranchCheckpoint, BranchHistory, DirectionPredictor, DivergentEvent, DivergentHistory, Ittage,
+    IttageConfig,
 };
 use phast_isa::{
     compute_value, ranges_overlap, BlockId, EmuSnapshot, Emulator, ExecClass, Inst, MemSize, Op,
@@ -36,9 +36,6 @@ use phast_mdp::{
 use phast_mem::{line_of, AccessKind, Hierarchy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Entries of the core's return-address stack.
-pub const RAS_DEPTH: usize = 32;
 
 /// What a load has been told to wait for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,20 +86,14 @@ struct Uop {
     // Rename undo (previous RAT mapping of `dst`).
     prev_rat: Option<u64>,
 
-    // Front-end speculation state captured just before this uop's fetch.
-    hist_cp: HistoryCheckpoint,
-    ras_cp: phast_branch::RasCheckpoint,
-    ghr_at_fetch: u128,
-    /// Target-path history (1 outcome bit per conditional, 5 destination
-    /// bits per indirect) at fetch — what ITTAGE keys on.
-    path_ghr_at_fetch: u128,
-    div_count: u64,
+    /// Front-end branch history just before this uop's fetch; its
+    /// divergent count is the uop's decode-time counter (§IV-A2).
+    fetch_cp: BranchCheckpoint,
 
     // Control flow.
     predicted_next: Option<(BlockId, usize)>,
     actual_next: Option<(BlockId, usize)>,
     actual_event: Option<DivergentEvent>,
-    actual_taken: bool,
     was_mispredicted: bool,
 
     // Memory.
@@ -145,13 +136,11 @@ pub struct Core<'a> {
     next_arch_seq: u64,
     halt_fetched: bool,
 
-    // Speculation state.
-    cond_ghr: u128,
-    path_ghr: u128,
-    spec_hist: DivergentHistory,
+    // Speculation state: the front end's branch history, and the
+    // divergent history of committed branches.
+    spec: BranchHistory,
     commit_hist: DivergentHistory,
     indirect: Box<Ittage>,
-    ras: ReturnAddressStack,
 
     // Rename and architectural state.
     rat: [Option<u64>; NUM_REGS],
@@ -214,15 +203,9 @@ pub struct Core<'a> {
 pub struct BootState {
     /// Architectural registers/memory/cursor/instruction count.
     pub arch: EmuSnapshot,
-    /// Conditional-branch global history register at the boot point.
-    pub cond_ghr: u128,
-    /// Path (target) global history register at the boot point.
-    pub path_ghr: u128,
-    /// Divergent-branch history at the boot point (seeds both the
-    /// speculative and the commit copy).
-    pub history: DivergentHistory,
-    /// Return-address stack at the boot point.
-    pub ras: ReturnAddressStack,
+    /// Branch history at the boot point: both GHRs, the divergent
+    /// history (which also seeds the commit-side copy) and the RAS.
+    pub history: BranchHistory,
     /// Warmed cache hierarchy (use a freshly created one for cold boots).
     pub hierarchy: Hierarchy,
     /// Warmed indirect-target predictor (the front end's ITTAGE).
@@ -246,8 +229,8 @@ pub struct CommitRecord {
 impl<'a> Core<'a> {
     /// Creates a core at the program entry with cold predictors and caches:
     /// [`Core::with_state`] booted from the entry snapshot of a fresh
-    /// emulator, zero branch histories, an empty return-address stack, and
-    /// new hierarchy and indirect predictor.
+    /// emulator, an empty [`BranchHistory`], and new hierarchy and
+    /// indirect predictor.
     pub fn new(
         program: &'a Program,
         cfg: CoreConfig,
@@ -256,10 +239,7 @@ impl<'a> Core<'a> {
     ) -> Core<'a> {
         let boot = BootState {
             arch: Emulator::new(program).snapshot(),
-            cond_ghr: 0,
-            path_ghr: 0,
-            history: DivergentHistory::new(),
-            ras: ReturnAddressStack::new(RAS_DEPTH),
+            history: BranchHistory::default(),
             hierarchy: Hierarchy::new(cfg.memory),
             indirect: Box::new(Ittage::new(IttageConfig::default())),
         };
@@ -297,12 +277,9 @@ impl<'a> Core<'a> {
             next_token: 0,
             next_arch_seq: boot.arch.icount,
             halt_fetched: false,
-            cond_ghr: boot.cond_ghr,
-            path_ghr: boot.path_ghr,
-            spec_hist: boot.history.clone(),
-            commit_hist: boot.history,
+            commit_hist: boot.history.divergent().clone(),
+            spec: boot.history,
             indirect: boot.indirect,
-            ras: boot.ras,
             rat: [None; NUM_REGS],
             arch_regs: boot.arch.regs,
             memory_state: boot.arch.memory,
@@ -585,10 +562,7 @@ impl<'a> Core<'a> {
         let load_pc = head.pc;
         let load_token = head.token;
         let prior = head.prediction;
-        let hist_cp = head.hist_cp;
-        let ras_cp = head.ras_cp;
-        let ghr = head.ghr_at_fetch;
-        let path_ghr = head.path_ghr_at_fetch;
+        let fetch_cp = head.fetch_cp;
         let arch_seq = head.arch_seq;
 
         if self.cfg.train_point == TrainPoint::Commit {
@@ -607,10 +581,7 @@ impl<'a> Core<'a> {
         // Squash everything, including the load itself, and restore the
         // speculative front-end state to just before the load's fetch.
         self.squash_from(load_token, Redirect::At((block, index)));
-        self.spec_hist.restore(hist_cp);
-        self.ras.restore(ras_cp);
-        self.cond_ghr = ghr;
-        self.path_ghr = path_ghr;
+        self.spec.restore(fetch_cp);
         self.next_arch_seq = arch_seq;
         self.last_commit_cycle = self.cycle; // forward progress: re-execution
     }
@@ -665,7 +636,7 @@ impl<'a> Core<'a> {
                 self.lq_tokens.pop_front();
                 debug_assert_eq!(
                     self.commit_hist.count(),
-                    u.div_count,
+                    u.fetch_cp.count(),
                     "commit-time history must align with the load's decode counter"
                 );
                 if u.forward_source.is_some() {
@@ -802,18 +773,19 @@ impl<'a> Core<'a> {
         let pc = u.pc;
         let inst = self.program.inst(u.block, u.index);
         let (predicted_next, actual_next) = (u.predicted_next, u.actual_next);
-        let (ghr, actual_taken) = (u.ghr_at_fetch, u.actual_taken);
-        let path_ghr = u.path_ghr_at_fetch;
-        let (hist_cp, ras_cp) = (u.hist_cp, u.ras_cp);
+        let fetch_cp = u.fetch_cp;
         let actual_event = u.actual_event;
         let arch_seq = u.arch_seq;
 
         // Train the direction / target predictors at resolution.
         match &inst.op {
-            Op::CondBranch { .. } => self.direction.update(pc, ghr, actual_taken),
+            Op::CondBranch { .. } => {
+                let taken = actual_event.is_some_and(|e| e.taken);
+                self.direction.update(pc, fetch_cp.cond_ghr(), taken);
+            }
             Op::IndirectJump(_) | Op::Ret => {
                 if let Some((b, _)) = actual_next {
-                    self.indirect.update(pc, path_ghr, b);
+                    self.indirect.update(pc, fetch_cp.path_ghr(), b);
                 }
             }
             _ => {}
@@ -831,26 +803,13 @@ impl<'a> Core<'a> {
             None => Redirect::Stalled, // corrupt wrong-path Ret
         };
         self.squash_from(token + 1, redirect);
-        self.spec_hist.restore(hist_cp);
-        self.ras.restore(ras_cp);
-        self.cond_ghr = ghr;
-        self.path_ghr = path_ghr;
+        self.spec.restore(fetch_cp);
         match &inst.op {
-            Op::CondBranch { .. } => {
-                self.cond_ghr = (ghr << 1) | u128::from(actual_taken);
-                self.path_ghr = (path_ghr << 1) | u128::from(actual_taken);
-                if let Some(ev) = actual_event {
-                    self.spec_hist.push(ev);
-                }
-            }
-            Op::IndirectJump(_) | Op::Ret => {
+            Op::CondBranch { .. } | Op::IndirectJump(_) | Op::Ret => {
                 if matches!(inst.op, Op::Ret) {
-                    let _ = self.ras.pop();
+                    let _ = self.spec.pop_return();
                 }
-                if let Some(ev) = actual_event {
-                    self.path_ghr = (path_ghr << 5) | u128::from(ev.target & 0x1f);
-                    self.spec_hist.push(ev);
-                }
+                self.spec.push(actual_event.expect("resolved branches carry their outcome"));
             }
             Op::Call(_) => {
                 // Direct calls cannot mispredict.
@@ -870,7 +829,7 @@ impl<'a> Core<'a> {
         let store_pc = s.pc;
         let store_addr = s.addr.expect("store executed");
         let store_size = s.mem_size;
-        let store_div_count = s.div_count;
+        let store_div_count = s.fetch_cp.count();
 
         self.predictor.store_executed(store_pc, store_token);
 
@@ -914,7 +873,7 @@ impl<'a> Core<'a> {
             }
             let (load_pc, load_div, prior) = {
                 let l = &self.rob[j];
-                (l.pc, l.div_count, l.prediction)
+                (l.pc, l.fetch_cp.count(), l.prediction)
             };
             let store_distance = self.sq_between(store_token, load_token);
             // N: divergent branches between the store and the load. The
@@ -930,34 +889,30 @@ impl<'a> Core<'a> {
                     Some(PendingViolation { store_pc, store_token, store_distance, history_len });
                 if self.cfg.train_point == TrainPoint::Detect || eager {
                     // Train with the load's decode-time history by
-                    // temporarily rewinding the speculative register.
-                    let saved = self.spec_hist.checkpoint();
-                    self.spec_hist.restore(self.rob[j].hist_cp);
+                    // temporarily rewinding the speculative registers.
+                    let saved = self.spec.checkpoint();
+                    self.spec.restore(self.rob[j].fetch_cp);
                     self.predictor.train_violation(&Violation {
                         load_pc,
                         store_pc,
                         store_distance,
                         history_len,
-                        history: &self.spec_hist,
+                        history: self.spec.divergent(),
                         load_token,
                         store_token,
                         prior,
                     });
-                    self.spec_hist.restore(saved);
+                    self.spec.restore(saved);
                 }
                 if eager {
                     // Immediate recovery: squash from the load (inclusive)
                     // and re-fetch it. Younger flagged loads vanish with it.
                     self.stats.violations += 1;
                     let l = &self.rob[j];
-                    let (block, index) = (l.block, l.index);
-                    let (hist_cp, ras_cp, ghr, pghr, arch_seq) =
-                        (l.hist_cp, l.ras_cp, l.ghr_at_fetch, l.path_ghr_at_fetch, l.arch_seq);
+                    let (block, index, fetch_cp, arch_seq) =
+                        (l.block, l.index, l.fetch_cp, l.arch_seq);
                     self.squash_from(load_token, Redirect::At((block, index)));
-                    self.spec_hist.restore(hist_cp);
-                    self.ras.restore(ras_cp);
-                    self.cond_ghr = ghr;
-                    self.path_ghr = pghr;
+                    self.spec.restore(fetch_cp);
                     self.next_arch_seq = arch_seq;
                     break;
                 }
@@ -1083,7 +1038,6 @@ impl<'a> Core<'a> {
         let mut store_data = None;
         let mut actual_next = None;
         let mut actual_event = None;
-        let mut actual_taken = false;
         let mut forward_source = None;
         let mut forward_distance = None;
         let mut fully_forwarded = false;
@@ -1109,7 +1063,7 @@ impl<'a> Core<'a> {
                 complete_at = self.cycle + 1;
             }
             Op::CondBranch { kind, taken } => {
-                actual_taken = kind.eval(lhs, rhs);
+                let actual_taken = kind.eval(lhs, rhs);
                 let dest = if actual_taken {
                     Some((*taken, 0))
                 } else {
@@ -1129,7 +1083,6 @@ impl<'a> Core<'a> {
                     taken: true,
                     target: self.program.block_pc(t),
                 });
-                actual_taken = true;
             }
             Op::Call(_t) => {
                 let ret_to = seq_next.map(|(b, _)| b).expect("call has fallthrough");
@@ -1151,7 +1104,6 @@ impl<'a> Core<'a> {
                     actual_event =
                         Some(DivergentEvent { indirect: true, taken: true, target: lhs });
                 }
-                actual_taken = true;
             }
             Op::Halt => {}
             op => result = compute_value(op, lhs, rhs),
@@ -1169,7 +1121,6 @@ impl<'a> Core<'a> {
         u.store_data = store_data;
         u.actual_next = actual_next;
         u.actual_event = actual_event;
-        u.actual_taken = actual_taken;
         u.forward_source = forward_source;
         u.forward_distance = forward_distance;
         u.fully_forwarded = fully_forwarded;
@@ -1311,43 +1262,35 @@ impl<'a> Core<'a> {
         let arch_seq = self.next_arch_seq;
         self.next_arch_seq += 1;
 
-        let hist_cp = self.spec_hist.checkpoint();
-        let ras_cp = self.ras.checkpoint();
-        let ghr_at_fetch = self.cond_ghr;
-        let path_ghr_at_fetch = self.path_ghr;
-        let div_count = self.spec_hist.count();
+        let fetch_cp = self.spec.checkpoint();
 
         let seq_next = self.sequential_next(block, index);
         let mut predicted_next = seq_next;
 
         match &inst.op {
             Op::CondBranch { taken, .. } => {
-                let t = self.direction.predict(pc, self.cond_ghr);
+                let t = self.direction.predict(pc, self.spec.cond_ghr());
                 let dest = if t { Some((*taken, 0)) } else { seq_next };
                 let target = dest.map_or(0, |(b, i)| self.program.pc(b, i));
-                self.spec_hist.push(DivergentEvent { indirect: false, taken: t, target });
-                self.cond_ghr = (self.cond_ghr << 1) | u128::from(t);
-                self.path_ghr = (self.path_ghr << 1) | u128::from(t);
+                self.spec.push(DivergentEvent { indirect: false, taken: t, target });
                 predicted_next = dest;
             }
             Op::Jump(t) => predicted_next = Some((*t, 0)),
             Op::Call(t) => {
                 let ret_to = seq_next.map(|(b, _)| b).expect("call has fallthrough");
-                self.ras.push(ret_to);
+                self.spec.push_return(ret_to);
                 predicted_next = Some((*t, 0));
             }
             Op::Ret => {
-                let pred = self.ras.pop().unwrap_or(BlockId(0));
+                let pred = self.spec.pop_return().unwrap_or(BlockId(0));
                 let target = self.program.block_pc(pred);
-                self.spec_hist.push(DivergentEvent { indirect: true, taken: true, target });
-                self.path_ghr = (self.path_ghr << 5) | u128::from(target & 0x1f);
+                self.spec.push(DivergentEvent { indirect: true, taken: true, target });
                 predicted_next = Some((pred, 0));
             }
             Op::IndirectJump(ts) => {
-                let pred = self.indirect.predict(pc, self.path_ghr).unwrap_or(ts[0]);
+                let pred = self.indirect.predict(pc, self.spec.path_ghr()).unwrap_or(ts[0]);
                 let target = self.program.block_pc(pred);
-                self.spec_hist.push(DivergentEvent { indirect: true, taken: true, target });
-                self.path_ghr = (self.path_ghr << 5) | u128::from(target & 0x1f);
+                self.spec.push(DivergentEvent { indirect: true, taken: true, target });
                 predicted_next = Some((pred, 0));
             }
             Op::Halt => {
@@ -1379,7 +1322,7 @@ impl<'a> Core<'a> {
             let q = LoadQuery {
                 pc,
                 token,
-                history: &self.spec_hist,
+                history: self.spec.divergent(),
                 arch_seq,
                 older_stores: self.sq_tokens.len() as u32,
             };
@@ -1396,7 +1339,7 @@ impl<'a> Core<'a> {
         } else if inst.op.is_store() {
             let dep = self
                 .predictor
-                .store_dispatched(&StoreQuery { pc, token, history: &self.spec_hist });
+                .store_dispatched(&StoreQuery { pc, token, history: self.spec.divergent() });
             if let Some(t) = dep {
                 // Guard against stale predictor tokens (reused after a
                 // squash): only wait on a live, older, in-flight store.
@@ -1430,15 +1373,10 @@ impl<'a> Core<'a> {
             completed: false,
             result: None,
             prev_rat,
-            hist_cp,
-            ras_cp,
-            ghr_at_fetch,
-            path_ghr_at_fetch,
-            div_count,
+            fetch_cp,
             predicted_next,
             actual_next: None,
             actual_event: None,
-            actual_taken: false,
             was_mispredicted: false,
             mem_size,
             addr: None,

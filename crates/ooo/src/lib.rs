@@ -56,7 +56,7 @@ mod error;
 mod runner;
 mod stats;
 
-pub use crate::core::{BootState, CommitRecord, Core, RAS_DEPTH};
+pub use crate::core::{BootState, CommitRecord, Core};
 pub use check::{CheckConfig, CommitChecker, FaultInjector, FaultPlan};
 pub use config::{CoreConfig, MemSquashPolicy, Ports, TrainPoint};
 pub use deadline::{Deadline, DEADLINE_CHECK_INTERVAL};

@@ -2,12 +2,12 @@
 //!
 //! A [`Checkpoint`] pins one detailed window: the architectural state at
 //! the start of that window's *warm* phase plus the [`WarmContext`] — the
-//! cheap, continuously-maintained speculation context (branch histories,
-//! RAS, sliding store window) that reflects the entire execution preceding
-//! the window. A [`CheckpointSet`] holds every window of one capture pass
-//! ([`capture`](crate::capture)), so a sweep captures a workload once and
-//! replays its windows for every predictor without re-executing the
-//! fast-forward prefix. The set lives only in memory:
+//! cheap, continuously-maintained speculation context (the core's
+//! [`BranchHistory`] and the sliding store window) that reflects the
+//! entire execution preceding the window. A [`CheckpointSet`] holds every
+//! window of one capture pass ([`capture`](crate::capture)), so a sweep
+//! captures a workload once and replays its windows for every predictor
+//! without re-executing the fast-forward prefix. The set lives only in memory:
 //! capture produces it and window replay consumes it.
 //!
 //! Alongside each checkpoint the set holds a snapshot of the expensive
@@ -20,7 +20,7 @@
 
 use crate::kmeans::ClusterPlan;
 use crate::warm::WarmState;
-use phast_branch::{DivergentHistory, ReturnAddressStack};
+use phast_branch::BranchHistory;
 use phast_isa::{EmuSnapshot, Pc};
 use std::collections::VecDeque;
 
@@ -43,19 +43,13 @@ pub struct StoreRec {
 ///
 /// Everything here is O(1) per instruction to maintain, so the capture
 /// pass keeps it live across the whole horizon; at each checkpoint it is
-/// cloned into the [`Checkpoint`]. Field semantics mirror the front end of
-/// `phast-ooo` exactly (same shift amounts, same push ordering), so a core
-/// booted from this context sees the history it would have built itself.
+/// cloned into the [`Checkpoint`]. The branch history is the core's own
+/// type, updated by the same rule, so a core booted from this context
+/// sees the history it would have built itself.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WarmContext {
-    /// Conditional-branch outcome history (1 bit per conditional).
-    pub cond_ghr: u128,
-    /// Path history (1 bit per conditional, 5 target bits per indirect).
-    pub path_ghr: u128,
-    /// Divergent-branch history ring.
-    pub history: DivergentHistory,
-    /// Return-address stack.
-    pub ras: ReturnAddressStack,
+    /// Both GHRs, the divergent-branch history ring and the RAS.
+    pub history: BranchHistory,
     /// Sliding window of the youngest retired stores (newest at the back),
     /// bounded by `store_window`.
     pub stores: VecDeque<StoreRec>,
@@ -64,14 +58,10 @@ pub struct WarmContext {
 }
 
 impl WarmContext {
-    /// Creates an empty context for a core with `store_window` SQ entries
-    /// and a RAS of `ras_depth` entries.
-    pub fn new(store_window: usize, ras_depth: usize) -> WarmContext {
+    /// Creates an empty context for a core with `store_window` SQ entries.
+    pub fn new(store_window: usize) -> WarmContext {
         WarmContext {
-            cond_ghr: 0,
-            path_ghr: 0,
-            history: DivergentHistory::new(),
-            ras: ReturnAddressStack::new(ras_depth),
+            history: BranchHistory::default(),
             stores: VecDeque::with_capacity(store_window),
             store_window,
         }

@@ -17,7 +17,7 @@
 //!    deliberately not sampled — its weight in a full run vanishes as the
 //!    horizon grows, whereas a cold window would overweight it by the
 //!    stride-to-window ratio (see `docs/SAMPLING.md`).
-//! 2. **Replay** ([`run_window`]): per window — independently, from a
+//! 2. **Replay** ([`run_window_within`]): per window — independently, from a
 //!    shared reference to the capture — restore the emulator and the
 //!    context from the checkpoint, train the predictor-specific MDP over
 //!    the warm phase, then boot a `phast-ooo` core from the captured
@@ -35,7 +35,7 @@ use phast_branch::DirectionPredictor;
 use phast_isa::{EmuError, Emulator, ExecRecord, Op, Program};
 use phast_mdp::MemDepPredictor;
 use phast_mem::AccessKind;
-use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats, RAS_DEPTH};
+use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats};
 use std::collections::VecDeque;
 
 /// Seed the capture pass keys its k-means++ draws with. Fixed — a
@@ -172,7 +172,7 @@ pub fn capture(
     let mut pass = Pass {
         program,
         emu: Emulator::new(program),
-        ctx: WarmContext::new(cfg.sq_size, RAS_DEPTH),
+        ctx: WarmContext::new(cfg.sq_size),
         state: WarmState::new(cfg),
         last_fetch_line: None,
         collector: phase.then(FeatureCollector::new),
@@ -290,12 +290,12 @@ impl Pass<'_> {
         match &self.program.inst(rec.block, rec.index).op {
             Op::CondBranch { .. } => {
                 let taken = rec.taken.expect("cond branch records taken");
-                state.direction.update(rec.pc, self.ctx.cond_ghr, taken);
+                state.direction.update(rec.pc, self.ctx.history.cond_ghr(), taken);
             }
             Op::IndirectJump(_) | Op::Ret => {
                 // The emulator's post-step cursor is the resolved target.
                 if let Some((b, _)) = self.emu.cursor() {
-                    state.indirect.update(rec.pc, self.ctx.path_ghr, b);
+                    state.indirect.update(rec.pc, self.ctx.history.path_ghr(), b);
                 }
             }
             Op::Load(_) => {
@@ -348,31 +348,15 @@ pub struct WindowRun {
 /// [`WarmContext`] step from the checkpoint, and only the predictor
 /// trains. The core then boots from the set's snapshot of the structures
 /// ([`WarmState`]) at the detailed start, which reflects the entire
-/// execution preceding the window.
+/// execution preceding the window. If `deadline` (a cooperative
+/// watchdog; [`Deadline::none`] for none) elapses mid-replay, the window
+/// degrades with `SimError::Deadline` instead of hanging its worker.
 ///
 /// # Panics
 ///
 /// Panics if the window reaches its detailed start and the set has no
 /// snapshot for it: `w` is not in [`CheckpointSet::windows_to_run`] (a
 /// non-representative interval of a clustered set).
-pub fn run_window(
-    program: &Program,
-    cfg: &CoreConfig,
-    predictor: &mut dyn MemDepPredictor,
-    set: &CheckpointSet,
-    w: usize,
-) -> WindowRun {
-    run_window_within(program, cfg, predictor, set, w, &Deadline::none())
-}
-
-/// [`run_window`] under a cooperative [`Deadline`] watchdog: if the
-/// window's wall-clock budget elapses mid-replay, the detailed run ends
-/// with a degraded [`WindowRun`] carrying `SimError::Deadline` instead of
-/// hanging its worker thread.
-///
-/// # Panics
-///
-/// As for [`run_window`].
 pub fn run_window_within(
     program: &Program,
     cfg: &CoreConfig,
@@ -407,10 +391,7 @@ pub fn run_window_within(
         .clone();
     let boot = BootState {
         arch: emu.snapshot(),
-        cond_ghr: ctx.cond_ghr,
-        path_ghr: ctx.path_ghr,
         history: ctx.history,
-        ras: ctx.ras,
         hierarchy: state.hierarchy,
         indirect: state.indirect,
     };
@@ -448,15 +429,11 @@ pub struct SampleEstimate {
     /// Ratio-of-sums IPC estimate: Σ committed / Σ cycles. This is the
     /// headline estimate compared against full-detail IPC.
     pub ipc: f64,
-    /// Mean of the per-window IPCs.
-    pub ipc_mean: f64,
-    /// Half-width of the 95% confidence interval on `ipc_mean`
-    /// (z·s/√n with z = 1.96; 0 when fewer than 2 windows).
+    /// Half-width of the 95% confidence interval on the (weighted) mean
+    /// of the per-window IPCs: z·s/√n with z = 1.96 in stride mode,
+    /// widened in phase mode (see [`estimate`]); 0 when fewer than 2
+    /// windows.
     pub ipc_ci_half: f64,
-    /// Violation MPKI over the measured instructions.
-    pub violation_mpki: f64,
-    /// False-dependence MPKI over the measured instructions.
-    pub false_dep_mpki: f64,
     /// Instructions measured cycle-accurately.
     pub measured_insts: u64,
     /// Instructions spent in warm phases.
@@ -500,8 +477,6 @@ pub fn estimate(set: &CheckpointSet, runs: &[WindowRun]) -> SampleEstimate {
     let mut ipcs: Vec<(f64, f64)> = Vec::with_capacity(runs.len());
     let mut committed = 0u64;
     let mut cycles = 0u64;
-    let mut violations = 0u64;
-    let mut false_deps = 0u64;
     let mut measured = 0u64;
     let mut warmed = 0u64;
     for (r, &wt) in runs.iter().zip(&weights) {
@@ -513,8 +488,6 @@ pub fn estimate(set: &CheckpointSet, runs: &[WindowRun]) -> SampleEstimate {
         ipcs.push((r.stats.ipc(), wt as f64));
         committed += wt * r.stats.committed;
         cycles += wt * r.stats.cycles;
-        violations += wt * r.stats.violations;
-        false_deps += wt * r.stats.false_dependences;
     }
     let n = ipcs.len();
     let wsum: f64 = ipcs.iter().map(|&(_, w)| w).sum();
@@ -534,14 +507,10 @@ pub fn estimate(set: &CheckpointSet, runs: &[WindowRun]) -> SampleEstimate {
             ipcs.iter().map(|&(x, _)| (x - mean) * (x - mean)).sum::<f64>() / (n as f64 - 1.0);
         1.96 * var.sqrt() / (n as f64).sqrt()
     };
-    let per_kilo = |x: u64| if committed == 0 { 0.0 } else { 1000.0 * x as f64 / committed as f64 };
     SampleEstimate {
         windows: n,
         ipc: if cycles == 0 { 0.0 } else { committed as f64 / cycles as f64 },
-        ipc_mean: mean,
         ipc_ci_half: ci_half,
-        violation_mpki: per_kilo(violations),
-        false_dep_mpki: per_kilo(false_deps),
         measured_insts: measured,
         warmed_insts: warmed,
         fast_forwarded_insts: set.horizon.saturating_sub(measured + warmed),
@@ -577,34 +546,6 @@ pub fn sum_window_stats_weighted(runs: &[WindowRun], weights: &[u64]) -> SimStat
         .fold(SimStats::default(), |sum, (r, &wt)| sum.add_weighted(&r.stats, wt))
 }
 
-/// Serial convenience: capture + replay every window + estimate, building
-/// a fresh predictor per window via `build`. The sweep path lives in
-/// `phast-experiments`, which shares one capture among a workload's cells
-/// and replays each cell's windows as one journaled, retried sweep cell;
-/// this entry point serves tests and single-run callers.
-///
-/// # Errors
-///
-/// Propagates an [`EmuError`] from the capture pass.
-pub fn run_sampled(
-    program: &Program,
-    cfg: &CoreConfig,
-    scfg: &SampleConfig,
-    horizon: u64,
-    build: &mut dyn FnMut() -> Box<dyn MemDepPredictor>,
-) -> Result<(SampleEstimate, Vec<WindowRun>), EmuError> {
-    let set = capture(program, cfg, scfg, horizon)?;
-    let runs: Vec<WindowRun> = set
-        .windows_to_run()
-        .into_iter()
-        .map(|w| {
-            let mut predictor = build();
-            run_window(program, cfg, predictor.as_mut(), &set, w)
-        })
-        .collect();
-    Ok((estimate(&set, &runs), runs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,7 +567,8 @@ mod tests {
             capture(&program, &cfg, &SampleConfig::new(2, total, 10), 2 * total).expect("clean");
         assert_eq!(set.checkpoints.len(), 2);
         assert!(set.warm[0].is_some() && set.warm[1].is_none());
-        let run = run_window(&program, &cfg, &mut BlindSpeculation, &set, 1);
+        let run =
+            run_window_within(&program, &cfg, &mut BlindSpeculation, &set, 1, &Deadline::none());
         assert!(run.failure.is_none());
         assert_eq!(run.stats.committed, 0);
         assert_eq!(run.warmed, total - set.checkpoints[1].arch.icount);

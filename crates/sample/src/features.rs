@@ -29,7 +29,7 @@
 //! platforms.
 
 use crate::checkpoint::WarmContext;
-use phast_isa::{ranges_overlap, ExecRecord, Op, Program};
+use phast_isa::{ExecRecord, Op, Program};
 
 /// Dimensions of the basic-block-vector group.
 pub const BBV_DIMS: usize = 16;
@@ -159,32 +159,15 @@ impl FeatureCollector {
         self.stride[bucket] += 1;
         if is_load {
             self.loads += 1;
-            self.dep[self.dep_bucket(ctx, rec, addr, size, rob_window)] += 1;
+            // Distance (in stores) to the store MDP warming trains on,
+            // log₂-bucketed; the last bucket counts loads with no
+            // dependence in range.
+            let bucket = match ctx.youngest_overlapping_store(rec.seq, addr, size, rob_window) {
+                Some((_, distance)) => ((distance + 1).ilog2() as usize).min(DEP_BUCKETS - 2),
+                None => DEP_BUCKETS - 1,
+            };
+            self.dep[bucket] += 1;
         }
-    }
-
-    /// Distance (in stores) to the youngest overlapping in-ROB-range
-    /// store, log₂-bucketed; the last bucket counts loads with no
-    /// dependence in range. Mirrors the scan MDP warming performs.
-    fn dep_bucket(
-        &self,
-        ctx: &WarmContext,
-        rec: &ExecRecord,
-        addr: u64,
-        size: u64,
-        rob_window: u64,
-    ) -> usize {
-        let len = ctx.stores.len();
-        for (i, s) in ctx.stores.iter().enumerate().rev() {
-            if rec.seq - s.seq > rob_window {
-                break;
-            }
-            if ranges_overlap(addr, size, s.addr, s.size) {
-                let distance = (len - 1 - i) as u64;
-                return ((distance + 1).ilog2() as usize).min(DEP_BUCKETS - 2);
-            }
-        }
-        DEP_BUCKETS - 1
     }
 
     /// Normalizes the accumulators into a [`FeatureVec`] and resets them

@@ -14,13 +14,14 @@
 //!   [`CheckpointSet`]: per window, the architectural snapshot and warmed
 //!   context at the warm start, and the warmed caches and branch
 //!   predictors at the detailed start.
-//! * [`run_window`] replays one window independently: restore → train
-//!   the MDP over the warm phase → boot the core via
+//! * [`run_window_within`] replays one window independently: restore →
+//!   train the MDP over the warm phase → boot the core via
 //!   `phast_ooo::BootState` from the captured structures → run the
-//!   detailed window. It reads the set by shared reference, so every
-//!   (predictor) cell of a workload replays from one capture;
-//!   `phast-experiments` runs a cell's windows in order on one worker, as
-//!   one sweep cell.
+//!   detailed window under a deadline. It reads the set by shared
+//!   reference, so every (predictor) cell of a workload replays from one
+//!   capture; `phast-experiments` runs a cell's windows in order on one
+//!   worker, as one sweep cell, which is the one path from capture to
+//!   estimate.
 //! * [`estimate`] turns window runs into the point estimate and
 //!   instruction accounting (measured vs warmed vs fast-forwarded).
 //!
@@ -39,9 +40,8 @@ mod warm;
 pub use checkpoint::{Checkpoint, CheckpointSet, StoreRec, WarmContext};
 pub use crc::crc32;
 pub use engine::{
-    capture, default_clusters_for, estimate, ipc_error_bound, run_sampled, run_window,
-    run_window_within, sum_window_stats_weighted, SampleConfig, SampleEstimate, SampleMode,
-    WindowRun, CLUSTER_SEED,
+    capture, default_clusters_for, estimate, ipc_error_bound, run_window_within,
+    sum_window_stats_weighted, SampleConfig, SampleEstimate, SampleMode, WindowRun, CLUSTER_SEED,
 };
 pub use features::{FeatureCollector, FeatureVec, FEATURE_DIM};
 pub use kmeans::{cluster, ClusterPlan};

@@ -4,24 +4,23 @@
 //! * The **capture pass** ([`capture`](crate::capture)) owns everything
 //!   predictor-independent and keeps it warm over the whole horizon in
 //!   one pass, so one capture serves every predictor in the sweep. It
-//!   snapshots the cheap [`WarmContext`] (`checkpoint.rs`: branch history
-//!   registers, the divergent-history ring, the RAS and the sliding store
-//!   window) at each window's warm start, and the long-lived
-//!   [`WarmState`] structures (the cache hierarchy with its prefetcher,
-//!   the direction predictor and the indirect-target predictor, a deep
-//!   clone) at each window's detailed start.
-//! * **Window replay** ([`run_window`](crate::run_window)) owns the
-//!   active MDP's training state, which is predictor-specific. It steps
-//!   the emulator and the context over the window's warm phase and trains
-//!   only the MDP ([`warm_mdp`]), then boots the core from the captured
-//!   structures.
+//!   snapshots the cheap [`WarmContext`] (`checkpoint.rs`: the branch
+//!   history and the sliding store window) at each window's warm start,
+//!   and the long-lived [`WarmState`] structures (the cache hierarchy
+//!   with its prefetcher, the direction predictor and the indirect-target
+//!   predictor, a deep clone) at each window's detailed start.
+//! * **Window replay** ([`run_window_within`](crate::run_window_within))
+//!   owns the active MDP's training state, which is predictor-specific.
+//!   It steps the emulator and the context over the window's warm phase
+//!   and trains only the MDP ([`warm_mdp`]), then boots the core from the
+//!   captured structures.
 //!
-//! Every update rule here mirrors the front end / commit stage of
-//! `phast-ooo` exactly (same GHR shift amounts, same push ordering, same
-//! pre-update history values for training) so that a core booted from the
-//! warmed state continues as if it had executed the prefix itself. The
-//! one structural difference: warming trains on the *architectural* path,
-//! so wrong-path pollution and in-flight timing races are absent — see
+//! The branch history is the core's own `BranchHistory`, updated through
+//! the calls its fetch stage makes, and training reads it before the
+//! instruction is folded in, as the core does; only [`warm_mdp`]'s MDP
+//! call sequence is spelled out a second time. The one structural
+//! difference: warming trains on the *architectural* path, so wrong-path
+//! pollution and in-flight timing races are absent — see
 //! `docs/SAMPLING.md` for why this converges to the same steady state.
 
 use crate::checkpoint::{StoreRec, WarmContext};
@@ -34,9 +33,9 @@ use phast_ooo::CoreConfig;
 impl WarmContext {
     /// Folds one architecturally retired instruction into the context.
     ///
-    /// This is the cheap tier: GHR shifts, history pushes, RAS motion and
-    /// the store window — exactly what `phast-ooo` does at fetch for the
-    /// correct path, in the same order.
+    /// This is the cheap tier: the branch history, through the same
+    /// [`BranchHistory`](phast_branch::BranchHistory) calls `phast-ooo`
+    /// makes at fetch for the correct path, and the store window.
     pub fn observe(&mut self, program: &Program, rec: &ExecRecord) {
         let inst = program.inst(rec.block, rec.index);
         match &inst.op {
@@ -44,23 +43,19 @@ impl WarmContext {
                 let taken = rec.taken.expect("cond branch records taken");
                 let target = rec.target_pc.expect("cond branch records target");
                 self.history.push(DivergentEvent { indirect: false, taken, target });
-                self.cond_ghr = (self.cond_ghr << 1) | u128::from(taken);
-                self.path_ghr = (self.path_ghr << 1) | u128::from(taken);
             }
             Op::Call(_) => {
                 let ret_to = rec.dst_value.expect("call writes its return block id");
-                self.ras.push(BlockId(ret_to as u32));
+                self.history.push_return(BlockId(ret_to as u32));
             }
             Op::Ret => {
-                let _ = self.ras.pop();
+                let _ = self.history.pop_return();
                 let target = rec.target_pc.expect("ret records target");
                 self.history.push(DivergentEvent { indirect: true, taken: true, target });
-                self.path_ghr = (self.path_ghr << 5) | u128::from(target & 0x1f);
             }
             Op::IndirectJump(_) => {
                 let target = rec.target_pc.expect("indirect jump records target");
                 self.history.push(DivergentEvent { indirect: true, taken: true, target });
-                self.path_ghr = (self.path_ghr << 5) | u128::from(target & 0x1f);
             }
             Op::Store(size) => {
                 self.stores.push_back(StoreRec {
@@ -68,7 +63,7 @@ impl WarmContext {
                     pc: rec.pc,
                     addr: rec.eff_addr.expect("store records address"),
                     size: size.bytes(),
-                    div_count: self.history.count(),
+                    div_count: self.history.divergent().count(),
                 });
                 if self.stores.len() > self.store_window {
                     self.stores.pop_front();
@@ -76,6 +71,31 @@ impl WarmContext {
             }
             _ => {}
         }
+    }
+
+    /// The youngest store of the window that overlaps the `size` bytes at
+    /// `addr` within `rob_window` instructions of instruction `seq`, with
+    /// its distance in stores (0 = youngest): the store the core would
+    /// have forwarded from, or squashed on. MDP warming trains on it and
+    /// phase mode's `dep` feature buckets it. A plain loop: the
+    /// `take_while`/`enumerate`/`find` chain ran the sampled benchmark
+    /// about 10% slower.
+    pub(crate) fn youngest_overlapping_store(
+        &self,
+        seq: u64,
+        addr: u64,
+        size: u64,
+        rob_window: u64,
+    ) -> Option<(StoreRec, u32)> {
+        for (distance, s) in self.stores.iter().rev().enumerate() {
+            if seq - s.seq > rob_window {
+                break;
+            }
+            if ranges_overlap(addr, size, s.addr, s.size) {
+                return Some((*s, distance as u32));
+            }
+        }
+        None
     }
 }
 
@@ -151,7 +171,7 @@ pub(crate) fn warm_mdp(
             let _ = predictor.store_dispatched(&StoreQuery {
                 pc: rec.pc,
                 token: rec.seq,
-                history: &ctx.history,
+                history: ctx.history.divergent(),
             });
             predictor.store_executed(rec.pc, rec.seq);
         }
@@ -170,30 +190,18 @@ fn warm_load(
     rob_window: u64,
 ) {
     let addr = rec.eff_addr.expect("load records address");
+    let history = ctx.history.divergent();
     let in_flight =
         ctx.stores.iter().rev().take_while(|s| rec.seq - s.seq <= rob_window).count() as u32;
     let outcome = predictor.predict_load(&LoadQuery {
         pc: rec.pc,
         token: rec.seq,
-        history: &ctx.history,
+        history,
         arch_seq: rec.seq,
         older_stores: in_flight,
     });
 
-    // Youngest overlapping store that could still be in flight — the
-    // store the core would have forwarded from (or squashed on).
-    let mut dep: Option<(StoreRec, u32)> = None;
-    let len = ctx.stores.len();
-    for (i, s) in ctx.stores.iter().enumerate().rev() {
-        if rec.seq - s.seq > rob_window {
-            break;
-        }
-        if ranges_overlap(addr, size, s.addr, s.size) {
-            dep = Some((*s, (len - 1 - i) as u32));
-            break;
-        }
-    }
-
+    let dep = ctx.youngest_overlapping_store(rec.seq, addr, size, rob_window);
     let (actual_distance, waited_correct) = match dep {
         Some((store, distance)) => {
             let covered = match outcome.dep {
@@ -208,8 +216,8 @@ fn warm_load(
                     load_pc: rec.pc,
                     store_pc: store.pc,
                     store_distance: distance,
-                    history_len: (ctx.history.count() - store.div_count) as u32,
-                    history: &ctx.history,
+                    history_len: (history.count() - store.div_count) as u32,
+                    history,
                     load_token: rec.seq,
                     store_token: store.seq,
                     prior: outcome,
@@ -224,6 +232,6 @@ fn warm_load(
         prediction: outcome,
         actual_distance,
         waited_correct,
-        history: &ctx.history,
+        history,
     });
 }

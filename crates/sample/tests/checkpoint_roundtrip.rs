@@ -8,8 +8,8 @@
 use phast_baselines::{StoreSets, StoreSetsConfig};
 use phast_isa::Emulator;
 use phast_mdp::BlindSpeculation;
-use phast_ooo::{CheckConfig, CoreConfig};
-use phast_sample::{capture, run_sampled, run_window, SampleConfig};
+use phast_ooo::{CheckConfig, CoreConfig, Deadline};
+use phast_sample::{capture, estimate, run_window_within, SampleConfig, WindowRun};
 use phast_workloads::all_workloads;
 use proptest::prelude::*;
 
@@ -62,8 +62,8 @@ fn window_replay_is_deterministic() {
     for j in 0..set.checkpoints.len() {
         let mut p1 = StoreSets::new(StoreSetsConfig::paper());
         let mut p2 = StoreSets::new(StoreSetsConfig::paper());
-        let a = run_window(&program, &cfg, &mut p1, &set, j);
-        let b = run_window(&program, &cfg, &mut p2, &set, j);
+        let a = run_window_within(&program, &cfg, &mut p1, &set, j, &Deadline::none());
+        let b = run_window_within(&program, &cfg, &mut p2, &set, j, &Deadline::none());
         assert!(a.failure.is_none(), "window must not degrade");
         assert_eq!(a.stats.cycles, b.stats.cycles, "cycles must be deterministic");
         assert_eq!(a.stats.committed, b.stats.committed);
@@ -86,7 +86,7 @@ fn seeded_core_passes_lockstep() {
     assert_eq!(set.checkpoints.len(), 2);
     for j in 0..set.checkpoints.len() {
         let mut predictor = BlindSpeculation;
-        let run = run_window(&program, &cfg, &mut predictor, &set, j);
+        let run = run_window_within(&program, &cfg, &mut predictor, &set, j, &Deadline::none());
         assert!(run.failure.is_none(), "lockstep must hold from a warmed boot: {:?}", run.failure);
         assert_eq!(
             run.stats.checked_commits, run.stats.committed,
@@ -104,10 +104,13 @@ fn sampled_estimate_is_sane() {
     let program = w.build(200_000);
     let cfg = fast_cfg();
     let scfg = SampleConfig::new(4, 1_000, 600);
-    let (est, runs) = run_sampled(&program, &cfg, &scfg, 20_000, &mut || {
-        Box::new(StoreSets::new(StoreSetsConfig::paper()))
-    })
-    .expect("clean");
+    let set = capture(&program, &cfg, &scfg, 20_000).expect("clean");
+    let replay = |j| {
+        let mut predictor = StoreSets::new(StoreSetsConfig::paper());
+        run_window_within(&program, &cfg, &mut predictor, &set, j, &Deadline::none())
+    };
+    let runs: Vec<WindowRun> = set.windows_to_run().into_iter().map(replay).collect();
+    let est = estimate(&set, &runs);
     assert_eq!(runs.len(), 4);
     assert_eq!(est.windows, 4);
     assert!(est.ipc > 0.1 && est.ipc < 12.0, "IPC {} out of range", est.ipc);

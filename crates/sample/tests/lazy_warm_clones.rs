@@ -17,8 +17,8 @@
 //! integration binary, isolating it from the rest of the suite.
 
 use phast_baselines::{StoreSets, StoreSetsConfig};
-use phast_ooo::{CheckConfig, CoreConfig};
-use phast_sample::{capture, run_window, warm_state_clones, SampleConfig};
+use phast_ooo::{CheckConfig, CoreConfig, Deadline};
+use phast_sample::{capture, run_window_within, warm_state_clones, SampleConfig};
 
 #[test]
 fn clone_counts_scale_with_clusters_not_intervals() {
@@ -53,7 +53,7 @@ fn clone_counts_scale_with_clusters_not_intervals() {
     let before = warm_state_clones();
     for &j in &reps {
         let mut p = StoreSets::new(StoreSetsConfig::paper());
-        let run = run_window(&program, &cfg, &mut p, &set, j);
+        let run = run_window_within(&program, &cfg, &mut p, &set, j, &Deadline::none());
         assert!(run.failure.is_none(), "window {j} must not degrade");
     }
     assert_eq!(
