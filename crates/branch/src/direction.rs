@@ -4,9 +4,109 @@
 //! bimodal (2-bit counters), gshare, and perceptron. TAGE lives in its own
 //! module. All predictors are pure over `(pc, ghr)`: the core owns the
 //! speculative global history register and passes it in, which makes
-//! checkpoint/restore on squash trivial.
+//! checkpoint/restore on squash trivial. A core names its predictor with
+//! a [`DirectionConfig`] and holds the [`Direction`] built from it.
 
+use crate::tage::{Tage, TageConfig};
 use phast_isa::Pc;
+
+/// Which conditional-direction predictor a core uses, and its size.
+#[derive(Clone, Debug)]
+pub enum DirectionConfig {
+    /// [`StaticTaken`].
+    StaticTaken,
+    /// [`Bimodal`].
+    Bimodal {
+        /// Counters (a power of two).
+        entries: usize,
+    },
+    /// [`GShare`].
+    GShare {
+        /// Counters (a power of two).
+        entries: usize,
+        /// Global-history bits XORed into the index (≤ 64).
+        history_bits: u32,
+    },
+    /// [`Perceptron`].
+    Perceptron {
+        /// Perceptrons (a power of two).
+        entries: usize,
+        /// Global-history bits each perceptron weighs (≤ 64).
+        history_bits: u32,
+    },
+    /// [`Tage`].
+    Tage(TageConfig),
+}
+
+impl DirectionConfig {
+    /// The configured predictor, cold.
+    ///
+    /// # Panics
+    ///
+    /// As the configured predictor's constructor does on a size it
+    /// rejects.
+    pub fn build(&self) -> Direction {
+        match self {
+            DirectionConfig::StaticTaken => Direction::StaticTaken(StaticTaken),
+            DirectionConfig::Bimodal { entries } => Direction::Bimodal(Bimodal::new(*entries)),
+            DirectionConfig::GShare { entries, history_bits } => {
+                Direction::GShare(GShare::new(*entries, *history_bits))
+            }
+            DirectionConfig::Perceptron { entries, history_bits } => {
+                Direction::Perceptron(Perceptron::new(*entries, *history_bits))
+            }
+            DirectionConfig::Tage(cfg) => Direction::Tage(Tage::new(cfg.clone())),
+        }
+    }
+}
+
+/// A predictor built from a [`DirectionConfig`]: one cloneable type for
+/// every kind, so a core and the sampled capture that warms and
+/// snapshots its structures hold whichever one is configured.
+#[derive(Clone)]
+pub enum Direction {
+    /// Always taken.
+    StaticTaken(StaticTaken),
+    /// PC-indexed 2-bit counters.
+    Bimodal(Bimodal),
+    /// Global history XOR PC.
+    GShare(GShare),
+    /// Perceptron over global history.
+    Perceptron(Perceptron),
+    /// TAGE.
+    Tage(Tage),
+}
+
+/// `$body` with `$p` bound to the predictor inside `$direction`.
+macro_rules! dispatch {
+    ($direction:expr, $p:ident => $body:expr) => {
+        match $direction {
+            Direction::StaticTaken($p) => $body,
+            Direction::Bimodal($p) => $body,
+            Direction::GShare($p) => $body,
+            Direction::Perceptron($p) => $body,
+            Direction::Tage($p) => $body,
+        }
+    };
+}
+
+impl DirectionPredictor for Direction {
+    fn predict(&self, pc: Pc, ghr: u128) -> bool {
+        dispatch!(self, p => p.predict(pc, ghr))
+    }
+
+    fn update(&mut self, pc: Pc, ghr: u128, taken: bool) {
+        dispatch!(self, p => p.update(pc, ghr, taken))
+    }
+
+    fn storage_bits(&self) -> usize {
+        dispatch!(self, p => p.storage_bits())
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(self, p => p.name())
+    }
+}
 
 /// A conditional-branch direction predictor.
 ///

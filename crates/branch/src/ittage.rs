@@ -1,9 +1,11 @@
 //! ITTAGE indirect-target predictor (Seznec, CBP-2 2011).
 //!
 //! The paper's front end pairs TAGE-SC-L with an ITTAGE-style indirect
-//! predictor; our core defaults to a last-target table but can use this
-//! tagged, geometric-history predictor for indirect jumps and returns,
-//! which matters on dispatch-heavy workloads (povray/blender-like).
+//! predictor; our core predicts every indirect jump with this tagged,
+//! geometric-history predictor at its default configuration (returns
+//! come from the RAS), which matters on dispatch-heavy workloads
+//! (povray/blender-like). The last-target table (`LastTargetPredictor`)
+//! is the simpler baseline it is tested against.
 
 use phast_isa::{BlockId, Pc};
 

@@ -27,7 +27,9 @@ mod indirect;
 mod ittage;
 mod tage;
 
-pub use direction::{Bimodal, DirectionPredictor, GShare, Perceptron, StaticTaken};
+pub use direction::{
+    Bimodal, Direction, DirectionConfig, DirectionPredictor, GShare, Perceptron, StaticTaken,
+};
 pub use history::{
     fold_bits, BranchCheckpoint, BranchHistory, DivergentEvent, DivergentHistory,
     HistoryCheckpoint, Path, PathFolder, HISTORY_CAPACITY, RAS_DEPTH,

@@ -204,7 +204,8 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between alternative strategies ([`prop_oneof!`]).
+    /// Uniform choice between alternative strategies
+    /// ([`prop_oneof!`](crate::prop_oneof)).
     #[derive(Clone)]
     pub struct Union<T> {
         arms: Vec<BoxedStrategy<T>>,

@@ -7,60 +7,74 @@
 //! cargo run --release -p phast-experiments --bin phast-trace -- \
 //!     gcc_1 phast --insts 300000 --interval 20000 --config alderlake
 //! ```
+//!
+//! Each flag takes its value as the next argument. An unknown flag, a
+//! missing or malformed value, or an unknown `--config` exits 2 naming
+//! the flag; a simulation error exits 1.
 
-use phast_branch::{Tage, TageConfig};
-use phast_experiments::PredictorKind;
-use phast_ooo::{Core, CoreConfig};
+use phast_experiments::{exit_code, PredictorKind};
+use phast_ooo::{Core, CoreConfig, Deadline};
 
-fn parse_config(name: &str) -> Option<CoreConfig> {
-    CoreConfig::generations().into_iter().find(|c| c.name == name)
+const USAGE: &str = "usage: phast-trace <workload> <predictor> [--insts N] [--interval N] \
+                     [--config alderlake|skylake|haswell|nehalem]\n\
+                     predictors: any label `phast-experiments --list-predictors` prints";
+
+/// Prints `msg` and the usage line, and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(exit_code::USAGE);
 }
 
-fn flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The positive integer `raw` given to `flag`.
+fn parse_count(flag: &str, raw: &str) -> u64 {
+    match raw.parse::<u64>() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!("{flag} expects a positive integer, got '{raw}'")),
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let usage = "usage: phast-trace <workload> <predictor> [--insts N] [--interval N] \
-                 [--config alderlake|skylake|haswell|nehalem]\n\
-                 predictors: any label `phast-experiments --list-predictors` prints";
-    let (Some(wname), Some(pname)) = (positional.first(), positional.get(1)) else {
-        eprintln!("{usage}");
-        std::process::exit(2);
+    let mut positional = Vec::new();
+    let mut insts = 300_000;
+    let mut interval = 20_000;
+    let mut cfg_name = "alderlake";
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            flag @ ("--insts" | "--interval" | "--config") => {
+                let Some(value) = rest.next() else {
+                    usage_error(&format!("{flag} needs a value"))
+                };
+                match flag {
+                    "--insts" => insts = parse_count(flag, value),
+                    "--interval" => interval = parse_count(flag, value),
+                    _ => cfg_name = value,
+                }
+            }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
+            _ => positional.push(arg),
+        }
+    }
+    let [wname, pname] = positional[..] else {
+        usage_error("expected exactly a workload and a predictor")
     };
-
     let Some(workload) = phast_workloads::by_name(wname) else {
         eprintln!("unknown workload '{wname}'; see phast_workloads::all_workloads()");
-        std::process::exit(2);
+        std::process::exit(exit_code::USAGE);
     };
     let Some(kind) = PredictorKind::from_label(pname) else {
-        eprintln!("unknown predictor '{pname}'\n{usage}");
-        std::process::exit(2);
+        usage_error(&format!("unknown predictor '{pname}'"))
     };
-    let insts = flag(&args, "--insts", 300_000);
-    let interval = flag(&args, "--interval", 20_000).max(1_000);
-    let cfg_name = args
-        .iter()
-        .position(|a| a == "--config")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "alderlake".to_string());
-    let Some(mut cfg) = parse_config(&cfg_name) else {
-        eprintln!("unknown config '{cfg_name}'");
-        std::process::exit(2);
+    let Some(mut cfg) = CoreConfig::generations().into_iter().find(|c| c.name == cfg_name) else {
+        usage_error(&format!("unknown --config '{cfg_name}'"))
     };
+    let interval = interval.max(1_000);
     cfg.train_point = kind.train_point();
 
     let program = workload.build(10 * insts); // never loop-bound
     let mut predictor = kind.build(&program, insts);
-    let mut core =
-        Core::new(&program, cfg, predictor.as_mut(), Box::new(Tage::new(TageConfig::default())));
+    let mut core = Core::new(&program, cfg, predictor.as_mut());
 
     println!(
         "workload={} predictor={} insts={} interval={}\n",
@@ -77,7 +91,13 @@ fn main() {
     let mut prev = phast_ooo::SimStats::default();
     let mut target = interval;
     while target <= insts {
-        let s = core.run(target, u64::MAX);
+        let s = match core.try_run_within(target, u64::MAX, &Deadline::none()) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("simulation failed: {e}");
+                std::process::exit(exit_code::DEGRADED);
+            }
+        };
         let d_insts = s.committed - prev.committed;
         let d_cycles = s.cycles - prev.cycles;
         if d_insts == 0 {

@@ -85,68 +85,14 @@ fn grid_with_ideal(
 /// predictors, as average MPKI on a Nehalem-like core.
 pub mod fig1 {
     use super::*;
-    use crate::harness::RunFailure;
-    use crate::pool;
-    use phast_branch::{Bimodal, DirectionPredictor, GShare, Perceptron, StaticTaken, Tage, TageConfig};
-    use phast_ooo::try_simulate_with_direction;
+    use phast_branch::DirectionConfig;
 
-    /// Constructor for one point on the branch-predictor timeline
-    /// (`Sync` so the worker pool can build predictors on any thread).
-    type DirFactory = Box<dyn Fn() -> Box<dyn DirectionPredictor> + Sync>;
-
-    /// Runs the study.
+    /// Runs the study. Every point is a sweep cell: the six MDPs on the
+    /// preset core, whose TAGE makes the Store Sets row the TAGE point of
+    /// the branch table too, then Store Sets on the preset with each older
+    /// direction predictor.
     pub fn run(sweep: &Sweep, budget: &Budget) -> String {
         let cfg = CoreConfig::nehalem();
-        let mut out = String::from("Fig. 1 — branch vs memory dependence prediction MPKI (Nehalem-like)\n\n");
-
-        let mut t = TextTable::new(vec!["branch predictor (year)", "avg branch MPKI"]);
-        let dirs: Vec<(&str, DirFactory)> = vec![
-            ("static-taken (1983)", Box::new(|| Box::new(StaticTaken))),
-            ("bimodal (1985)", Box::new(|| Box::new(Bimodal::new(4096)))),
-            ("gshare (1993)", Box::new(|| Box::new(GShare::new(8192, 12)))),
-            ("perceptron (2001)", Box::new(|| Box::new(Perceptron::new(512, 32)))),
-            ("tage (2011)", Box::new(|| Box::new(Tage::new(TageConfig::default())))),
-        ];
-        // One flat (direction predictor × workload) matrix across the
-        // pool. These runs write no artifact row, so they are not cells;
-        // a failed one still degrades (partial statistics, flagged on the
-        // registry) instead of aborting the sweep.
-        let workloads = budget.workloads();
-        let cells: Vec<(usize, usize)> = (0..dirs.len())
-            .flat_map(|d| (0..workloads.len()).map(move |w| (d, w)))
-            .collect();
-        let runs = sweep.map(&cells, |_, &(d, w)| {
-            let run = pool::catch_job(|| {
-                let program = workloads[w].build(budget.workload_iters);
-                let kind = PredictorKind::StoreSets;
-                let mut pred = kind.build(&program, budget.insts);
-                let mut c = cfg.clone();
-                c.train_point = kind.train_point();
-                try_simulate_with_direction(&program, &c, pred.as_mut(), dirs[d].1(), budget.insts)
-            });
-            match run {
-                Ok(Ok(stats)) => (stats.branch_mpki(), None),
-                Ok(Err(e)) => (e.partial_stats().branch_mpki(), Some(RunFailure::Sim(e))),
-                Err(p) => (0.0, Some(RunFailure::Panicked(p.message))),
-            }
-        });
-        for ((d, w), (_, failure)) in cells.iter().zip(&runs) {
-            if let Some(e) = failure {
-                sweep.flag_degraded(format!("{} × {}: {e}", workloads[*w].name, dirs[*d].0));
-            }
-        }
-        for (d, (name, _)) in dirs.iter().enumerate() {
-            let row = &runs[d * workloads.len()..(d + 1) * workloads.len()];
-            let avg = row.iter().map(|(mpki, _)| mpki).sum::<f64>() / row.len() as f64;
-            t.row(vec![name.to_string(), f3(avg)]);
-        }
-        out.push_str(&t.to_string());
-
-        let mut t = TextTable::new(vec![
-            "memory dependence predictor (year)",
-            "avg MPKI violations (FN)",
-            "avg MPKI false deps (FP)",
-        ]);
         let mdps = [
             ("store-sets (1998)", PredictorKind::StoreSets),
             ("cht (1999)", PredictorKind::Cht),
@@ -157,6 +103,35 @@ pub mod fig1 {
         ];
         let kinds: Vec<PredictorKind> = mdps.iter().map(|(_, k)| k.clone()).collect();
         let rows = sweep.run_grid(&kinds, &cfg, budget);
+
+        let older = [
+            ("static-taken (1983)", DirectionConfig::StaticTaken),
+            ("bimodal (1985)", DirectionConfig::Bimodal { entries: 4096 }),
+            ("gshare (1993)", DirectionConfig::GShare { entries: 8192, history_bits: 12 }),
+            ("perceptron (2001)", DirectionConfig::Perceptron { entries: 512, history_bits: 32 }),
+        ];
+        let older_rows: Vec<Vec<RunResult>> = older
+            .iter()
+            .map(|(_, direction)| {
+                let dir_cfg = CoreConfig { direction: direction.clone(), ..cfg.clone() };
+                sweep.run_all(&PredictorKind::StoreSets, &dir_cfg, budget)
+            })
+            .collect();
+
+        let mut out = String::from("Fig. 1 — branch vs memory dependence prediction MPKI (Nehalem-like)\n\n");
+        let mut t = TextTable::new(vec!["branch predictor (year)", "avg branch MPKI"]);
+        let names = older.iter().map(|(name, _)| *name).chain(["tage (2011)"]);
+        for (name, runs) in names.zip(older_rows.iter().chain([&rows[0]])) {
+            let avg = runs.iter().map(|r| r.stats.branch_mpki()).sum::<f64>() / runs.len() as f64;
+            t.row(vec![name.to_string(), f3(avg)]);
+        }
+        out.push_str(&t.to_string());
+
+        let mut t = TextTable::new(vec![
+            "memory dependence predictor (year)",
+            "avg MPKI violations (FN)",
+            "avg MPKI false deps (FP)",
+        ]);
         for ((name, _), runs) in mdps.iter().zip(&rows) {
             let fnm = runs.iter().map(|r| r.stats.violation_mpki()).sum::<f64>() / runs.len() as f64;
             let fpm = runs.iter().map(|r| r.stats.false_dep_mpki()).sum::<f64>() / runs.len() as f64;
@@ -1002,8 +977,18 @@ mod tests {
         let out = fig1::run(&sweep, &b);
         assert!(out.contains("tage (2011)") && out.contains("phast (2024)"), "{out}");
         let degraded = sweep.take_degraded();
-        assert_eq!(degraded.len(), 5 + 6, "{degraded:#?}");
+        // Four older direction predictors; the TAGE point is the Store
+        // Sets cell of the six MDPs.
+        assert_eq!(degraded.len(), 4 + 6, "{degraded:#?}");
         assert!(degraded.iter().all(|d| d.starts_with("bad_ret × ")), "{degraded:#?}");
+    }
+
+    #[test]
+    fn fig1_cuts_every_cell_of_both_halves_at_the_watchdog() {
+        let sweep = Sweep::with_workers(2).with_run_timeout(std::time::Duration::ZERO);
+        fig1::run(&sweep, &tiny_budget());
+        // Six MDPs and four older direction predictors, on two workloads.
+        assert_eq!(sweep.deadline_count(), (6 + 4) * 2);
     }
 
     #[test]

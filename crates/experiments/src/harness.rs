@@ -278,6 +278,7 @@ impl RunResult {
             attempts: self.attempts,
             record: self.to_record(),
             accesses: self.stats.predictor_accesses,
+            branch_mispredicts: self.stats.branch_mispredicts,
             path_lengths: self.path_lengths.clone(),
         }
     }
@@ -303,11 +304,11 @@ fn panicked_result(workload: &str, label: &str, panic: JobPanic) -> RunResult {
 #[allow(clippy::field_reassign_with_default)] // only what the figures read is journaled
 /// Reconstructs a [`RunResult`] from a journaled completed run, for
 /// resume. Every statistic a figure reads is restored exactly: the
-/// predictor's access counters and conflict lengths from the `done`
-/// line, and the rest inverted from the record — `ipc`,
-/// `violation_mpki` and `false_dep_mpki` recompute to the identical
-/// values because they were derived from these integers in the first
-/// place. So [`RunResult::to_record`] renders the journaled record
+/// predictor's access counters, the conditional-branch mispredictions
+/// and the conflict lengths from the `done` line, and the rest inverted
+/// from the record — `ipc`, `violation_mpki` and `false_dep_mpki`
+/// recompute to the identical values because they were derived from
+/// these integers in the first place. So [`RunResult::to_record`] renders the journaled record
 /// again, modulo wall-clock and attempt metadata, a resumed report
 /// matches a live one, and any annotation an experiment adds after the
 /// run (the sampled validations' `full_ipc`/`ipc_error`) reaches the
@@ -322,6 +323,7 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     stats.violations = per_kilo_inverse(r.violation_mpki);
     stats.false_dependences = per_kilo_inverse(r.false_dep_mpki);
     stats.predictor_accesses = done.accesses;
+    stats.branch_mispredicts = done.branch_mispredicts;
     RunResult {
         workload: r.workload.clone(),
         predictor: r.predictor.clone(),
@@ -652,7 +654,7 @@ impl Sweep {
     /// Fans `f` over `items` on this sweep's worker pool; results come
     /// back **in item order**. For work that is not a cell, i.e. not a
     /// (workload, predictor, core) run that writes an artifact row:
-    /// oracle statistics, direction-predictor studies, static signatures.
+    /// oracle statistics and static signatures.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,

@@ -5,11 +5,12 @@
 //! immediately — so after a crash, a kill, or a power cut, the journal
 //! holds the exact set of completed runs. `--resume <dir>` replays it:
 //! runs journaled as `ok` are skipped and rebuilt from their embedded
-//! [`RunRecord`]s plus the predictor state a figure reads beyond the
-//! record (table reads/writes for Fig. 16, conflict lengths for Fig. 10),
-//! so a resumed sweep's reports and `BENCH_*.json` match an uninterrupted
-//! one (modulo wall-clock and attempt metadata, which are properties of
-//! *this* execution).
+//! [`RunRecord`]s plus the counters a figure reads beyond the record
+//! (table reads/writes for Fig. 16, conditional-branch mispredictions
+//! for Fig. 1, conflict lengths for Fig. 10), so a resumed sweep's
+//! reports and `BENCH_*.json` match an uninterrupted one (modulo
+//! wall-clock and attempt metadata, which are properties of *this*
+//! execution).
 //!
 //! Integrity is fail-closed: every `done` line carries a CRC32 digest of
 //! everything it replays; a digest mismatch or an unparseable line in the
@@ -21,10 +22,10 @@
 //! Line shapes (all compact JSON, one per line):
 //!
 //! ```text
-//! {"kind":"header","version":2,"fingerprint":"insts=...,..."}
+//! {"kind":"header","version":3,"fingerprint":"insts=...,..."}
 //! {"kind":"start","key":"fig15|mcf|phast|1a2b3c4d|300000","attempt":1,"seed":7}
 //! {"kind":"done","key":"...","status":"ok","attempts":1,"digest":"crc32:...",
-//!  "reads":9494,"writes":180,"path_lengths":[],"record":{...}}
+//!  "reads":9494,"writes":180,"branch_mispredicts":412,"path_lengths":[],"record":{...}}
 //! ```
 //!
 //! (The `done` line is one line on disk.) The `fingerprint` pins the
@@ -32,7 +33,8 @@
 //! different configuration is refused — mixing records from
 //! differently-shaped sweeps would produce an aggregate no single
 //! configuration ever ran. A journal of another version is refused too:
-//! a version-1 `done` line lacks the fields a replay restores.
+//! an older `done` line lacks fields a replay restores (version 1 the
+//! predictor state, version 2 the branch mispredictions).
 
 use crate::artifact::{req_u64, req_u64_array, JsonValue, RunRecord};
 use crate::jsonio;
@@ -43,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Journal format version.
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
 
 /// Why a journal could not be created or resumed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,6 +98,8 @@ pub struct CompletedRun {
     pub record: RunRecord,
     /// The predictor's table reads and writes (Fig. 16's energy model).
     pub accesses: AccessStats,
+    /// Conditional-branch mispredictions (Fig. 1's branch MPKI).
+    pub branch_mispredicts: u64,
     /// Unique conflicts per history length (Fig. 10); empty for every
     /// predictor but UnlimitedPHAST.
     pub path_lengths: Vec<u64>,
@@ -249,6 +253,7 @@ impl Journal {
                     let payload = [
                         field("reads")?,
                         field("writes")?,
+                        field("branch_mispredicts")?,
                         field("path_lengths")?,
                         field("record")?,
                     ];
@@ -262,11 +267,12 @@ impl Journal {
                         let bad = |e: String| corrupt(format!("bad done line: {e}"));
                         let done = CompletedRun {
                             attempts,
-                            record: RunRecord::from_json(payload[3]).map_err(bad)?,
+                            record: RunRecord::from_json(payload[4]).map_err(bad)?,
                             accesses: AccessStats {
                                 reads: req_u64(&v, "reads").map_err(bad)?,
                                 writes: req_u64(&v, "writes").map_err(bad)?,
                             },
+                            branch_mispredicts: req_u64(&v, "branch_mispredicts").map_err(bad)?,
                             path_lengths: req_u64_array(&v, "path_lengths").map_err(bad)?,
                         };
                         completed.insert(key, done);
@@ -326,8 +332,9 @@ impl Journal {
 
 /// The digest stored on `done` lines: CRC32 of the comma-joined compact
 /// renderings of everything a replay restores (`reads`, `writes`,
-/// `path_lengths`, `record`), recomputed over the same bytes on resume.
-fn payload_digest(payload: [&JsonValue; 4]) -> String {
+/// `branch_mispredicts`, `path_lengths`, `record`), recomputed over the
+/// same bytes on resume.
+fn payload_digest(payload: [&JsonValue; 5]) -> String {
     let text = payload.map(JsonValue::render_compact).join(",");
     format!("crc32:{:08x}", phast_sample::crc32(text.as_bytes()))
 }
@@ -379,10 +386,11 @@ impl JournalScope {
     pub fn log_done(&self, key: &str, done: &CompletedRun, status: &str) {
         let reads = JsonValue::UInt(done.accesses.reads);
         let writes = JsonValue::UInt(done.accesses.writes);
+        let branch_mispredicts = JsonValue::UInt(done.branch_mispredicts);
         let lengths =
             JsonValue::Array(done.path_lengths.iter().map(|&n| JsonValue::UInt(n)).collect());
         let record = done.record.to_json();
-        let digest = payload_digest([&reads, &writes, &lengths, &record]);
+        let digest = payload_digest([&reads, &writes, &branch_mispredicts, &lengths, &record]);
         self.journal.append(&JsonValue::obj(vec![
             ("kind", JsonValue::Str("done".to_string())),
             ("key", JsonValue::Str(self.full_key(key))),
@@ -391,6 +399,7 @@ impl JournalScope {
             ("digest", JsonValue::Str(digest)),
             ("reads", reads),
             ("writes", writes),
+            ("branch_mispredicts", branch_mispredicts),
             ("path_lengths", lengths),
             ("record", record),
         ]));
@@ -406,6 +415,7 @@ mod tests {
             attempts,
             record: record(workload, ipc),
             accesses: AccessStats { reads: 40, writes: 9 },
+            branch_mispredicts: 17,
             path_lengths: vec![0, 3, 1],
         }
     }
@@ -454,6 +464,7 @@ mod tests {
         assert_eq!(hit.record.workload, "mcf");
         assert_eq!(hit.record.ipc, 3.25);
         assert_eq!(hit.accesses, AccessStats { reads: 40, writes: 9 });
+        assert_eq!(hit.branch_mispredicts, 17);
         assert_eq!(hit.path_lengths, vec![0, 3, 1]);
         assert!(scope.lookup("gcc|phast|deadbeef|300000").is_none(), "degraded runs re-run");
         assert!(r.scope("fig2").lookup("mcf|phast|deadbeef|300000").is_none(), "scoped by exp");
@@ -487,10 +498,14 @@ mod tests {
         drop(j);
 
         // Flip a byte inside the *first* done line, in its record or in
-        // the predictor state next to it: the digest breaks, and because
-        // the line is interior the journal must be refused.
+        // the counters next to it: the digest breaks, and because the
+        // line is interior the journal must be refused.
         let text = std::fs::read_to_string(&path).unwrap();
-        for (from, to) in [("\"ipc\":3", "\"ipc\":9"), ("\"reads\":40", "\"reads\":41")] {
+        for (from, to) in [
+            ("\"ipc\":3", "\"ipc\":9"),
+            ("\"reads\":40", "\"reads\":41"),
+            ("\"branch_mispredicts\":17", "\"branch_mispredicts\":18"),
+        ] {
             let tampered = text.replacen(from, to, 1);
             assert_ne!(text, tampered);
             std::fs::write(&path, &tampered).unwrap();
@@ -506,9 +521,11 @@ mod tests {
         let path = temp_journal("v1");
         drop(Journal::create(&path, "fp-1").expect("creates"));
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
-        let err = Journal::resume(&path, "fp-1").expect_err("v1 journal refused");
-        assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "{err}");
+        for old in ["\"version\":1", "\"version\":2"] {
+            std::fs::write(&path, text.replacen("\"version\":3", old, 1)).unwrap();
+            let err = Journal::resume(&path, "fp-1").expect_err("older journal refused");
+            assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "{old}: {err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

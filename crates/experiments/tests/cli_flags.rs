@@ -1,5 +1,6 @@
 //! The binaries refuse flags they do not parse: exit 2 with the flag
-//! named on stderr, never a silent run with the flag ignored. Retired
+//! named on stderr, never a silent run with the flag ignored or a
+//! malformed value replaced by a default. Retired
 //! flags (lane count, trace record/replay, checkpoint dumps, remote
 //! workers, daemon leases and chaos injection) get the same answer as a
 //! typo, and so do a zero worker or admission count and an invocation
@@ -103,6 +104,26 @@ fn known_flags_still_run() {
     // phast-trace takes every label --list-predictors prints.
     let (code, stderr) = run(TRACE, &["exchange2", "unl-mdp-tage", "--insts", "5000"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn trace_refuses_unknown_flags_and_bad_values() {
+    for (args, name) in [
+        (&["--bogus"][..], "--bogus"),
+        (&["--interval=5000"], "--interval=5000"),
+        (&["--insts", "2O000"], "--insts"),
+        (&["--interval"], "--interval"),
+        (&["--config", "pentium"], "--config"),
+    ] {
+        let args: Vec<&str> = ["exchange2", "phast"].iter().chain(args).copied().collect();
+        let (code, stderr) = run(TRACE, &args);
+        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains(name), "{args:?} must name {name}: {stderr}");
+    }
+    // Flags take their value as the next argument.
+    let args = ["exchange2", "phast", "--insts", "4000", "--interval", "2000", "--config", "nehalem"];
+    let (code, stderr) = run(TRACE, &args);
+    assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
 }
 
 /// A path in the temp directory unique to this test process.

@@ -2,6 +2,7 @@
 //! paper's Fig. 2 trend study.
 
 use crate::check::CheckConfig;
+use phast_branch::{DirectionConfig, TageConfig};
 use phast_mem::HierarchyConfig;
 
 /// How memory-order violations squash the pipeline (§IV-A1).
@@ -77,6 +78,9 @@ pub struct CoreConfig {
     pub redirect_penalty: u32,
     /// Memory hierarchy parameters.
     pub memory: HierarchyConfig,
+    /// Conditional-direction predictor: TAGE at its default
+    /// configuration in every preset; Fig. 1 sweeps the older ones.
+    pub direction: DirectionConfig,
     /// When to train the memory dependence predictor.
     pub train_point: TrainPoint,
     /// When to squash on a memory-order violation.
@@ -108,6 +112,7 @@ impl CoreConfig {
             frontend_latency: 12,
             redirect_penalty: 2,
             memory: HierarchyConfig::default(),
+            direction: DirectionConfig::Tage(TageConfig::default()),
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
             forwarding_filter: true,
@@ -143,6 +148,7 @@ impl CoreConfig {
                 dram_latency: 120,
                 prefetcher: Default::default(),
             },
+            direction: DirectionConfig::Tage(TageConfig::default()),
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
             forwarding_filter: true,
@@ -178,6 +184,7 @@ impl CoreConfig {
                 dram_latency: 110,
                 prefetcher: Default::default(),
             },
+            direction: DirectionConfig::Tage(TageConfig::default()),
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
             forwarding_filter: true,
@@ -213,6 +220,7 @@ impl CoreConfig {
                 dram_latency: 105,
                 prefetcher: Default::default(),
             },
+            direction: DirectionConfig::Tage(TageConfig::default()),
             train_point: TrainPoint::Detect,
             mem_squash: MemSquashPolicy::Lazy,
             forwarding_filter: true,

@@ -22,8 +22,8 @@ use crate::deadline::Deadline;
 use crate::error::{HeadUop, PipelineSnapshot, SimError};
 use crate::stats::SimStats;
 use phast_branch::{
-    BranchCheckpoint, BranchHistory, DirectionPredictor, DivergentEvent, DivergentHistory, Ittage,
-    IttageConfig,
+    BranchCheckpoint, BranchHistory, Direction, DirectionPredictor, DivergentEvent,
+    DivergentHistory, Ittage, IttageConfig,
 };
 use phast_isa::{
     compute_value, ranges_overlap, BlockId, EmuSnapshot, Emulator, ExecClass, Inst, MemSize, Op,
@@ -126,7 +126,7 @@ pub struct Core<'a> {
     program: &'a Program,
     cfg: CoreConfig,
     predictor: &'a mut dyn MemDepPredictor,
-    direction: Box<dyn DirectionPredictor>,
+    direction: Direction,
 
     // Front end.
     cursor: Option<(BlockId, usize)>,
@@ -193,6 +193,31 @@ pub struct Core<'a> {
     injector: Option<FaultInjector>,
 }
 
+/// What a core trains as it runs: the cache hierarchy, the
+/// conditional-direction predictor and the indirect-target predictor.
+/// [`Structures::new`] is the one place they are built cold; sampled
+/// simulation warms them functionally and boots cores from snapshots.
+#[derive(Clone)]
+pub struct Structures {
+    /// Cache hierarchy with its prefetcher.
+    pub hierarchy: Hierarchy,
+    /// Conditional-direction predictor ([`CoreConfig::direction`]).
+    pub direction: Direction,
+    /// Indirect-target predictor (the front end's ITTAGE).
+    pub indirect: Box<Ittage>,
+}
+
+impl Structures {
+    /// Cold structures as `cfg` configures them.
+    pub fn new(cfg: &CoreConfig) -> Structures {
+        Structures {
+            hierarchy: Hierarchy::new(cfg.memory),
+            direction: cfg.direction.build(),
+            indirect: Box::new(Ittage::new(IttageConfig::default())),
+        }
+    }
+}
+
 /// Warmed state a core boots from mid-program (sampled simulation).
 ///
 /// Built by `phast-sample` after functional fast-forward + warming: the
@@ -206,10 +231,8 @@ pub struct BootState {
     /// Branch history at the boot point: both GHRs, the divergent
     /// history (which also seeds the commit-side copy) and the RAS.
     pub history: BranchHistory,
-    /// Warmed cache hierarchy (use a freshly created one for cold boots).
-    pub hierarchy: Hierarchy,
-    /// Warmed indirect-target predictor (the front end's ITTAGE).
-    pub indirect: Box<Ittage>,
+    /// Warmed structures ([`Structures::new`] for a cold boot).
+    pub structures: Structures,
 }
 
 /// One committed instruction, for equivalence checks against the
@@ -229,30 +252,27 @@ pub struct CommitRecord {
 impl<'a> Core<'a> {
     /// Creates a core at the program entry with cold predictors and caches:
     /// [`Core::with_state`] booted from the entry snapshot of a fresh
-    /// emulator, an empty [`BranchHistory`], and new hierarchy and
-    /// indirect predictor.
+    /// emulator, an empty [`BranchHistory`], and cold [`Structures`].
     pub fn new(
         program: &'a Program,
         cfg: CoreConfig,
         predictor: &'a mut dyn MemDepPredictor,
-        direction: Box<dyn DirectionPredictor>,
     ) -> Core<'a> {
         let boot = BootState {
             arch: Emulator::new(program).snapshot(),
             history: BranchHistory::default(),
-            hierarchy: Hierarchy::new(cfg.memory),
-            indirect: Box::new(Ittage::new(IttageConfig::default())),
+            structures: Structures::new(&cfg),
         };
-        Core::with_state(program, cfg, predictor, direction, boot)
+        Core::with_state(program, cfg, predictor, boot)
     }
 
     /// Creates a core resuming mid-program from warmed [`BootState`].
     ///
     /// The pipeline itself starts empty (ROB/queues/RAT are per-window
     /// state that refills within tens of cycles); architectural state,
-    /// branch histories, the RAS, the indirect predictor and the cache
-    /// hierarchy come from the boot state. `program` must be the program
-    /// the boot state was captured from.
+    /// branch histories, the RAS and the [`Structures`] come from the boot
+    /// state. `program` must be the program the boot state was captured
+    /// from.
     ///
     /// # Panics
     ///
@@ -262,15 +282,15 @@ impl<'a> Core<'a> {
         program: &'a Program,
         cfg: CoreConfig,
         predictor: &'a mut dyn MemDepPredictor,
-        direction: Box<dyn DirectionPredictor>,
         boot: BootState,
     ) -> Core<'a> {
         let cursor = boot.arch.cursor;
         assert!(cursor.is_some(), "cannot boot a core from a halted snapshot");
         let checker = cfg.check.lockstep.then(|| CommitChecker::from_snapshot(program, &boot.arch));
         let injector = cfg.check.faults.map(FaultInjector::new);
+        let Structures { hierarchy, direction, indirect } = boot.structures;
         Core {
-            mem: boot.hierarchy,
+            mem: hierarchy,
             cursor,
             fetch_stalled_until: 0,
             cur_fetch_line: None,
@@ -279,7 +299,7 @@ impl<'a> Core<'a> {
             halt_fetched: false,
             commit_hist: boot.history.divergent().clone(),
             spec: boot.history,
-            indirect: boot.indirect,
+            indirect,
             rat: [None; NUM_REGS],
             arch_regs: boot.arch.regs,
             memory_state: boot.arch.memory,
@@ -308,26 +328,12 @@ impl<'a> Core<'a> {
     }
 
     /// Runs until `max_insts` have committed, the program halts, or
-    /// `max_cycles` elapse.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if the watchdog trips (no commit for
-    /// `deadlock_cycles`, or the cycle ceiling elapses before the run
-    /// finishes), if the committed path executes a corrupt `Ret`, or —
-    /// when enabled by [`CoreConfig::check`] — on the first lockstep
-    /// divergence from the reference emulator or failed invariant audit.
-    pub fn try_run(&mut self, max_insts: u64, max_cycles: u64) -> Result<SimStats, SimError> {
-        self.try_run_within(max_insts, max_cycles, &Deadline::none())
-    }
-
-    /// Like [`Core::try_run`], but also polls a cooperative [`Deadline`]
-    /// token on the cycle-ceiling path — once every
+    /// `max_cycles` elapse, polling a cooperative [`Deadline`] token on
+    /// the cycle-ceiling path — once every
     /// [`DEADLINE_CHECK_INTERVAL`](crate::DEADLINE_CHECK_INTERVAL) cycles,
-    /// so the steady-state loop stays allocation-free — and converts an
-    /// expired deadline into [`SimError::Deadline`]. This is the per-run
+    /// so the steady-state loop stays allocation-free. This is the per-run
     /// watchdog the sweep engine uses to turn hung runs into reportable
-    /// failures.
+    /// failures; [`Deadline::none`] never expires.
     ///
     /// The run is resumable: calling this again on the same core continues
     /// toward a larger `max_insts` with statistics that stay cumulative
@@ -336,7 +342,12 @@ impl<'a> Core<'a> {
     ///
     /// # Errors
     ///
-    /// As for [`Core::try_run`], plus [`SimError::Deadline`].
+    /// Returns a [`SimError`] if the deadline expires, if the watchdog
+    /// trips (no commit for `deadlock_cycles`, or the cycle ceiling
+    /// elapses before the run finishes), if the committed path executes a
+    /// corrupt `Ret`, or — when enabled by [`CoreConfig::check`] — on the
+    /// first lockstep divergence from the reference emulator or failed
+    /// invariant audit.
     pub fn try_run_within(
         &mut self,
         max_insts: u64,
@@ -357,32 +368,6 @@ impl<'a> Core<'a> {
             return Err(SimError::CycleCeiling { max_cycles, snapshot: self.snapshot() });
         }
         Ok(self.collect_stats())
-    }
-
-    /// Legacy entry point: like [`Core::try_run`] but infallible.
-    ///
-    /// A hit cycle ceiling is logged and returns the partial statistics
-    /// with [`SimStats::ceiling_hit`] set (callers that must distinguish
-    /// truncation should use `try_run`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on every other [`SimError`] (deadlock, lockstep divergence,
-    /// invariant violation, corrupt committed `Ret`).
-    pub fn run(&mut self, max_insts: u64, max_cycles: u64) -> SimStats {
-        match self.try_run(max_insts, max_cycles) {
-            Ok(stats) => stats,
-            Err(SimError::CycleCeiling { max_cycles, snapshot }) => {
-                eprintln!(
-                    "warning: cycle ceiling {max_cycles} hit; statistics are truncated ({})",
-                    snapshot
-                );
-                let mut stats = snapshot.stats;
-                stats.ceiling_hit = true;
-                stats
-            }
-            Err(e) => panic!("simulation failed: {e}"),
-        }
     }
 
     /// Statistics as of now (used for both clean finishes and snapshots).

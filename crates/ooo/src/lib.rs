@@ -9,13 +9,14 @@
 //!
 //! See [`CoreConfig`] for the Table I Alder-Lake-like configuration and
 //! the older-generation presets used by the paper's Fig. 2, and
-//! [`simulate`] for the one-call entry point.
+//! [`try_simulate_within`] for the one-call entry point ([`Core::new`]
+//! and [`Core::try_run_within`] run a core in steps).
 //!
 //! # Simulation integrity
 //!
-//! [`try_simulate`] is the fallible entry point: it returns a structured
-//! [`SimError`] (with a [`PipelineSnapshot`] of the failing state) instead
-//! of panicking or silently truncating. [`CheckConfig`] on
+//! Runs are fallible: they return a structured [`SimError`] (with a
+//! [`PipelineSnapshot`] of the failing state) instead of panicking or
+//! silently truncating. [`CheckConfig`] on
 //! [`CoreConfig::check`] controls the integrity machinery — lockstep
 //! co-simulation against the `phast-isa` reference emulator, periodic
 //! structural-invariant audits, and seeded [`FaultPlan`] injection for
@@ -27,7 +28,7 @@
 //! ```
 //! use phast_isa::{MemSize, ProgramBuilder, Reg};
 //! use phast_mdp::BlindSpeculation;
-//! use phast_ooo::{simulate, CoreConfig};
+//! use phast_ooo::{try_simulate_within, CoreConfig, Deadline};
 //!
 //! let mut b = ProgramBuilder::new();
 //! let loop_blk = b.block();
@@ -41,7 +42,14 @@
 //! let program = b.build().unwrap();
 //!
 //! let mut predictor = BlindSpeculation;
-//! let stats = simulate(&program, &CoreConfig::alder_lake(), &mut predictor, 10_000);
+//! let stats = try_simulate_within(
+//!     &program,
+//!     &CoreConfig::alder_lake(),
+//!     &mut predictor,
+//!     10_000,
+//!     &Deadline::none(),
+//! )
+//! .expect("runs cleanly");
 //! assert!(stats.halted);
 //! assert_eq!(stats.committed, 201);
 //! ```
@@ -56,10 +64,10 @@ mod error;
 mod runner;
 mod stats;
 
-pub use crate::core::{BootState, CommitRecord, Core};
+pub use crate::core::{BootState, CommitRecord, Core, Structures};
 pub use check::{CheckConfig, CommitChecker, FaultInjector, FaultPlan};
 pub use config::{CoreConfig, MemSquashPolicy, Ports, TrainPoint};
 pub use deadline::{Deadline, DEADLINE_CHECK_INTERVAL};
 pub use error::{DivergenceReport, HeadUop, PipelineSnapshot, SimError};
-pub use runner::{simulate, try_simulate, try_simulate_with_direction, try_simulate_within};
+pub use runner::try_simulate_within;
 pub use stats::SimStats;

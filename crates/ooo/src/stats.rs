@@ -39,11 +39,6 @@ pub struct SimStats {
     pub memory: HierarchyStats,
     /// True if the program ran to its `Halt` before any budget expired.
     pub halted: bool,
-    /// True if the cycle ceiling expired before the run finished: the
-    /// statistics are truncated mid-flight, not a clean sample. Only set
-    /// by the infallible legacy entry points; `try_run`/`try_simulate`
-    /// report the ceiling as an error instead.
-    pub ceiling_hit: bool,
     /// Commits cross-checked against the reference emulator (lockstep).
     pub checked_commits: u64,
     /// Faults deliberately injected into speculation state.
@@ -99,7 +94,7 @@ impl SimStats {
     /// The counters of the span between two cumulative snapshots of one
     /// run, `self` taken after `before`: field-wise `self − before`, with
     /// `self`'s flags. A sampled window's statistics are this delta
-    /// between two resumable `try_run` calls.
+    /// between two resumable `try_run_within` calls.
     pub fn since(&self, before: &SimStats) -> SimStats {
         self.combine(before, |a, b| a - b, |a, _| a, CacheStats::since)
     }
@@ -139,7 +134,6 @@ impl SimStats {
             predictor_accesses: AccessStats { reads, writes },
             memory: HierarchyStats { l1i, l1d, l2, l3, dram_accesses },
             halted,
-            ceiling_hit,
             checked_commits,
             injected_faults,
             invariant_audits,
@@ -171,7 +165,6 @@ impl SimStats {
                 dram_accesses: count(dram_accesses, m.dram_accesses),
             },
             halted: flag(halted, other.halted),
-            ceiling_hit: flag(ceiling_hit, other.ceiling_hit),
             checked_commits: count(checked_commits, other.checked_commits),
             injected_faults: count(injected_faults, other.injected_faults),
             invariant_audits: count(invariant_audits, other.invariant_audits),
@@ -229,7 +222,7 @@ mod tests {
         // counter breaks the round trip.
         let tripled = SimStats::default().add_weighted(&w, 3);
         assert_eq!(tripled.memory.l3.prefetch_fills, 132);
-        assert!(tripled.halted && !tripled.ceiling_hit);
+        assert!(tripled.halted);
         let doubled = w.add_weighted(&w, 1);
         assert_eq!(format!("{:?}", tripled.since(&doubled)), format!("{w:?}"));
     }

@@ -2,16 +2,15 @@
 //! match the functional emulator exactly, under every kind of speculation
 //! (branch mispredicts, memory-order violations, wrong-path execution).
 
-use phast_branch::{Tage, TageConfig};
 use phast_isa::{
     CondKind, Emulator, MemSize, Program, ProgramBuilder, Reg, LINK_REG, STACK_REG,
 };
 use phast_mdp::{BlindSpeculation, DepOracle, MemDepPredictor, OraclePredictor, TotalOrder};
-use phast_ooo::{simulate, Core, CoreConfig};
+use phast_ooo::{try_simulate_within, Core, CoreConfig, Deadline};
 use std::sync::Arc;
 
 fn run_core(program: &Program, predictor: &mut dyn MemDepPredictor, cfg: &CoreConfig) -> phast_ooo::SimStats {
-    simulate(program, cfg, predictor, 1_000_000)
+    try_simulate_within(program, cfg, predictor, 1_000_000, &Deadline::none()).expect("runs cleanly")
 }
 
 /// Runs the program on both the emulator and the core (with a commit log)
@@ -21,9 +20,9 @@ fn assert_matches_emulator(program: &Program, predictor: &mut dyn MemDepPredicto
     let expected = emu.run_collect(1_000_000).expect("emulates cleanly");
 
     let cfg = CoreConfig::alder_lake();
-    let mut core = Core::new(program, cfg, predictor, Box::new(Tage::new(TageConfig::default())));
+    let mut core = Core::new(program, cfg, predictor);
     core.enable_commit_log();
-    let stats = core.run(1_000_000, 50_000_000);
+    let stats = core.try_run_within(1_000_000, 50_000_000, &Deadline::none()).expect("runs cleanly");
     assert!(stats.halted, "program must run to completion");
 
     let log = core.commit_log();

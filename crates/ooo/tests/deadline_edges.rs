@@ -8,7 +8,6 @@
 //! `--run-timeout=0` on both binaries relies on it to smoke the deadline
 //! exit path without a slow run.
 
-use phast_branch::{Tage, TageConfig};
 use phast_isa::{CondKind, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::BlindSpeculation;
 use phast_ooo::{Core, CoreConfig, Deadline, SimError};
@@ -37,12 +36,7 @@ fn long_loop(iters: i64) -> Program {
 /// Runs `program` under `deadline` and returns the outcome.
 fn run_under(program: &Program, deadline: &Deadline) -> Result<phast_ooo::SimStats, SimError> {
     let mut predictor = BlindSpeculation;
-    let mut core = Core::new(
-        program,
-        CoreConfig::alder_lake(),
-        &mut predictor,
-        Box::new(Tage::new(TageConfig::default())),
-    );
+    let mut core = Core::new(program, CoreConfig::alder_lake(), &mut predictor);
     core.try_run_within(1_000_000, 50_000_000, deadline)
 }
 

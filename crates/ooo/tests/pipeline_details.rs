@@ -1,10 +1,16 @@
 //! Focused tests for pipeline mechanisms: eager squash, structural
 //! hazards (IQ, SQ/SB, ports), and bookkeeping invariants.
 
-use phast_branch::{Tage, TageConfig};
 use phast_isa::{CondKind, Emulator, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::BlindSpeculation;
-use phast_ooo::{simulate, Core, CoreConfig, MemSquashPolicy, Ports};
+use phast_ooo::{try_simulate_within, Core, CoreConfig, Deadline, MemSquashPolicy, Ports, SimStats};
+
+/// Runs `p` from its entry on `cfg` with no memory dependence
+/// prediction.
+fn run_blind(p: &Program, cfg: &CoreConfig, max_insts: u64) -> SimStats {
+    try_simulate_within(p, cfg, &mut BlindSpeculation, max_insts, &Deadline::none())
+        .expect("runs cleanly")
+}
 
 /// Store address resolves late; load overtakes it. One violation per
 /// iteration whichever squash policy is used.
@@ -56,9 +62,9 @@ fn eager_squash_is_value_correct() {
     let mut cfg = CoreConfig::alder_lake();
     cfg.mem_squash = MemSquashPolicy::Eager;
     let mut pred = BlindSpeculation;
-    let mut core = Core::new(&p, cfg, &mut pred, Box::new(Tage::new(TageConfig::default())));
+    let mut core = Core::new(&p, cfg, &mut pred);
     core.enable_commit_log();
-    let stats = core.run(1_000_000, 50_000_000);
+    let stats = core.try_run_within(1_000_000, 50_000_000, &Deadline::none()).expect("runs cleanly");
     assert!(stats.halted);
     assert_eq!(core.commit_log().len(), expected.len());
     for (got, want) in core.commit_log().iter().zip(&expected) {
@@ -75,10 +81,10 @@ fn eager_squash_recovers_faster_than_lazy_here() {
     let p = overtaking_loop(500);
     let mut lazy_cfg = CoreConfig::alder_lake();
     lazy_cfg.mem_squash = MemSquashPolicy::Lazy;
-    let lazy = simulate(&p, &lazy_cfg, &mut BlindSpeculation, 1_000_000);
+    let lazy = run_blind(&p, &lazy_cfg, 1_000_000);
     let mut eager_cfg = CoreConfig::alder_lake();
     eager_cfg.mem_squash = MemSquashPolicy::Eager;
-    let eager = simulate(&p, &eager_cfg, &mut BlindSpeculation, 1_000_000);
+    let eager = run_blind(&p, &eager_cfg, 1_000_000);
     assert!(lazy.halted && eager.halted);
     assert!(
         eager.ipc() >= lazy.ipc() * 0.95,
@@ -95,8 +101,8 @@ fn small_store_queue_throttles_store_parades() {
     big.sq_size = 114;
     let mut small = CoreConfig::alder_lake();
     small.sq_size = 8;
-    let fast = simulate(&p, &big, &mut BlindSpeculation, 200_000);
-    let slow = simulate(&p, &small, &mut BlindSpeculation, 200_000);
+    let fast = run_blind(&p, &big, 200_000);
+    let slow = run_blind(&p, &small, 200_000);
     assert!(
         fast.ipc() > slow.ipc() * 1.2,
         "an 8-entry SQ must throttle 16 stores/iteration ({:.3} vs {:.3})",
@@ -112,8 +118,8 @@ fn store_ports_limit_throughput() {
     two_ports.ports = Ports { store: 2, ..two_ports.ports };
     let mut one_port = CoreConfig::alder_lake();
     one_port.ports = Ports { store: 1, ..one_port.ports };
-    let two = simulate(&p, &two_ports, &mut BlindSpeculation, 200_000);
-    let one = simulate(&p, &one_port, &mut BlindSpeculation, 200_000);
+    let two = run_blind(&p, &two_ports, 200_000);
+    let one = run_blind(&p, &one_port, 200_000);
     assert!(
         two.ipc() > one.ipc() * 1.2,
         "16 stores/iteration must scale with store ports ({:.3} vs {:.3})",
@@ -129,8 +135,8 @@ fn tiny_iq_throttles_ilp() {
     big.iq_size = 204;
     let mut tiny = CoreConfig::alder_lake();
     tiny.iq_size = 4;
-    let fast = simulate(&p, &big, &mut BlindSpeculation, 100_000);
-    let slow = simulate(&p, &tiny, &mut BlindSpeculation, 100_000);
+    let fast = run_blind(&p, &big, 100_000);
+    let slow = run_blind(&p, &tiny, 100_000);
     assert!(
         fast.ipc() > slow.ipc(),
         "a 4-entry issue window must hurt ({:.3} vs {:.3})",
@@ -143,7 +149,7 @@ fn tiny_iq_throttles_ilp() {
 fn prefetcher_fills_show_up_on_streaming_code() {
     let w = phast_workloads::by_name("lbm").unwrap();
     let p = w.build(200_000);
-    let stats = simulate(&p, &CoreConfig::alder_lake(), &mut BlindSpeculation, 60_000);
+    let stats = run_blind(&p, &CoreConfig::alder_lake(), 60_000);
     assert!(
         stats.memory.l1d.prefetch_fills > 100,
         "the IP-stride prefetcher must engage on lbm (got {})",
@@ -155,20 +161,15 @@ fn prefetcher_fills_show_up_on_streaming_code() {
 fn commit_log_is_off_by_default() {
     let p = overtaking_loop(10);
     let mut pred = BlindSpeculation;
-    let mut core = Core::new(
-        &p,
-        CoreConfig::alder_lake(),
-        &mut pred,
-        Box::new(Tage::new(TageConfig::default())),
-    );
-    let _ = core.run(10_000, 1_000_000);
+    let mut core = Core::new(&p, CoreConfig::alder_lake(), &mut pred);
+    core.try_run_within(10_000, 1_000_000, &Deadline::none()).expect("runs cleanly");
     assert!(core.commit_log().is_empty(), "logging must be opt-in");
 }
 
 #[test]
 fn squashed_work_is_accounted() {
     let p = overtaking_loop(200);
-    let stats = simulate(&p, &CoreConfig::alder_lake(), &mut BlindSpeculation, 200_000);
+    let stats = run_blind(&p, &CoreConfig::alder_lake(), 200_000);
     assert!(
         stats.squashed_uops > stats.violations,
         "each violation squash discards multiple uops ({} squashed, {} violations)",
@@ -181,7 +182,7 @@ fn squashed_work_is_accounted() {
 fn branch_stats_populate() {
     let w = phast_workloads::by_name("gcc_1").unwrap();
     let p = w.build(100_000);
-    let stats = simulate(&p, &CoreConfig::alder_lake(), &mut BlindSpeculation, 50_000);
+    let stats = run_blind(&p, &CoreConfig::alder_lake(), 50_000);
     assert!(stats.committed_cond_branches > 1_000);
     assert!(stats.branch_mispredicts > 0, "hash-driven selectors must mispredict sometimes");
     assert!(stats.indirect_mispredicts > 0, "the dispatch farm must miss sometimes");
@@ -198,7 +199,7 @@ fn ittage_front_end_beats_last_target_on_dispatch_code() {
     let w = phast_workloads::by_name("povray").unwrap();
     let p = w.build(300_000);
     let insts = 60_000;
-    let it = simulate(&p, &CoreConfig::alder_lake(), &mut BlindSpeculation, insts);
+    let it = run_blind(&p, &CoreConfig::alder_lake(), insts);
     let mut lt = LastTargetPredictor::new(512);
     let mut lt_misses = 0u64;
     let mut emu = Emulator::new(&p);

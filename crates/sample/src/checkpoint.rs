@@ -10,18 +10,19 @@
 //! without re-executing the fast-forward prefix. The set lives only in memory:
 //! capture produces it and window replay consumes it.
 //!
-//! Alongside each checkpoint the set holds a snapshot of the expensive
-//! predictor-independent structures (cache tags, direction and indirect
-//! predictor tables), warmed continuously by the capture pass and taken
-//! at the window's *detailed* start ([`CheckpointSet::warm`]), so replay
+//! Alongside each checkpoint the set holds a snapshot of the core's
+//! expensive [`Structures`] (cache tags, the configured direction
+//! predictor's and the indirect predictor's tables), warmed continuously
+//! by the capture pass and taken at the window's *detailed* start
+//! ([`CheckpointSet::warm`]), so replay
 //! never re-steps them. MDP training state is predictor-specific and is
 //! warmed per window over the warm phase (see `docs/SAMPLING.md` for the
 //! warming rules).
 
 use crate::kmeans::ClusterPlan;
-use crate::warm::WarmState;
 use phast_branch::BranchHistory;
 use phast_isa::{EmuSnapshot, Pc};
+use phast_ooo::Structures;
 use std::collections::VecDeque;
 
 /// One architecturally retired store remembered by the sliding window.
@@ -101,7 +102,7 @@ pub struct CheckpointSet {
     /// intervals of a clustered set, pruned after clustering so idle
     /// clusters never hold a snapshot) or whose program halted before
     /// the detailed start.
-    pub warm: Vec<Option<WarmState>>,
+    pub warm: Vec<Option<Structures>>,
 }
 
 impl std::fmt::Debug for CheckpointSet {

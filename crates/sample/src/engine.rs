@@ -5,18 +5,18 @@
 //!
 //! 1. **Capture** ([`capture`]): one functional pass through the
 //!    `phast-isa` emulator, maintaining the cheap [`WarmContext`] *and*
-//!    the predictor-independent long-lived structures
-//!    ([`WarmState`]: caches + prefetcher, direction predictor,
-//!    indirect-target predictor) continuously. It snapshots the
-//!    architecture and the context at the start of each window's warm
-//!    phase, and the structures at the window's detailed start. Windows
-//!    are placed systematically (SMARTS style): the horizon is divided
-//!    into `windows` equal strides and the detailed window sits at the
-//!    *middle* of each stride, preceded by its warm phase. Mid-stride
-//!    placement keeps every window fully warmed; the startup transient is
-//!    deliberately not sampled — its weight in a full run vanishes as the
-//!    horizon grows, whereas a cold window would overweight it by the
-//!    stride-to-window ratio (see `docs/SAMPLING.md`).
+//!    the core's long-lived [`Structures`] (caches + prefetcher, the
+//!    configured direction predictor, indirect-target predictor)
+//!    continuously. It snapshots the architecture and the context at the
+//!    start of each window's warm phase, and the structures at the
+//!    window's detailed start. Windows are placed systematically (SMARTS
+//!    style): the horizon is divided into `windows` equal strides and the
+//!    detailed window sits at the *middle* of each stride, preceded by
+//!    its warm phase. Mid-stride placement keeps every window fully
+//!    warmed; the startup transient is deliberately not sampled — its
+//!    weight in a full run vanishes as the horizon grows, whereas a cold
+//!    window would overweight it by the stride-to-window ratio (see
+//!    `docs/SAMPLING.md`).
 //! 2. **Replay** ([`run_window_within`]): per window — independently, from a
 //!    shared reference to the capture — restore the emulator and the
 //!    context from the checkpoint, train the predictor-specific MDP over
@@ -30,12 +30,12 @@
 use crate::checkpoint::{Checkpoint, CheckpointSet, WarmContext};
 use crate::features::FeatureCollector;
 use crate::kmeans;
-use crate::warm::{warm_mdp, WarmState};
+use crate::warm::{snapshot, warm_mdp};
 use phast_branch::DirectionPredictor;
 use phast_isa::{EmuError, Emulator, ExecRecord, Op, Program};
 use phast_mdp::MemDepPredictor;
 use phast_mem::AccessKind;
-use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats};
+use phast_ooo::{BootState, Core, CoreConfig, Deadline, SimError, SimStats, Structures};
 use std::collections::VecDeque;
 
 /// Seed the capture pass keys its k-means++ draws with. Fixed — a
@@ -146,8 +146,8 @@ pub fn default_clusters_for(windows: usize) -> usize {
 /// instructions.
 ///
 /// One functional pass: fast-forwards the emulator, maintaining the cheap
-/// warming context *and* the predictor-independent structures
-/// ([`WarmState`]) continuously. It snapshots the architecture and the
+/// warming context *and* the core's [`Structures`], built cold from
+/// `cfg` as `Core::new` builds them, continuously. It snapshots the architecture and the
 /// context at each window's warm start, and the structures at its
 /// detailed start. If the program halts before the horizon, capture stops
 /// early and returns the windows placed so far.
@@ -173,7 +173,7 @@ pub fn capture(
         program,
         emu: Emulator::new(program),
         ctx: WarmContext::new(cfg.sq_size),
-        state: WarmState::new(cfg),
+        state: Structures::new(cfg),
         last_fetch_line: None,
         collector: phase.then(FeatureCollector::new),
         rob_window: cfg.rob_size as u64,
@@ -228,12 +228,12 @@ pub fn capture(
 }
 
 /// The capture's single functional pass: the emulator and everything
-/// predictor-independent that it keeps warm.
+/// MDP-independent that it keeps warm.
 struct Pass<'p> {
     program: &'p Program,
     emu: Emulator<'p>,
     ctx: WarmContext,
-    state: WarmState,
+    state: Structures,
     /// Cache line of the previous instruction fetch. Immediately
     /// consecutive fetches to the same line are L1I hits whose only
     /// effect is an LRU touch that the *next* access to that set would
@@ -248,7 +248,7 @@ struct Pass<'p> {
     /// the warm phase is longer than the stride.
     due: VecDeque<u64>,
     /// The structures snapshotted at each detailed start reached so far.
-    warm: Vec<Option<WarmState>>,
+    warm: Vec<Option<Structures>>,
 }
 
 impl Pass<'_> {
@@ -262,7 +262,7 @@ impl Pass<'_> {
             }
             if self.due.front() == Some(&self.emu.retired()) {
                 self.due.pop_front();
-                self.warm.push(Some(self.state.clone()));
+                self.warm.push(Some(snapshot(&self.state)));
             }
             if self.emu.retired() >= target {
                 return Ok(true);
@@ -346,8 +346,8 @@ pub struct WindowRun {
 /// replay from one capture, on any thread. The predictor's training state
 /// is warmed here, over the warm phase: the emulator and the
 /// [`WarmContext`] step from the checkpoint, and only the predictor
-/// trains. The core then boots from the set's snapshot of the structures
-/// ([`WarmState`]) at the detailed start, which reflects the entire
+/// trains. The core then boots from the set's snapshot of the
+/// [`Structures`] at the detailed start, which reflects the entire
 /// execution preceding the window. If `deadline` (a cooperative
 /// watchdog; [`Deadline::none`] for none) elapses mid-replay, the window
 /// degrades with `SimError::Deadline` instead of hanging its worker.
@@ -383,25 +383,19 @@ pub fn run_window_within(
     if emu.halted() {
         return WindowRun { stats: SimStats::default(), failure: None, warmed };
     }
-    let state = set
+    let structures = set
         .warm
         .get(w)
         .and_then(|slot| slot.as_ref())
-        .expect("window has no warm snapshot: it is not a representative of this clustered set")
-        .clone();
-    let boot = BootState {
-        arch: emu.snapshot(),
-        history: ctx.history,
-        hierarchy: state.hierarchy,
-        indirect: state.indirect,
-    };
-    let mut core =
-        Core::with_state(program, cfg.clone(), predictor, Box::new(state.direction), boot);
+        .expect("window has no warm snapshot: it is not a representative of this clustered set");
+    let boot =
+        BootState { arch: emu.snapshot(), history: ctx.history, structures: snapshot(structures) };
+    let mut core = Core::with_state(program, cfg.clone(), predictor, boot);
     // Detailed ramp: the core boots with an empty pipeline, so the first
     // ~ROB-size instructions commit below steady-state IPC while the
     // window fills. Run them cycle-accurately but *discard* them from the
     // measurement (SMARTS "detailed warming") — the window statistics are
-    // the delta between the two resumable `try_run` calls.
+    // the delta between the two resumable `try_run_within` calls.
     let ramp = cfg.rob_size as u64;
     let max_cycles = ((ramp + set.window_insts) * 20).max(1_000_000);
     let before = match core.try_run_within(ramp, max_cycles, deadline) {
@@ -549,7 +543,27 @@ pub fn sum_window_stats_weighted(runs: &[WindowRun], weights: &[u64]) -> SimStat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phast_branch::DirectionConfig;
     use phast_mdp::BlindSpeculation;
+
+    /// The capture warms and snapshots the direction predictor the core
+    /// is configured with, and a window boots a core from that snapshot.
+    #[test]
+    fn capture_warms_the_configured_direction_predictor() {
+        let program = phast_workloads::by_name("gcc_1").expect("workload exists").build(100_000);
+        let mut cfg = CoreConfig::alder_lake();
+        cfg.direction = DirectionConfig::GShare { entries: 8192, history_bits: 12 };
+        let set = capture(&program, &cfg, &SampleConfig::new(3, 600, 400), 12_000).expect("clean");
+        assert_eq!(set.warm.len(), 3);
+        for structures in &set.warm {
+            let structures = structures.as_ref().expect("every window reaches its detailed start");
+            assert_eq!(structures.direction.name(), "gshare");
+        }
+        let run =
+            run_window_within(&program, &cfg, &mut BlindSpeculation, &set, 1, &Deadline::none());
+        assert!(run.failure.is_none(), "{:?}", run.failure);
+        assert!(run.stats.committed > 0 && run.stats.committed_cond_branches > 0, "{:?}", run.stats);
+    }
 
     /// A window whose program halts inside its warm phase never reaches
     /// its detailed start: capture takes no structure snapshot for it,

@@ -28,9 +28,10 @@ use crate::features::FeatureVec;
 /// produces, and a hard determinism bound either way.
 const MAX_ITERS: usize = 32;
 
-/// The clustering attached to a phase-mode [`CheckpointSet`]
-/// (`crate::CheckpointSet`): which cluster each interval belongs to, how
-/// many members each cluster has, and which interval represents it.
+/// The clustering attached to a phase-mode
+/// [`CheckpointSet`](crate::CheckpointSet): which cluster each interval
+/// belongs to, how many members each cluster has, and which interval
+/// represents it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterPlan {
     /// Number of clusters (after dropping any that could not be filled —

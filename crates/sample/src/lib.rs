@@ -45,4 +45,4 @@ pub use engine::{
 };
 pub use features::{FeatureCollector, FeatureVec, FEATURE_DIM};
 pub use kmeans::{cluster, ClusterPlan};
-pub use warm::{warm_state_clones, WarmState};
+pub use warm::warm_state_clones;

@@ -2,13 +2,14 @@
 //! owner per kind of state:
 //!
 //! * The **capture pass** ([`capture`](crate::capture)) owns everything
-//!   predictor-independent and keeps it warm over the whole horizon in
-//!   one pass, so one capture serves every predictor in the sweep. It
-//!   snapshots the cheap [`WarmContext`] (`checkpoint.rs`: the branch
-//!   history and the sliding store window) at each window's warm start,
-//!   and the long-lived [`WarmState`] structures (the cache hierarchy
-//!   with its prefetcher, the direction predictor and the indirect-target
-//!   predictor, a deep clone) at each window's detailed start.
+//!   independent of the memory dependence predictor and keeps it warm
+//!   over the whole horizon in one pass, so one capture serves every MDP
+//!   in the sweep. It snapshots the cheap [`WarmContext`]
+//!   (`checkpoint.rs`: the branch history and the sliding store window)
+//!   at each window's warm start, and the core's long-lived
+//!   [`Structures`] (the cache hierarchy with its prefetcher, the
+//!   configured direction predictor and the indirect-target predictor, a
+//!   deep clone) at each window's detailed start.
 //! * **Window replay** ([`run_window_within`](crate::run_window_within))
 //!   owns the active MDP's training state, which is predictor-specific.
 //!   It steps the emulator and the context over the window's warm phase
@@ -24,11 +25,10 @@
 //! `docs/SAMPLING.md` for why this converges to the same steady state.
 
 use crate::checkpoint::{StoreRec, WarmContext};
-use phast_branch::{DivergentEvent, Ittage, IttageConfig, Tage, TageConfig};
+use phast_branch::DivergentEvent;
 use phast_isa::{ranges_overlap, BlockId, ExecRecord, Op, Program};
 use phast_mdp::{DepPrediction, LoadCommit, LoadQuery, MemDepPredictor, StoreQuery, Violation};
-use phast_mem::Hierarchy;
-use phast_ooo::CoreConfig;
+use phast_ooo::Structures;
 
 impl WarmContext {
     /// Folds one architecturally retired instruction into the context.
@@ -99,56 +99,27 @@ impl WarmContext {
     }
 }
 
-/// Process-wide count of [`WarmState`] clones — the expensive deep copy
-/// (cache tags, TAGE tables, indirect-target tables) that phase mode
-/// exists to avoid paying for windows that never replay. Tests pin the
-/// laziness contract against this counter: replay-side clones must scale
-/// with the number of windows actually run (K representatives), never
-/// with the interval count N.
+/// Process-wide count of [`Structures`] snapshots — the expensive deep
+/// copy (cache tags, direction and indirect-target tables) that phase
+/// mode exists to avoid paying for windows that never replay. Tests pin
+/// the laziness contract against this counter: replay-side snapshots
+/// must scale with the number of windows actually run (K
+/// representatives), never with the interval count N.
 static WARM_STATE_CLONES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Total [`WarmState`] deep clones performed by this process so far.
-/// Monotonic; callers measure deltas around the region under test.
+/// Total [`Structures`] snapshots that capture and replay have taken in
+/// this process so far. Monotonic; callers measure deltas around the
+/// region under test.
 pub fn warm_state_clones() -> u64 {
     WARM_STATE_CLONES.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// The predictor-independent long-lived structures, warmed continuously
-/// by the capture pass and snapshotted (cloned) at every window's
-/// detailed start; snapshots of windows that will never replay are then
-/// pruned ([`CheckpointSet::prune_warm`](crate::CheckpointSet::prune_warm)).
-pub struct WarmState {
-    /// Cache hierarchy + prefetcher, warmed stat-free.
-    pub hierarchy: Hierarchy,
-    /// Conditional-direction predictor (the default TAGE, as used by the
-    /// `phast-ooo` runner entry points).
-    pub direction: Tage,
-    /// Indirect-target predictor (the core's ITTAGE).
-    pub indirect: Box<Ittage>,
-}
-
-/// Every clone is a deep copy of the warmed tables, so each one bumps
-/// the process-wide counter ([`warm_state_clones`]).
-impl Clone for WarmState {
-    fn clone(&self) -> WarmState {
-        WARM_STATE_CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        WarmState {
-            hierarchy: self.hierarchy.clone(),
-            direction: self.direction.clone(),
-            indirect: self.indirect.clone(),
-        }
-    }
-}
-
-impl WarmState {
-    /// Cold structures sized exactly like `Core::new` builds them.
-    pub fn new(cfg: &CoreConfig) -> WarmState {
-        WarmState {
-            hierarchy: Hierarchy::new(cfg.memory),
-            direction: Tage::new(TageConfig::default()),
-            indirect: Box::new(Ittage::new(IttageConfig::default())),
-        }
-    }
+/// A deep copy of warmed structures, counted by [`warm_state_clones`]:
+/// how the capture snapshots them and how replay boots a core from a
+/// snapshot.
+pub(crate) fn snapshot(structures: &Structures) -> Structures {
+    WARM_STATE_CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    structures.clone()
 }
 
 /// Trains a window's MDP on one architecturally retired instruction of

@@ -1,10 +1,12 @@
-//! Allocation-count pin for the lazy warm-snapshot contract (ISSUE 8
-//! satellite: clusters that receive zero windows never pay a clone).
+//! Allocation-count pin for the lazy warm-snapshot contract: clusters
+//! that receive zero windows never pay a clone.
 //!
-//! [`WarmState`] carries the deep microarchitectural structures (cache
-//! hierarchy, TAGE tables, indirect predictor), so cloning one is the
+//! A snapshot of the core's `phast_ooo::Structures` is a deep copy of
+//! its microarchitectural tables (cache hierarchy, the configured
+//! direction predictor, indirect predictor), so taking one is the
 //! expensive per-window setup cost. The contract, pinned here through the
-//! process-global `warm_state_clones()` counter:
+//! process-global `warm_state_clones()` counter of every snapshot capture
+//! and replay take:
 //!
 //! * capture snapshots each placed window **once** (the state mutates
 //!   continuously, so this is the floor) — pruning non-representatives

@@ -14,7 +14,7 @@ use phast::{Phast, PhastConfig};
 use phast_baselines::{NoSqConfig, NoSqPredictor};
 use phast_isa::{CondKind, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::MemDepPredictor;
-use phast_ooo::{simulate, CoreConfig, TrainPoint};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, TrainPoint};
 
 /// The Fig. 5 program: left path stores at distance 0 from the load,
 /// right path at distance 2; the only divergent branch is before the
@@ -57,7 +57,8 @@ fn fig5_program(iters: i64) -> Program {
 fn run(name: &str, program: &Program, pred: &mut dyn MemDepPredictor, train: TrainPoint) {
     let mut cfg = CoreConfig::alder_lake();
     cfg.train_point = train;
-    let s = simulate(program, &cfg, pred, 500_000);
+    let s = try_simulate_within(program, &cfg, pred, 500_000, &Deadline::none())
+        .expect("runs cleanly");
     println!(
         "{:<10} IPC {:>6.3}  violations {:>5}  false deps {:>5}",
         name, s.ipc(), s.violations, s.false_dependences

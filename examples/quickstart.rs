@@ -8,7 +8,7 @@
 use phast::{Phast, PhastConfig};
 use phast_isa::{CondKind, MemSize, ProgramBuilder, Reg};
 use phast_mdp::{BlindSpeculation, MemDepPredictor};
-use phast_ooo::{simulate, CoreConfig, TrainPoint};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, TrainPoint};
 
 fn main() {
     // A loop in which a store's address resolves late (divide chain) and
@@ -38,13 +38,16 @@ fn main() {
 
     // Baseline: no memory dependence prediction.
     let mut blind = BlindSpeculation;
-    let no_mdp = simulate(&program, &cfg, &mut blind, 1_000_000);
+    let no_mdp = try_simulate_within(&program, &cfg, &mut blind, 1_000_000, &Deadline::none())
+        .expect("runs cleanly");
 
     // PHAST, trained at commit as in the paper (§IV-A1).
     let mut phast_cfg = cfg.clone();
     phast_cfg.train_point = TrainPoint::Commit;
     let mut predictor = Phast::new(PhastConfig::paper());
-    let with_phast = simulate(&program, &phast_cfg, &mut predictor, 1_000_000);
+    let with_phast =
+        try_simulate_within(&program, &phast_cfg, &mut predictor, 1_000_000, &Deadline::none())
+            .expect("runs cleanly");
 
     println!("program: {} static instructions", program.num_insts());
     println!();

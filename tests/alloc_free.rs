@@ -22,7 +22,7 @@
 use phast_experiments::PredictorKind;
 use phast_isa::Program;
 use phast_mdp::{BlindSpeculation, MemDepPredictor};
-use phast_ooo::{CheckConfig, Core, CoreConfig, TrainPoint};
+use phast_ooo::{CheckConfig, Core, CoreConfig, Deadline, TrainPoint};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,18 +81,17 @@ fn measured_allocations(
     // The integrity layer is off on the perf path (golden_stats pins that
     // timing); the lockstep emulator would allocate for its own state.
     cfg.check = CheckConfig::off();
-    let direction = Box::new(phast_branch::Tage::new(phast_branch::TageConfig::default()));
-    let mut core = Core::new(program, cfg, predictor, direction);
+    let mut core = Core::new(program, cfg, predictor);
 
     let warm = core
-        .try_run(WARMUP_INSTS, MAX_CYCLES)
+        .try_run_within(WARMUP_INSTS, MAX_CYCLES, &Deadline::none())
         .unwrap_or_else(|e| panic!("{label}: warmup failed: {e}"));
     assert!(warm.committed >= WARMUP_INSTS, "{label}: warmup must commit its budget");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     #[cfg(debug_assertions)]
     TRAP.store(true, Ordering::SeqCst);
-    let stats = core.try_run(WARMUP_INSTS + MEASURED_INSTS, MAX_CYCLES);
+    let stats = core.try_run_within(WARMUP_INSTS + MEASURED_INSTS, MAX_CYCLES, &Deadline::none());
     // Disarm before returning control to libtest: the harness itself
     // allocates to report the finished test, and a trap firing there
     // kills the test thread mid-send and hangs the runner.

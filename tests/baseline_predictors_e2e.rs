@@ -9,7 +9,7 @@ use phast_baselines::{
 };
 use phast_isa::{CondKind, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::{BlindSpeculation, MemDepPredictor};
-use phast_ooo::{simulate, CoreConfig, SimStats, TrainPoint};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, SimStats, TrainPoint};
 
 /// A loop with two alternating conflicting distances — exercises the
 /// multi-distance learning of Store Vectors and the per-path entries of
@@ -49,7 +49,7 @@ fn alternating_distance_loop(iters: i64) -> Program {
 fn run(p: &Program, pred: &mut dyn MemDepPredictor, train: TrainPoint) -> SimStats {
     let mut cfg = CoreConfig::alder_lake();
     cfg.train_point = train;
-    simulate(p, &cfg, pred, 400_000)
+    try_simulate_within(p, &cfg, pred, 400_000, &Deadline::none()).expect("runs cleanly")
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Checker fuzzer (the regalloc2 pattern): random `ProgramBuilder` CFGs
-//! run through `try_simulate` with the full integrity layer enabled —
+//! run through `try_simulate_within` with the full integrity layer enabled —
 //! lockstep co-simulation against the reference emulator plus frequent
 //! structural-invariant audits — for each predictor kind of the headline
 //! comparison and the unprotected extremes (blind speculation, total
@@ -11,7 +11,7 @@ mod common;
 
 use common::{block_strategy, build_program};
 use phast_experiments::PredictorKind;
-use phast_ooo::{try_simulate, CheckConfig, CoreConfig, SimStats};
+use phast_ooo::{try_simulate_within, CheckConfig, CoreConfig, Deadline, SimStats};
 use proptest::prelude::*;
 
 const MAX_INSTS: u64 = 100_000;
@@ -40,7 +40,7 @@ fn run_checked(
 ) -> Result<SimStats, TestCaseError> {
     let cfg = checked_cfg(kind);
     let mut predictor = kind.build(program, MAX_INSTS);
-    try_simulate(program, &cfg, predictor.as_mut(), MAX_INSTS)
+    try_simulate_within(program, &cfg, predictor.as_mut(), MAX_INSTS, &Deadline::none())
         .map_err(|e| TestCaseError::fail(format!("{} failed checking: {e}", kind.label())))
 }
 
@@ -73,7 +73,7 @@ proptest! {
         let mut cfg = checked_cfg(&kind);
         cfg.mem_squash = phast_ooo::MemSquashPolicy::Eager;
         let mut predictor = kind.build(&program, MAX_INSTS);
-        let stats = try_simulate(&program, &cfg, predictor.as_mut(), MAX_INSTS)
+        let stats = try_simulate_within(&program, &cfg, predictor.as_mut(), MAX_INSTS, &Deadline::none())
             .map_err(|e| TestCaseError::fail(format!("eager squash failed checking: {e}")))?;
         prop_assert!(stats.halted);
         prop_assert_eq!(stats.checked_commits, stats.committed);

@@ -10,10 +10,9 @@ mod common;
 
 use common::{block_strategy, build_program};
 use phast::{Phast, PhastConfig};
-use phast_branch::{Tage, TageConfig};
 use phast_isa::{Emulator, Program};
 use phast_mdp::{BlindSpeculation, MemDepPredictor, TotalOrder};
-use phast_ooo::{Core, CoreConfig, TrainPoint};
+use phast_ooo::{Core, CoreConfig, Deadline, TrainPoint};
 use proptest::prelude::*;
 
 fn assert_equivalent(program: &Program, predictor: &mut dyn MemDepPredictor, train: TrainPoint) {
@@ -22,10 +21,9 @@ fn assert_equivalent(program: &Program, predictor: &mut dyn MemDepPredictor, tra
 
     let mut cfg = CoreConfig::alder_lake();
     cfg.train_point = train;
-    let mut core =
-        Core::new(program, cfg, predictor, Box::new(Tage::new(TageConfig::default())));
+    let mut core = Core::new(program, cfg, predictor);
     core.enable_commit_log();
-    let stats = core.run(100_000, 10_000_000);
+    let stats = core.try_run_within(100_000, 10_000_000, &Deadline::none()).expect("runs cleanly");
     assert!(stats.halted, "must run to completion");
 
     let log = core.commit_log();

@@ -10,7 +10,7 @@
 
 use phast_experiments::harness::{Budget, Sweep};
 use phast_experiments::PredictorKind;
-use phast_ooo::{try_simulate, CheckConfig, CoreConfig, FaultPlan};
+use phast_ooo::{try_simulate_within, CheckConfig, CoreConfig, Deadline, FaultPlan};
 
 const INSTS: u64 = 20_000;
 const ITERS: u64 = 100_000;
@@ -32,9 +32,10 @@ fn assert_recovers(
     cfg.check = CheckConfig::with_faults(plan);
     cfg.train_point = kind.train_point();
     let mut predictor = kind.build(&program, INSTS);
-    let stats = try_simulate(&program, &cfg, predictor.as_mut(), INSTS).unwrap_or_else(|e| {
-        panic!("{workload} × {} did not recover from '{scenario}': {e}", kind.label())
-    });
+    let stats = try_simulate_within(&program, &cfg, predictor.as_mut(), INSTS, &Deadline::none())
+        .unwrap_or_else(|e| {
+            panic!("{workload} × {} did not recover from '{scenario}': {e}", kind.label())
+        });
     assert_eq!(
         stats.checked_commits, stats.committed,
         "{workload} × {} under '{scenario}': every commit must be cross-checked",
@@ -90,7 +91,7 @@ fn fault_sequences_are_reproducible() {
         cfg.check = CheckConfig::with_faults(plan);
         cfg.train_point = PredictorKind::Phast.train_point();
         let mut predictor = PredictorKind::Phast.build(&program, INSTS);
-        try_simulate(&program, &cfg, predictor.as_mut(), INSTS)
+        try_simulate_within(&program, &cfg, predictor.as_mut(), INSTS, &Deadline::none())
             .unwrap_or_else(|e| panic!("'{name}' did not recover: {e}"))
     };
     let a = run();

@@ -5,7 +5,7 @@
 
 use phast_isa::{CondKind, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::BlindSpeculation;
-use phast_ooo::{simulate, CoreConfig, SimStats};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, SimStats};
 
 /// Builds a loop with two stores to the same address followed by a load.
 /// `divs1`/`divs2` control how late each store's address resolves;
@@ -52,7 +52,8 @@ fn two_store_program(divs1: usize, divs2: usize, load_delay_muls: usize, iters: 
 fn run(program: &Program, filter: bool) -> SimStats {
     let mut cfg = CoreConfig::alder_lake();
     cfg.forwarding_filter = filter;
-    simulate(program, &cfg, &mut BlindSpeculation, 400_000)
+    try_simulate_within(program, &cfg, &mut BlindSpeculation, 400_000, &Deadline::none())
+        .expect("runs cleanly")
 }
 
 /// Case (a): both stores resolve before the load executes — the load
@@ -134,13 +135,9 @@ fn all_cases_are_value_correct() {
         let mut cfg = CoreConfig::alder_lake();
         cfg.forwarding_filter = true;
         let mut pred = BlindSpeculation;
-        let mut core = phast_ooo::Core::new(
-            &p,
-            cfg,
-            &mut pred,
-            Box::new(phast_branch::Tage::new(phast_branch::TageConfig::default())),
-        );
-        let stats = core.run(1_000_000, 10_000_000);
+        let mut core = phast_ooo::Core::new(&p, cfg, &mut pred);
+        let stats =
+            core.try_run_within(1_000_000, 10_000_000, &Deadline::none()).expect("runs cleanly");
         assert!(stats.halted);
         assert_eq!(
             core.arch_reg(Reg(11)),

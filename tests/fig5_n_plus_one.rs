@@ -9,7 +9,7 @@ use phast_isa::{CondKind, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::{
     DepPrediction, LoadQuery, MemDepPredictor, PredictionOutcome, Violation,
 };
-use phast_ooo::{simulate, CoreConfig, TrainPoint};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, TrainPoint};
 
 /// Unit-level restatement: two violations with the same load PC and N = 0
 /// but different previous-branch destinations must train two distinct
@@ -134,7 +134,8 @@ fn phast_resolves_the_fig5_loop_end_to_end() {
     let mut cfg = CoreConfig::alder_lake();
     cfg.train_point = TrainPoint::Commit;
     let mut pred = Phast::new(PhastConfig::paper());
-    let s = simulate(&p, &cfg, &mut pred, 500_000);
+    let s = try_simulate_within(&p, &cfg, &mut pred, 500_000, &Deadline::none())
+        .expect("runs cleanly");
     assert!(s.violations <= 10, "only cold misses may squash (got {})", s.violations);
     assert!(
         s.false_dependences <= 10,

@@ -31,7 +31,7 @@
 //! change in the commit message.
 
 use phast_experiments::PredictorKind;
-use phast_ooo::{try_simulate, CheckConfig, CoreConfig};
+use phast_ooo::{try_simulate_within, CheckConfig, CoreConfig, Deadline};
 
 const INSTS: u64 = 6_000;
 const ITERS: u64 = 50_000;
@@ -103,7 +103,8 @@ fn run_grid() -> Vec<ObservedRow> {
             // debug and release builds produce identical counters.
             cfg.check = CheckConfig::off();
             let mut predictor = kind.build(&program, INSTS);
-            let stats = try_simulate(&program, &cfg, predictor.as_mut(), INSTS)
+            let none = Deadline::none();
+            let stats = try_simulate_within(&program, &cfg, predictor.as_mut(), INSTS, &none)
                 .unwrap_or_else(|e| panic!("{wname} × {}: {e}", kind.label()));
             rows.push((
                 wname.to_string(),

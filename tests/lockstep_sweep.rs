@@ -6,7 +6,7 @@
 
 use phast_experiments::harness::Budget;
 use phast_experiments::PredictorKind;
-use phast_ooo::{try_simulate, CheckConfig, CoreConfig};
+use phast_ooo::{try_simulate_within, CheckConfig, CoreConfig, Deadline};
 
 #[test]
 fn all_workloads_pass_lockstep_under_every_headline_predictor() {
@@ -28,7 +28,8 @@ fn all_workloads_pass_lockstep_under_every_headline_predictor() {
             cfg.check = CheckConfig::full();
             cfg.train_point = kind.train_point();
             let mut predictor = kind.build(&program, budget.insts);
-            match try_simulate(&program, &cfg, predictor.as_mut(), budget.insts) {
+            let none = Deadline::none();
+            match try_simulate_within(&program, &cfg, predictor.as_mut(), budget.insts, &none) {
                 Ok(stats) => {
                     assert_eq!(
                         stats.checked_commits,

@@ -6,7 +6,7 @@ use phast::{Phast, PhastConfig};
 use phast_baselines::{NoSqConfig, NoSqPredictor, StoreSets, StoreSetsConfig};
 use phast_isa::Emulator;
 use phast_mdp::{BlindSpeculation, MemDepPredictor};
-use phast_ooo::{simulate, CoreConfig, TrainPoint};
+use phast_ooo::{try_simulate_within, CoreConfig, Deadline, TrainPoint};
 
 const INSTS: u64 = 30_000;
 
@@ -15,7 +15,7 @@ fn run(workload: &str, pred: &mut dyn MemDepPredictor, train: TrainPoint) -> pha
     let p = w.build(200_000);
     let mut cfg = CoreConfig::alder_lake();
     cfg.train_point = train;
-    simulate(&p, &cfg, pred, INSTS)
+    try_simulate_within(&p, &cfg, pred, INSTS, &Deadline::none()).expect("runs cleanly")
 }
 
 #[test]
@@ -54,14 +54,11 @@ fn workload_architectural_state_matches_emulator_under_speculation() {
         assert!(emu.halted(), "{name} emulator must halt");
 
         let mut pred = BlindSpeculation;
-        let mut core = phast_ooo::Core::new(
-            &p,
-            CoreConfig::alder_lake(),
-            &mut pred,
-            Box::new(phast_branch::Tage::new(phast_branch::TageConfig::default())),
-        );
+        let mut core = phast_ooo::Core::new(&p, CoreConfig::alder_lake(), &mut pred);
         core.enable_commit_log();
-        let stats = core.run(2_000_000, 100_000_000);
+        let stats = core
+            .try_run_within(2_000_000, 100_000_000, &Deadline::none())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(stats.halted, "{name} core must halt");
         assert_eq!(core.commit_log().len(), expected.len(), "{name} commit count");
         for (got, want) in core.commit_log().iter().zip(&expected) {
