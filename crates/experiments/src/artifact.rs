@@ -12,6 +12,7 @@
 //! records need, with correct string escaping and `null` for non-finite
 //! floats.
 
+use crate::jsonio::{opt_f64, req_f64, req_str, req_u64, req_u64_array};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -292,42 +293,6 @@ impl SamplingMeta {
             cluster_weights: req_u64_array(v, "cluster_weights")?,
             cluster_representatives: req_u64_array(v, "cluster_representatives")?,
         })
-    }
-}
-
-pub(crate) fn req_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-    let items = v
-        .get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("missing or non-array '{key}'"))?;
-    items
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| format!("non-integer element in '{key}'")))
-        .collect()
-}
-
-pub(crate) fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing or non-integer '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(JsonValue::as_f64).ok_or_else(|| format!("missing or non-number '{key}'"))
-}
-
-fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string '{key}'"))
-}
-
-fn opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None => Err(format!("missing '{key}'")),
-        Some(x) if x.is_null() => Ok(None),
-        Some(x) => {
-            x.as_f64().map(Some).ok_or_else(|| format!("non-number '{key}'"))
-        }
     }
 }
 

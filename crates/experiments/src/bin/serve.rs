@@ -1,33 +1,26 @@
-//! `phast-serve` — the persistent simulation daemon.
+//! `phast-serve` — the persistent simulation daemon, and its client.
 //!
 //! ```text
-//! # daemon (default mode): bind, accept sweeps, drain on SIGTERM
+//! # daemon: bind, accept sweeps, drain on SIGTERM
 //! phast-serve --addr=127.0.0.1:7878 --workers=4 --json-dir=bench
 //!
-//! # client mode: talk to a running daemon over the same wire protocol
-//! phast-serve --client=ping    --addr=127.0.0.1:7878
-//! phast-serve --client=status  --addr=127.0.0.1:7878
-//! phast-serve --client=submit  --addr=... --id=ci --kinds=phast,storesets --budget=quick
-//! phast-serve --client=fetch   --addr=... --digest=crc32:deadbeef
-//! phast-serve --client=shutdown --addr=...
+//! # client: one request to a running daemon
+//! phast-serve --client=submit --addr=127.0.0.1:7878 --id=ci --kinds=phast,store-sets
+//! phast-serve --client=fetch --addr=127.0.0.1:7878 --digest=crc32:deadbeef
 //! ```
 //!
-//! The daemon accepts sweep submissions over a TCP JSON-lines protocol
-//! (`docs/SERVICE.md`) and runs each one on the same batch engine as
-//! `phast-experiments`, one sweep at a time across `--workers` threads;
-//! a client that disconnects mid-stream does not cancel its sweep.
-//! `SIGTERM` (or the `shutdown` op) triggers a graceful drain: admission
-//! stops, in-flight sweeps finish and flush their artifacts, and the
-//! process exits with the worst outcome across everything it ran — the
-//! same exit-code taxonomy as `phast-experiments` (0 ok / 1 degraded /
-//! 2 usage / 3 integrity / 4 deadline); a client that cannot reach the
-//! daemon exits 5.
+//! Each admitted sweep runs on the batch engine of `phast-experiments`,
+//! and a client that disconnects does not cancel it. `SIGTERM` (or the
+//! `shutdown` op) drains the daemon, which exits with the worst outcome
+//! of everything it ran in the same exit-code taxonomy; a client that
+//! cannot reach the daemon exits 5 (docs/SERVICE.md). The daemon's own
+//! stderr lines drop write errors, so a drain works whatever happened to
+//! the process reading them. The flags of both modes are declared in
+//! `phast_experiments::cli::PHAST_SERVE`.
 
-use phast_experiments::exit_code;
-use phast_experiments::pool;
+use phast_experiments::cli::{self, Args};
 use phast_experiments::serve::{Client, Event, Request, ServeConfig, Server};
-use phast_experiments::Journal;
-use std::path::PathBuf;
+use phast_experiments::{diag, exit_code};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,183 +53,39 @@ mod sigterm {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: phast-serve [--addr=HOST:PORT] [--workers=N] [--max-active=N] \
-         [--json-dir=DIR | --no-json] [--resume] [--run-timeout=SECS]"
-    );
-    eprintln!(
-        "       phast-serve --client=ping|status|shutdown [--addr=HOST:PORT]\n\
-         \x20      phast-serve --client=submit --id=ID --kinds=A,B --budget=TIER \\\n\
-         \x20                  [--no-watch] [--drop-after=N] [--addr=HOST:PORT]\n\
-         \x20      phast-serve --client=fetch --digest=DIGEST [--addr=HOST:PORT]"
-    );
-    eprintln!("(--help for semantics and the exit-code taxonomy)");
-    std::process::exit(exit_code::USAGE);
-}
-
-fn help() {
-    println!(
-        "phast-serve — persistent simulation daemon\n\
-         \n\
-         daemon mode (default):\n\
-         \x20 --addr=HOST:PORT    bind address (default 127.0.0.1:7878; port 0 = OS pick)\n\
-         \x20 --workers=N         worker threads a sweep's cells fan across; admitted\n\
-         \x20                     sweeps take turns (default: all cores)\n\
-         \x20 --max-active=N      sweeps in flight before submissions are rejected\n\
-         \x20                     with retry_after_ms backpressure (default 2)\n\
-         \x20 --json-dir=DIR      where BENCH_<id>.json artifacts and the write-ahead\n\
-         \x20                     journal.jsonl land (default: current directory)\n\
-         \x20 --no-json           keep artifacts in memory only (served by digest)\n\
-         \x20 --resume            replay DIR/journal.jsonl: resubmitted sweep ids skip\n\
-         \x20                     their completed cells\n\
-         \x20 --run-timeout=SECS  per-cell watchdog; hung cells end as 'deadline'\n\
-         \n\
-         sampling (see docs/SAMPLING.md):\n\
-         \x20 daemon sweeps execute every cell full-detail; the sampling engine\n\
-         \x20 (stride or phase-clustered windows) belongs to phast-experiments'\n\
-         \x20 --sampled / --sample-mode=phase|stride / --clusters=K runs\n\
-         \n\
-         client mode (--client=OP talks to a running daemon):\n\
-         \x20 ping                liveness probe; prints worker count\n\
-         \x20 status              queue health + artifact index\n\
-         \x20 submit              submit a sweep: --id=ID --kinds=A,B --budget=TIER\n\
-         \x20                     (tiers: full quick bench sampled); streams cell events\n\
-         \x20                     and exits with the sweep's exit code. --no-watch\n\
-         \x20                     returns after acceptance; --drop-after=N tears the\n\
-         \x20                     connection after N cell events (the sweep continues\n\
-         \x20                     fire-and-forget; fetch the artifact by digest later)\n\
-         \x20 fetch               print an artifact body by --digest=DIGEST\n\
-         \x20 shutdown            ask the daemon to drain gracefully\n\
-         \n\
-         exit codes (daemon: worst outcome across every sweep it ran):\n\
-         \x20 0 ok   1 degraded   2 usage   3 integrity   4 deadline   5 connection\n\
-         \x20 (5: a client could not reach the daemon)\n"
-    );
-}
-
-/// Parses the value of a `--flag=N` unsigned-integer option, exiting
-/// with a clear error (status 2) otherwise.
-fn parse_u64(flag: &str, raw: &str) -> u64 {
-    match raw.trim().parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: {flag} expects an unsigned integer, got '{raw}'");
-            std::process::exit(exit_code::USAGE);
-        }
-    }
-}
-
-/// Parses the value of a `--flag=N` count that must be at least 1,
-/// exiting with a clear error (status 2) otherwise.
-fn parse_count(flag: &str, raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("error: {flag} expects a positive integer, got '{raw}'");
-            std::process::exit(exit_code::USAGE);
-        }
-    }
-}
-
-/// Looks up `--flag=VALUE` in `args`.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let prefix = format!("{flag}=");
-    args.iter().find_map(|a| a.strip_prefix(prefix.as_str()))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        help();
-        return;
+    let args = cli::PHAST_SERVE.parse();
+    match args.mode() {
+        "--client" => std::process::exit(run_client(&args)),
+        _ => run_daemon(&args),
     }
-    for a in &args {
-        let known = a.starts_with("--addr=")
-            || a.starts_with("--workers=")
-            || a.starts_with("--max-active=")
-            || a.starts_with("--json-dir=")
-            || a == "--no-json"
-            || a == "--resume"
-            || a.starts_with("--run-timeout=")
-            || a.starts_with("--client=")
-            || a.starts_with("--id=")
-            || a.starts_with("--kinds=")
-            || a.starts_with("--budget=")
-            || a == "--no-watch"
-            || a.starts_with("--drop-after=")
-            || a.starts_with("--digest=");
-        if !known {
-            eprintln!("error: unknown argument '{a}'");
-            usage();
-        }
-    }
-    let addr = flag_value(&args, "--addr").unwrap_or("127.0.0.1:7878").to_string();
-    if let Some(op) = flag_value(&args, "--client") {
-        std::process::exit(run_client(op, &addr, &args));
-    }
-    run_daemon(addr, &args);
 }
 
 /// Daemon mode: build the configuration from flags, start the server,
 /// and wait for a drain (SIGTERM, SIGINT, or the `shutdown` op).
-fn run_daemon(addr: String, args: &[String]) -> ! {
-    let mut cfg = ServeConfig { addr, ..ServeConfig::default() };
-    if let Some(v) = flag_value(args, "--workers") {
-        cfg.sched.workers = pool::parse_workers(v).unwrap_or_else(|e| {
-            eprintln!("error: --workers: {e}");
-            std::process::exit(exit_code::USAGE);
-        });
-    }
-    if let Some(v) = flag_value(args, "--max-active") {
-        cfg.max_active_sweeps = parse_count("--max-active", v);
-    }
-    if let Some(v) = flag_value(args, "--run-timeout") {
-        cfg.run_timeout = Some(Duration::from_secs(parse_u64("--run-timeout", v)));
-    }
-    let no_json = args.iter().any(|a| a == "--no-json");
-    let resume = args.iter().any(|a| a == "--resume");
-    if no_json {
-        cfg.json_dir = None;
-        cfg.journal = None;
-    } else {
-        let dir =
-            flag_value(args, "--json-dir").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("."));
-        let path = dir.join("journal.jsonl");
-        // The daemon serves many sweep shapes from one journal, so the
-        // fingerprint versions the *service*, not one sweep; each sweep
-        // journals under its id as scope.
-        let opened = if resume {
-            Journal::resume(&path, "phast-serve-v1")
-        } else {
-            Journal::create(&path, "phast-serve-v1")
-        };
-        match opened {
-            Ok(j) => {
-                if resume {
-                    eprintln!(
-                        "resuming from {} ({} completed run(s) will be replayed)",
-                        j.path().display(),
-                        j.completed_runs()
-                    );
-                }
-                cfg.journal = Some(j);
-            }
-            Err(e) => {
-                eprintln!("error: journal: {e}");
-                std::process::exit(exit_code::INTEGRITY);
-            }
-        }
+fn run_daemon(args: &Args) -> ! {
+    let mut cfg = ServeConfig {
+        addr: args.value("--addr").unwrap_or("127.0.0.1:7878").to_string(),
+        ..ServeConfig::default()
+    };
+    cfg.sched.workers = args.number("--workers", 1).unwrap_or(cfg.sched.workers);
+    cfg.max_active_sweeps = args.number("--max-active", 1).unwrap_or(cfg.max_active_sweeps);
+    cfg.run_timeout = args.number("--run-timeout", 0).map(Duration::from_secs);
+    // The daemon serves many sweep shapes from one journal, so the
+    // fingerprint versions the *service*, not one sweep; each sweep
+    // journals under its id as scope.
+    if let Some((dir, journal)) = args.journal("phast-serve-v1") {
         cfg.json_dir = Some(dir);
+        cfg.journal = Some(journal);
     }
     let server = match Server::start(cfg) {
         Ok(s) => Arc::new(s),
         Err(e) => {
-            eprintln!("error: bind failed: {e}");
+            diag!("error: bind failed: {e}");
             std::process::exit(exit_code::USAGE);
         }
     };
-    eprintln!("phast-serve listening on {}", server.local_addr());
+    diag!("phast-serve listening on {}", server.local_addr());
     #[cfg(unix)]
     {
         sigterm::install();
@@ -245,20 +94,41 @@ fn run_daemon(addr: String, args: &[String]) -> ! {
             while !sigterm::TERM.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(50));
             }
-            eprintln!("signal received: draining (in-flight sweeps will finish)");
             server.shutdown();
+            diag!("signal received: draining (in-flight sweeps will finish)");
         });
     }
     // Blocks until a graceful drain completes — via signal above or the
     // wire-level `shutdown` op.
     let code = server.join();
-    eprintln!("phast-serve drained; exit {code}");
+    diag!("phast-serve drained; exit {code}");
     std::process::exit(code);
 }
 
-/// Client mode: one op per invocation, speaking the same protocol the
-/// tests and CI use.
-fn run_client(op: &str, addr: &str, args: &[String]) -> i32 {
+/// Client mode: one request per invocation, speaking the same protocol
+/// the tests and CI use. The command line is checked before connecting.
+fn run_client(args: &Args) -> i32 {
+    let op = args.value("--client").expect("the mode's selector");
+    let need = |flag: &str| {
+        args.value(flag).unwrap_or_else(|| args.reject(&format!("--client={op} needs {flag}")))
+    };
+    let request = match op {
+        "ping" => Request::Ping,
+        "status" => Request::Status,
+        "shutdown" => Request::Shutdown,
+        "fetch" => Request::Fetch { digest: need("--digest").to_string() },
+        _ => {
+            let kinds = need("--kinds").split(',').map(str::trim).filter(|k| !k.is_empty());
+            Request::Submit {
+                id: need("--id").to_string(),
+                kinds: kinds.map(String::from).collect(),
+                budget: args.value("--budget").unwrap_or("quick").to_string(),
+                watch: !args.has("--no-watch"),
+            }
+        }
+    };
+    let drop_after: Option<u64> = args.number("--drop-after", 0);
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
     let mut client = match Client::connect_with_patience(addr, Duration::from_secs(5)) {
         Ok(c) => c,
         Err(e) => {
@@ -266,57 +136,32 @@ fn run_client(op: &str, addr: &str, args: &[String]) -> i32 {
             return exit_code::CONNECTION;
         }
     };
-    let outcome = match op {
-        "ping" => client.request(&Request::Ping).map(|ev| match ev {
-            Event::Pong { workers } => {
-                println!("pong: {workers} worker(s)");
-                exit_code::OK
-            }
-            other => unexpected(&other),
-        }),
-        "status" => client.request(&Request::Status).map(|ev| match ev {
-            Event::Status(s) => {
-                println!(
-                    "workers={} queue_depth={} outstanding={} active_sweeps={} draining={}",
-                    s.workers, s.queue_depth, s.outstanding, s.active_sweeps, s.draining
-                );
-                for (id, digest) in &s.artifacts {
-                    println!("artifact {id} {digest}");
-                }
-                exit_code::OK
-            }
-            other => unexpected(&other),
-        }),
-        "shutdown" => client.request(&Request::Shutdown).map(|ev| match ev {
-            Event::Draining => {
-                println!("draining");
-                exit_code::OK
-            }
-            other => unexpected(&other),
-        }),
-        "fetch" => {
-            let Some(digest) = flag_value(args, "--digest") else {
-                eprintln!("error: --client=fetch needs --digest=DIGEST");
-                return exit_code::USAGE;
-            };
-            client.fetch(digest).map(|body| {
-                println!("{body}");
-                exit_code::OK
-            })
-        }
-        "submit" => return client_submit(&mut client, args),
-        other => {
-            eprintln!("error: unknown client op '{other}'");
-            return exit_code::USAGE;
-        }
-    };
-    match outcome {
-        Ok(code) => code,
+    let reply = match client.request(&request) {
+        Ok(ev) => ev,
         Err(e) => {
             eprintln!("error: {e}");
-            1
+            return 1;
         }
+    };
+    match (&request, reply) {
+        (Request::Ping, Event::Pong { workers }) => println!("pong: {workers} worker(s)"),
+        (Request::Status, Event::Status(s)) => {
+            println!(
+                "workers={} queue_depth={} outstanding={} active_sweeps={} draining={}",
+                s.workers, s.queue_depth, s.outstanding, s.active_sweeps, s.draining
+            );
+            for (id, digest) in &s.artifacts {
+                println!("artifact {id} {digest}");
+            }
+        }
+        (Request::Shutdown, Event::Draining) => println!("draining"),
+        (Request::Fetch { .. }, Event::Artifact { body, .. }) => println!("{body}"),
+        (Request::Submit { watch, .. }, first) => {
+            return client_submit(&mut client, first, *watch, drop_after)
+        }
+        (_, other) => return unexpected(&other),
     }
+    exit_code::OK
 }
 
 /// An off-protocol reply (the daemon answered, but not what this op
@@ -326,45 +171,18 @@ fn unexpected(ev: &Event) -> i32 {
     1
 }
 
-/// `--client=submit`: submit a sweep and (unless `--no-watch`) stream
-/// its cell events; exits with the sweep's exit code. `--drop-after=N`
-/// tears the connection after N cell events to exercise the daemon's
-/// fire-and-forget downgrade.
-fn client_submit(client: &mut Client, args: &[String]) -> i32 {
-    let Some(id) = flag_value(args, "--id") else {
-        eprintln!("error: --client=submit needs --id=ID");
-        return exit_code::USAGE;
-    };
-    let Some(kinds) = flag_value(args, "--kinds") else {
-        eprintln!("error: --client=submit needs --kinds=A,B,...");
-        return exit_code::USAGE;
-    };
-    let budget = flag_value(args, "--budget").unwrap_or("quick");
-    let watch = !args.iter().any(|a| a == "--no-watch");
-    let drop_after: Option<u64> =
-        flag_value(args, "--drop-after").map(|v| parse_u64("--drop-after", v));
-    let req = Request::Submit {
-        id: id.to_string(),
-        kinds: kinds.split(',').map(|k| k.trim().to_string()).filter(|k| !k.is_empty()).collect(),
-        budget: budget.to_string(),
-        watch,
-    };
-    let first = match client.request(&req) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: submit: {e}");
-            return 1;
-        }
-    };
+/// `--client=submit`, from the daemon's first reply: unless `watch` is
+/// off, stream the sweep's cell events and exit with the sweep's exit
+/// code. `drop_after` tears the connection after that many cell events
+/// to exercise the daemon's fire-and-forget downgrade.
+fn client_submit(client: &mut Client, first: Event, watch: bool, drop_after: Option<u64>) -> i32 {
     match first {
         Event::Accepted { id, cells, replayed } => {
             println!("accepted {id}: {cells} cell(s), {replayed} replayed");
         }
         Event::Rejected { reason, retry_after_ms } => {
-            match retry_after_ms {
-                Some(ms) => eprintln!("rejected: {reason} (retry after {ms} ms)"),
-                None => eprintln!("rejected: {reason}"),
-            }
+            let retry = retry_after_ms.map(|ms| format!(" (retry after {ms} ms)"));
+            eprintln!("rejected: {reason}{}", retry.unwrap_or_default());
             return 1;
         }
         Event::Error { reason } => {

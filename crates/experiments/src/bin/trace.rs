@@ -5,70 +5,33 @@
 //!
 //! ```text
 //! cargo run --release -p phast-experiments --bin phast-trace -- \
-//!     gcc_1 phast --insts 300000 --interval 20000 --config alderlake
+//!     gcc_1 phast --insts=300000 --interval=20000 --config=alderlake
 //! ```
 //!
-//! Each flag takes its value as the next argument. An unknown flag, a
-//! missing or malformed value, or an unknown `--config` exits 2 naming
-//! the flag; a simulation error exits 1.
+//! The predictor is any label `phast-experiments --list-predictors`
+//! prints. The flags are declared in `phast_experiments::cli::PHAST_TRACE`: an
+//! unknown flag, a missing or malformed value, or an unknown workload or
+//! predictor exits 2 naming it; a simulation error exits 1.
 
-use phast_experiments::{exit_code, PredictorKind};
+use phast_experiments::{cli, exit_code, PredictorKind};
 use phast_ooo::{Core, CoreConfig, Deadline};
 
-const USAGE: &str = "usage: phast-trace <workload> <predictor> [--insts N] [--interval N] \
-                     [--config alderlake|skylake|haswell|nehalem]\n\
-                     predictors: any label `phast-experiments --list-predictors` prints";
-
-/// Prints `msg` and the usage line, and exits 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
-    std::process::exit(exit_code::USAGE);
-}
-
-/// The positive integer `raw` given to `flag`.
-fn parse_count(flag: &str, raw: &str) -> u64 {
-    match raw.parse::<u64>() {
-        Ok(n) if n >= 1 => n,
-        _ => usage_error(&format!("{flag} expects a positive integer, got '{raw}'")),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional = Vec::new();
-    let mut insts = 300_000;
-    let mut interval = 20_000;
-    let mut cfg_name = "alderlake";
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            flag @ ("--insts" | "--interval" | "--config") => {
-                let Some(value) = rest.next() else {
-                    usage_error(&format!("{flag} needs a value"))
-                };
-                match flag {
-                    "--insts" => insts = parse_count(flag, value),
-                    "--interval" => interval = parse_count(flag, value),
-                    _ => cfg_name = value,
-                }
-            }
-            flag if flag.starts_with("--") => usage_error(&format!("unknown flag '{flag}'")),
-            _ => positional.push(arg),
-        }
-    }
-    let [wname, pname] = positional[..] else {
-        usage_error("expected exactly a workload and a predictor")
-    };
+    let args = cli::PHAST_TRACE.parse();
+    let insts: u64 = args.number("--insts", 1).unwrap_or(300_000);
+    let interval: u64 = args.number("--interval", 1).unwrap_or(20_000);
+    let cfg_name = args.value("--config").unwrap_or("alderlake");
+    let [wname, pname] = &args.operands[..] else { unreachable!("the parser checks the operands") };
     let Some(workload) = phast_workloads::by_name(wname) else {
-        eprintln!("unknown workload '{wname}'; see phast_workloads::all_workloads()");
-        std::process::exit(exit_code::USAGE);
+        args.reject(&format!("unknown workload '{wname}' (phast-experiments --list-workloads)"))
     };
     let Some(kind) = PredictorKind::from_label(pname) else {
-        usage_error(&format!("unknown predictor '{pname}'"))
+        args.reject(&format!("unknown predictor '{pname}'"))
     };
-    let Some(mut cfg) = CoreConfig::generations().into_iter().find(|c| c.name == cfg_name) else {
-        usage_error(&format!("unknown --config '{cfg_name}'"))
-    };
+    let mut cfg = CoreConfig::generations()
+        .into_iter()
+        .find(|c| c.name == cfg_name)
+        .expect("the --config choices are CoreConfig::generations() names");
     let interval = interval.max(1_000);
     cfg.train_point = kind.train_point();
 

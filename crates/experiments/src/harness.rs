@@ -640,8 +640,7 @@ impl Sweep {
     }
 
     /// A parallel sweep sized to the host
-    /// (`std::thread::available_parallelism()`, overridable with the
-    /// `PHAST_WORKERS` environment variable).
+    /// (`std::thread::available_parallelism()`).
     pub fn parallel() -> Sweep {
         Sweep::with_workers(pool::default_workers())
     }
@@ -677,7 +676,7 @@ impl Sweep {
         let mut records = self.records.lock().expect("run log");
         for run in runs {
             if let Some(entry) = run.degraded_entry() {
-                eprintln!("warning: degraded run — {entry}");
+                crate::diag!("warning: degraded run — {entry}");
                 degraded.push(entry);
             }
             if run.failure.as_ref().is_some_and(|f| f.kind() == "deadline") {
@@ -836,7 +835,7 @@ impl Sweep {
     /// it reaches the degraded-run registry (and the binary's non-zero
     /// exit) like any other degradation.
     pub fn flag_degraded(&self, entry: String) {
-        eprintln!("warning: degraded run — {entry}");
+        crate::diag!("warning: degraded run — {entry}");
         self.degraded.lock().expect("degraded-run registry").push(entry);
     }
 

@@ -36,8 +36,8 @@
 //! an older `done` line lacks fields a replay restores (version 1 the
 //! predictor state, version 2 the branch mispredictions).
 
-use crate::artifact::{req_u64, req_u64_array, JsonValue, RunRecord};
-use crate::jsonio;
+use crate::artifact::{JsonValue, RunRecord};
+use crate::jsonio::{self, req_str, req_u64, req_u64_array};
 use phast_mdp::AccessStats;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -196,11 +196,7 @@ impl Journal {
                 }
             };
             let corrupt = |reason: String| JournalError::Corrupt { line: *line_no, reason };
-            let kind = v
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| corrupt("missing 'kind'".to_string()))?
-                .to_string();
+            let kind = req_str(&v, "kind").map_err(corrupt)?;
             if pos == 0 {
                 if kind != "header" {
                     return Err(corrupt("first line is not a header".to_string()));
@@ -209,14 +205,11 @@ impl Journal {
                 if version != Some(VERSION) {
                     return Err(corrupt(format!("unsupported journal version {version:?}")));
                 }
-                let found = v
-                    .get("fingerprint")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| corrupt("header missing 'fingerprint'".to_string()))?;
+                let found = req_str(&v, "fingerprint").map_err(corrupt)?;
                 if found != fingerprint {
                     return Err(JournalError::FingerprintMismatch {
                         expected: fingerprint.to_string(),
-                        found: found.to_string(),
+                        found,
                     });
                 }
                 saw_header = true;
@@ -228,25 +221,11 @@ impl Journal {
                     // lines carry results, so nothing to recover here.
                 }
                 "done" => {
-                    let key = v
-                        .get("key")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| corrupt("done line missing 'key'".to_string()))?
-                        .to_string();
-                    let status = v
-                        .get("status")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| corrupt("done line missing 'status'".to_string()))?
-                        .to_string();
-                    let attempts = v
-                        .get("attempts")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| corrupt("done line missing 'attempts'".to_string()))?;
-                    let stored = v
-                        .get("digest")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| corrupt("done line missing 'digest'".to_string()))?
-                        .to_string();
+                    let bad = |e: String| corrupt(format!("bad done line: {e}"));
+                    let key = req_str(&v, "key").map_err(bad)?;
+                    let status = req_str(&v, "status").map_err(bad)?;
+                    let attempts = req_u64(&v, "attempts").map_err(bad)?;
+                    let stored = req_str(&v, "digest").map_err(bad)?;
                     let field = |k: &str| {
                         v.get(k).ok_or_else(|| corrupt(format!("done line missing '{k}'")))
                     };
@@ -264,7 +243,6 @@ impl Journal {
                         )));
                     }
                     if status == "ok" {
-                        let bad = |e: String| corrupt(format!("bad done line: {e}"));
                         let done = CompletedRun {
                             attempts,
                             record: RunRecord::from_json(payload[4]).map_err(bad)?,
@@ -325,7 +303,7 @@ impl Journal {
         // to protect; the warning names the path so the operator knows
         // resume coverage stops here.
         if let Err(e) = write_line(&mut file, v) {
-            eprintln!("warning: journal write failed ({}): {e}", self.inner.path.display());
+            crate::diag!("warning: journal write failed ({}): {e}", self.inner.path.display());
         }
     }
 }

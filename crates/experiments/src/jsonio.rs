@@ -334,6 +334,49 @@ impl JsonValue {
     }
 }
 
+// The typed field readers of the codecs built on this parser (artifacts,
+// the journal, the wire protocol). Each error names the field.
+
+/// The string field `key` of object `v`.
+pub(crate) fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing or non-string '{key}'"))
+}
+
+/// The unsigned integer field `key` of object `v`.
+pub(crate) fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
+    let n = v.get(key).and_then(JsonValue::as_u64);
+    n.ok_or_else(|| format!("missing or non-integer '{key}'"))
+}
+
+/// The number field `key` of object `v`.
+pub(crate) fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
+    v.get(key).and_then(JsonValue::as_f64).ok_or_else(|| format!("missing or non-number '{key}'"))
+}
+
+/// The number-or-`null` field `key` of object `v`.
+pub(crate) fn opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, String> {
+    match v.get(key) {
+        None => Err(format!("missing '{key}'")),
+        Some(x) if x.is_null() => Ok(None),
+        Some(x) => x.as_f64().map(Some).ok_or_else(|| format!("non-number '{key}'")),
+    }
+}
+
+/// The array-of-unsigned-integers field `key` of object `v`.
+pub(crate) fn req_u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
+    let items = v
+        .get(key)
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("missing or non-array '{key}'"))?;
+    items
+        .iter()
+        .map(|x| x.as_u64().ok_or_else(|| format!("non-integer element in '{key}'")))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

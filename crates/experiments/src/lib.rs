@@ -13,11 +13,11 @@
 //! [`Budget::quick`] for smoke tests and CI, [`Budget::bench`] for the
 //! daemon's `bench` tier and the tests — and a [`Sweep`] supplies the
 //! engine: worker count ([`Sweep::parallel`] fans the run matrix across
-//! `std::thread::available_parallelism()` threads, overridable with
-//! `PHAST_WORKERS`), the sweep-scoped degraded-run registry, and the run
-//! log behind the machine-readable `BENCH_<id>.json` artifacts
-//! ([`artifact`]). Parallel and serial sweeps produce byte-identical
-//! reports; see [`harness`] for the determinism contract.
+//! `std::thread::available_parallelism()` threads), the sweep-scoped
+//! degraded-run registry, and the run log behind the machine-readable
+//! `BENCH_<id>.json` artifacts ([`artifact`]). Parallel and serial
+//! sweeps produce byte-identical reports; see [`harness`] for the
+//! determinism contract.
 //!
 //! Absolute numbers differ from the paper (our substrate is a synthetic
 //! workload suite on a from-scratch simulator, not SPEC on the authors'
@@ -27,8 +27,20 @@
 
 #![warn(missing_docs)]
 
+/// `eprintln!` that drops a write error instead of panicking: a
+/// diagnostic must not take down the sweep or daemon it reports on once
+/// whatever read the process's stderr has gone.
+#[macro_export]
+macro_rules! diag {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 pub mod ablations;
 pub mod artifact;
+pub mod cli;
 pub mod figures;
 pub mod harness;
 pub mod journal;

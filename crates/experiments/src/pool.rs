@@ -18,57 +18,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the worker count picked by
-/// [`default_workers`] (`PHAST_WORKERS=1` forces serial execution).
-pub const WORKERS_ENV: &str = "PHAST_WORKERS";
-
-/// Parses a worker-count override: a positive decimal integer.
-///
-/// # Errors
-///
-/// Returns a human-readable description of what was wrong with the value
-/// — the callers (`PHAST_WORKERS`, `--workers=N`) print it and exit
-/// rather than silently falling back to a default the user did not ask
-/// for.
-pub fn parse_workers(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!("worker count must be at least 1, got '{raw}'")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("expected a positive integer worker count, got '{raw}'")),
-    }
-}
-
 /// The worker count a parallel sweep uses by default:
-/// `std::thread::available_parallelism()`, overridable with the
-/// `PHAST_WORKERS` environment variable. A malformed override is a hard
-/// error (exit 2), not a silent fallback.
+/// `std::thread::available_parallelism()`, or 1 when it is unknown.
 pub fn default_workers() -> usize {
-    match std::env::var(WORKERS_ENV) {
-        Ok(raw) => match parse_workers(&raw) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("error: invalid {WORKERS_ENV}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1),
-    }
-}
-
-/// Parses a cluster-count override: a positive decimal integer — the
-/// same reject-garbage contract as [`parse_workers`].
-///
-/// # Errors
-///
-/// Returns a human-readable description of what was wrong with the value
-/// — the caller (`--clusters=K`) prints it and exits 2 rather than
-/// silently falling back to a default the user did not ask for.
-pub fn parse_clusters(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(format!("cluster count must be at least 1, got '{raw}'")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("expected a positive integer cluster count, got '{raw}'")),
-    }
+    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Runs `run(index, &task)` for every task, fanned across at most
@@ -189,35 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_workers_accepts_positive_integers() {
-        assert_eq!(parse_workers("1"), Ok(1));
-        assert_eq!(parse_workers(" 16 "), Ok(16));
-    }
-
-    #[test]
     fn catch_job_preserves_string_payloads() {
         assert_eq!(catch_job(|| 7), Ok(7));
         let p = catch_job(|| -> u32 { panic!("boom {}", 42) }).unwrap_err();
         assert_eq!(p.message, "boom 42");
         let p = catch_job(|| -> u32 { std::panic::panic_any(9u8) }).unwrap_err();
         assert_eq!(p.message, "<non-string panic payload>");
-    }
-
-    #[test]
-    fn parse_workers_rejects_garbage_and_zero() {
-        for bad in ["0", "", "four", "-2", "3.5", "8x"] {
-            let err = parse_workers(bad).expect_err(bad);
-            assert!(err.contains(bad.trim()) || bad.trim().is_empty(), "{bad}: {err}");
-        }
-    }
-
-    #[test]
-    fn parse_clusters_mirrors_the_worker_contract() {
-        assert_eq!(parse_clusters("1"), Ok(1));
-        assert_eq!(parse_clusters(" 6 "), Ok(6));
-        for bad in ["0", "", "six", "-3", "2.5", "4k"] {
-            let err = parse_clusters(bad).expect_err(bad);
-            assert!(err.contains(bad.trim()) || bad.trim().is_empty(), "{bad}: {err}");
-        }
     }
 }

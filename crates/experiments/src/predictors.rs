@@ -82,6 +82,38 @@ pub enum PredictorKind {
     StaticDeps,
 }
 
+/// Every [`PredictorKind`], a parameterised kind at a representative
+/// value, with the description `phast-experiments --list-predictors`
+/// prints next to its label.
+pub const CATALOG: &[(PredictorKind, &str)] = &[
+    (PredictorKind::Ideal, "perfect oracle (upper bound for every figure)"),
+    (PredictorKind::Blind, "no prediction: every load speculates"),
+    (PredictorKind::TotalOrder, "every load waits for all older stores"),
+    (PredictorKind::Phast, "PHAST at the paper's 14.5 KB configuration"),
+    (PredictorKind::PhastSets(64), "PHAST scaled to N sets per table (Fig. 13 sweep)"),
+    (PredictorKind::PhastNoNPlusOne, "PHAST without the N+1 history rule (ablation)"),
+    (PredictorKind::PhastAtDetect, "PHAST trained at detection, not commit (ablation)"),
+    (PredictorKind::PhastConfidence(2), "PHAST with N-bit confidence, N in 1..=7 (ablation)"),
+    (PredictorKind::PhastTageLengths, "PHAST with TAGE's history lengths (ablation)"),
+    (PredictorKind::UnlimitedPhast(None), "UnlimitedPHAST"),
+    (PredictorKind::UnlimitedPhast(Some(16)), "UnlimitedPHAST capped at history length N"),
+    (PredictorKind::NoSq, "NoSQ at the paper's 19 KB configuration"),
+    (PredictorKind::NoSqSets(256), "NoSQ scaled to N sets per table"),
+    (PredictorKind::UnlimitedNoSq(8), "UnlimitedNoSQ at a fixed history length"),
+    (PredictorKind::StoreSets, "Store Sets at the paper's 18.5 KB configuration"),
+    (PredictorKind::StoreSetsSized(4096, 2048), "Store Sets with explicit SSIT/LFST sizes"),
+    (PredictorKind::StoreVector, "Store Vectors"),
+    (PredictorKind::Cht, "CHT collision predictor"),
+    (PredictorKind::MdpTage, "MDP-TAGE at the paper's 38.625 KB configuration"),
+    (PredictorKind::MdpTageScaled(1, 2), "MDP-TAGE with set counts scaled by num/den"),
+    (PredictorKind::MdpTageS, "MDP-TAGE-S (PHAST table layout, 13 KB)"),
+    (PredictorKind::UnlimitedMdpTage, "UnlimitedMDPTAGE"),
+    (
+        PredictorKind::StaticDeps,
+        "zero-storage static baseline from phast-trace's dependence analysis",
+    ),
+];
+
 impl PredictorKind {
     /// Short display name used in experiment output.
     pub fn label(&self) -> String {
@@ -265,32 +297,7 @@ mod tests {
     #[test]
     fn every_kind_builds() {
         let p = tiny_program();
-        let kinds = vec![
-            PredictorKind::Ideal,
-            PredictorKind::Blind,
-            PredictorKind::TotalOrder,
-            PredictorKind::Phast,
-            PredictorKind::PhastSets(64),
-            PredictorKind::PhastNoNPlusOne,
-            PredictorKind::PhastAtDetect,
-            PredictorKind::PhastConfidence(2),
-            PredictorKind::PhastTageLengths,
-            PredictorKind::UnlimitedPhast(None),
-            PredictorKind::UnlimitedPhast(Some(16)),
-            PredictorKind::NoSq,
-            PredictorKind::NoSqSets(256),
-            PredictorKind::UnlimitedNoSq(8),
-            PredictorKind::StoreSets,
-            PredictorKind::StoreSetsSized(4096, 2048),
-            PredictorKind::StoreVector,
-            PredictorKind::Cht,
-            PredictorKind::MdpTage,
-            PredictorKind::MdpTageScaled(1, 2),
-            PredictorKind::MdpTageS,
-            PredictorKind::UnlimitedMdpTage,
-            PredictorKind::StaticDeps,
-        ];
-        for k in kinds {
+        for (k, _) in CATALOG {
             let pred = k.build(&p, 100);
             assert!(!pred.name().is_empty(), "{:?}", k);
             assert!(!k.label().is_empty());
@@ -313,34 +320,9 @@ mod tests {
 
     #[test]
     fn from_label_inverts_label_for_every_kind() {
-        let kinds = vec![
-            PredictorKind::Ideal,
-            PredictorKind::Blind,
-            PredictorKind::TotalOrder,
-            PredictorKind::Phast,
-            PredictorKind::PhastSets(64),
-            PredictorKind::PhastNoNPlusOne,
-            PredictorKind::PhastAtDetect,
-            PredictorKind::PhastConfidence(6),
-            PredictorKind::PhastTageLengths,
-            PredictorKind::UnlimitedPhast(None),
-            PredictorKind::UnlimitedPhast(Some(12)),
-            PredictorKind::NoSq,
-            PredictorKind::NoSqSets(256),
-            PredictorKind::UnlimitedNoSq(8),
-            PredictorKind::StoreSets,
-            PredictorKind::StoreSetsSized(4096, 2048),
-            PredictorKind::StoreVector,
-            PredictorKind::Cht,
-            PredictorKind::MdpTage,
-            PredictorKind::MdpTageScaled(1, 2),
-            PredictorKind::MdpTageS,
-            PredictorKind::UnlimitedMdpTage,
-            PredictorKind::StaticDeps,
-        ];
-        for kind in kinds {
+        for (kind, _) in CATALOG {
             let label = kind.label();
-            assert_eq!(PredictorKind::from_label(&label), Some(kind), "{label}");
+            assert_eq!(PredictorKind::from_label(&label).as_ref(), Some(kind), "{label}");
         }
     }
 

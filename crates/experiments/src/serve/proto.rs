@@ -15,7 +15,7 @@
 
 use crate::artifact::JsonValue;
 use crate::harness::Budget;
-use crate::jsonio;
+use crate::jsonio::{self, req_str, req_u64};
 use std::io::BufRead;
 
 /// Cap on one request line read by the daemon. Requests are small —
@@ -433,17 +433,6 @@ pub fn read_line_capped(
 
 fn s(text: &str) -> JsonValue {
     JsonValue::Str(text.to_string())
-}
-
-fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing uint field '{key}'"))
 }
 
 /// Renders through the checked writer; an unrenderable event (cannot

@@ -423,14 +423,24 @@ fn admit(
     let (tx, rx) = mpsc::channel();
     let shared = Arc::clone(shared);
     sweeps.push(std::thread::spawn(move || {
-        run_sweep(&shared, &sweep, &id, &kinds, &cfg, &budget, &tx);
+        // A sweep that panics, for whatever reason, still frees its
+        // admission slot, counts as degraded, and ends its watcher's
+        // stream.
+        let last = pool::catch_job(|| run_sweep(&shared, &sweep, &id, &kinds, &cfg, &budget, &tx))
+            .unwrap_or_else(|panic| {
+                shared.any_degraded.store(true, Ordering::SeqCst);
+                shared.active_sweeps.fetch_sub(1, Ordering::SeqCst);
+                Event::Error { reason: format!("sweep {id}: {panic}") }
+            });
+        let _ = tx.send(last);
     }));
     Ok((accepted, rx))
 }
 
 /// One admitted sweep, on its own thread: wait for the daemon's turn,
 /// run the grid on the batch engine while sending each live cell's
-/// `cell` event into `events`, then seal the artifact and send `done`.
+/// `cell` event into `events`, then seal the artifact and return the
+/// `done` event.
 fn run_sweep(
     shared: &ServerShared,
     sweep: &Sweep,
@@ -439,7 +449,7 @@ fn run_sweep(
     cfg: &CoreConfig,
     budget: &Budget,
     events: &mpsc::Sender<Event>,
-) {
+) -> Event {
     let wall = {
         // The turn guards no data, so a poisoned lock is still a turn.
         let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
@@ -464,7 +474,7 @@ fn run_sweep(
         }
         started.elapsed()
     };
-    let _ = events.send(finish_sweep(shared, sweep, id, budget, wall));
+    finish_sweep(shared, sweep, id, budget, wall)
 }
 
 /// Completes a sweep: seal, self-verify and persist the artifact, index
@@ -484,7 +494,7 @@ fn finish_sweep(
     let integrity_ok = SweepArtifact::verify_json(&body).is_ok();
     if let (Some(dir), true) = (&shared.json_dir, integrity_ok) {
         if let Err(e) = artifact.write_to(dir) {
-            eprintln!(
+            crate::diag!(
                 "warning: artifact write failed ({}: {e}); serving from memory only",
                 dir.display()
             );

@@ -3,9 +3,10 @@
 //! malformed value replaced by a default. Retired
 //! flags (lane count, trace record/replay, checkpoint dumps, remote
 //! workers, daemon leases and chaos injection) get the same answer as a
-//! typo, and so do a zero worker or admission count and an invocation
-//! with no workloads to run. `--verify` takes only sweep artifacts: a
-//! retired trace or checkpoint file fails closed.
+//! typo, and so do a flag given twice or outside its mode, a zero worker
+//! or admission count and an invocation with no workloads to run.
+//! `--verify` takes only sweep artifacts: a retired trace or checkpoint
+//! file fails closed.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -16,13 +17,19 @@ const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_phast-experiments");
 const SERVE: &str = env!("CARGO_BIN_EXE_phast-serve");
 const TRACE: &str = env!("CARGO_BIN_EXE_phast-trace");
 
-/// Runs `bin` with `args` and returns its exit code and stderr. A child
-/// still running after 60 s is killed and fails the test: a flag that
-/// slipped through could start a sweep or a daemon that never exits.
+/// Runs `bin` with `args` and returns its exit code and stderr.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let (code, _, stderr) = output(bin, args);
+    (code, stderr)
+}
+
+/// Runs `bin` with `args` and returns its exit code, stdout and stderr.
+/// A child still running after 60 s is killed and fails the test: a flag
+/// that slipped through could start a sweep or a daemon that never exits.
+fn output(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
     let mut child = Command::new(bin)
         .args(args)
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary starts");
@@ -38,14 +45,10 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    let mut stderr = String::new();
-    child
-        .stderr
-        .take()
-        .expect("piped")
-        .read_to_string(&mut stderr)
-        .expect("stderr");
-    (status.code(), stderr)
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    child.stdout.take().expect("piped").read_to_string(&mut stdout).expect("stdout");
+    child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("stderr");
+    (status.code(), stdout, stderr)
 }
 
 #[test]
@@ -72,6 +75,37 @@ fn unknown_flags_exit_2_naming_the_flag() {
             );
         }
     }
+}
+
+#[test]
+fn repeated_and_inapplicable_flags_exit_2_naming_the_argument() {
+    let daemon = "--addr=127.0.0.1:0";
+    for (bin, args, named) in [
+        (EXPERIMENTS, &["--quick", "--no-json", "--resume", "table1"][..], "--resume"),
+        (EXPERIMENTS, &["--quick", "--no-json", "--json-dir=DIR", "table1"], "--json-dir=DIR"),
+        (EXPERIMENTS, &["--quick", "--serial", "--workers=4", "table1"], "--workers=4"),
+        (EXPERIMENTS, &["--quick", "--warm=1", "--warm=abc", "table1"], "--warm=abc"),
+        (EXPERIMENTS, &["--verify=BENCH_table1.json"], "--verify=BENCH_table1.json"),
+        (SERVE, &["--client=ping", "--workers=4", "--max-active=3"], "--workers=4"),
+        (SERVE, &[daemon, "--kinds=phast", "--no-watch", "--digest=crc32:00000000"], "--kinds"),
+        (SERVE, &[daemon, "--workers=2", "--workers=x"], "--workers=x"),
+        (TRACE, &["exchange2", "phast", "--insts=4000", "--insts=5000"], "--insts=5000"),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains(named), "{args:?} must name {named}: {stderr}");
+    }
+}
+
+#[test]
+fn sample_mode_alone_turns_sampling_on() {
+    let report = |flag: &str| {
+        let args = ["--quick", "--no-json", "--max-workloads=1", flag, "fig15"];
+        let (code, stdout, stderr) = output(EXPERIMENTS, &args);
+        assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+        stdout.lines().filter(|l| !l.contains(" took ")).collect::<Vec<_>>().join("\n")
+    };
+    assert_eq!(report("--sample-mode=stride"), report("--sampled"));
 }
 
 #[test]
@@ -102,7 +136,7 @@ fn known_flags_still_run() {
     let (code, stderr) = run(EXPERIMENTS, &["--no-json", "--quick", "table1"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     // phast-trace takes every label --list-predictors prints.
-    let (code, stderr) = run(TRACE, &["exchange2", "unl-mdp-tage", "--insts", "5000"]);
+    let (code, stderr) = run(TRACE, &["exchange2", "unl-mdp-tage", "--insts=5000"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
 }
 
@@ -110,20 +144,24 @@ fn known_flags_still_run() {
 fn trace_refuses_unknown_flags_and_bad_values() {
     for (args, name) in [
         (&["--bogus"][..], "--bogus"),
-        (&["--interval=5000"], "--interval=5000"),
-        (&["--insts", "2O000"], "--insts"),
+        (&["--insts=2O000"], "--insts"),
         (&["--interval"], "--interval"),
-        (&["--config", "pentium"], "--config"),
+        (&["--config=pentium"], "--config"),
+        (&["--insts", "4000"], "--insts"),
     ] {
         let args: Vec<&str> = ["exchange2", "phast"].iter().chain(args).copied().collect();
         let (code, stderr) = run(TRACE, &args);
         assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
         assert!(stderr.contains(name), "{args:?} must name {name}: {stderr}");
     }
-    // Flags take their value as the next argument.
-    let args = ["exchange2", "phast", "--insts", "4000", "--interval", "2000", "--config", "nehalem"];
-    let (code, stderr) = run(TRACE, &args);
-    assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+    // Flags take their value after `=`, as in the other two binaries.
+    for args in [
+        &["exchange2", "phast", "--insts=4000", "--interval=2000", "--config=nehalem"][..],
+        &["exchange2", "phast", "--insts=6000", "--interval=5000"],
+    ] {
+        let (code, stderr) = run(TRACE, args);
+        assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+    }
 }
 
 /// A path in the temp directory unique to this test process.
@@ -150,8 +188,8 @@ fn trace_and_checkpoint_files_fail_verification_closed() {
     ] {
         let file = temp_path(tag);
         std::fs::write(&file, bytes).expect("temp file");
-        let verify = format!("--verify={}", file.display());
-        let (code, stderr) = run(EXPERIMENTS, &[&verify]);
+        let path = file.display().to_string();
+        let (code, stderr) = run(EXPERIMENTS, &["--verify", &path]);
         let _ = std::fs::remove_file(&file);
         assert_eq!(code, Some(3), "{tag}: stderr {stderr}");
         assert!(stderr.contains("FAILED"), "{tag}: {stderr}");

@@ -57,21 +57,6 @@ pub enum SampleMode {
 }
 
 impl SampleMode {
-    /// Parses a `--sample-mode` value — same reject-garbage contract as
-    /// `parse_workers` in the experiments pool: callers print the error and
-    /// exit 2 rather than silently falling back.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the invalid value.
-    pub fn parse(raw: &str) -> Result<SampleMode, String> {
-        match raw.trim() {
-            "stride" => Ok(SampleMode::Stride),
-            "phase" => Ok(SampleMode::Phase),
-            other => Err(format!("expected 'phase' or 'stride', got '{other}'")),
-        }
-    }
-
     /// The canonical knob spelling (`"stride"` / `"phase"`).
     pub fn as_str(&self) -> &'static str {
         match self {
