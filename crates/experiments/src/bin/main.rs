@@ -18,7 +18,7 @@ use phast_experiments::cli::{self, Args};
 use phast_experiments::figures::{self, EXPERIMENTS};
 use phast_experiments::predictors::CATALOG;
 use phast_experiments::{
-    default_clusters_for, diag, exit_code, Budget, SampleConfig, Sweep, SweepArtifact,
+    default_clusters_for, diag, exit_code, report, Budget, SampleConfig, Sweep, SweepArtifact,
 };
 use std::path::Path;
 use std::time::Duration;
@@ -29,17 +29,17 @@ fn main() {
         "--verify" => verify(&args.operands),
         "--list-workloads" => {
             for w in phast_workloads::all_workloads() {
-                println!("{:<12} {}", w.name, w.description);
+                report!("{:<12} {}", w.name, w.description);
             }
         }
         "--list-predictors" => {
             for (kind, desc) in CATALOG {
-                println!("{:<20} {desc}", kind.label());
+                report!("{:<20} {desc}", kind.label());
             }
         }
         "--list-experiments" => {
             for (id, desc) in EXPERIMENTS {
-                println!("{id:<16} {desc}");
+                report!("{id:<16} {desc}");
             }
         }
         _ => run(&args),
@@ -52,7 +52,7 @@ fn verify(files: &[String]) -> ! {
     let mut intact = true;
     for file in files {
         match SweepArtifact::verify_file(Path::new(file)) {
-            Ok(()) => println!("ok      {file} (sweep artifact)"),
+            Ok(()) => report!("ok      {file} (sweep artifact)"),
             Err(e) => {
                 intact = false;
                 diag!("FAILED  {file}: {e}");
@@ -157,8 +157,8 @@ fn run(args: &Args) -> ! {
         }
         let start = std::time::Instant::now();
         let out = figures::run_experiment(id, &sweep, &budget).expect("ids were checked");
-        println!("=== {id} ===\n{out}");
-        println!("[{id} took {:.1?} on {} worker(s)]\n", start.elapsed(), sweep.workers());
+        report!("=== {id} ===\n{out}");
+        report!("[{id} took {:.1?} on {} worker(s)]\n", start.elapsed(), sweep.workers());
         if let Some((dir, _)) = &journal {
             let artifact = sweep.artifact(id, &budget, start.elapsed());
             match artifact.write_to(dir) {

@@ -20,7 +20,7 @@
 
 use phast_experiments::cli::{self, Args};
 use phast_experiments::serve::{Client, Event, Request, ServeConfig, Server};
-use phast_experiments::{diag, exit_code};
+use phast_experiments::{diag, exit_code, report};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -132,30 +132,30 @@ fn run_client(args: &Args) -> i32 {
     let mut client = match Client::connect_with_patience(addr, Duration::from_secs(5)) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: connect {addr}: {e}");
+            diag!("error: connect {addr}: {e}");
             return exit_code::CONNECTION;
         }
     };
     let reply = match client.request(&request) {
         Ok(ev) => ev,
         Err(e) => {
-            eprintln!("error: {e}");
+            diag!("error: {e}");
             return 1;
         }
     };
     match (&request, reply) {
-        (Request::Ping, Event::Pong { workers }) => println!("pong: {workers} worker(s)"),
+        (Request::Ping, Event::Pong { workers }) => report!("pong: {workers} worker(s)"),
         (Request::Status, Event::Status(s)) => {
-            println!(
+            report!(
                 "workers={} queue_depth={} outstanding={} active_sweeps={} draining={}",
                 s.workers, s.queue_depth, s.outstanding, s.active_sweeps, s.draining
             );
             for (id, digest) in &s.artifacts {
-                println!("artifact {id} {digest}");
+                report!("artifact {id} {digest}");
             }
         }
-        (Request::Shutdown, Event::Draining) => println!("draining"),
-        (Request::Fetch { .. }, Event::Artifact { body, .. }) => println!("{body}"),
+        (Request::Shutdown, Event::Draining) => report!("draining"),
+        (Request::Fetch { .. }, Event::Artifact { body, .. }) => report!("{body}"),
         (Request::Submit { watch, .. }, first) => {
             return client_submit(&mut client, first, *watch, drop_after)
         }
@@ -167,7 +167,7 @@ fn run_client(args: &Args) -> i32 {
 /// An off-protocol reply (the daemon answered, but not what this op
 /// expects) — report and fail.
 fn unexpected(ev: &Event) -> i32 {
-    eprintln!("error: unexpected reply: {ev:?}");
+    diag!("error: unexpected reply: {ev:?}");
     1
 }
 
@@ -178,15 +178,15 @@ fn unexpected(ev: &Event) -> i32 {
 fn client_submit(client: &mut Client, first: Event, watch: bool, drop_after: Option<u64>) -> i32 {
     match first {
         Event::Accepted { id, cells, replayed } => {
-            println!("accepted {id}: {cells} cell(s), {replayed} replayed");
+            report!("accepted {id}: {cells} cell(s), {replayed} replayed");
         }
         Event::Rejected { reason, retry_after_ms } => {
             let retry = retry_after_ms.map(|ms| format!(" (retry after {ms} ms)"));
-            eprintln!("rejected: {reason}{}", retry.unwrap_or_default());
+            diag!("rejected: {reason}{}", retry.unwrap_or_default());
             return 1;
         }
         Event::Error { reason } => {
-            eprintln!("error: {reason}");
+            diag!("error: {reason}");
             return exit_code::USAGE;
         }
         other => return unexpected(&other),
@@ -199,17 +199,17 @@ fn client_submit(client: &mut Client, first: Event, watch: bool, drop_after: Opt
         match client.recv() {
             Ok(Event::Cell { workload, predictor, status, attempts }) => {
                 seen += 1;
-                println!("cell {workload}/{predictor}: {status} (attempt {attempts})");
+                report!("cell {workload}/{predictor}: {status} (attempt {attempts})");
                 if drop_after.is_some_and(|n| seen >= n) {
                     // Deliberate torn connection: the daemon downgrades
                     // the sweep to fire-and-forget and serves the
                     // artifact by digest later.
-                    println!("dropping connection after {seen} cell event(s)");
+                    report!("dropping connection after {seen} cell event(s)");
                     return exit_code::OK;
                 }
             }
             Ok(Event::Done { id, digest, runs, degraded, deadline_runs, exit }) => {
-                println!(
+                report!(
                     "done {id}: digest={digest} runs={runs} degraded={degraded} \
                      deadline_runs={deadline_runs} exit={exit}"
                 );
@@ -217,7 +217,7 @@ fn client_submit(client: &mut Client, first: Event, watch: bool, drop_after: Opt
             }
             Ok(other) => return unexpected(&other),
             Err(e) => {
-                eprintln!("error: stream: {e}");
+                diag!("error: stream: {e}");
                 return 1;
             }
         }

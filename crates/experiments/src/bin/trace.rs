@@ -13,7 +13,7 @@
 //! unknown flag, a missing or malformed value, or an unknown workload or
 //! predictor exits 2 naming it; a simulation error exits 1.
 
-use phast_experiments::{cli, exit_code, PredictorKind};
+use phast_experiments::{cli, diag, exit_code, report, PredictorKind};
 use phast_ooo::{Core, CoreConfig, Deadline};
 
 fn main() {
@@ -39,14 +39,14 @@ fn main() {
     let mut predictor = kind.build(&program, insts);
     let mut core = Core::new(&program, cfg, predictor.as_mut());
 
-    println!(
+    report!(
         "workload={} predictor={} insts={} interval={}\n",
         workload.name,
         kind.label(),
         insts,
         interval
     );
-    println!(
+    report!(
         "{:>10} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "committed", "IPC", "MPKI-FN", "MPKI-FP", "br-MPKI", "fwd-loads"
     );
@@ -57,7 +57,7 @@ fn main() {
         let s = match core.try_run_within(target, u64::MAX, &Deadline::none()) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("simulation failed: {e}");
+                diag!("simulation failed: {e}");
                 std::process::exit(exit_code::DEGRADED);
             }
         };
@@ -67,7 +67,7 @@ fn main() {
             break;
         }
         let mpki = |d: u64| 1000.0 * d as f64 / d_insts as f64;
-        println!(
+        report!(
             "{:>10} {:>8.3} {:>10.3} {:>10.3} {:>10.3} {:>10}",
             s.committed,
             d_insts as f64 / d_cycles.max(1) as f64,

@@ -211,7 +211,7 @@ impl Cli {
     pub fn parse(&'static self) -> Args {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
-            print!("{}", self.help());
+            crate::report!("{}", self.help().trim_end());
             std::process::exit(exit_code::OK);
         }
         self.try_parse(args).unwrap_or_else(|reason| self.reject(&reason))

@@ -6,9 +6,10 @@
 //! * a **worker pool** ([`crate::pool`]) that fans the (workload,
 //!   predictor, config) run matrix across threads while keeping output
 //!   deterministic — results are collected by matrix index and recorded in
-//!   matrix order, and every run builds its program and predictor from
-//!   per-run seeds, so a parallel sweep produces byte-identical tables to
-//!   a serial one;
+//!   matrix order, each workload's program is a pure function of its name
+//!   and budget (built once per grid), and every run builds its predictor
+//!   afresh, so a parallel sweep produces byte-identical tables to a
+//!   serial one;
 //! * a **scoped degraded-run registry** — a run that fails with a
 //!   [`SimError`] is recorded (with its partial statistics) and reported
 //!   at the end of the experiment instead of aborting the remaining
@@ -31,7 +32,6 @@ use crate::journal::{CompletedRun, JournalScope};
 use crate::pool::{self, JobPanic};
 use crate::predictors::{ideal_oracle, PredictorKind};
 use phast_isa::Program;
-use phast_mdp::DepOracle;
 use phast_ooo::{try_simulate_within, CoreConfig, Deadline, SimError, SimStats};
 use phast_sample::{
     capture, estimate, run_window_within, sum_window_stats_weighted, CheckpointSet, SampleConfig,
@@ -39,7 +39,7 @@ use phast_sample::{
 };
 use phast_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Process exit codes of the experiment binary — the machine-readable
@@ -338,43 +338,6 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     }
 }
 
-/// One full-detail attempt at a cell: builds and simulates one
-/// (workload, predictor kind) pair under a cooperative deadline, without
-/// touching any registry. A failed run yields its partial statistics
-/// plus the [`SimError`] instead of aborting. The run's wall-clock
-/// covers the simulation only, not the program or predictor build.
-fn execute_one_within(
-    workload: &Workload,
-    kind: &PredictorKind,
-    cfg: &CoreConfig,
-    budget: &Budget,
-    deadline: &Deadline,
-) -> RunResult {
-    let program = workload.build(budget.workload_iters);
-    let mut core_cfg = cfg.clone();
-    core_cfg.train_point = kind.train_point();
-    let mut predictor = kind.build(&program, budget.insts);
-    let start = Instant::now();
-    let (stats, failure) =
-        match try_simulate_within(&program, &core_cfg, predictor.as_mut(), budget.insts, deadline) {
-            Ok(stats) => (stats, None),
-            Err(e) => (e.partial_stats().clone(), Some(RunFailure::Sim(e))),
-        };
-    let wall = start.elapsed();
-    RunResult {
-        workload: workload.name.to_string(),
-        predictor: kind.label(),
-        stats,
-        num_paths: predictor.num_paths(),
-        path_lengths: predictor.path_lengths(),
-        failure,
-        wall,
-        attempts: 1,
-        sampling: None,
-        workload_signature: phast_trace::signature(&program).digest(),
-    }
-}
-
 /// The journal key of one sweep cell. Workload and predictor label alone
 /// do not identify a run — Fig. 2 sweeps core generations and Fig. 12
 /// re-runs pairs under a different forwarding filter — so the key also
@@ -425,21 +388,22 @@ fn reseed_for_attempt(cfg: &CoreConfig, attempt: u64) -> (CoreConfig, u64) {
     (cfg_attempt, seed)
 }
 
-/// What the sampled cells of one workload share: the capture pass
-/// (program plus checkpoint set) and, for ideal cells, the dependence
-/// oracle over the horizon. The first live cell that needs either builds
-/// it, and that cell's wall is charged with it, so a workload whose cells
-/// all replay from the journal is never captured. A build that panicked
-/// degrades every cell that needs it, as a panic in the cell would.
-struct SampledWorkload {
-    scfg: SampleConfig,
-    capture: OnceLock<Result<(Program, CheckpointSet), JobPanic>>,
-    oracle: OnceLock<Result<Arc<DepOracle>, JobPanic>>,
+/// What every cell of one workload shares within a grid, in both modes:
+/// the program with the digest of its static dependence signature and,
+/// when sampling, the capture pass over it. Nothing here depends on the
+/// predictor. The first live cell that needs a slot builds it, so a
+/// workload whose cells all replay from the journal builds nothing. A
+/// build that panicked degrades every cell that needs it, as a panic in
+/// the cell would.
+struct WorkloadState {
+    sampling: Option<SampleConfig>,
+    program: OnceLock<Result<(Program, String), JobPanic>>,
+    capture: OnceLock<Result<CheckpointSet, JobPanic>>,
 }
 
-impl SampledWorkload {
-    fn new(scfg: SampleConfig) -> SampledWorkload {
-        SampledWorkload { scfg, capture: OnceLock::new(), oracle: OnceLock::new() }
+impl WorkloadState {
+    fn new(sampling: Option<SampleConfig>) -> WorkloadState {
+        WorkloadState { sampling, program: OnceLock::new(), capture: OnceLock::new() }
     }
 }
 
@@ -460,85 +424,117 @@ fn build_once<'s, T>(
     built.as_ref().map_err(JobPanic::clone)
 }
 
-/// One sampled attempt at a cell: its workload's windows replayed in
-/// order, each with a freshly built predictor, under the attempt's one
-/// deadline. Statistics are the window sums, weighted by cluster size (so
-/// the cell's ratio statistics equal the weighted estimate); `sampling`
-/// carries the estimate metadata; the first window failure degrades the
-/// cell. The wall is the windows' build-and-replay time plus any capture
-/// or oracle build this attempt ran.
-fn execute_sampled_within(
+/// One attempt at a cell, under one deadline and without touching any
+/// registry. The kind's predictor runs the whole budget in full detail,
+/// or, when sampling, the capture's windows in order, each with a freshly
+/// built predictor; a sampled cell's statistics are the window sums,
+/// weighted by cluster size (so its ratio statistics equal the weighted
+/// estimate), and `sampling` carries the estimate metadata. A failed run
+/// yields its partial statistics plus the [`SimError`] (for a sampled
+/// cell, the first window's) instead of aborting. An ideal cell builds
+/// its oracle here and drops it when the attempt ends. A full-detail wall
+/// covers the simulation only; a sampled one covers the windows plus
+/// every build this attempt ran.
+fn run_attempt(
     workload: &Workload,
     kind: &PredictorKind,
     cfg: &CoreConfig,
     budget: &Budget,
-    shared: &SampledWorkload,
+    state: &WorkloadState,
     deadline: &Deadline,
 ) -> Result<RunResult, JobPanic> {
-    let mut wall = Duration::ZERO;
-    let (program, set) = build_once(&shared.capture, &mut wall, || {
+    let mut builds = Duration::ZERO;
+    let (program, signature) = build_once(&state.program, &mut builds, || {
         let program = workload.build(budget.workload_iters);
-        let set =
-            capture(&program, cfg, &shared.scfg, budget.insts).expect("workloads emulate cleanly");
-        (program, set)
+        let signature = phast_trace::signature(&program).digest();
+        (program, signature)
     })?;
-    let oracle = match kind {
-        PredictorKind::Ideal => {
-            Some(build_once(&shared.oracle, &mut wall, || ideal_oracle(program, budget.insts))?)
-        }
-        _ => None,
+    let set = match &state.sampling {
+        Some(scfg) => Some(build_once(&state.capture, &mut builds, || {
+            capture(program, cfg, scfg, budget.insts).expect("workloads emulate cleanly")
+        })?),
+        None => None,
     };
+    let t = Instant::now();
+    let oracle = (*kind == PredictorKind::Ideal).then(|| ideal_oracle(program, budget.insts));
+    builds += t.elapsed();
+    let build = || kind.build_sharing(program, budget.insts, oracle.as_ref());
     let mut core_cfg = cfg.clone();
     core_cfg.train_point = kind.train_point();
-    let mut num_paths = 0;
-    let runs: Vec<WindowRun> = set
-        .windows_to_run()
-        .into_iter()
-        .map(|j| {
-            let t = Instant::now();
-            let mut predictor = kind.build_sharing(program, budget.insts, oracle);
-            let run = run_window_within(program, &core_cfg, predictor.as_mut(), set, j, deadline);
-            num_paths = num_paths.max(predictor.num_paths());
-            wall += t.elapsed();
-            run
-        })
-        .collect();
-    let failure = runs.iter().find_map(|r| r.failure.clone().map(RunFailure::Sim));
-    let est = estimate(set, &runs);
-    let (mode, cluster_weights, cluster_representatives) = match &set.clusters {
-        Some(plan) => (
-            SampleMode::Phase.as_str().to_string(),
-            plan.weights.clone(),
-            plan.representatives.iter().map(|&r| u64::from(r)).collect(),
-        ),
-        None => (SampleMode::Stride.as_str().to_string(), Vec::new(), Vec::new()),
+    let (stats, failure, num_paths, path_lengths, wall, sampling) = match set {
+        None => {
+            let mut predictor = build();
+            let start = Instant::now();
+            let result =
+                try_simulate_within(program, &core_cfg, predictor.as_mut(), budget.insts, deadline);
+            let wall = start.elapsed();
+            let (stats, failure) = match result {
+                Ok(stats) => (stats, None),
+                Err(e) => (e.partial_stats().clone(), Some(e)),
+            };
+            (stats, failure, predictor.num_paths(), predictor.path_lengths(), wall, None)
+        }
+        Some(set) => {
+            let start = Instant::now();
+            let mut num_paths = 0;
+            let runs: Vec<WindowRun> = set
+                .windows_to_run()
+                .into_iter()
+                .map(|j| {
+                    let mut predictor = build();
+                    let window =
+                        run_window_within(program, &core_cfg, predictor.as_mut(), set, j, deadline);
+                    num_paths = num_paths.max(predictor.num_paths());
+                    window
+                })
+                .collect();
+            let wall = builds + start.elapsed();
+            let failure = runs.iter().find_map(|r| r.failure.clone());
+            let stats = sum_window_stats_weighted(&runs, &set.run_weights());
+            (stats, failure, num_paths, Vec::new(), wall, Some(sampling_meta(set, &runs)))
+        }
     };
     Ok(RunResult {
         workload: workload.name.to_string(),
         predictor: kind.label(),
-        stats: sum_window_stats_weighted(&runs, &set.run_weights()),
+        stats,
         num_paths,
-        path_lengths: Vec::new(),
-        failure,
+        path_lengths,
+        failure: failure.map(RunFailure::Sim),
         wall,
-        sampling: Some(SamplingMeta {
-            windows: est.windows,
-            window_insts: set.window_insts,
-            warm_insts: set.warm_insts,
-            measured_insts: est.measured_insts,
-            warmed_insts: est.warmed_insts,
-            fast_forwarded_insts: est.fast_forwarded_insts,
-            horizon: est.horizon,
-            ipc_ci_half: est.ipc_ci_half,
-            full_ipc: None,
-            ipc_error: None,
-            mode,
-            cluster_weights,
-            cluster_representatives,
-        }),
         attempts: 1,
-        workload_signature: phast_trace::signature(program).digest(),
+        sampling,
+        workload_signature: signature.clone(),
     })
+}
+
+/// The estimate metadata of a sampled cell whose windows of `set` ran as
+/// `runs`.
+fn sampling_meta(set: &CheckpointSet, runs: &[WindowRun]) -> SamplingMeta {
+    let est = estimate(set, runs);
+    let (mode, cluster_weights, cluster_representatives) = match &set.clusters {
+        Some(plan) => (
+            SampleMode::Phase,
+            plan.weights.clone(),
+            plan.representatives.iter().map(|&r| u64::from(r)).collect(),
+        ),
+        None => (SampleMode::Stride, Vec::new(), Vec::new()),
+    };
+    SamplingMeta {
+        windows: est.windows,
+        window_insts: set.window_insts,
+        warm_insts: set.warm_insts,
+        measured_insts: est.measured_insts,
+        warmed_insts: est.warmed_insts,
+        fast_forwarded_insts: est.fast_forwarded_insts,
+        horizon: est.horizon,
+        ipc_ci_half: est.ipc_ci_half,
+        full_ipc: None,
+        ipc_error: None,
+        mode: mode.as_str().to_string(),
+        cluster_weights,
+        cluster_representatives,
+    }
 }
 
 /// A live cell's progress, as [`Sweep::grid`] reports it. Cells replayed
@@ -691,20 +687,19 @@ impl Sweep {
     /// (a cell the journal holds as `ok` is not re-simulated), write-ahead
     /// `start` line, an attempt under panic isolation and the per-cell
     /// deadline watchdog, the capped retry policy with per-attempt fault
-    /// reseeding, and the `done` line. An attempt simulates the whole
-    /// budget in full detail, or with `sampled` replays the windows of its
-    /// workload's capture. A live cell reports its start and its final
-    /// result to `observe`.
+    /// reseeding, and the `done` line. An attempt ([`run_attempt`]) reads
+    /// its workload's program, and capture when sampling, from `state`.
+    /// A live cell reports its start and its final result to `observe`.
     fn execute_cell(
         &self,
         workload: &Workload,
         kind: &PredictorKind,
         cfg: &CoreConfig,
         budget: &Budget,
-        sampled: Option<&SampledWorkload>,
+        state: &WorkloadState,
         observe: &(dyn Fn(CellProgress<'_>) + Sync),
     ) -> RunResult {
-        let key = cell_key(workload.name, &kind.label(), cfg, budget, sampled.map(|s| &s.scfg));
+        let key = cell_key(workload.name, &kind.label(), cfg, budget, state.sampling.as_ref());
         if let Some(done) = self.journal.as_ref().and_then(|j| j.lookup(&key)) {
             return replayed_result(done);
         }
@@ -718,11 +713,8 @@ impl Sweep {
                 j.log_start(&key, attempt, seed);
             }
             let deadline = self.deadline();
-            let mut run = pool::catch_job(|| match sampled {
-                Some(shared) => {
-                    execute_sampled_within(workload, kind, &cfg_attempt, budget, shared, &deadline)
-                }
-                None => Ok(execute_one_within(workload, kind, &cfg_attempt, budget, &deadline)),
+            let mut run = pool::catch_job(|| {
+                run_attempt(workload, kind, &cfg_attempt, budget, state, &deadline)
             })
             .and_then(|run| run)
             .unwrap_or_else(|p| panicked_result(workload.name, &kind.label(), p));
@@ -746,8 +738,8 @@ impl Sweep {
         cfg: &CoreConfig,
         budget: &Budget,
     ) -> RunResult {
-        let sampled = self.sampling.map(SampledWorkload::new);
-        let run = self.execute_cell(workload, kind, cfg, budget, sampled.as_ref(), &|_| {});
+        let state = WorkloadState::new(self.sampling);
+        let run = self.execute_cell(workload, kind, cfg, budget, &state, &|_| {});
         self.record_all(std::slice::from_ref(&run));
         run
     }
@@ -778,16 +770,16 @@ impl Sweep {
 
     /// The (kind × workload) grid without recording the results: every
     /// cell through [`Sweep::execute_cell`] (journal, retries, deadline,
-    /// panic isolation), the cells fanned across the pool. With
-    /// `sampling`, each workload is captured once, by its first live cell,
-    /// and each cell replays that capture's windows in order on its
-    /// worker; `None` runs full detail whatever this sweep's sampling
-    /// mode. Rows are in kind order, each in registry order. Each live
-    /// cell reports its progress to `observe` from whichever worker runs
-    /// it — how `phast-serve` streams a sweep's `cell` events. The sampled
-    /// validation experiments record both grids after annotating the
-    /// sampled one; Fig. 10 runs in full detail because a sampled window
-    /// cannot see a whole run's conflicts.
+    /// panic isolation), the cells fanned across the pool. Each workload's
+    /// program and signature are built once, by its first live cell, and
+    /// with `sampling` so is its capture, whose windows each cell replays
+    /// in order on its worker; `None` runs full detail whatever this
+    /// sweep's sampling mode. Rows are in kind order, each in registry
+    /// order. Each live cell reports its progress to `observe` from
+    /// whichever worker runs it — how `phast-serve` streams a sweep's
+    /// `cell` events. The sampled validation experiments record both
+    /// grids after annotating the sampled one; Fig. 10 runs in full detail
+    /// because a sampled window cannot see a whole run's conflicts.
     pub(crate) fn grid(
         &self,
         kinds: &[PredictorKind],
@@ -797,13 +789,13 @@ impl Sweep {
         observe: &(dyn Fn(CellProgress<'_>) + Sync),
     ) -> Vec<Vec<RunResult>> {
         let workloads = budget.workloads();
-        let sampled: Vec<Option<SampledWorkload>> =
-            workloads.iter().map(|_| sampling.map(SampledWorkload::new)).collect();
+        let states: Vec<WorkloadState> =
+            workloads.iter().map(|_| WorkloadState::new(sampling)).collect();
         let cells: Vec<(usize, usize)> = (0..kinds.len())
             .flat_map(|k| (0..workloads.len()).map(move |w| (k, w)))
             .collect();
         let flat = self.map(&cells, |_, &(k, w)| {
-            self.execute_cell(&workloads[w], &kinds[k], cfg, budget, sampled[w].as_ref(), observe)
+            self.execute_cell(&workloads[w], &kinds[k], cfg, budget, &states[w], observe)
         });
         let mut rows: Vec<Vec<RunResult>> = Vec::with_capacity(kinds.len());
         let mut flat = flat.into_iter();
@@ -985,6 +977,50 @@ mod tests {
             "{:?}",
             grid[1][0].failure
         );
+    }
+
+    #[test]
+    fn a_grid_builds_each_workload_once_in_both_modes() {
+        use crate::journal::Journal;
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        let workload = Workload::dynamic("counted".into(), "test".into(), |iters| {
+            BUILDS.fetch_add(1, Ordering::Relaxed);
+            phast_workloads::by_name("exchange2").expect("built-in workload").build(iters)
+        });
+        let budget = Budget {
+            insts: 12_000,
+            workload_iters: 100_000,
+            max_workloads: Some(0),
+            extra_workloads: vec![workload],
+        };
+        let cfg = CoreConfig::alder_lake();
+        let kinds = [PredictorKind::StoreSets, PredictorKind::Blind, PredictorKind::Ideal];
+        let dir = std::env::temp_dir().join(format!("phast-harness-builds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (i, sampling) in [None, Some(SampleConfig::new(3, 600, 400))].into_iter().enumerate() {
+            let path = dir.join(format!("journal-{i}.jsonl"));
+            let run = |journal: Journal| {
+                let sweep = Sweep::with_workers(2).with_journal(journal.scope("builds"));
+                let sweep = match sampling {
+                    Some(scfg) => sweep.with_sampling(scfg),
+                    None => sweep,
+                };
+                let before = BUILDS.load(Ordering::Relaxed);
+                let grid = sweep.run_grid(&kinds, &cfg, &budget);
+                (BUILDS.load(Ordering::Relaxed) - before, grid)
+            };
+            let (builds, grid) = run(Journal::create(&path, "builds").expect("journal"));
+            assert_eq!(builds, 1, "one program for the grid's three cells ({sampling:?})");
+            let signature = grid[0][0].workload_signature.clone();
+            assert_ne!(signature, "unknown");
+            let (builds, resumed) = run(Journal::resume(&path, "builds").expect("resume"));
+            assert_eq!(builds, 0, "every cell replays from the journal ({sampling:?})");
+            for r in grid.iter().chain(&resumed).flatten() {
+                assert!(r.ok(), "{} × {} degraded", r.workload, r.predictor);
+                assert_eq!(r.workload_signature, signature, "{} ({sampling:?})", r.predictor);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

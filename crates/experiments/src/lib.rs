@@ -38,6 +38,17 @@ macro_rules! diag {
     }};
 }
 
+/// `println!` that drops a write error instead of panicking, the stdout
+/// twin of [`diag!`]: a binary whose stdout reader has gone keeps its exit
+/// code, and a sweep still writes its artifacts and journal.
+#[macro_export]
+macro_rules! report {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 pub mod ablations;
 pub mod artifact;
 pub mod cli;

@@ -1,12 +1,15 @@
 //! In-tree scoped-thread worker pool for the sweep engine.
 //!
 //! The experiment matrices (workload × predictor × config) are
-//! embarrassingly parallel: every run builds its own program and predictor
-//! from deterministic seeds and shares nothing with its neighbours. This
-//! module fans a task slice across `std::thread::scope` workers while
-//! keeping the *output* deterministic: results land in a slot vector
-//! indexed by task position, so callers observe exactly the order a serial
-//! loop would produce, regardless of which worker finished first.
+//! embarrassingly parallel: every run builds its own predictor, and what
+//! the runs of one workload share (its program, static signature and
+//! sampled capture, built once per grid by whichever run needs it first)
+//! is a pure function of the workload, budget and core configuration, so
+//! no run can tell which neighbour built it. This module fans a task
+//! slice across `std::thread::scope` workers while keeping the *output*
+//! deterministic: results land in a slot vector indexed by task position,
+//! so callers observe exactly the order a serial loop would produce,
+//! regardless of which worker finished first.
 //!
 //! No external dependencies — like the `crates/compat-*` stand-ins, this
 //! is deliberately the smallest thing that does the job: an atomic

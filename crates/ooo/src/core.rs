@@ -186,7 +186,6 @@ pub struct Core<'a> {
     last_commit_cycle: u64,
     stats: SimStats,
     halted: bool,
-    commit_log: Option<Vec<CommitRecord>>,
 
     // Integrity machinery (see `cfg.check`).
     checker: Option<CommitChecker<'a>>,
@@ -233,20 +232,6 @@ pub struct BootState {
     pub history: BranchHistory,
     /// Warmed structures ([`Structures::new`] for a cold boot).
     pub structures: Structures,
-}
-
-/// One committed instruction, for equivalence checks against the
-/// functional emulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CommitRecord {
-    /// Architectural sequence number (matches the emulator's `seq`).
-    pub arch_seq: u64,
-    /// Program counter.
-    pub pc: Pc,
-    /// Destination value written, if any.
-    pub dst_value: Option<u64>,
-    /// Effective address of loads/stores.
-    pub eff_addr: Option<u64>,
 }
 
 impl<'a> Core<'a> {
@@ -317,7 +302,6 @@ impl<'a> Core<'a> {
             last_commit_cycle: 0,
             stats: SimStats::default(),
             halted: false,
-            commit_log: None,
             checker,
             injector,
             program,
@@ -408,17 +392,6 @@ impl<'a> Core<'a> {
             sb_pending: self.sb_drains.len(),
             cursor: self.cursor,
         })
-    }
-
-    /// Starts recording every committed instruction, for equivalence
-    /// checks against the reference emulator.
-    pub fn enable_commit_log(&mut self) {
-        self.commit_log = Some(Vec::new());
-    }
-
-    /// The recorded commit log (empty unless enabled).
-    pub fn commit_log(&self) -> &[CommitRecord] {
-        self.commit_log.as_deref().unwrap_or(&[])
     }
 
     /// Architectural register value (for oracle-style verification).
@@ -577,14 +550,6 @@ impl<'a> Core<'a> {
         let u = self.rob.front().expect("head exists");
         self.stats.committed += 1;
         self.last_commit_cycle = self.cycle;
-        if let Some(log) = &mut self.commit_log {
-            log.push(CommitRecord {
-                arch_seq: u.arch_seq,
-                pc: u.pc,
-                dst_value: u.dst.and(u.result),
-                eff_addr: u.addr,
-            });
-        }
 
         // Architectural register update + RAT release.
         if let Some(dst) = u.dst {

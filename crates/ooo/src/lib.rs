@@ -64,7 +64,7 @@ mod error;
 mod runner;
 mod stats;
 
-pub use crate::core::{BootState, CommitRecord, Core, Structures};
+pub use crate::core::{BootState, Core, Structures};
 pub use check::{CheckConfig, CommitChecker, FaultInjector, FaultPlan};
 pub use config::{CoreConfig, MemSquashPolicy, Ports, TrainPoint};
 pub use deadline::{Deadline, DEADLINE_CHECK_INTERVAL};

@@ -16,23 +16,16 @@ use phast_ooo::{Core, CoreConfig, Deadline, TrainPoint};
 use proptest::prelude::*;
 
 fn assert_equivalent(program: &Program, predictor: &mut dyn MemDepPredictor, train: TrainPoint) {
-    let mut emu = Emulator::new(program);
-    let expected = emu.run_collect(100_000).expect("emulates");
+    let retired = Emulator::new(program).run(100_000).expect("emulates");
 
+    // The core's lockstep checker compares every commit with the emulator.
     let mut cfg = CoreConfig::alder_lake();
     cfg.train_point = train;
+    cfg.check.lockstep = true;
     let mut core = Core::new(program, cfg, predictor);
-    core.enable_commit_log();
     let stats = core.try_run_within(100_000, 10_000_000, &Deadline::none()).expect("runs cleanly");
     assert!(stats.halted, "must run to completion");
-
-    let log = core.commit_log();
-    assert_eq!(log.len(), expected.len(), "commit count");
-    for (got, want) in log.iter().zip(&expected) {
-        assert_eq!(got.pc, want.pc, "pc at seq {}", want.seq);
-        assert_eq!(got.dst_value, want.dst_value, "value at seq {} pc {:#x}", want.seq, want.pc);
-        assert_eq!(got.eff_addr, want.eff_addr, "address at seq {} pc {:#x}", want.seq, want.pc);
-    }
+    assert_eq!(stats.checked_commits, retired, "every commit checked");
 }
 
 proptest! {
