@@ -64,9 +64,11 @@ struct Lookup {
 const MAX_COMPONENTS: usize = 16;
 
 /// One tagged component's table index and tag for a (pc, history) pair.
+/// Eight bytes, so one lookup's key array is 128 bytes, which the compiler
+/// zeroes and moves inline rather than through a libc call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Key {
-    index: usize,
+    index: u32,
     tag: u16,
 }
 
@@ -110,7 +112,7 @@ impl Tage {
         for (t, (key, &len)) in keys.iter_mut().zip(&self.cfg.history_lengths).enumerate() {
             let h = Self::fold_hist(ghr, len, index_bits);
             let pch = (pc >> 2) ^ (pc >> (2 + index_bits as u64)) ^ (t as u64);
-            key.index = ((pch ^ h) & ((1 << index_bits) - 1)) as usize;
+            key.index = ((pch ^ h) & ((1 << index_bits) - 1)) as u32;
             let ht = if tag_bits == index_bits { h } else { Self::fold_hist(ghr, len, tag_bits) };
             let h2 = Self::fold_hist(ghr, len, tag_bits - 1) << 1;
             key.tag = (((pc >> 2) ^ ht ^ h2) & ((1 << tag_bits) - 1)) as u16;
@@ -126,7 +128,7 @@ impl Tage {
         let mut provider = None;
         let mut alt: Option<(usize, usize)> = None;
         for t in (0..self.tables.len()).rev() {
-            let Key { index, tag } = keys[t];
+            let (index, tag) = (keys[t].index as usize, keys[t].tag);
             if self.tables[t][index].tag == tag {
                 if provider.is_none() {
                     provider = Some((t, index));
@@ -199,7 +201,8 @@ impl DirectionPredictor for Tage {
             let mut allocated = false;
             let r = self.rand();
             let n = self.tables.len();
-            for (t, &Key { index: idx, tag }) in keys[..n].iter().enumerate().skip(start) {
+            for (t, &Key { index, tag }) in keys[..n].iter().enumerate().skip(start) {
+                let idx = index as usize;
                 if self.tables[t][idx].useful == 0 {
                     // Skip a free slot with probability 1/2 to spread
                     // allocations across components, but never skip the
@@ -216,7 +219,8 @@ impl DirectionPredictor for Tage {
             if !allocated {
                 // Decay usefulness along the would-be allocation path.
                 for (table, key) in self.tables.iter_mut().zip(&keys).skip(start) {
-                    table[key.index].useful = table[key.index].useful.saturating_sub(1);
+                    let e = &mut table[key.index as usize];
+                    e.useful = e.useful.saturating_sub(1);
                 }
             }
         }
@@ -374,7 +378,8 @@ mod tests {
                 let (pc, ghr) = (rng.gen::<u64>(), rng.gen::<u128>());
                 let keys = p.keys(pc, ghr);
                 for (t, key) in keys[..cfg.history_lengths.len()].iter().enumerate() {
-                    let want = Key { index: index(&cfg, t, pc, ghr), tag: tag(&cfg, t, pc, ghr) };
+                    let want =
+                        Key { index: index(&cfg, t, pc, ghr) as u32, tag: tag(&cfg, t, pc, ghr) };
                     assert_eq!(*key, want, "component {t} pc {pc:#x} ghr {ghr:#x}");
                 }
             }

@@ -404,22 +404,6 @@ impl<'p> Emulator<'p> {
         }
         Ok(n)
     }
-
-    /// Runs up to `max_insts` instructions, collecting their records.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EmuError`] encountered.
-    pub fn run_collect(&mut self, max_insts: u64) -> Result<Vec<ExecRecord>, EmuError> {
-        let mut out = Vec::new();
-        while (out.len() as u64) < max_insts {
-            match self.step()? {
-                Some(rec) => out.push(rec),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -547,7 +531,7 @@ mod tests {
         b.set_entry(e);
         let p = b.build().unwrap();
         let mut emu = Emulator::new(&p);
-        let recs = emu.run_collect(100).unwrap();
+        let recs: Vec<ExecRecord> = std::iter::from_fn(|| emu.step().unwrap()).collect();
         let st = &recs[2];
         assert_eq!(st.eff_addr, Some(0x3004));
         assert_eq!(st.store_data, Some(0xff), "truncated to one byte");
@@ -601,7 +585,7 @@ mod tests {
         b.set_entry(e);
         let p = b.build().unwrap();
         let mut emu = Emulator::new(&p);
-        let recs = emu.run_collect(10).unwrap();
+        let recs: Vec<ExecRecord> = std::iter::from_fn(|| emu.step().unwrap()).collect();
         assert_eq!(recs[1].taken, Some(true));
         assert_eq!(recs[1].target_pc, Some(p.block_pc(t)));
     }

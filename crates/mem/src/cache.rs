@@ -77,20 +77,40 @@ impl CacheStats {
     }
 }
 
+/// Sets per block of tag storage: the unit a [`Cache`] allocates on the
+/// first fill into it and a clone copies.
+const BLOCK_SETS: usize = 64;
+
+/// The tags and LRU stamps of [`BLOCK_SETS`] consecutive sets (all of
+/// them in a smaller cache), `ways` consecutive entries per set.
+#[derive(Clone, Debug)]
+struct Block {
+    tags: Box<[u64]>,
+    /// Last-use stamp of each way, parallel to `tags`. A way is valid iff
+    /// its stamp is non-zero: stamps come from `lru_clock`, which is
+    /// incremented before every use, so a zeroed block is empty.
+    lru: Box<[u32]>,
+}
+
+impl Block {
+    /// The ways of the set whose first way is at `base`.
+    #[inline]
+    fn set(&mut self, base: usize, ways: usize) -> (&mut [u64], &mut [u32]) {
+        let ways = base..base + ways;
+        (&mut self.tags[ways.clone()], &mut self.lru[ways])
+    }
+}
+
 /// One cache level: tag array + MSHRs.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Flat tag array, `cfg.ways` consecutive entries per set — one
-    /// contiguous allocation so a probe walks a single cache-line-sized
-    /// span instead of chasing a per-set pointer.
-    tags: Vec<u64>,
-    /// Last-use stamp of each way, parallel to `tags`. A way is valid iff
-    /// its stamp is non-zero: stamps come from `lru_clock`, which is
-    /// incremented before every use, so a zeroed array is an empty cache.
-    /// Both arrays are allocated zeroed, which a fresh mapping provides
-    /// without writing the sets a run never touches.
-    lru: Vec<u32>,
+    /// Tag storage, one slot per [`BLOCK_SETS`] consecutive sets, empty
+    /// until the first fill into one of them; a probe of an empty slot
+    /// misses without allocating. A cache, and each clone of it (sampled
+    /// simulation snapshots every level), holds only the blocks a run has
+    /// filled, while a probe still walks one contiguous span per set.
+    blocks: Vec<Option<Block>>,
     set_mask: usize,
     lru_clock: u32,
     /// Outstanding misses: (line, completion_cycle). Pruned lazily.
@@ -104,8 +124,7 @@ impl Cache {
         let sets = cfg.sets();
         Cache {
             cfg,
-            tags: vec![0; sets * cfg.ways],
-            lru: vec![0; sets * cfg.ways],
+            blocks: vec![None; sets.div_ceil(BLOCK_SETS)],
             set_mask: sets - 1,
             lru_clock: 0,
             inflight: VecDeque::new(),
@@ -123,19 +142,41 @@ impl Cache {
         &self.stats
     }
 
-    /// The tags and stamps of `line`'s set.
+    /// Sets this cache holds storage for: every set of each block that a
+    /// fill has reached. What a clone of it copies.
+    pub fn allocated_sets(&self) -> usize {
+        self.blocks.iter().flatten().count() * self.block_sets()
+    }
+
+    fn block_sets(&self) -> usize {
+        (self.set_mask + 1).min(BLOCK_SETS)
+    }
+
+    /// `line`'s block slot and the offset of its set's first way there.
     #[inline]
-    fn set_of(&mut self, line: u64) -> (&mut [u64], &mut [u32]) {
-        let base = ((line as usize) & self.set_mask) * self.cfg.ways;
-        let ways = base..base + self.cfg.ways;
-        (&mut self.tags[ways.clone()], &mut self.lru[ways])
+    fn locate(&self, line: u64) -> (usize, usize) {
+        let set = (line as usize) & self.set_mask;
+        (set / BLOCK_SETS, set % BLOCK_SETS * self.cfg.ways)
+    }
+
+    /// The tags and stamps of `line`'s set, allocating its block (empty)
+    /// if no fill has reached it yet.
+    fn set_or_allocate(&mut self, line: u64) -> (&mut [u64], &mut [u32]) {
+        let (slot, base) = self.locate(line);
+        let (ways, len) = (self.cfg.ways, self.block_sets() * self.cfg.ways);
+        let block = self.blocks[slot]
+            .get_or_insert_with(|| Block { tags: vec![0; len].into(), lru: vec![0; len].into() });
+        block.set(base, ways)
     }
 
     /// Looks up `line`, updating LRU on hit. Returns true on hit.
     pub fn probe(&mut self, line: u64) -> bool {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let (tags, lru) = self.set_of(line);
+        let (slot, base) = self.locate(line);
+        let ways = self.cfg.ways;
+        let Some(block) = &mut self.blocks[slot] else { return false };
+        let (tags, lru) = block.set(base, ways);
         for (&tag, stamp) in tags.iter().zip(lru) {
             if tag == line && *stamp != 0 {
                 *stamp = clock;
@@ -149,7 +190,7 @@ impl Cache {
     pub fn fill(&mut self, line: u64) -> Option<u64> {
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let (tags, lru) = self.set_of(line);
+        let (tags, lru) = self.set_or_allocate(line);
         // Already present (e.g. a prefetch raced a demand fill): refresh.
         for (&tag, stamp) in tags.iter().zip(lru.iter_mut()) {
             if tag == line && *stamp != 0 {
@@ -300,8 +341,86 @@ mod tests {
         assert_eq!(c.fill(0), None);
     }
 
-    /// The `Vec<Way>` layout the parallel tag and stamp arrays replaced,
-    /// kept as their reference model.
+    /// Sets the model test reaches: blocks 0 and 1 take presets and ops
+    /// (sets 63 and 64 straddle their boundary), block 2 only ops, so its
+    /// first ops probe it unallocated, and block 3 only probes, so it is
+    /// never filled.
+    const MODEL_SETS: [u64; 7] = [0, 1, 63, 64, 127, 130, 255];
+    const PROBE_ONLY_SET: u64 = 255;
+
+    /// 256 sets × 4 ways: four blocks.
+    fn four_blocks() -> Cache {
+        Cache::new(CacheConfig { size_bytes: 256 * 4 * 64, ways: 4, hit_latency: 1, mshrs: 1 })
+    }
+
+    #[test]
+    fn probes_never_allocate() {
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 12 * 1024 * 1024,
+            ways: 12,
+            hit_latency: 36,
+            mshrs: 64,
+        });
+        for line in (0..100_000).step_by(7) {
+            assert!(!c.probe(line));
+        }
+        assert_eq!(c.allocated_sets(), 0);
+        assert_eq!(c.lru_clock, 14_286, "every probe advances the clock");
+    }
+
+    #[test]
+    fn a_fill_allocates_exactly_its_own_block() {
+        let mut c = four_blocks();
+        c.fill(130);
+        assert_eq!(c.allocated_sets(), 64);
+        let filled: Vec<usize> = (0..4).filter(|&b| c.blocks[b].is_some()).collect();
+        assert_eq!(filled, [2], "sets 128..192 form block 2");
+        c.fill(130 + 256);
+        c.fill(191);
+        assert_eq!(c.allocated_sets(), 64, "more fills into block 2 allocate nothing");
+        c.fill(63);
+        assert_eq!(c.allocated_sets(), 128);
+        assert!(c.blocks[0].is_some() && c.blocks[1].is_none() && c.blocks[3].is_none());
+        assert_eq!(small().allocated_sets(), 0);
+        let mut s = small();
+        s.fill(3);
+        assert_eq!(s.allocated_sets(), 4, "a cache smaller than a block is one block");
+    }
+
+    #[test]
+    fn a_clone_driven_like_its_original_returns_the_same_results() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(29);
+        // Eight lines per set of the first `sets` sets.
+        let mut op = move |sets: u64| {
+            (rng.gen::<bool>(), rng.gen_range(0..sets) + 256 * rng.gen_range(0..8u64))
+        };
+        // The original fills blocks 0 and 1 only; the clone copies them,
+        // and both then allocate blocks 2 and 3 on their own.
+        let mut original = four_blocks();
+        for _ in 0..2_000 {
+            let (is_fill, line) = op(128);
+            if is_fill {
+                original.fill(line);
+            } else {
+                original.probe(line);
+            }
+        }
+        let mut clone = original.clone();
+        assert_eq!(clone.allocated_sets(), 128);
+        for i in 0..4_000 {
+            let (is_fill, line) = op(256);
+            if is_fill {
+                assert_eq!(clone.fill(line), original.fill(line), "op {i} fill {line}");
+            } else {
+                assert_eq!(clone.probe(line), original.probe(line), "op {i} probe {line}");
+            }
+        }
+        assert_eq!((clone.allocated_sets(), original.allocated_sets()), (256, 256));
+    }
+
+    /// The `Vec<Way>` layout the block storage replaced, kept as its
+    /// reference model.
     #[derive(Clone, Copy, Debug, Default)]
     struct Way {
         valid: bool,
@@ -356,28 +475,35 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The same probe/fill stream gives the same hits and evictions
-        /// as the `Vec<Way>` model, from states with invalid ways whose
-        /// tags match probed lines and with valid ways of equal stamps.
+        /// The same probe/fill stream gives the same hits, evictions and
+        /// clock as the `Vec<Way>` model, from states with invalid ways
+        /// whose tags match probed lines and with valid ways of equal
+        /// stamps, across four blocks of which one is probed but never
+        /// filled and one is first probed unallocated.
         #[test]
         fn matches_the_array_of_ways_model(
-            preset in vec((0usize..16, 0u64..24, 0u32..4), 0..12),
-            ops in vec((any::<bool>(), 0u64..24), 1..200),
+            preset in vec((0usize..5, 0usize..4, 0u64..6, 0u32..4), 0..12),
+            ops in vec((any::<bool>(), 0usize..MODEL_SETS.len(), 0u64..6), 1..200),
         ) {
-            // 4 sets × 4 ways; lines 0..24 put up to six lines in a set.
-            let mut cache =
-                Cache::new(CacheConfig { size_bytes: 16 * 64, ways: 4, hit_latency: 1, mshrs: 1 });
+            // Line `set + 256k` for k in 0..6 puts six lines in a 4-way set.
+            let mut cache = four_blocks();
             let mut model =
-                WayModel { ways: vec![Way::default(); 16], n_ways: 4, set_mask: 3, lru_clock: 0 };
-            // Stamps 0..4 tie with each other and with the first ops'
-            // stamps; a 0 stamp leaves the way invalid with a stale tag.
-            for (w, tag, stamp) in preset {
-                cache.tags[w] = tag;
-                cache.lru[w] = stamp;
-                model.ways[w] = Way { valid: stamp != 0, tag, lru: stamp };
+                WayModel { ways: vec![Way::default(); 1024], n_ways: 4, set_mask: 255, lru_clock: 0 };
+            // Presets go to blocks 0 and 1, written through the block
+            // layout. Stamps 0..4 tie with each other and with the first
+            // ops' stamps; a 0 stamp leaves the way invalid with a stale
+            // tag.
+            for (s, w, k, stamp) in preset {
+                let set = MODEL_SETS[s];
+                let tag = set + 256 * k;
+                let (tags, lru) = cache.set_or_allocate(set);
+                tags[w] = tag;
+                lru[w] = stamp;
+                model.ways[set as usize * 4 + w] = Way { valid: stamp != 0, tag, lru: stamp };
             }
-            for (i, (is_fill, line)) in ops.into_iter().enumerate() {
-                if is_fill {
+            for (i, (is_fill, s, k)) in ops.into_iter().enumerate() {
+                let line = MODEL_SETS[s] + 256 * k;
+                if is_fill && MODEL_SETS[s] != PROBE_ONLY_SET {
                     let (got, want) = (cache.fill(line), model.fill(line));
                     prop_assert_eq!(got, want, "op {} fill {}", i, line);
                 } else {
@@ -385,6 +511,8 @@ mod tests {
                     prop_assert_eq!(got, want, "op {} probe {}", i, line);
                 }
             }
+            prop_assert_eq!(cache.lru_clock, model.lru_clock);
+            prop_assert!(cache.blocks[3].is_none(), "probes never allocate");
         }
     }
 }

@@ -242,6 +242,12 @@ impl Hierarchy {
         self.l1d.note_prefetch_fill();
     }
 
+    /// The shared L3, for inspecting its storage
+    /// ([`Cache::allocated_sets`]).
+    pub fn l3(&self) -> &Cache {
+        &self.l3
+    }
+
     /// Snapshot of the statistics.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
