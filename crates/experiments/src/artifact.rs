@@ -322,8 +322,7 @@ pub struct RunRecord {
     /// second (`committed / wall_s / 1e6`); 0 when the run took no
     /// measurable time.
     pub mips: f64,
-    /// Attempts this run took (1 = first try; >1 means the retry policy
-    /// re-ran a degraded run).
+    /// Attempts this run took: 1 for a live cell, which runs once.
     pub attempts: u64,
     /// The degradation message if the run failed, `None` if it ran clean.
     pub degraded: Option<String>,

@@ -68,14 +68,8 @@ fn run(args: &Args) -> ! {
     // `--run-timeout=0` is legal: the watchdog expires at the first poll,
     // which is how CI smokes the deadline exit path without a slow run.
     let run_timeout = args.number("--run-timeout", 0).map(Duration::from_secs);
-    let retries: Option<u64> = args.number("--retries", 1);
     let windows: Option<usize> = args.number("--windows", 1);
     let warm: Option<u64> = args.number("--warm", 1);
-    let sample_mode = args.value("--sample-mode");
-    let clusters: Option<usize> = args.number("--clusters", 1);
-    if sample_mode == Some("stride") && clusters.is_some() {
-        args.reject("--clusters only applies to --sample-mode=phase");
-    }
     // --sampled raises the horizon to the sampled tier; --quick keeps the
     // quick grid (the combination is what the CI validation step runs).
     let mut budget = if args.has("--quick") {
@@ -97,13 +91,13 @@ fn run(args: &Args) -> ! {
     if budget.workloads().is_empty() {
         args.reject("no workloads to run");
     }
-    let sampling_flags = ["--sampled", "--windows", "--warm", "--sample-mode", "--clusters"];
+    let sampling_flags = ["--sampled", "--windows", "--warm", "--sample-mode"];
     let sampling: Option<SampleConfig> = sampling_flags.iter().any(|f| args.has(f)).then(|| {
         let mut scfg = budget.default_sampling();
         scfg.windows = windows.unwrap_or(scfg.windows);
         scfg.warm_insts = warm.unwrap_or(scfg.warm_insts);
-        if sample_mode == Some("phase") || clusters.is_some() {
-            scfg = scfg.phase(clusters.unwrap_or_else(|| default_clusters_for(scfg.windows)));
+        if args.value("--sample-mode") == Some("phase") {
+            scfg = scfg.phase(default_clusters_for(scfg.windows));
         }
         scfg
     });
@@ -148,9 +142,6 @@ fn run(args: &Args) -> ! {
         }
         if let Some(t) = run_timeout {
             sweep = sweep.with_run_timeout(t);
-        }
-        if let Some(n) = retries {
-            sweep = sweep.with_retries(n);
         }
         if let Some((_, j)) = &journal {
             sweep = sweep.with_journal(j.scope(id));

@@ -85,14 +85,12 @@ pub static PHAST_EXPERIMENTS: Cli = Cli {
                 Flag::value("--windows", "N", "sampled window count (turns sampling on)"),
                 Flag::value("--warm", "M", "warm-up instructions per window (turns sampling on)"),
                 Flag::value("--sample-mode", "stride|phase", "place windows (turns sampling on)"),
-                Flag::value("--clusters", "K", "phase-mode cluster count (implies phase mode)"),
                 Flag::switch("--serial", "one worker (determinism reference)"),
                 Flag::value("--workers", "N", "worker threads (default: all cores)"),
                 Flag::value("--json-dir", "DIR", "where BENCH_<id>.json and journal.jsonl land"),
                 Flag::switch("--no-json", "no artifacts, no journal"),
                 Flag::switch("--resume", "replay DIR/journal.jsonl; run only what is missing"),
                 Flag::value("--run-timeout", "SECS", "per-run watchdog; hung runs hit 'deadline'"),
-                Flag::value("--retries", "N", "attempts per run before it is recorded degraded"),
                 Flag::value("--max-workloads", "N", "keep the first N built-ins (0 needs --synth)"),
                 Flag {
                     name: "--synth",
@@ -136,7 +134,7 @@ pub static PHAST_SERVE: Cli = Cli {
                 Flag::value("--addr", "HOST:PORT", "daemon address (default 127.0.0.1:7878)"),
                 Flag::value("--id", "ID", "submit: the sweep id (BENCH_<id>.json)"),
                 Flag::value("--kinds", "A,B", "submit: predictor labels (--list-predictors)"),
-                Flag::value("--budget", "TIER", "submit: full, quick (default), bench or sampled"),
+                Flag::value("--budget", "TIER", "submit: full, quick (default) or bench"),
                 Flag::switch("--no-watch", "submit: return once accepted"),
                 Flag::value("--drop-after", "N", "submit: hang up after N cell events"),
                 Flag::value("--digest", "DIGEST", "fetch: the artifact's digest"),

@@ -4,7 +4,7 @@
 //! them.
 //!
 //! Every (workload, predictor, core) run that writes an artifact row is a
-//! sweep cell ([`Sweep::run_grid`] and friends: journaled, retried,
+//! sweep cell ([`Sweep::run_grid`] and friends: journaled, run once,
 //! deadline-bound, panic-isolated); [`Sweep::map`] fans only the work
 //! that is not a cell. Results are collected by matrix index, so a
 //! parallel sweep renders the same bytes as a serial one.
@@ -642,7 +642,7 @@ pub mod table2 {
 /// exits non-zero.
 pub mod sampled {
     use super::*;
-    use phast_sample::{ipc_error_bound, SampleConfig, SampleMode};
+    use phast_sample::{default_clusters_for, ipc_error_bound, SampleConfig, SampleMode};
     use std::time::Instant;
 
     /// The detailed-instruction ratio (stride over phase) phase mode must
@@ -691,11 +691,13 @@ pub mod sampled {
     /// are a small fraction of the run, and the full-detail reference
     /// covers the *same* horizon, so both the accuracy checks and the
     /// recorded speedups are honest like-for-like comparisons. Both legs
-    /// take the sweep's sampling shape (or the budget's default).
+    /// take the sweep's sampling shape (or the budget's default); the
+    /// phase leg clusters into the K that shape's window count gives
+    /// ([`default_clusters_for`]).
     pub fn run(sweep: &Sweep, budget: &Budget) -> Results {
         let base = sweep.sampling().unwrap_or_else(|| budget.default_sampling());
         let stride_cfg = SampleConfig { mode: SampleMode::Stride, ..base };
-        let phase_cfg = base.phase(base.clusters);
+        let phase_cfg = base.phase(default_clusters_for(base.windows));
         let cfg = CoreConfig::alder_lake();
         let kinds = [PredictorKind::StoreSets, PredictorKind::Phast];
         let vbudget = Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
@@ -837,7 +839,7 @@ pub mod sampled {
             base.windows,
             base.window_insts,
             base.warm_insts,
-            base.clusters,
+            phase_cfg.clusters,
             mean(|c| c.stride_err),
             mean(|c| c.phase_err),
             full_detailed as f64 / stride_detailed.max(1) as f64,
@@ -1012,6 +1014,17 @@ mod tests {
             assert!((c.phase_err - (c.phase_ipc - c.full_ipc).abs()).abs() < 1e-12);
             assert!(c.phase_bound >= 0.05 && c.phase_bound <= c.stride_bound);
         }
+    }
+
+    #[test]
+    fn sampled_phase_leg_takes_its_k_from_the_window_count() {
+        // The shape `--windows=12` gives: the default config with only
+        // the window count raised, its `clusters` still the default's.
+        let scfg = phast_sample::SampleConfig { windows: 12, ..Default::default() };
+        let b = Budget { insts: 2_000, workload_iters: 50_000, max_workloads: Some(4), extra_workloads: Vec::new() };
+        let r = sampled::run(&Sweep::parallel().with_sampling(scfg), &b);
+        assert!(r.report.contains("12 windows"), "{}", r.report);
+        assert!(r.report.contains("into K=9 target clusters"), "{}", r.report);
     }
 
     #[test]

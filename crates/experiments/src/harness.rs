@@ -223,8 +223,8 @@ pub struct RunResult {
     pub failure: Option<RunFailure>,
     /// Host wall-clock time the simulation took.
     pub wall: Duration,
-    /// Attempts this run took (1 = first try succeeded or no retry
-    /// policy; >1 = the retry policy re-ran it).
+    /// Attempts this run took: 1 for a live cell, which runs once; a
+    /// cell replayed from a journal carries the count journaled with it.
     pub attempts: u64,
     /// Sampling metadata when the statistics were estimated from detailed
     /// windows (`None` for a full-detail run).
@@ -363,29 +363,6 @@ pub fn cell_key(
         }
     }
     key
-}
-
-/// The additive reseeding constant for retried fault-injected runs
-/// (the 64-bit golden ratio, scaled per attempt) — retries explore a
-/// different fault schedule rather than deterministically replaying the
-/// same injected failure.
-const RESEED_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Derives the attempt-specific core configuration for a retried cell:
-/// attempt 1 is the configuration as given; later attempts reseed the
-/// fault plan (when one is armed) so each retry explores a different
-/// fault schedule. Returns the configuration and the effective fault
-/// seed (0 when fault injection is off) — the seed journaled on the
-/// attempt's `start` line.
-fn reseed_for_attempt(cfg: &CoreConfig, attempt: u64) -> (CoreConfig, u64) {
-    let mut cfg_attempt = cfg.clone();
-    if attempt > 1 {
-        if let Some(f) = &mut cfg_attempt.check.faults {
-            f.seed ^= RESEED_GOLDEN.wrapping_mul(attempt);
-        }
-    }
-    let seed = cfg_attempt.check.faults.as_ref().map_or(0, |f| f.seed);
-    (cfg_attempt, seed)
 }
 
 /// What every cell of one workload shares within a grid, in both modes:
@@ -540,9 +517,9 @@ fn sampling_meta(set: &CheckpointSet, runs: &[WindowRun]) -> SamplingMeta {
 /// A live cell's progress, as [`Sweep::grid`] reports it. Cells replayed
 /// from the journal report neither.
 pub(crate) enum CellProgress<'a> {
-    /// The cell's first attempt is about to run.
+    /// The cell is about to run.
     Started,
-    /// The cell has its final result, after any retries.
+    /// The cell has its result.
     Done(&'a RunResult),
 }
 
@@ -560,7 +537,6 @@ pub struct Sweep {
     degraded: Mutex<Vec<String>>,
     records: Mutex<Vec<RunRecord>>,
     run_timeout: Option<Duration>,
-    max_attempts: u64,
     journal: Option<JournalScope>,
     deadline_runs: AtomicUsize,
 }
@@ -571,22 +547,12 @@ impl Sweep {
         Sweep { workers: workers.max(1), ..Sweep::default() }
     }
 
-    /// Arms a per-cell wall-clock watchdog: any attempt at a cell — a
-    /// full-detail run, or all the windows of a sampled cell together —
-    /// exceeding `timeout` is cut off cooperatively and degrades with
+    /// Arms a per-cell wall-clock watchdog: a cell — a full-detail run,
+    /// or all the windows of a sampled cell together — exceeding
+    /// `timeout` is cut off cooperatively and degrades with
     /// `SimError::Deadline` instead of hanging its worker thread.
     pub fn with_run_timeout(mut self, timeout: Duration) -> Sweep {
         self.run_timeout = Some(timeout);
-        self
-    }
-
-    /// Enables the retry policy: a run that fails is re-executed up to
-    /// `max_attempts` total attempts. Fault-injected runs are reseeded
-    /// per attempt so a retry explores a different fault schedule; a
-    /// deterministic failure simply fails `max_attempts` times and
-    /// degrades with its final error.
-    pub fn with_retries(mut self, max_attempts: u64) -> Sweep {
-        self.max_attempts = max_attempts.max(1);
         self
     }
 
@@ -604,7 +570,7 @@ impl Sweep {
         self.deadline_runs.load(Ordering::Relaxed)
     }
 
-    /// A fresh per-attempt deadline from this sweep's watchdog setting.
+    /// A fresh per-cell deadline from this sweep's watchdog setting.
     fn deadline(&self) -> Deadline {
         match self.run_timeout {
             Some(t) => Deadline::after(t),
@@ -617,7 +583,7 @@ impl Sweep {
     /// estimate each (workload, predictor) cell from detailed windows
     /// via `phast-sample` instead of simulating the whole budget
     /// cycle-accurately. A sampled cell keeps the one cell lifecycle —
-    /// journal, retries, watchdog, panic isolation — and replays its
+    /// journal, watchdog, panic isolation — and replays its
     /// workload's windows in order on one worker. [`Sweep::map`] is
     /// unaffected.
     pub fn with_sampling(mut self, scfg: SampleConfig) -> Sweep {
@@ -685,11 +651,12 @@ impl Sweep {
     /// Executes one cell with the resilience machinery — the one cell
     /// lifecycle of both binaries and both sampling modes: journal replay
     /// (a cell the journal holds as `ok` is not re-simulated), write-ahead
-    /// `start` line, an attempt under panic isolation and the per-cell
-    /// deadline watchdog, the capped retry policy with per-attempt fault
-    /// reseeding, and the `done` line. An attempt ([`run_attempt`]) reads
-    /// its workload's program, and capture when sampling, from `state`.
-    /// A live cell reports its start and its final result to `observe`.
+    /// `start` line, one attempt under panic isolation and the per-cell
+    /// deadline watchdog, and the `done` line. A cell runs once: the
+    /// simulator is deterministic, so a second attempt would fail as the
+    /// first did. The attempt ([`run_attempt`]) reads its workload's
+    /// program, and capture when sampling, from `state`. A live cell
+    /// reports its start and its result to `observe`.
     fn execute_cell(
         &self,
         workload: &Workload,
@@ -704,30 +671,19 @@ impl Sweep {
             return replayed_result(done);
         }
         observe(CellProgress::Started);
-        let max_attempts = self.max_attempts.max(1);
-        let mut attempt = 0u64;
-        loop {
-            attempt += 1;
-            let (cfg_attempt, seed) = reseed_for_attempt(cfg, attempt);
-            if let Some(j) = &self.journal {
-                j.log_start(&key, attempt, seed);
-            }
-            let deadline = self.deadline();
-            let mut run = pool::catch_job(|| {
-                run_attempt(workload, kind, &cfg_attempt, budget, state, &deadline)
-            })
+        if let Some(j) = &self.journal {
+            j.log_start(&key, cfg.check.faults.as_ref().map_or(0, |f| f.seed));
+        }
+        let deadline = self.deadline();
+        let run = pool::catch_job(|| run_attempt(workload, kind, cfg, budget, state, &deadline))
             .and_then(|run| run)
             .unwrap_or_else(|p| panicked_result(workload.name, &kind.label(), p));
-            run.attempts = attempt;
-            if run.ok() || attempt >= max_attempts {
-                if let Some(j) = &self.journal {
-                    let status = run.failure.as_ref().map_or("ok", RunFailure::kind);
-                    j.log_done(&key, &run.journaled(), status);
-                }
-                observe(CellProgress::Done(&run));
-                return run;
-            }
+        if let Some(j) = &self.journal {
+            let status = run.failure.as_ref().map_or("ok", RunFailure::kind);
+            j.log_done(&key, &run.journaled(), status);
         }
+        observe(CellProgress::Done(&run));
+        run
     }
 
     /// Runs one workload under one predictor on the given core.
@@ -769,8 +725,8 @@ impl Sweep {
     }
 
     /// The (kind × workload) grid without recording the results: every
-    /// cell through [`Sweep::execute_cell`] (journal, retries, deadline,
-    /// panic isolation), the cells fanned across the pool. Each workload's
+    /// cell through [`Sweep::execute_cell`] (journal, deadline, panic
+    /// isolation), the cells fanned across the pool. Each workload's
     /// program and signature are built once, by its first live cell, and
     /// with `sampling` so is its capture, whose windows each cell replays
     /// in order on its worker; `None` runs full detail whatever this

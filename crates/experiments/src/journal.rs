@@ -255,8 +255,8 @@ impl Journal {
                         };
                         completed.insert(key, done);
                     }
-                    // Degraded runs are deterministic to re-execute and may
-                    // succeed under a retry policy — never skip them.
+                    // Degraded runs re-execute: a deadline cut may not
+                    // recur — never skip them.
                 }
                 other => return Err(corrupt(format!("unknown line kind '{other}'"))),
             }
@@ -347,20 +347,20 @@ impl JournalScope {
         self.journal.inner.completed.get(&self.full_key(key)).cloned()
     }
 
-    /// Journals that attempt `attempt` of `key` is about to run with
-    /// fault seed `seed` (write-ahead: on disk before the run starts).
-    pub fn log_start(&self, key: &str, attempt: u64, seed: u64) {
+    /// Journals that `key` is about to run with fault seed `seed`
+    /// (write-ahead: on disk before the run starts). A cell runs once, so
+    /// the line's `attempt` is always 1.
+    pub fn log_start(&self, key: &str, seed: u64) {
         self.journal.append(&JsonValue::obj(vec![
             ("kind", JsonValue::Str("start".to_string())),
             ("key", JsonValue::Str(self.full_key(key))),
-            ("attempt", JsonValue::UInt(attempt)),
+            ("attempt", JsonValue::UInt(1)),
             ("seed", JsonValue::UInt(seed)),
         ]));
     }
 
     /// Journals that `key` finished with `status` (`"ok"` or a failure
-    /// kind) after `done.attempts` attempts, embedding the run and its
-    /// digest.
+    /// kind), embedding the run and its digest.
     pub fn log_done(&self, key: &str, done: &CompletedRun, status: &str) {
         let reads = JsonValue::UInt(done.accesses.reads);
         let writes = JsonValue::UInt(done.accesses.writes);
@@ -428,9 +428,9 @@ mod tests {
         let path = temp_journal("roundtrip");
         let j = Journal::create(&path, "fp-1").expect("creates");
         let scope = j.scope("fig15");
-        scope.log_start("mcf|phast|deadbeef|300000", 1, 7);
+        scope.log_start("mcf|phast|deadbeef|300000", 7);
         scope.log_done("mcf|phast|deadbeef|300000", &done("mcf", 3.25, 1), "ok");
-        scope.log_start("gcc|phast|deadbeef|300000", 1, 7);
+        scope.log_start("gcc|phast|deadbeef|300000", 7);
         scope.log_done("gcc|phast|deadbeef|300000", &done("gcc", 2.0, 2), "deadlock");
         drop(j);
 

@@ -3,8 +3,8 @@
 //! The batch binary (`phast-experiments`) runs one sweep and exits; this
 //! module puts the same engine behind a listener: a daemon that accepts
 //! sweep submissions over a TCP JSON-lines protocol and runs each one as
-//! a batch [`Sweep`](crate::harness::Sweep) — the same cell grid, retry
-//! and journal lifecycle, and artifact as `phast-experiments` — streams
+//! a batch [`Sweep`](crate::harness::Sweep) — the same cell grid,
+//! journal lifecycle and artifact as `phast-experiments` — streams
 //! per-cell progress to watching clients, and drains gracefully on
 //! `SIGTERM` with the established exit-code taxonomy.
 //!

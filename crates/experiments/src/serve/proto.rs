@@ -43,7 +43,7 @@ pub enum Request {
         id: String,
         /// Predictor labels ([`crate::predictors::PredictorKind::from_label`]).
         kinds: Vec<String>,
-        /// Budget tier name (`full`, `quick`, `bench`, `sampled`).
+        /// Budget tier name (`full`, `quick`, `bench`).
         budget: String,
         /// Stream per-cell [`Event::Cell`] progress events before the
         /// final [`Event::Done`]. Without it the daemon replies
@@ -95,7 +95,7 @@ pub enum Event {
         predictor: String,
         /// `"ok"` or the failure kind.
         status: String,
-        /// Attempts the cell consumed under the retry policy.
+        /// Attempts the cell took: 1, since a cell runs once.
         attempts: u64,
     },
     /// A watched sweep finished.
@@ -154,7 +154,6 @@ pub fn parse_budget(name: &str) -> Option<Budget> {
         "full" => Some(Budget::full()),
         "quick" => Some(Budget::quick()),
         "bench" => Some(Budget::bench()),
-        "sampled" => Some(Budget::sampled()),
         _ => None,
     }
 }
@@ -587,7 +586,9 @@ mod tests {
         assert_eq!(parse_budget("quick").map(|b| b.insts), Some(Budget::quick().insts));
         assert_eq!(parse_budget("bench").map(|b| b.insts), Some(Budget::bench().insts));
         assert_eq!(parse_budget("full").map(|b| b.insts), Some(Budget::full().insts));
-        assert_eq!(parse_budget("sampled").map(|b| b.insts), Some(Budget::sampled().insts));
+        // The daemon runs every grid in full detail, so the sampled
+        // horizon is no tier of it.
+        assert!(parse_budget("sampled").is_none());
         assert!(parse_budget("lavish").is_none());
     }
 }

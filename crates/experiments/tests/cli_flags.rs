@@ -1,10 +1,11 @@
 //! The binaries refuse flags they do not parse: exit 2 with the flag
 //! named on stderr, never a silent run with the flag ignored or a
-//! malformed value replaced by a default. Retired
-//! flags (lane count, trace record/replay, checkpoint dumps, remote
-//! workers, daemon leases and chaos injection) get the same answer as a
-//! typo, and so do a flag given twice or outside its mode, a zero worker
-//! or admission count and an invocation with no workloads to run.
+//! malformed value replaced by a default. Retired flags (lane count,
+//! trace record/replay, checkpoint dumps, remote workers, daemon leases,
+//! chaos injection, the retry cap and the phase cluster count) get the
+//! same answer as a typo, and so do a flag given twice or outside its
+//! mode, a zero worker or admission count and an invocation with no
+//! workloads to run.
 //! `--verify` takes only sweep artifacts: a retired trace or checkpoint
 //! file fails closed.
 
@@ -61,6 +62,8 @@ fn unknown_flags_exit_2_naming_the_flag() {
         "--dump-checkpoints=x.phsc",
         "--worker=127.0.0.1:1",
         "--chaos-net-seed=7",
+        "--retries=2",
+        "--clusters=4",
     ] {
         let cases: [(&str, Vec<&str>); 2] = [
             (EXPERIMENTS, vec!["--no-json", "--quick", flag, "table1"]),

@@ -1,10 +1,11 @@
 //! Golden contract for phase-mode sampling in the sweep engine
 //! (`docs/SAMPLING.md` §v2).
 //!
-//! `--clusters=1` is the degenerate phase plan: every interval lands in
-//! one cluster and exactly one representative window replays, weighted by
-//! the interval count. That single-window estimate must be **identical to
-//! the bit** across the serial and parallel execution paths.
+//! `SampleConfig::phase(1)` is the degenerate phase plan: every interval
+//! lands in one cluster and exactly one representative window replays,
+//! weighted by the interval count. That single-window estimate must be
+//! **identical to the bit** across the serial and parallel execution
+//! paths.
 
 use phast_experiments::harness::{Budget, RunResult, Sweep};
 use phast_experiments::{PredictorKind, SampleConfig, SampleMode};

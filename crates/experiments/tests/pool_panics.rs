@@ -1,9 +1,10 @@
-//! Panic isolation, watchdog and retry contract of the sweep engine's
+//! Panic isolation, watchdog and run-once contract of the sweep engine's
 //! cell lifecycle, in full detail and sampled: a cell that panics or
 //! hangs degrades *its own* cell — with kind `"panicked"` or `"deadline"`
 //! in the registry — and every other cell of the grid still completes
-//! with results identical to an undisturbed sweep. Every retry journals
-//! its own write-ahead `start` line with its own fault reseed.
+//! with results identical to an undisturbed sweep. A cell runs once: a
+//! failing one journals one write-ahead `start` line, with the
+//! configured fault seed, and one `done` line.
 
 use phast_experiments::artifact::JsonValue;
 use phast_experiments::{exit_code, jsonio, Budget, Journal, PredictorKind, SampleConfig, Sweep};
@@ -114,49 +115,17 @@ fn expired_watchdog_degrades_the_run_as_deadline() {
 }
 
 #[test]
-fn retry_policy_caps_attempts_and_keeps_clean_runs_single_shot() {
+fn every_cell_runs_once_and_journals_one_start_and_one_done() {
     let budget = budget();
     let workload = budget.workloads()[0];
-    for sampling in [None, Some(sampling())] {
-        let sweep = |retries: u64| {
-            let sweep = Sweep::serial().with_retries(retries);
-            match sampling {
-                Some(scfg) => sweep.with_sampling(scfg),
-                None => sweep,
-            }
-        };
-
-        // A clean run never burns extra attempts, however many are allowed.
-        let clean = sweep(3);
-        let run =
-            clean.run_one(&workload, &PredictorKind::Blind, &CoreConfig::alder_lake(), &budget);
-        assert!(run.failure.is_none());
-        assert_eq!(run.attempts, 1, "first attempt succeeded, no retries spent");
-
-        // A deterministically failing run exhausts exactly the cap.
-        let mut poisoned = CoreConfig::alder_lake();
-        poisoned.deadlock_cycles = 2;
-        let failing = sweep(2);
-        let run = failing.run_one(&workload, &PredictorKind::Blind, &poisoned, &budget);
-        assert!(run.failure.is_some(), "poisoned config still fails");
-        assert_eq!(run.attempts, 2, "capped at --retries attempts ({sampling:?})");
-        assert_eq!(failing.take_degraded().len(), 1, "recorded once, not once per attempt");
-    }
-}
-
-#[test]
-fn every_retry_journals_its_own_start_line_and_reseed() {
-    let dir = std::env::temp_dir().join(format!("phast-pool-panics-reseed-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("phast-pool-panics-once-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join("journal.jsonl");
-    let journal = Journal::create(&path, "reseed test").expect("journal");
 
-    // Deadlocks before the first commit on every attempt. A zero-rate
-    // fault plan gives the reseed policy a seed to perturb without
-    // injecting any fault.
-    let mut cfg = CoreConfig::alder_lake();
-    cfg.deadlock_cycles = 2;
+    // Deadlocks before the first commit. A zero-rate fault plan arms a
+    // seed the `start` line must carry without injecting any fault.
+    let mut poisoned = CoreConfig::alder_lake();
+    poisoned.deadlock_cycles = 2;
     let plan = FaultPlan {
         seed: 77,
         drop_prediction: 0,
@@ -164,30 +133,43 @@ fn every_retry_journals_its_own_start_line_and_reseed() {
         spurious_violation: 0,
         corrupt_training: 0,
     };
-    cfg.check = CheckConfig { faults: Some(plan), ..CheckConfig::default() };
-    let budget = budget();
-    let sweep = Sweep::serial().with_retries(3).with_journal(journal.scope("reseed"));
-    let run = sweep.run_one(&budget.workloads()[0], &PredictorKind::Blind, &cfg, &budget);
-    assert_eq!(run.attempts, 3);
+    poisoned.check = CheckConfig { faults: Some(plan), ..CheckConfig::default() };
 
-    let text = std::fs::read_to_string(&path).expect("journal readable");
+    for (i, sampling) in [None, Some(sampling())].into_iter().enumerate() {
+        let with_sampling = |sweep: Sweep| match sampling {
+            Some(scfg) => sweep.with_sampling(scfg),
+            None => sweep,
+        };
+        let clean = with_sampling(Sweep::serial());
+        let run =
+            clean.run_one(&workload, &PredictorKind::Blind, &CoreConfig::alder_lake(), &budget);
+        assert!(run.ok(), "{sampling:?}: {:?}", run.failure);
+        assert_eq!(run.attempts, 1, "{sampling:?}");
+
+        let path = dir.join(format!("journal-{i}.jsonl"));
+        let journal = Journal::create(&path, "run-once test").expect("journal");
+        let failing = with_sampling(Sweep::serial()).with_journal(journal.scope("once"));
+        let run = failing.run_one(&workload, &PredictorKind::Blind, &poisoned, &budget);
+        assert_eq!(run.failure.as_ref().map(|f| f.kind()), Some("deadlock"), "{sampling:?}");
+        assert_eq!(run.attempts, 1, "{sampling:?}");
+        assert_eq!(failing.take_degraded().len(), 1, "degraded once ({sampling:?})");
+
+        let text = std::fs::read_to_string(&path).expect("journal readable");
+        let lines: Vec<JsonValue> =
+            text.lines().map(|l| jsonio::parse(l).expect("journal line parses")).collect();
+        let of_kind = |kind: &str| -> Vec<&JsonValue> {
+            let kind = Some(kind);
+            lines.iter().filter(|l| l.get("kind").and_then(JsonValue::as_str) == kind).collect()
+        };
+        let field = |l: &JsonValue, key: &str| l.get(key).and_then(JsonValue::as_u64).expect(key);
+        let starts = of_kind("start");
+        assert_eq!(starts.len(), 1, "one start line ({sampling:?})");
+        assert_eq!(field(starts[0], "attempt"), 1);
+        assert_eq!(field(starts[0], "seed"), 77, "the configured fault seed");
+        let done = of_kind("done");
+        assert_eq!(done.len(), 1, "one done line ({sampling:?})");
+        assert_eq!(done[0].get("status").and_then(JsonValue::as_str), Some("deadlock"));
+        assert_eq!(field(done[0], "attempts"), 1);
+    }
     let _ = std::fs::remove_dir_all(&dir);
-    let lines: Vec<JsonValue> =
-        text.lines().map(|l| jsonio::parse(l).expect("journal line parses")).collect();
-    let of_kind = |kind: &str| -> Vec<&JsonValue> {
-        lines.iter().filter(|l| l.get("kind").and_then(JsonValue::as_str) == Some(kind)).collect()
-    };
-    let field = |l: &JsonValue, key: &str| l.get(key).and_then(JsonValue::as_u64).expect(key);
-    let starts: Vec<(u64, u64)> =
-        of_kind("start").iter().map(|l| (field(l, "attempt"), field(l, "seed"))).collect();
-    assert_eq!(starts.iter().map(|s| s.0).collect::<Vec<_>>(), [1, 2, 3], "attempts in order");
-    assert_eq!(starts[0].1, 77, "attempt 1 runs the configured fault seed");
-    assert!(
-        starts[1].1 != 77 && starts[2].1 != 77 && starts[1].1 != starts[2].1,
-        "each retry draws a distinct fault seed: {starts:?}"
-    );
-    let done = of_kind("done");
-    assert_eq!(done.len(), 1, "only the final attempt journals done");
-    assert_eq!(done[0].get("status").and_then(JsonValue::as_str), Some("deadlock"));
-    assert_eq!(field(done[0], "attempts"), 3);
 }

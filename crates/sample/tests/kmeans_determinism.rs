@@ -134,10 +134,10 @@ proptest! {
     }
 }
 
-/// `--clusters=1` is the degenerate plan: one cluster holding every
-/// interval, weight n, a single representative — the contract the
-/// experiments-side golden test (single-window estimate, byte-identical
-/// across the serial and parallel paths) builds on.
+/// K = 1 (`SampleConfig::phase(1)`) is the degenerate plan: one cluster
+/// holding every interval, weight n, a single representative — the
+/// contract the experiments-side golden test (single-window estimate,
+/// byte-identical across the serial and parallel paths) builds on.
 #[test]
 fn k_one_is_one_cluster_with_full_weight() {
     let features = synth_features(7, 9);

@@ -1,12 +1,13 @@
 //! Allocation-count pin for the lazy warm-snapshot contract: clusters
 //! that receive zero windows never pay a clone.
 //!
-//! A snapshot of the core's `phast_ooo::Structures` is a deep copy of
-//! its microarchitectural tables (cache hierarchy, the configured
-//! direction predictor, indirect predictor), so taking one is the
-//! expensive per-window setup cost. The contract, pinned here through the
-//! process-global `warm_state_clones()` counter of every snapshot capture
-//! and replay take:
+//! A snapshot of the core's `phast_ooo::Structures` copies its
+//! microarchitectural tables: the cache blocks a run touched, the
+//! configured direction predictor and the indirect predictor. Next to a
+//! window's simulation that copy is cheap, but a clone nothing replays
+//! is still waste. The contract, pinned here through the process-global
+//! `warm_state_clones()` counter of every snapshot capture and replay
+//! take:
 //!
 //! * capture snapshots each placed window **once** (the state mutates
 //!   continuously, so this is the floor) — pruning non-representatives
