@@ -50,48 +50,13 @@ impl JsonValue {
         out
     }
 
-    /// Renders the value as compact single-line JSON — the journal's
-    /// line format and the digest base for per-record CRCs.
+    /// Renders the value as compact single-line JSON — the line format
+    /// of the journal and of the `phast-serve` wire, and the digest base
+    /// for per-record CRCs.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0, false);
         out
-    }
-
-    /// [`render_compact`](Self::render_compact), but a non-finite float
-    /// anywhere in the document is a typed error instead of a silent
-    /// `null`. The lossy renderers are correct for *artifacts* (a panicked
-    /// run's `0/0` IPC is honestly unknowable and `null` is its faithful
-    /// encoding, pinned by the digest scheme); on a **protocol boundary**
-    /// silent nulls turn a producer bug into a consumer's missing-field
-    /// error two hops later, so the wire layer renders through this
-    /// checked path.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonWriteError::NonFinite`] naming the JSON path of the first
-    /// offending value.
-    pub fn try_render_compact(&self) -> Result<String, JsonWriteError> {
-        self.check_finite("$")?;
-        Ok(self.render_compact())
-    }
-
-    /// Depth-first scan for non-finite floats, tracking the JSON path for
-    /// the error message.
-    fn check_finite(&self, path: &str) -> Result<(), JsonWriteError> {
-        match self {
-            JsonValue::Float(x) if !x.is_finite() => {
-                Err(JsonWriteError::NonFinite { path: path.to_string(), value: *x })
-            }
-            JsonValue::Array(items) => items
-                .iter()
-                .enumerate()
-                .try_for_each(|(i, v)| v.check_finite(&format!("{path}[{i}]"))),
-            JsonValue::Object(fields) => fields
-                .iter()
-                .try_for_each(|(k, v)| v.check_finite(&format!("{path}.{k}"))),
-            _ => Ok(()),
-        }
     }
 
     fn write(&self, out: &mut String, indent: usize, pretty: bool) {
@@ -151,32 +116,6 @@ impl JsonValue {
         }
     }
 }
-
-/// Why a [`JsonValue`] could not be rendered on a checked path.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonWriteError {
-    /// A float in the document is `NaN` or infinite; emitting it would
-    /// either produce invalid JSON (`NaN` has no JSON spelling) or
-    /// silently degrade it to `null`.
-    NonFinite {
-        /// JSON path of the offending value (`$.runs[3].ipc`).
-        path: String,
-        /// The non-finite value itself.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for JsonWriteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JsonWriteError::NonFinite { path, value } => {
-                write!(f, "non-finite float {value} at {path} has no JSON encoding")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JsonWriteError {}
 
 fn newline_indent(out: &mut String, indent: usize) {
     out.push('\n');
@@ -671,29 +610,6 @@ mod tests {
         assert!(s.contains(r#""a\"b\\c\nd\u0001""#), "{s}");
         assert!(s.contains("\"nan\": null"));
         assert!(s.contains("\"inf\": null"));
-    }
-
-    #[test]
-    fn checked_render_rejects_non_finite_floats_with_a_path() {
-        let v = JsonValue::obj(vec![
-            ("ok", JsonValue::Float(1.5)),
-            (
-                "runs",
-                JsonValue::Array(vec![
-                    JsonValue::obj(vec![("ipc", JsonValue::Float(2.0))]),
-                    JsonValue::obj(vec![("ipc", JsonValue::Float(f64::NAN))]),
-                ]),
-            ),
-        ]);
-        let err = v.try_render_compact().expect_err("NaN rejected");
-        assert!(
-            matches!(&err, JsonWriteError::NonFinite { path, .. } if path == "$.runs[1].ipc"),
-            "{err}"
-        );
-        assert!(err.to_string().contains("$.runs[1].ipc"), "{err}");
-
-        let clean = JsonValue::obj(vec![("x", JsonValue::Float(0.25))]);
-        assert_eq!(clean.try_render_compact().unwrap(), clean.render_compact());
     }
 
     #[test]

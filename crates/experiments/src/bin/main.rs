@@ -38,7 +38,7 @@ fn main() {
             }
         }
         "--list-experiments" => {
-            for (id, desc) in EXPERIMENTS {
+            for (id, desc, ..) in EXPERIMENTS {
                 report!("{id:<16} {desc}");
             }
         }
@@ -93,25 +93,24 @@ fn run(args: &Args) -> ! {
     }
     let sampling_flags = ["--sampled", "--windows", "--warm", "--sample-mode"];
     let sampling: Option<SampleConfig> = sampling_flags.iter().any(|f| args.has(f)).then(|| {
-        let mut scfg = budget.default_sampling();
-        scfg.windows = windows.unwrap_or(scfg.windows);
-        scfg.warm_insts = warm.unwrap_or(scfg.warm_insts);
+        // Built through `SampleConfig::new` so that its cluster count
+        // follows the window count `--windows` gives.
+        let base = budget.default_sampling();
+        let windows = windows.unwrap_or(base.windows);
+        let scfg = SampleConfig::new(windows, warm.unwrap_or(base.warm_insts), base.window_insts);
         if args.value("--sample-mode") == Some("phase") {
-            scfg = scfg.phase(default_clusters_for(scfg.windows));
+            scfg.phase(default_clusters_for(windows))
+        } else {
+            scfg
         }
-        scfg
     });
     let selected: Vec<&str> = if args.operands == ["all"] {
-        // fig7/8/9 share a runner; keep one instance. The sampled-vs-full
-        // validation runs its own full-detail reference grid, so it is
-        // opt-in rather than part of "all".
-        let skip = ["fig8", "fig9", "sampled"];
-        EXPERIMENTS.iter().map(|(id, _)| *id).filter(|id| !skip.contains(id)).collect()
+        EXPERIMENTS.iter().filter(|(.., in_all)| *in_all).map(|(id, ..)| *id).collect()
     } else {
         args.operands.iter().map(String::as_str).collect()
     };
-    if let Some(id) = selected.iter().find(|id| !EXPERIMENTS.iter().any(|&(e, _)| e == **id)) {
-        let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    if let Some(id) = selected.iter().find(|id| !EXPERIMENTS.iter().any(|(e, ..)| e == *id)) {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
         args.reject(&format!("unknown experiment '{id}'; known: {} all", known.join(" ")));
     }
 

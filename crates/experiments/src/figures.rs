@@ -14,55 +14,46 @@ use crate::predictors::PredictorKind;
 use crate::tablefmt::{f3, pct, TextTable};
 use phast_ooo::CoreConfig;
 
-/// Every experiment id with its one-line description — the single source
-/// for dispatch, `--list-experiments`, and the usage line.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig1", "30 years of branch vs memory dependence predictors (MPKI)"),
-    ("fig2", "MDP MPKI and gap to ideal across processor generations"),
-    ("fig4", "percentage of loads depending on multiple stores"),
-    ("fig6", "unlimited NoSQ/MDP-TAGE/PHAST: IPC and tracked paths vs history"),
-    ("fig7", "UnlimitedPHAST IPC vs ideal per workload (shared with figs. 8-9)"),
-    ("fig8", "UnlimitedPHAST MPKI FN/FP per workload (shared with figs. 7/9)"),
-    ("fig9", "paths registered per workload (shared with figs. 7-8)"),
-    ("fig10", "percentage of unique conflicts per history length"),
-    ("fig11", "UnlimitedPHAST IPC at capped max history lengths"),
-    ("fig12", "forwarding-filter (FWD) ablation across predictors"),
-    ("fig13", "performance vs storage sweep"),
-    ("fig14", "per-workload MPKI of all limited predictors"),
-    ("fig15", "per-workload IPC vs ideal; headline speedups"),
-    ("fig16", "predictor energy, reads/writes breakdown"),
-    ("table1", "system configuration constants"),
-    ("table2", "predictor geometry, sizes and energy per access"),
-    ("ablations", "design-choice ablations beyond the paper's figures"),
-    ("sampled", "sampled-vs-full validation: stride and phase legs, one reference (opt-in)"),
-    ("static_baseline", "static dependence signatures and zero-storage baseline"),
+/// An experiment's runner: the report it prints for a sweep and budget.
+pub type Runner = fn(&Sweep, &Budget) -> String;
+
+/// Every experiment as `(id, description, runner, in_all)`, in
+/// `--list-experiments` order — the one table behind dispatch, the
+/// listing, the unknown-id error and `all`. `all` skips the rows whose
+/// `in_all` is false: figs. 8 and 9 share fig. 7's run, and `sampled`
+/// runs its own full-detail reference grid, so it is opt-in.
+pub const EXPERIMENTS: &[(&str, &str, Runner, bool)] = &[
+    ("fig1", "30 years of branch vs memory dependence predictors (MPKI)", fig1::run, true),
+    ("fig2", "MDP MPKI and gap to ideal across processor generations", fig2::run, true),
+    ("fig4", "percentage of loads depending on multiple stores", fig4::run, true),
+    ("fig6", "unlimited NoSQ/MDP-TAGE/PHAST: IPC and tracked paths vs history", fig6::run, true),
+    ("fig7", "UnlimitedPHAST IPC vs ideal per workload (shared with figs. 8-9)", fig789::run, true),
+    ("fig8", "UnlimitedPHAST MPKI FN/FP per workload (shared with figs. 7/9)", fig789::run, false),
+    ("fig9", "paths registered per workload (shared with figs. 7-8)", fig789::run, false),
+    ("fig10", "percentage of unique conflicts per history length", fig10::run, true),
+    ("fig11", "UnlimitedPHAST IPC at capped max history lengths", fig11::run, true),
+    ("fig12", "forwarding-filter (FWD) ablation across predictors", fig12::run, true),
+    ("fig13", "performance vs storage sweep", fig13::run, true),
+    ("fig14", "per-workload MPKI of all limited predictors", fig14::run, true),
+    ("fig15", "per-workload IPC vs ideal; headline speedups", |s, b| fig15::run(s, b).report, true),
+    ("fig16", "predictor energy, reads/writes breakdown", fig16::run, true),
+    ("table1", "system configuration constants", table1::run, true),
+    ("table2", "predictor geometry, sizes and energy per access", table2::run, true),
+    ("ablations", "design-choice ablations beyond the paper's figures", crate::ablations::run, true),
+    (
+        "sampled",
+        "sampled-vs-full validation: stride and phase legs, one reference (opt-in)",
+        |s, b| sampled::run(s, b).report,
+        false,
+    ),
+    ("static_baseline", "static dependence signatures and zero-storage baseline", static_baseline::run, true),
 ];
 
 /// Runs the experiment `id` of [`EXPERIMENTS`] on `sweep` and returns
 /// its report; `None` for an unknown id.
 pub fn run_experiment(id: &str, sweep: &Sweep, budget: &Budget) -> Option<String> {
-    let out = match id {
-        "fig1" => fig1::run(sweep, budget),
-        "fig2" => fig2::run(sweep, budget),
-        "fig4" => fig4::run(sweep, budget),
-        "fig6" => fig6::run(sweep, budget),
-        // Figs. 7, 8 and 9 share one characterization run.
-        "fig7" | "fig8" | "fig9" => fig789::run(sweep, budget),
-        "fig10" => fig10::run(sweep, budget),
-        "fig11" => fig11::run(sweep, budget),
-        "fig12" => fig12::run(sweep, budget),
-        "fig13" => fig13::run(sweep, budget),
-        "fig14" => fig14::run(sweep, budget),
-        "fig15" => fig15::run(sweep, budget).report,
-        "fig16" => fig16::run(sweep, budget),
-        "table1" => table1::run(sweep, budget),
-        "table2" => table2::run(sweep, budget),
-        "ablations" => crate::ablations::run(sweep, budget),
-        "sampled" => sampled::run(sweep, budget).report,
-        "static_baseline" => static_baseline::run(sweep, budget),
-        _ => return None,
-    };
-    Some(out)
+    let &(_, _, run, _) = EXPERIMENTS.iter().find(|(e, ..)| *e == id)?;
+    Some(run(sweep, budget))
 }
 
 /// Runs `kinds` prefixed by the ideal predictor as one flat grid; returns
@@ -883,10 +874,13 @@ pub mod static_baseline {
             "SL/LC",
             "signature",
         ]);
-        let sigs = sweep.map(&workloads, |_, w| {
-            phast_trace::signature(&w.build(budget.workload_iters))
+        // The programs stay: the storage column probes the first.
+        let built = sweep.map(&workloads, |_, w| {
+            let program = w.build(budget.workload_iters);
+            let sig = phast_trace::signature(&program);
+            (program, sig)
         });
-        for (w, sig) in workloads.iter().zip(&sigs) {
+        for (w, (_, sig)) in workloads.iter().zip(&built) {
             let mem_ops = sig.loads + sig.stores;
             let resolved = sig.resolved_loads + sig.resolved_stores;
             let frac = if mem_ops > 0 { resolved as f64 / mem_ops as f64 } else { 0.0 };
@@ -918,14 +912,14 @@ pub mod static_baseline {
             "violation MPKI",
             "false-dep MPKI",
         ]);
-        let probe = workloads[0].build(budget.workload_iters);
+        let probe = &built[0].0;
         for (kind, runs) in kinds.iter().zip(&rows) {
             let rel = geomean(&normalized_ipc(runs, &ideal));
             let fnm = runs.iter().map(|r| r.stats.violation_mpki()).sum::<f64>() / runs.len() as f64;
             let fpm = runs.iter().map(|r| r.stats.false_dep_mpki()).sum::<f64>() / runs.len() as f64;
             cmp_t.row(vec![
                 kind.label(),
-                kind.build(&probe, budget.insts).storage_bits().to_string(),
+                kind.build(probe, budget.insts).storage_bits().to_string(),
                 pct(rel),
                 f3(fnm),
                 f3(fpm),
@@ -947,6 +941,17 @@ mod tests {
 
     fn tiny_budget() -> Budget {
         Budget { insts: 4_000, workload_iters: 20_000, max_workloads: Some(2), extra_workloads: Vec::new() }
+    }
+
+    #[test]
+    fn experiments_have_unique_ids_and_all_skips_only_the_shared_and_opt_in_ones() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+        let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "{ids:?}");
+        assert_eq!(run_experiment("sampled_v2", &Sweep::serial(), &tiny_budget()), None);
+        let skipped: Vec<&str> =
+            EXPERIMENTS.iter().filter(|(.., in_all)| !in_all).map(|(id, ..)| *id).collect();
+        assert_eq!(skipped, ["fig8", "fig9", "sampled"]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod predictors;
 pub mod serve;
 pub mod tablefmt;
 
-pub use artifact::{ArtifactError, JsonWriteError, SamplingMeta, SweepArtifact};
+pub use artifact::{ArtifactError, SamplingMeta, SweepArtifact};
 pub use harness::{exit_code, geomean, Budget, RunFailure, RunResult, Sweep};
 pub use journal::{CompletedRun, Journal, JournalError, JournalScope};
 pub use phast_sample::{default_clusters_for, SampleConfig, SampleMode};

@@ -149,26 +149,11 @@ impl PredictorKind {
     /// requests. Total over arbitrary input — unknown or malformed labels
     /// are `None`, never a panic (this sits on a protocol boundary).
     pub fn from_label(label: &str) -> Option<PredictorKind> {
-        // Fixed names first; the longest-prefix parameterized forms after,
-        // so "mdp-tage-s" is not misread as a scaled MDP-TAGE.
-        match label {
-            "ideal" => return Some(PredictorKind::Ideal),
-            "blind" => return Some(PredictorKind::Blind),
-            "total-order" => return Some(PredictorKind::TotalOrder),
-            "phast" => return Some(PredictorKind::Phast),
-            "phast-no-n1" => return Some(PredictorKind::PhastNoNPlusOne),
-            "phast-at-detect" => return Some(PredictorKind::PhastAtDetect),
-            "phast-tage-lengths" => return Some(PredictorKind::PhastTageLengths),
-            "unl-phast" => return Some(PredictorKind::UnlimitedPhast(None)),
-            "nosq" => return Some(PredictorKind::NoSq),
-            "store-sets" => return Some(PredictorKind::StoreSets),
-            "store-vector" => return Some(PredictorKind::StoreVector),
-            "cht" => return Some(PredictorKind::Cht),
-            "mdp-tage" => return Some(PredictorKind::MdpTage),
-            "mdp-tage-s" => return Some(PredictorKind::MdpTageS),
-            "unl-mdp-tage" => return Some(PredictorKind::UnlimitedMdpTage),
-            "static-deps" => return Some(PredictorKind::StaticDeps),
-            _ => {}
+        // Exact names through `label()`: `CATALOG` lists every kind, so it
+        // holds every fixed name. Only then the parameterized forms, whose
+        // prefixes also match fixed names ("mdp-tage-s", "phast-tage-lengths").
+        if let Some((kind, _)) = CATALOG.iter().find(|(kind, _)| kind.label() == label) {
+            return Some(kind.clone());
         }
         let num = |s: &str| s.parse::<usize>().ok().filter(|n| *n > 0);
         if let Some(rest) = label.strip_prefix("phast-conf") {
@@ -320,7 +305,18 @@ mod tests {
 
     #[test]
     fn from_label_inverts_label_for_every_kind() {
-        for (kind, _) in CATALOG {
+        // The catalog's parameterized kinds are found by name, so other
+        // parameters exercise the parsing.
+        let others = [
+            PredictorKind::PhastSets(128),
+            PredictorKind::PhastConfidence(7),
+            PredictorKind::UnlimitedPhast(Some(32)),
+            PredictorKind::NoSqSets(32),
+            PredictorKind::UnlimitedNoSq(64),
+            PredictorKind::StoreSetsSized(1024, 512),
+            PredictorKind::MdpTageScaled(3, 4),
+        ];
+        for kind in CATALOG.iter().map(|(kind, _)| kind).chain(&others) {
             let label = kind.label();
             assert_eq!(PredictorKind::from_label(&label).as_ref(), Some(kind), "{label}");
         }

@@ -10,7 +10,7 @@
 //!
 //! Module map (data flows top to bottom):
 //!
-//! * [`proto`] — wire protocol: requests/events, checked rendering,
+//! * [`proto`] — wire protocol: requests/events, compact rendering,
 //!   fail-closed parsing;
 //! * [`server`] — TCP accept loop, admission control/backpressure, the
 //!   sweep threads, artifact index, graceful drain;

@@ -5,10 +5,9 @@
 //! an `"event"` discriminant; unknown fields are ignored (forward
 //! compatibility) but unknown discriminants, malformed JSON, and
 //! duplicate object keys are rejected fail-closed by the hardened
-//! [`crate::jsonio`] parser. The daemon renders every event through the
-//! **checked** writer ([`JsonValue::try_render_compact`]) — a non-finite
-//! float can degrade an artifact to `null` with its digest pinning the
-//! loss, but it must never silently cross a protocol boundary.
+//! [`crate::jsonio`] parser. Requests and events hold only integers,
+//! bools and strings, so they render with [`JsonValue::render_compact`],
+//! the journal's writer.
 //!
 //! The full protocol specification (state machines, backpressure, drain
 //! semantics, exit codes) lives in `docs/SERVICE.md`.
@@ -175,7 +174,7 @@ pub fn render_request(req: &Request) -> String {
         }
         Request::Shutdown => JsonValue::obj(vec![("op", s("shutdown"))]),
     };
-    checked(v)
+    v.render_compact()
 }
 
 /// Parses one request line.
@@ -209,8 +208,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Renders an event as one compact JSON line (no trailing newline),
-/// through the checked writer — see the module docs.
+/// Renders an event as one compact JSON line (no trailing newline).
 pub fn render_event(ev: &Event) -> String {
     let v = match ev {
         Event::Pong { workers } => {
@@ -274,7 +272,7 @@ pub fn render_event(ev: &Event) -> String {
         }
         Event::Draining => JsonValue::obj(vec![("event", s("draining"))]),
     };
-    checked(v)
+    v.render_compact()
 }
 
 /// Parses one event line (the client side of the wire).
@@ -432,20 +430,6 @@ pub fn read_line_capped(
 
 fn s(text: &str) -> JsonValue {
     JsonValue::Str(text.to_string())
-}
-
-/// Renders through the checked writer; an unrenderable event (cannot
-/// happen for the shapes above, which carry no floats) degrades to a
-/// protocol error event rather than panicking the connection thread.
-fn checked(v: JsonValue) -> String {
-    match v.try_render_compact() {
-        Ok(line) => line,
-        Err(e) => JsonValue::obj(vec![
-            ("event", s("error")),
-            ("reason", JsonValue::Str(format!("unrenderable event: {e}"))),
-        ])
-        .render_compact(),
-    }
 }
 
 #[cfg(test)]

@@ -111,6 +111,27 @@ fn sample_mode_alone_turns_sampling_on() {
     assert_eq!(report("--sample-mode=stride"), report("--sampled"));
 }
 
+/// A stride sweep's journaled sampling config carries the cluster count
+/// of the window count `--windows` gives (⌊3·12/4⌋ = 9), not the
+/// default window count's, since the fingerprint pins it on `--resume`.
+#[test]
+fn windows_sets_the_journaled_cluster_count() {
+    let dir = temp_path("windows");
+    let json_dir = format!("--json-dir={}", dir.display());
+    let args = ["--quick", "--windows=12", "--max-workloads=1", &json_dir, "table1"];
+    let (code, stderr) = run(EXPERIMENTS, &args);
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+    let journal = journal.expect("journal written");
+    let header = journal.lines().next().expect("header line");
+    assert!(
+        header.contains("SampleConfig { windows: 12,")
+            && header.contains("mode: Stride, clusters: 9 }"),
+        "{header}"
+    );
+}
+
 #[test]
 fn serve_refuses_retired_flags_and_non_positive_counts() {
     for flag in [

@@ -164,7 +164,7 @@ fn every_experiment_reports_the_same_after_a_resume() {
     };
     let ids: Vec<&str> = figures::EXPERIMENTS
         .iter()
-        .map(|(id, _)| *id)
+        .map(|(id, ..)| *id)
         .filter(|id| *id != "sampled")
         .collect();
     let run_all = |journal: &Journal| -> Vec<(String, String)> {
