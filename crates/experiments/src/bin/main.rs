@@ -113,6 +113,10 @@ fn run(args: &Args) -> ! {
         let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
         args.reject(&format!("unknown experiment '{id}'; known: {} all", known.join(" ")));
     }
+    let least = figures::sampled::MIN_WORKLOADS;
+    if selected.contains(&"sampled") && budget.workloads().len() < least {
+        args.reject(&format!("sampled needs at least {least} workloads"));
+    }
 
     // The journal fingerprints the sweep *shape*: resuming under a
     // different budget, synthesized workload set or sampling

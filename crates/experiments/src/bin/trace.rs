@@ -19,7 +19,7 @@ use phast_ooo::{Core, CoreConfig, Deadline};
 fn main() {
     let args = cli::PHAST_TRACE.parse();
     let insts: u64 = args.number("--insts", 1).unwrap_or(300_000);
-    let interval: u64 = args.number("--interval", 1).unwrap_or(20_000);
+    let interval: u64 = args.number("--interval", 1_000).unwrap_or(20_000);
     let cfg_name = args.value("--config").unwrap_or("alderlake");
     let [wname, pname] = &args.operands[..] else { unreachable!("the parser checks the operands") };
     let Some(workload) = phast_workloads::by_name(wname) else {
@@ -32,7 +32,6 @@ fn main() {
         .into_iter()
         .find(|c| c.name == cfg_name)
         .expect("the --config choices are CoreConfig::generations() names");
-    let interval = interval.max(1_000);
     cfg.train_point = kind.train_point();
 
     let program = workload.build(10 * insts); // never loop-bound

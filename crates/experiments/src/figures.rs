@@ -20,16 +20,15 @@ pub type Runner = fn(&Sweep, &Budget) -> String;
 /// Every experiment as `(id, description, runner, in_all)`, in
 /// `--list-experiments` order — the one table behind dispatch, the
 /// listing, the unknown-id error and `all`. `all` skips the rows whose
-/// `in_all` is false: figs. 8 and 9 share fig. 7's run, and `sampled`
-/// runs its own full-detail reference grid, so it is opt-in.
+/// `in_all` is false: only `sampled`, which runs its own full-detail
+/// reference grid, so it is opt-in. Figs. 7-9 share one run, so they
+/// share the id `fig7`.
 pub const EXPERIMENTS: &[(&str, &str, Runner, bool)] = &[
     ("fig1", "30 years of branch vs memory dependence predictors (MPKI)", fig1::run, true),
     ("fig2", "MDP MPKI and gap to ideal across processor generations", fig2::run, true),
     ("fig4", "percentage of loads depending on multiple stores", fig4::run, true),
     ("fig6", "unlimited NoSQ/MDP-TAGE/PHAST: IPC and tracked paths vs history", fig6::run, true),
-    ("fig7", "UnlimitedPHAST IPC vs ideal per workload (shared with figs. 8-9)", fig789::run, true),
-    ("fig8", "UnlimitedPHAST MPKI FN/FP per workload (shared with figs. 7/9)", fig789::run, false),
-    ("fig9", "paths registered per workload (shared with figs. 7-8)", fig789::run, false),
+    ("fig7", "UnlimitedPHAST per workload: IPC vs ideal, MPKI FN/FP, paths (figs. 7-9)", fig789::run, true),
     ("fig10", "percentage of unique conflicts per history length", fig10::run, true),
     ("fig11", "UnlimitedPHAST IPC at capped max history lengths", fig11::run, true),
     ("fig12", "forwarding-filter (FWD) ablation across predictors", fig12::run, true),
@@ -640,6 +639,9 @@ pub mod sampled {
     /// reach.
     pub const INSTS_RATIO_BAR: f64 = 1.3;
 
+    /// The fewest workloads the validation grid runs on.
+    pub const MIN_WORKLOADS: usize = 4;
+
     /// One grid cell of the three-way comparison.
     pub struct Cell {
         /// Workload name.
@@ -692,7 +694,10 @@ pub mod sampled {
         let cfg = CoreConfig::alder_lake();
         let kinds = [PredictorKind::StoreSets, PredictorKind::Phast];
         let vbudget = Budget { insts: budget.insts.saturating_mul(25), ..budget.clone() };
-        assert!(vbudget.workloads().len() >= 4, "validation needs at least 4 workloads");
+        assert!(
+            vbudget.workloads().len() >= MIN_WORKLOADS,
+            "validation needs at least {MIN_WORKLOADS} workloads"
+        );
 
         // Each leg is one grid through the cell lifecycle; the full-detail
         // reference bypasses the sweep's sampling mode on purpose.
@@ -951,7 +956,7 @@ mod tests {
         assert_eq!(run_experiment("sampled_v2", &Sweep::serial(), &tiny_budget()), None);
         let skipped: Vec<&str> =
             EXPERIMENTS.iter().filter(|(.., in_all)| !in_all).map(|(id, ..)| *id).collect();
-        assert_eq!(skipped, ["fig8", "fig9", "sampled"]);
+        assert_eq!(skipped, ["sampled"]);
     }
 
     #[test]

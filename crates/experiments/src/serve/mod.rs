@@ -13,7 +13,8 @@
 //! * [`proto`] — wire protocol: requests/events, compact rendering,
 //!   fail-closed parsing;
 //! * [`server`] — TCP accept loop, admission control/backpressure, the
-//!   sweep threads, artifact index, graceful drain;
+//!   runner thread that runs admitted sweeps in admission order, artifact
+//!   index, graceful drain;
 //! * [`client`] — the blocking client the CLI, CI, and tests share.
 //!
 //! Protocol and semantics are specified in `docs/SERVICE.md`.

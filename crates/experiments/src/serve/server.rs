@@ -1,33 +1,36 @@
 //! The daemon itself: TCP accept loop, per-connection protocol threads,
-//! admission control, sweep threads, artifact index, and graceful drain.
+//! admission control, the runner, artifact index, and graceful drain.
 //!
-//! Execution model: each admitted sweep runs on a thread of its own as a
-//! batch [`Sweep`] with the daemon's worker count, watchdog and journal
-//! scope — the same kind-major grid, per-cell lifecycle (journal lookup →
-//! `start` → attempt under a deadline → `done`) and artifact as
-//! `phast-experiments`. Sweeps take turns on one daemon-wide lock, so the
-//! worker count caps the cells simulating at once; two admitted sweeps
-//! run one after the other, not interleaved.
+//! Execution model: one runner thread, started by the first admitted
+//! sweep, takes admitted sweeps from a queue in admission order and runs
+//! each as a batch [`Sweep`] with the daemon's worker count, watchdog
+//! and journal scope — the same kind-major grid, per-cell lifecycle
+//! (journal lookup → `start` → attempt under a deadline → `done`) and
+//! artifact as `phast-experiments`. So the worker count caps the cells
+//! simulating at once, and two admitted sweeps run one after the other,
+//! not interleaved.
 //!
 //! Connection model: one thread per client, blocking JSON-lines reads.
 //! A `submit` with `watch` dedicates the connection to that sweep — the
-//! thread relays the [`Event::Cell`] lines the sweep's thread sends into
-//! a channel, then the final [`Event::Done`], so a slow watcher never
+//! thread relays the [`Event::Cell`] lines the runner sends into a
+//! channel, then the final [`Event::Done`], so a slow watcher never
 //! stalls simulation. If the client vanishes mid-stream (torn
 //! connection, closed socket), the sweep is **not** cancelled: the
 //! daemon finishes it, journals it, writes the artifact, and serves it
 //! later by digest via `fetch` — client lifetime and result lifetime are
 //! deliberately decoupled.
 //!
-//! Admission control: at most `max_active_sweeps` sweeps may be in
-//! flight; excess submissions are rejected with a typed
-//! [`Event::Rejected`] carrying `retry_after_ms`, so clients back off
-//! instead of piling work onto a saturated queue.
+//! Admission control: at most `max_active_sweeps` admitted sweeps may be
+//! unfinished — one running, the rest waiting in the runner's queue;
+//! further submissions are rejected with a typed [`Event::Rejected`]
+//! carrying `retry_after_ms`, so clients back off instead of piling work
+//! onto a saturated daemon.
 //!
 //! Graceful drain ([`Server::shutdown`] or the `shutdown` op): stop
-//! accepting connections and admitting sweeps, let in-flight sweeps
-//! finish, flush their artifacts, and publish a process exit code from
-//! the established taxonomy (`0` ok / `1` degraded / `3` integrity / `4`
+//! accepting connections and admitting sweeps, close the runner's queue,
+//! and wait for the runner to finish every admitted sweep and flush its
+//! artifact. The runner then returns the process exit code from the
+//! established taxonomy (`0` ok / `1` degraded / `3` integrity / `4`
 //! deadline) covering everything the daemon ran.
 
 use super::proto::{self, Event, Request, StatusBody, WireError};
@@ -41,7 +44,7 @@ use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, LazyLock, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,6 +106,17 @@ struct ArtifactEntry {
     body: String,
 }
 
+/// An admitted sweep on its way to the runner.
+struct Admitted {
+    id: String,
+    sweep: Sweep,
+    kinds: Vec<PredictorKind>,
+    cfg: CoreConfig,
+    budget: Budget,
+    /// Where its `cell` events and final event go, for a watcher.
+    events: mpsc::Sender<Event>,
+}
+
 struct ServerShared {
     workers: usize,
     json_dir: Option<PathBuf>,
@@ -110,13 +124,11 @@ struct ServerShared {
     run_timeout: Option<Duration>,
     max_active_sweeps: usize,
     addr: SocketAddr,
-    /// Held by the sweep that is simulating: admitted sweeps take turns.
-    turn: Mutex<()>,
-    /// The threads of admitted sweeps not yet joined: admission joins the
-    /// finished ones, the drain all of them. Admission checks `shutdown`
-    /// while holding this lock, so no sweep is admitted after the drain
-    /// has taken the list.
-    sweeps: Mutex<Vec<JoinHandle<()>>>,
+    /// The runner's queue and thread, from the first admission until the
+    /// drain takes them. Admission checks `shutdown` while holding this
+    /// lock, so no sweep is queued after the drain has closed the queue.
+    runner: Mutex<Option<(mpsc::Sender<Admitted>, JoinHandle<i32>)>>,
+    /// Admitted sweeps not yet finished: the running one and the queued.
     active_sweeps: AtomicUsize,
     /// Live cells admitted but not started.
     queued: AtomicUsize,
@@ -124,19 +136,16 @@ struct ServerShared {
     outstanding: AtomicUsize,
     artifacts: Mutex<Vec<ArtifactEntry>>,
     shutdown: AtomicBool,
-    any_degraded: AtomicBool,
-    any_deadline: AtomicBool,
-    any_integrity: AtomicBool,
-    exit: Mutex<Option<i32>>,
-    exited: Condvar,
 }
 
-/// A running `phast-serve` daemon. [`Server::start`] binds and spawns
-/// everything; [`Server::join`] blocks until a graceful drain completes
+/// A running `phast-serve` daemon. [`Server::start`] binds and starts the
+/// accept loop; [`Server::join`] blocks until a graceful drain completes
 /// and returns the process exit code.
 pub struct Server {
     shared: Arc<ServerShared>,
-    accept: Mutex<Option<JoinHandle<()>>>,
+    /// The accept loop, joined when first forced: it returns the
+    /// daemon's exit code once the drain completes.
+    accept: LazyLock<i32, Box<dyn FnOnce() -> i32 + Send>>,
 }
 
 impl Server {
@@ -156,24 +165,20 @@ impl Server {
             run_timeout: cfg.run_timeout,
             max_active_sweeps: cfg.max_active_sweeps.max(1),
             addr,
-            turn: Mutex::new(()),
-            sweeps: Mutex::new(Vec::new()),
+            runner: Mutex::new(None),
             active_sweeps: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
             artifacts: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
-            any_degraded: AtomicBool::new(false),
-            any_deadline: AtomicBool::new(false),
-            any_integrity: AtomicBool::new(false),
-            exit: Mutex::new(None),
-            exited: Condvar::new(),
         });
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(listener, shared))
         };
-        Ok(Server { shared, accept: Mutex::new(Some(accept)) })
+        // An accept loop that panicked drained nothing for certain.
+        let join = Box::new(move || accept.join().unwrap_or(exit_code::DEGRADED));
+        Ok(Server { shared, accept: LazyLock::new(join) })
     }
 
     /// The bound address (resolves port `0`).
@@ -190,21 +195,14 @@ impl Server {
     /// Blocks until the drain completes and returns the daemon's exit
     /// code: the worst outcome across every sweep it ran.
     pub fn join(&self) -> i32 {
-        let mut exit = self.shared.exit.lock().expect("exit slot");
-        while exit.is_none() {
-            exit = self.shared.exited.wait(exit).expect("exit condvar");
-        }
-        let code = exit.expect("published");
-        drop(exit);
-        if let Some(h) = self.accept.lock().expect("accept handle").take() {
-            let _ = h.join();
-        }
-        code
+        *LazyLock::force(&self.accept)
     }
 }
 
-/// Accept connections until shutdown, then run the drain sequence.
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
+/// Accepts connections until shutdown, then drains: closes the runner's
+/// queue and returns the exit code the runner returns once it has run
+/// every admitted sweep.
+fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) -> i32 {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -218,28 +216,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         }
     }
     drop(listener); // stop accepting: new connections are refused
-    // Let every admitted sweep finish and flush its artifact.
-    join_sweeps(&shared, std::mem::take(&mut *shared.sweeps.lock().expect("sweep list")));
-    let code = if shared.any_integrity.load(Ordering::SeqCst) {
-        exit_code::INTEGRITY
-    } else {
-        exit_code::for_outcome(
-            shared.any_degraded.load(Ordering::SeqCst),
-            shared.any_deadline.load(Ordering::SeqCst),
-        )
-    };
-    *shared.exit.lock().expect("exit slot") = Some(code);
-    shared.exited.notify_all();
-}
-
-/// Joins sweep threads. One that panicked produced no artifact: it
-/// counts as degraded in the daemon's exit code.
-fn join_sweeps(shared: &ServerShared, sweeps: impl IntoIterator<Item = JoinHandle<()>>) {
-    for sweep in sweeps {
-        if sweep.join().is_err() {
-            shared.any_degraded.store(true, Ordering::SeqCst);
-        }
-    }
+    let runner = shared.runner.lock().expect("runner").take();
+    let Some((queue, runner)) = runner else { return exit_code::OK };
+    drop(queue);
+    // A runner that panicked left its sweeps unfinished: degraded.
+    runner.join().unwrap_or(exit_code::DEGRADED)
 }
 
 /// Writes one event line; an error means the client is gone.
@@ -370,18 +351,18 @@ fn handle_submit(
 }
 
 /// Admission control. Refuses with [`Event::Rejected`] while draining or
-/// at the in-flight cap, and with [`Event::Error`] (consuming no slot)
+/// at the admission cap, and with [`Event::Error`] (consuming no slot)
 /// for an unknown budget tier or predictor label or a bad id. Otherwise
-/// spawns the sweep's thread and returns the `accepted` event plus the
-/// channel its `cell` and `done` events arrive on.
+/// queues the sweep for the runner, starting the runner with the first
+/// admission, and returns the `accepted` event plus the channel its
+/// `cell` and `done` events arrive on.
 fn admit(
     shared: &Arc<ServerShared>,
     id: String,
     kinds: &[String],
     budget: &str,
 ) -> Result<(Event, mpsc::Receiver<Event>), Event> {
-    let mut sweeps = shared.sweeps.lock().expect("sweep list");
-    join_sweeps(shared, sweeps.extract_if(.., |sweep| sweep.is_finished()));
+    let mut runner = shared.runner.lock().expect("runner");
     if shared.shutdown.load(Ordering::SeqCst) {
         return Err(Event::Rejected { reason: "draining".to_string(), retry_after_ms: None });
     }
@@ -420,66 +401,77 @@ fn admit(
     shared.outstanding.fetch_add(cells - replayed, Ordering::SeqCst);
     let accepted =
         Event::Accepted { id: id.clone(), cells: cells as u64, replayed: replayed as u64 };
-    let (tx, rx) = mpsc::channel();
-    let shared = Arc::clone(shared);
-    sweeps.push(std::thread::spawn(move || {
+    let (events, watched) = mpsc::channel();
+    let (queue, _) = runner.get_or_insert_with(|| {
+        let (queue, admitted) = mpsc::channel();
+        let shared = Arc::clone(shared);
+        (queue, std::thread::spawn(move || run_queue(&shared, admitted)))
+    });
+    let admitted = Admitted { id, sweep, kinds, cfg, budget, events };
+    queue.send(admitted).expect("the runner outlives its queue");
+    Ok((accepted, watched))
+}
+
+/// The runner: runs admitted sweeps one at a time, in admission order,
+/// until the drain closes the queue, and returns the daemon's exit code,
+/// the worst outcome across them.
+fn run_queue(shared: &ServerShared, queue: mpsc::Receiver<Admitted>) -> i32 {
+    let (mut degraded, mut deadline, mut integrity) = (false, false, false);
+    for admitted in queue {
         // A sweep that panics, for whatever reason, still frees its
         // admission slot, counts as degraded, and ends its watcher's
         // stream.
-        let last = pool::catch_job(|| run_sweep(&shared, &sweep, &id, &kinds, &cfg, &budget, &tx))
-            .unwrap_or_else(|panic| {
-                shared.any_degraded.store(true, Ordering::SeqCst);
-                shared.active_sweeps.fetch_sub(1, Ordering::SeqCst);
-                Event::Error { reason: format!("sweep {id}: {panic}") }
-            });
-        let _ = tx.send(last);
-    }));
-    Ok((accepted, rx))
+        let last = pool::catch_job(|| run_sweep(shared, &admitted)).unwrap_or_else(|panic| {
+            shared.active_sweeps.fetch_sub(1, Ordering::SeqCst);
+            Event::Error { reason: format!("sweep {}: {panic}", admitted.id) }
+        });
+        match &last {
+            Event::Done { degraded: runs, deadline_runs, exit, .. } => {
+                degraded |= *runs > 0;
+                deadline |= *deadline_runs > 0;
+                integrity |= *exit == exit_code::INTEGRITY as u64;
+            }
+            _ => degraded = true,
+        }
+        let _ = admitted.events.send(last);
+    }
+    if integrity {
+        exit_code::INTEGRITY
+    } else {
+        exit_code::for_outcome(degraded, deadline)
+    }
 }
 
-/// One admitted sweep, on its own thread: wait for the daemon's turn,
-/// run the grid on the batch engine while sending each live cell's
-/// `cell` event into `events`, then seal the artifact and return the
-/// `done` event.
-fn run_sweep(
-    shared: &ServerShared,
-    sweep: &Sweep,
-    id: &str,
-    kinds: &[PredictorKind],
-    cfg: &CoreConfig,
-    budget: &Budget,
-    events: &mpsc::Sender<Event>,
-) -> Event {
-    let wall = {
-        // The turn guards no data, so a poisoned lock is still a turn.
-        let _turn = shared.turn.lock().unwrap_or_else(PoisonError::into_inner);
-        let started = Instant::now();
-        // A send fails only once the watcher is gone; the sweep goes on.
-        let rows = sweep.grid(kinds, cfg, budget, None, &|progress| match progress {
-            CellProgress::Started => {
-                shared.queued.fetch_sub(1, Ordering::SeqCst);
-            }
-            CellProgress::Done(run) => {
-                shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-                let _ = events.send(Event::Cell {
-                    workload: run.workload.clone(),
-                    predictor: run.predictor.clone(),
-                    status: run.failure.as_ref().map_or("ok", RunFailure::kind).to_string(),
-                    attempts: run.attempts,
-                });
-            }
-        });
-        for row in &rows {
-            sweep.record_all(row);
+/// One admitted sweep: run the grid on the batch engine while sending
+/// each live cell's `cell` event to the watcher, then seal the artifact
+/// and return the `done` event.
+fn run_sweep(shared: &ServerShared, admitted: &Admitted) -> Event {
+    let Admitted { id, sweep, kinds, cfg, budget, events } = admitted;
+    let started = Instant::now();
+    // A send fails only once the watcher is gone; the sweep goes on.
+    let rows = sweep.grid(kinds, cfg, budget, None, &|progress| match progress {
+        CellProgress::Started => {
+            shared.queued.fetch_sub(1, Ordering::SeqCst);
         }
-        started.elapsed()
-    };
-    finish_sweep(shared, sweep, id, budget, wall)
+        CellProgress::Done(run) => {
+            shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+            let _ = events.send(Event::Cell {
+                workload: run.workload.clone(),
+                predictor: run.predictor.clone(),
+                status: run.failure.as_ref().map_or("ok", RunFailure::kind).to_string(),
+                attempts: run.attempts,
+            });
+        }
+    });
+    for row in &rows {
+        sweep.record_all(row);
+    }
+    finish_sweep(shared, sweep, id, budget, started.elapsed())
 }
 
 /// Completes a sweep: seal, self-verify and persist the artifact, index
-/// it, fold its verdict into the daemon's exit taxonomy, release the
-/// admission slot, and build the `done` event.
+/// it, release the admission slot, and build the `done` event, whose
+/// `exit` is the sweep's verdict in the exit taxonomy.
 fn finish_sweep(
     shared: &ServerShared,
     sweep: &Sweep,
@@ -507,15 +499,6 @@ fn finish_sweep(
     } else {
         exit_code::INTEGRITY
     };
-    if degraded > 0 {
-        shared.any_degraded.store(true, Ordering::SeqCst);
-    }
-    if deadline_runs > 0 {
-        shared.any_deadline.store(true, Ordering::SeqCst);
-    }
-    if !integrity_ok {
-        shared.any_integrity.store(true, Ordering::SeqCst);
-    }
     let digest = artifact.digest();
     let done = Event::Done {
         id: id.to_string(),

@@ -4,8 +4,8 @@
 //! trace record/replay, checkpoint dumps, remote workers, daemon leases,
 //! chaos injection, the retry cap and the phase cluster count) get the
 //! same answer as a typo, and so do a flag given twice or outside its
-//! mode, a zero worker or admission count and an invocation with no
-//! workloads to run.
+//! mode, a zero worker or admission count, a trace interval below 1000,
+//! and an invocation with no workloads to run or too few for `sampled`.
 //! `--verify` takes only sweep artifacts: a retired trace or checkpoint
 //! file fails closed.
 
@@ -170,6 +170,7 @@ fn trace_refuses_unknown_flags_and_bad_values() {
         (&["--bogus"][..], "--bogus"),
         (&["--insts=2O000"], "--insts"),
         (&["--interval"], "--interval"),
+        (&["--interval=999"], "--interval"),
         (&["--config=pentium"], "--config"),
         (&["--insts", "4000"], "--insts"),
     ] {
@@ -202,6 +203,15 @@ fn empty_workload_sets_exit_2() {
     let (code, stderr) =
         run(EXPERIMENTS, &["--quick", "--no-json", "--max-workloads=0", "--synth=1", "fig1"]);
     assert_eq!(code, Some(0), "synthesized extras alone still run: {stderr}");
+    // The sampled validation needs four workloads, however they are made.
+    for args in [
+        &["--quick", "--no-json", "--max-workloads=2", "sampled"][..],
+        &["--quick", "--no-json", "--max-workloads=0", "--synth=2", "sampled"],
+    ] {
+        let (code, stderr) = run(EXPERIMENTS, args);
+        assert_eq!(code, Some(2), "{args:?}: stderr {stderr}");
+        assert!(stderr.contains("sampled needs at least 4 workloads"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests for the `phast-serve` daemon on a live TCP server:
 //! parallel and back-to-back sweeps against their serial references,
 //! journal replay, torn client connections, length-bombed request lines,
-//! and graceful drain.
+//! and graceful drain, which finishes queued sweeps in admission order.
 //!
 //! The acceptance bar (mirrored in the CI `service` job): a daemon
 //! sweep's artifact is byte-identical — modulo wall-clock and attempt
@@ -231,6 +231,58 @@ fn graceful_drain_loses_no_journaled_work() {
     SweepArtifact::verify_file(&artifact_path).expect("flushed artifact verifies");
     let resumed = Journal::resume(&journal_path, "phast-serve-v1").expect("journal resumes");
     assert_eq!(resumed.completed_runs(), 2, "every admitted cell was journaled as done");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_drain_runs_queued_sweeps_in_admission_order() {
+    let dir = scratch("order");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let journal_path = dir.join("journal.jsonl");
+    let journal = Journal::create(&journal_path, "phast-serve-v1").expect("journal");
+    let server = Server::start(ServeConfig {
+        max_active_sweeps: 2,
+        json_dir: Some(dir.clone()),
+        journal: Some(journal),
+        ..daemon(1)
+    })
+    .expect("daemon starts");
+
+    // Two fire-and-forget submissions, then an immediate drain, which
+    // begins while the second sweep still waits behind the first.
+    let mut client = connect(&server);
+    let ids = ["first", "second"];
+    for id in ids {
+        match client
+            .request(&Request::Submit {
+                id: id.to_string(),
+                kinds: vec!["blind".to_string(), "store-sets".to_string()],
+                budget: "bench".to_string(),
+                watch: false,
+            })
+            .expect("submits")
+        {
+            Event::Accepted { cells: 4, .. } => {}
+            other => panic!("{id}: expected acceptance of 4 cells, got {other:?}"),
+        }
+    }
+    server.shutdown();
+    assert_eq!(server.join(), exit_code::OK, "the drain finished both sweeps cleanly");
+
+    for id in ids {
+        SweepArtifact::verify_file(&dir.join(format!("BENCH_{id}.json")))
+            .expect("flushed artifact verifies");
+    }
+    // Each cell journals a start and a done line under its sweep's id:
+    // all of the first sweep's lines come before any of the second's.
+    let journal = std::fs::read_to_string(&journal_path).expect("journal readable");
+    let scopes: Vec<&str> = journal
+        .lines()
+        .filter_map(|l| l.split_once("\"key\":\"")?.1.split_once('|'))
+        .map(|(scope, _)| scope)
+        .collect();
+    let expected: Vec<&str> = [["first"; 8], ["second"; 8]].concat();
+    assert_eq!(scopes, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
