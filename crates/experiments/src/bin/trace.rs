@@ -50,9 +50,10 @@ fn main() {
         "committed", "IPC", "MPKI-FN", "MPKI-FP", "br-MPKI", "fwd-loads"
     );
 
+    // The last interval ends at `--insts`, so it may be partial.
     let mut prev = phast_ooo::SimStats::default();
-    let mut target = interval;
-    while target <= insts {
+    let mut target = interval.min(insts);
+    loop {
         let s = match core.try_run_within(target, u64::MAX, &Deadline::none()) {
             Ok(s) => s,
             Err(e) => {
@@ -75,10 +76,10 @@ fn main() {
             mpki(s.branch_mispredicts - prev.branch_mispredicts),
             s.forwarded_loads - prev.forwarded_loads,
         );
-        if s.halted {
+        if s.halted || s.committed >= insts {
             break;
         }
         prev = s;
-        target += interval;
+        target = (target + interval).min(insts);
     }
 }

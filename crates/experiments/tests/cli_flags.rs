@@ -5,7 +5,8 @@
 //! chaos injection, the retry cap and the phase cluster count) get the
 //! same answer as a typo, and so do a flag given twice or outside its
 //! mode, a zero worker or admission count, a trace interval below 1000,
-//! and an invocation with no workloads to run or too few for `sampled`.
+//! an invocation with no workloads to run or too few for `sampled`, and
+//! the retired ids of figures that `fig6` and `fig15` render.
 //! `--verify` takes only sweep artifacts: a retired trace or checkpoint
 //! file fails closed.
 
@@ -186,6 +187,42 @@ fn trace_refuses_unknown_flags_and_bad_values() {
     ] {
         let (code, stderr) = run(TRACE, args);
         assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+    }
+}
+
+/// The last interval ends at `--insts`, so a run shorter than one
+/// interval still prints a line and the tail past the last whole interval
+/// is printed as a partial one.
+#[test]
+fn trace_prints_its_last_partial_interval() {
+    let committed = |args: &[&str]| -> Vec<u64> {
+        let args: Vec<&str> = ["exchange2", "phast"].iter().chain(args).copied().collect();
+        let (code, stdout, stderr) = output(TRACE, &args);
+        assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+        // Interval lines are the ones that start with a number.
+        stdout
+            .lines()
+            .filter_map(|l| l.split_whitespace().next()?.parse().ok())
+            .collect()
+    };
+    let lines = committed(&["--insts=2500", "--interval=1000"]);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines[2] >= 2_500, "{lines:?}");
+    assert_eq!(committed(&["--insts=999"]).len(), 1);
+}
+
+/// Figures rendered inside another id's grid have no id of their own:
+/// each old id is refused like a typo, naming every known id.
+#[test]
+fn merged_figure_ids_exit_2_listing_the_known_ids() {
+    let known: Vec<&str> =
+        phast_experiments::figures::EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
+    let listing = format!("known: {} all", known.join(" "));
+    for id in ["fig7", "fig10", "fig11", "fig14", "fig16"] {
+        let (code, stderr) = run(EXPERIMENTS, &["--quick", "--no-json", id]);
+        assert_eq!(code, Some(2), "{id}: stderr {stderr}");
+        assert!(stderr.contains(&format!("unknown experiment '{id}'")), "{id}: {stderr}");
+        assert!(stderr.contains(&listing), "{id} must list {listing}: {stderr}");
     }
 }
 
