@@ -261,7 +261,8 @@ pub struct RunRecord {
     /// second (`committed / wall_s / 1e6`); 0 when the run took no
     /// measurable time.
     pub mips: f64,
-    /// Attempts this run took: 1 for a live cell, which runs once.
+    /// Always 1, since a cell runs once; the field stays in the artifact
+    /// format, which the benchmark package writes too.
     pub attempts: u64,
     /// The degradation message if the run failed, `None` if it ran clean.
     pub degraded: Option<String>,

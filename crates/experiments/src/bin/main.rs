@@ -9,9 +9,11 @@
 //!
 //! Parallel and serial sweeps print byte-identical reports. Unless
 //! `--no-json` is given, each experiment writes a `BENCH_<id>.json`
-//! artifact and journals its cells for `--resume`; the exit code tells
-//! clean (0), degraded (1), usage (2), integrity (3) and deadline (4)
-//! outcomes apart (docs/RESILIENCE.md). The flags, and the `--help` made
+//! artifact and journals its cells to the run's one journal, so a cell
+//! that an earlier id (or, under `--resume`, an earlier run) journaled
+//! replays instead of re-simulating; the exit code tells clean (0),
+//! degraded (1), usage (2), integrity (3) and deadline (4) outcomes apart
+//! (docs/RESILIENCE.md). The flags, and the `--help` made
 //! from them, are declared in `phast_experiments::cli::PHAST_EXPERIMENTS`.
 
 use phast_experiments::cli::{self, Args};
@@ -134,7 +136,8 @@ fn run(args: &Args) -> ! {
     for id in selected {
         // One sweep per experiment: its degraded-run registry and run log
         // are scoped to the experiment, so each BENCH_<id>.json describes
-        // exactly the runs that produced this report.
+        // exactly the runs that produced this report. The journal is not:
+        // a cell an earlier id journaled replays here.
         let mut sweep = workers.map_or_else(Sweep::parallel, Sweep::with_workers);
         // The validation experiments read the sampling config off the
         // sweep but run their full-detail reference through `Sweep::grid`
@@ -147,7 +150,7 @@ fn run(args: &Args) -> ! {
             sweep = sweep.with_run_timeout(t);
         }
         if let Some((_, j)) = &journal {
-            sweep = sweep.with_journal(j.scope(id));
+            sweep = sweep.with_journal(j.clone());
         }
         let start = std::time::Instant::now();
         let out = figures::run_experiment(id, &sweep, &budget).expect("ids were checked");

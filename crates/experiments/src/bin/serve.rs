@@ -72,8 +72,9 @@ fn run_daemon(args: &Args) -> ! {
     cfg.max_active_sweeps = args.number("--max-active", 1).unwrap_or(cfg.max_active_sweeps);
     cfg.run_timeout = args.number("--run-timeout", 0).map(Duration::from_secs);
     // The daemon serves many sweep shapes from one journal, so the
-    // fingerprint versions the *service*, not one sweep; each sweep
-    // journals under its id as scope.
+    // fingerprint versions the *service*, not one sweep. A cell's key
+    // carries its tier's instruction budget, and each tier fixes its
+    // workload iterations, so every sweep shares the journal's cells.
     if let Some((dir, journal)) = args.journal("phast-serve-v1") {
         cfg.json_dir = Some(dir);
         cfg.journal = Some(journal);

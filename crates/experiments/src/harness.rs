@@ -28,7 +28,7 @@
 //! and [`Budget::bench`] (the daemon's `bench` tier and the tests).
 
 use crate::artifact::{git_describe, RunRecord, SamplingMeta, SweepArtifact};
-use crate::journal::{CompletedRun, JournalScope};
+use crate::journal::{CompletedRun, Journal};
 use crate::pool::{self, JobPanic};
 use crate::predictors::{ideal_oracle, PredictorKind};
 use phast_isa::Program;
@@ -223,9 +223,6 @@ pub struct RunResult {
     pub failure: Option<RunFailure>,
     /// Host wall-clock time the simulation took.
     pub wall: Duration,
-    /// Attempts this run took: 1 for a live cell, which runs once; a
-    /// cell replayed from a journal carries the count journaled with it.
-    pub attempts: u64,
     /// Sampling metadata when the statistics were estimated from detailed
     /// windows (`None` for a full-detail run).
     pub sampling: Option<SamplingMeta>,
@@ -264,7 +261,7 @@ impl RunResult {
                 let wall_s = self.wall.as_secs_f64();
                 if wall_s > 0.0 { self.stats.committed as f64 / wall_s / 1e6 } else { 0.0 }
             },
-            attempts: self.attempts,
+            attempts: 1,
             degraded: self.degraded_entry(),
             sampling: self.sampling.clone(),
             workload_signature: self.workload_signature.clone(),
@@ -275,7 +272,6 @@ impl RunResult {
     /// the predictor state the figures read beyond it.
     fn journaled(&self) -> CompletedRun {
         CompletedRun {
-            attempts: self.attempts,
             record: self.to_record(),
             accesses: self.stats.predictor_accesses,
             branch_mispredicts: self.stats.branch_mispredicts,
@@ -295,24 +291,25 @@ fn panicked_result(workload: &str, label: &str, panic: JobPanic) -> RunResult {
         path_lengths: Vec::new(),
         failure: Some(RunFailure::Panicked(panic.message)),
         wall: Duration::ZERO,
-        attempts: 1,
         sampling: None,
         workload_signature: "unknown".to_string(),
     }
 }
 
 #[allow(clippy::field_reassign_with_default)] // only what the figures read is journaled
-/// Reconstructs a [`RunResult`] from a journaled completed run, for
-/// resume. Every statistic a figure reads is restored exactly: the
-/// predictor's access counters, the conditional-branch mispredictions
-/// and the conflict lengths from the `done` line, and the rest inverted
-/// from the record — `ipc`, `violation_mpki` and `false_dep_mpki`
-/// recompute to the identical values because they were derived from
-/// these integers in the first place. So [`RunResult::to_record`] renders the journaled record
-/// again, modulo wall-clock and attempt metadata, a resumed report
-/// matches a live one, and any annotation an experiment adds after the
-/// run (the sampled validations' `full_ipc`/`ipc_error`) reaches the
-/// artifact as it does for a live run.
+/// Reconstructs a [`RunResult`] from a journaled completed run, for a
+/// cell the journal holds as `ok` — recovered on resume, or journaled
+/// earlier in this run by any sweep on the same journal. Every statistic
+/// a figure reads is restored exactly: the predictor's access counters,
+/// the conditional-branch mispredictions and the conflict lengths from
+/// the `done` line, and the rest inverted from the record — `ipc`,
+/// `violation_mpki` and `false_dep_mpki` recompute to the identical
+/// values because they were derived from these integers in the first
+/// place. So [`RunResult::to_record`] renders the journaled record again,
+/// modulo wall-clock metadata, a replayed report matches a live one, and
+/// any annotation an experiment adds after the run (the sampled
+/// validations' `full_ipc`/`ipc_error`) reaches the artifact as it does
+/// for a live run.
 pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
     let r = &done.record;
     let per_kilo_inverse =
@@ -332,17 +329,19 @@ pub(crate) fn replayed_result(done: CompletedRun) -> RunResult {
         path_lengths: done.path_lengths,
         failure: None,
         wall: Duration::from_secs_f64(r.wall_s.max(0.0)),
-        attempts: done.attempts,
         sampling: r.sampling.clone(),
         workload_signature: r.workload_signature.clone(),
     }
 }
 
-/// The journal key of one sweep cell. Workload and predictor label alone
-/// do not identify a run — Fig. 2 sweeps core generations and Fig. 12
-/// re-runs pairs under a different forwarding filter — so the key also
-/// carries a fingerprint of the core configuration (CRC32 of its `Debug`
-/// form, which is deterministic), the instruction budget, and the
+/// The journal key of one sweep cell, and its only identity there: with
+/// the journal fingerprint's `workload_iters` it fixes the simulation, so
+/// a cell that one experiment or daemon submission journaled replays in
+/// every other sweep on the same journal. Workload and predictor label
+/// alone do not identify a run — Fig. 2 sweeps core generations and
+/// Fig. 12 re-runs pairs under a different forwarding filter — so the key
+/// also carries a fingerprint of the core configuration (CRC32 of its
+/// `Debug` form, which is deterministic), the instruction budget, and the
 /// sampling shape when in sampled mode.
 pub fn cell_key(
     workload: &str,
@@ -479,7 +478,6 @@ fn run_attempt(
         path_lengths,
         failure: failure.map(RunFailure::Sim),
         wall,
-        attempts: 1,
         sampling,
         workload_signature: signature.clone(),
     })
@@ -537,7 +535,7 @@ pub struct Sweep {
     degraded: Mutex<Vec<String>>,
     records: Mutex<Vec<RunRecord>>,
     run_timeout: Option<Duration>,
-    journal: Option<JournalScope>,
+    journal: Option<Journal>,
     deadline_runs: AtomicUsize,
 }
 
@@ -556,11 +554,12 @@ impl Sweep {
         self
     }
 
-    /// Attaches a run journal scope: every cell logs `start`/`done`
-    /// lines write-ahead, and cells the journal already holds as `ok`
-    /// are replayed from their journaled records instead of re-simulated.
-    pub fn with_journal(mut self, scope: JournalScope) -> Sweep {
-        self.journal = Some(scope);
+    /// Attaches a run journal: every cell logs `start`/`done` lines
+    /// write-ahead, and cells the journal already holds as `ok`, whichever
+    /// sweep journaled them, are replayed from their journaled records
+    /// instead of re-simulated.
+    pub fn with_journal(mut self, journal: Journal) -> Sweep {
+        self.journal = Some(journal);
         self
     }
 
@@ -627,12 +626,12 @@ impl Sweep {
 
     /// Records results in the order given: degraded runs go to this
     /// sweep's registry (and stderr), every run goes to the artifact log
-    /// through [`RunResult::to_record`] — results replayed from a resume
-    /// journal included, so the artifact matches an uninterrupted sweep's
-    /// modulo wall-clock and attempt metadata. Deadline-cut runs bump the
-    /// counter behind [`Sweep::deadline_count`]. The run methods call
-    /// this; callers of [`Sweep::grid`] (experiments that annotate their
-    /// cells first, and the daemon) call it themselves.
+    /// through [`RunResult::to_record`] — results replayed from the
+    /// journal included, so the artifact matches a live sweep's modulo
+    /// wall-clock metadata. Deadline-cut runs bump the counter behind
+    /// [`Sweep::deadline_count`]. The run methods call this; callers of
+    /// [`Sweep::grid`] (experiments that annotate their cells first, and
+    /// the daemon) call it themselves.
     pub(crate) fn record_all(&self, runs: &[RunResult]) {
         let mut degraded = self.degraded.lock().expect("degraded-run registry");
         let mut records = self.records.lock().expect("run log");
@@ -650,7 +649,8 @@ impl Sweep {
 
     /// Executes one cell with the resilience machinery — the one cell
     /// lifecycle of both binaries and both sampling modes: journal replay
-    /// (a cell the journal holds as `ok` is not re-simulated), write-ahead
+    /// (a cell the journal holds as `ok`, recovered on resume or journaled
+    /// by any earlier sweep on it, is not re-simulated), write-ahead
     /// `start` line, one attempt under panic isolation and the per-cell
     /// deadline watchdog, and the `done` line. A cell runs once: the
     /// simulator is deterministic, so a second attempt would fail as the
@@ -680,7 +680,7 @@ impl Sweep {
             .unwrap_or_else(|p| panicked_result(workload.name, &kind.label(), p));
         if let Some(j) = &self.journal {
             let status = run.failure.as_ref().map_or("ok", RunFailure::kind);
-            j.log_done(&key, &run.journaled(), status);
+            j.log_done(&key, run.journaled(), status);
         }
         observe(CellProgress::Done(&run));
         run
@@ -762,8 +762,8 @@ impl Sweep {
     }
 
     /// How many cells of the full-detail `kinds` × workloads grid the
-    /// journal holds as `ok`: the cells [`Sweep::run_grid`] replays
-    /// instead of simulating.
+    /// journal holds as `ok` now: the cells [`Sweep::run_grid`] would
+    /// replay instead of simulating if it ran now.
     pub(crate) fn journaled_cells(
         &self,
         kinds: &[PredictorKind],
@@ -956,7 +956,7 @@ mod tests {
         for (i, sampling) in [None, Some(SampleConfig::new(3, 600, 400))].into_iter().enumerate() {
             let path = dir.join(format!("journal-{i}.jsonl"));
             let run = |journal: Journal| {
-                let sweep = Sweep::with_workers(2).with_journal(journal.scope("builds"));
+                let sweep = Sweep::with_workers(2).with_journal(journal);
                 let sweep = match sampling {
                     Some(scfg) => sweep.with_sampling(scfg),
                     None => sweep,

@@ -3,28 +3,33 @@
 //! A sweep writes one JSONL line to `journal.jsonl` *before* it starts
 //! each run (`start`) and one as each run finishes (`done`), flushed
 //! immediately — so after a crash, a kill, or a power cut, the journal
-//! holds the exact set of completed runs. `--resume <dir>` replays it:
-//! runs journaled as `ok` are skipped and rebuilt from their embedded
-//! [`RunRecord`]s plus the counters a figure reads beyond the record
-//! (table reads/writes for Fig. 16, conditional-branch mispredictions
-//! for Fig. 1, conflict lengths for Fig. 10), so a resumed sweep's
-//! reports and `BENCH_*.json` match an uninterrupted one (modulo
-//! wall-clock and attempt metadata, which are properties of *this*
-//! execution).
+//! holds the exact set of completed runs. A cell's key (see
+//! [`cell_key`](crate::harness::cell_key)) is its only identity: with the
+//! header's fingerprint it fixes the simulation, whichever experiment or
+//! daemon submission runs it. So a journal replays every cell it holds
+//! as `ok`, those it recovered on `--resume` and those it journaled
+//! since, to every later sweep on it: the cell is rebuilt from its
+//! embedded [`RunRecord`] plus the counters a figure reads beyond the
+//! record (table reads/writes for Fig. 16, conditional-branch
+//! mispredictions for Fig. 1, conflict lengths for Fig. 10), and its
+//! reports and `BENCH_*.json` rows match a live run's (modulo wall-clock
+//! metadata, a property of the execution that journaled it).
 //!
 //! Integrity is fail-closed: every `done` line carries a CRC32 digest of
 //! everything it replays; a digest mismatch or an unparseable line in the
 //! *interior* of the journal is a typed [`JournalError`] (the journal is
 //! evidence — if it cannot be trusted, resuming from it silently would
 //! corrupt the aggregate). The one tolerated defect is a torn **final**
-//! line, which is exactly what a crash mid-write produces.
+//! line, which is exactly what a crash mid-write produces: a resume skips
+//! it and cuts it off the file before appending, so the next line starts
+//! on a line boundary and the journal can be resumed again.
 //!
 //! Line shapes (all compact JSON, one per line):
 //!
 //! ```text
-//! {"kind":"header","version":3,"fingerprint":"insts=...,..."}
-//! {"kind":"start","key":"fig15|mcf|phast|1a2b3c4d|300000","attempt":1,"seed":7}
-//! {"kind":"done","key":"...","status":"ok","attempts":1,"digest":"crc32:...",
+//! {"kind":"header","version":4,"fingerprint":"insts=...,..."}
+//! {"kind":"start","key":"mcf|phast|1a2b3c4d|300000","seed":7}
+//! {"kind":"done","key":"...","status":"ok","digest":"crc32:...",
 //!  "reads":9494,"writes":180,"branch_mispredicts":412,"path_lengths":[],"record":{...}}
 //! ```
 //!
@@ -34,7 +39,8 @@
 //! differently-shaped sweeps would produce an aggregate no single
 //! configuration ever ran. A journal of another version is refused too:
 //! an older `done` line lacks fields a replay restores (version 1 the
-//! predictor state, version 2 the branch mispredictions).
+//! predictor state, version 2 the branch mispredictions), and a
+//! version-3 key starts with the experiment id.
 
 use crate::artifact::{JsonValue, RunRecord};
 use crate::jsonio::{self, req_str, req_u64, req_u64_array};
@@ -42,10 +48,10 @@ use phast_mdp::AccessStats;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Journal format version.
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 
 /// Why a journal could not be created or resumed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,12 +93,10 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A finished run as a `done` line holds it; [`JournalScope::lookup`]
+/// A finished run as a `done` line holds it; [`Journal::lookup`]
 /// returns the completed (`status == "ok"`) ones.
 #[derive(Clone, Debug)]
 pub struct CompletedRun {
-    /// Attempts the original execution took.
-    pub attempts: u64,
     /// The run's record, exactly as the original sweep would have
     /// aggregated it.
     pub record: RunRecord,
@@ -108,12 +112,14 @@ pub struct CompletedRun {
 struct JournalInner {
     file: Mutex<std::fs::File>,
     path: PathBuf,
-    completed: HashMap<String, CompletedRun>,
+    completed: Mutex<HashMap<String, CompletedRun>>,
 }
 
-/// A shared handle to the sweep's run journal. Cheap to clone; writes are
+/// A shared handle to the run journal. Cheap to clone; writes are
 /// serialized through an internal lock and flushed per line (write-ahead:
-/// a line is on disk before the work it describes is trusted).
+/// a line is on disk before the work it describes is trusted). Every
+/// sweep given a clone shares its cells: a cell one sweep journals as
+/// `ok` replays in every later sweep on the same journal.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<JournalInner>,
@@ -123,7 +129,7 @@ impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
             .field("path", &self.inner.path)
-            .field("completed", &self.inner.completed.len())
+            .field("completed", &self.completed_runs())
             .finish()
     }
 }
@@ -148,20 +154,14 @@ impl Journal {
             ("fingerprint", JsonValue::Str(fingerprint.to_string())),
         ]);
         write_line(&mut file, &header).map_err(|e| io_err(path, &e))?;
-        Ok(Journal {
-            inner: Arc::new(JournalInner {
-                file: Mutex::new(file),
-                path: path.to_path_buf(),
-                completed: HashMap::new(),
-            }),
-        })
+        Ok(Journal::open(file, path, HashMap::new()))
     }
 
     /// Opens an existing journal for resumption: validates every line,
     /// recovers the completed-run map, and reopens the file for
-    /// appending. A torn final line (crash mid-write) is tolerated and
-    /// overwritten by subsequent appends' ordering — everything before it
-    /// must be intact.
+    /// appending. A torn final line (crash mid-write: unterminated or
+    /// unparseable) is tolerated and cut off the file, so the next append
+    /// starts a line of its own — everything before it must be intact.
     ///
     /// # Errors
     ///
@@ -172,30 +172,32 @@ impl Journal {
     /// is not resumed from.
     pub fn resume(path: &Path, fingerprint: &str) -> Result<Journal, JournalError> {
         let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-        let lines: Vec<(usize, &str)> = text
-            .lines()
+        // (1-based line number, byte offset of the line, the line with
+        // its terminator, if any).
+        let mut offset = 0;
+        let lines: Vec<(usize, usize, &str)> = text
+            .split_inclusive('\n')
             .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty())
+            .map(|(i, l)| {
+                offset += l.len();
+                (i + 1, offset - l.len(), l)
+            })
+            .filter(|(.., l)| !l.trim().is_empty())
             .collect();
         let last_idx = lines.len().saturating_sub(1);
         let mut completed = HashMap::new();
+        let mut torn_at = None;
         let mut saw_header = false;
-        for (pos, (line_no, line)) in lines.iter().enumerate() {
-            let torn_tail_ok = pos == last_idx && pos > 0;
-            let v = match jsonio::parse(line) {
-                Ok(v) => v,
-                Err(e) if torn_tail_ok => {
-                    // A crash mid-append leaves exactly one torn final
-                    // line; everything it described was never trusted.
-                    let _ = e;
-                    continue;
-                }
-                Err(e) => {
-                    return Err(JournalError::Corrupt { line: *line_no, reason: e.to_string() })
-                }
-            };
-            let corrupt = |reason: String| JournalError::Corrupt { line: *line_no, reason };
+        for (pos, &(line_no, at, raw)) in lines.iter().enumerate() {
+            let parsed = jsonio::parse(raw.trim());
+            if pos == last_idx && pos > 0 && (parsed.is_err() || !raw.ends_with('\n')) {
+                // A crash mid-append leaves exactly one torn final line;
+                // everything it described was never trusted.
+                torn_at = Some(at);
+                continue;
+            }
+            let corrupt = |reason: String| JournalError::Corrupt { line: line_no, reason };
+            let v = parsed.map_err(|e| corrupt(e.to_string()))?;
             let kind = req_str(&v, "kind").map_err(corrupt)?;
             if pos == 0 {
                 if kind != "header" {
@@ -217,14 +219,13 @@ impl Journal {
             }
             match kind.as_str() {
                 "start" => {
-                    // Start lines witness that an attempt began; only done
+                    // Start lines witness that a run began; only done
                     // lines carry results, so nothing to recover here.
                 }
                 "done" => {
                     let bad = |e: String| corrupt(format!("bad done line: {e}"));
                     let key = req_str(&v, "key").map_err(bad)?;
                     let status = req_str(&v, "status").map_err(bad)?;
-                    let attempts = req_u64(&v, "attempts").map_err(bad)?;
                     let stored = req_str(&v, "digest").map_err(bad)?;
                     let field = |k: &str| {
                         v.get(k).ok_or_else(|| corrupt(format!("done line missing '{k}'")))
@@ -244,7 +245,6 @@ impl Journal {
                     }
                     if status == "ok" {
                         let done = CompletedRun {
-                            attempts,
                             record: RunRecord::from_json(payload[4]).map_err(bad)?,
                             accesses: AccessStats {
                                 reads: req_u64(&v, "reads").map_err(bad)?,
@@ -271,30 +271,82 @@ impl Journal {
             .append(true)
             .open(path)
             .map_err(|e| io_err(path, &e))?;
-        Ok(Journal {
+        if let Some(at) = torn_at {
+            file.set_len(at as u64).map_err(|e| io_err(path, &e))?;
+        }
+        Ok(Journal::open(file, path, completed))
+    }
+
+    fn open(file: std::fs::File, path: &Path, completed: HashMap<String, CompletedRun>) -> Journal {
+        Journal {
             inner: Arc::new(JournalInner {
                 file: Mutex::new(file),
                 path: path.to_path_buf(),
-                completed,
+                completed: Mutex::new(completed),
             }),
-        })
+        }
     }
 
-    /// Path of the journal file.
-    pub fn path(&self) -> &Path {
-        &self.inner.path
-    }
-
-    /// Completed (`ok`) runs recovered at [`resume`](Self::resume) time.
+    /// Cells the journal holds as `ok`: those recovered at
+    /// [`resume`](Self::resume) plus those journaled since.
     pub fn completed_runs(&self) -> usize {
-        self.inner.completed.len()
+        self.completed().len()
     }
 
-    /// A scope that prefixes every key with the experiment id, so the
-    /// same (workload, predictor) pair journals distinctly across
-    /// experiments sharing one journal file.
-    pub fn scope(&self, exp: &str) -> JournalScope {
-        JournalScope { journal: self.clone(), exp: exp.to_string() }
+    /// Ignored: a cell's key is its only identity, so this returns the
+    /// journal itself. The method outlives the experiment-scoped keys
+    /// only because the benchmark package's batch set-up (`setup_sweep`
+    /// in `simbench/src/grid.rs`) still calls `journal.scope("fig15")`;
+    /// delete it once that call passes the journal as is.
+    pub fn scope(&self, _exp: &str) -> Journal {
+        self.clone()
+    }
+
+    /// The completed run for `key`, if the journal holds one as `ok` —
+    /// the caller replays its record instead of re-simulating.
+    pub fn lookup(&self, key: &str) -> Option<CompletedRun> {
+        self.completed().get(key).cloned()
+    }
+
+    /// Journals that `key` is about to run with fault seed `seed`
+    /// (write-ahead: on disk before the run starts).
+    pub fn log_start(&self, key: &str, seed: u64) {
+        self.append(&JsonValue::obj(vec![
+            ("kind", JsonValue::Str("start".to_string())),
+            ("key", JsonValue::Str(key.to_string())),
+            ("seed", JsonValue::UInt(seed)),
+        ]));
+    }
+
+    /// Journals that `key` finished with `status` (`"ok"` or a failure
+    /// kind), embedding the run and its digest. From then on an `ok` run
+    /// is what [`lookup`](Self::lookup) returns for `key`.
+    pub fn log_done(&self, key: &str, done: CompletedRun, status: &str) {
+        let reads = JsonValue::UInt(done.accesses.reads);
+        let writes = JsonValue::UInt(done.accesses.writes);
+        let branch_mispredicts = JsonValue::UInt(done.branch_mispredicts);
+        let lengths =
+            JsonValue::Array(done.path_lengths.iter().map(|&n| JsonValue::UInt(n)).collect());
+        let record = done.record.to_json();
+        let digest = payload_digest([&reads, &writes, &branch_mispredicts, &lengths, &record]);
+        self.append(&JsonValue::obj(vec![
+            ("kind", JsonValue::Str("done".to_string())),
+            ("key", JsonValue::Str(key.to_string())),
+            ("status", JsonValue::Str(status.to_string())),
+            ("digest", JsonValue::Str(digest)),
+            ("reads", reads),
+            ("writes", writes),
+            ("branch_mispredicts", branch_mispredicts),
+            ("path_lengths", lengths),
+            ("record", record),
+        ]));
+        if status == "ok" {
+            self.completed().insert(key.to_string(), done);
+        }
+    }
+
+    fn completed(&self) -> MutexGuard<'_, HashMap<String, CompletedRun>> {
+        self.inner.completed.lock().expect("journal completed-run map")
     }
 
     fn append(&self, v: &JsonValue) {
@@ -328,69 +380,12 @@ fn write_line(file: &mut std::fs::File, v: &JsonValue) -> std::io::Result<()> {
     file.flush()
 }
 
-/// A [`Journal`] handle scoped to one experiment id.
-#[derive(Clone, Debug)]
-pub struct JournalScope {
-    journal: Journal,
-    exp: String,
-}
-
-impl JournalScope {
-    /// The journaled key for a cell key within this scope.
-    fn full_key(&self, key: &str) -> String {
-        format!("{}|{key}", self.exp)
-    }
-
-    /// The completed run for `key`, if the journal has one — the caller
-    /// replays its record instead of re-simulating.
-    pub fn lookup(&self, key: &str) -> Option<CompletedRun> {
-        self.journal.inner.completed.get(&self.full_key(key)).cloned()
-    }
-
-    /// Journals that `key` is about to run with fault seed `seed`
-    /// (write-ahead: on disk before the run starts). A cell runs once, so
-    /// the line's `attempt` is always 1.
-    pub fn log_start(&self, key: &str, seed: u64) {
-        self.journal.append(&JsonValue::obj(vec![
-            ("kind", JsonValue::Str("start".to_string())),
-            ("key", JsonValue::Str(self.full_key(key))),
-            ("attempt", JsonValue::UInt(1)),
-            ("seed", JsonValue::UInt(seed)),
-        ]));
-    }
-
-    /// Journals that `key` finished with `status` (`"ok"` or a failure
-    /// kind), embedding the run and its digest.
-    pub fn log_done(&self, key: &str, done: &CompletedRun, status: &str) {
-        let reads = JsonValue::UInt(done.accesses.reads);
-        let writes = JsonValue::UInt(done.accesses.writes);
-        let branch_mispredicts = JsonValue::UInt(done.branch_mispredicts);
-        let lengths =
-            JsonValue::Array(done.path_lengths.iter().map(|&n| JsonValue::UInt(n)).collect());
-        let record = done.record.to_json();
-        let digest = payload_digest([&reads, &writes, &branch_mispredicts, &lengths, &record]);
-        self.journal.append(&JsonValue::obj(vec![
-            ("kind", JsonValue::Str("done".to_string())),
-            ("key", JsonValue::Str(self.full_key(key))),
-            ("status", JsonValue::Str(status.to_string())),
-            ("attempts", JsonValue::UInt(done.attempts)),
-            ("digest", JsonValue::Str(digest)),
-            ("reads", reads),
-            ("writes", writes),
-            ("branch_mispredicts", branch_mispredicts),
-            ("path_lengths", lengths),
-            ("record", record),
-        ]));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn done(workload: &str, ipc: f64, attempts: u64) -> CompletedRun {
+    fn done(workload: &str, ipc: f64) -> CompletedRun {
         CompletedRun {
-            attempts,
             record: record(workload, ipc),
             accesses: AccessStats { reads: 40, writes: 9 },
             branch_mispredicts: 17,
@@ -427,25 +422,40 @@ mod tests {
     fn create_log_resume_roundtrip() {
         let path = temp_journal("roundtrip");
         let j = Journal::create(&path, "fp-1").expect("creates");
-        let scope = j.scope("fig15");
-        scope.log_start("mcf|phast|deadbeef|300000", 7);
-        scope.log_done("mcf|phast|deadbeef|300000", &done("mcf", 3.25, 1), "ok");
-        scope.log_start("gcc|phast|deadbeef|300000", 7);
-        scope.log_done("gcc|phast|deadbeef|300000", &done("gcc", 2.0, 2), "deadlock");
+        j.log_start("mcf|phast|deadbeef|300000", 7);
+        j.log_done("mcf|phast|deadbeef|300000", done("mcf", 3.25), "ok");
+        j.log_start("gcc|phast|deadbeef|300000", 7);
+        j.log_done("gcc|phast|deadbeef|300000", done("gcc", 2.0), "deadlock");
         drop(j);
 
         let r = Journal::resume(&path, "fp-1").expect("resumes");
         assert_eq!(r.completed_runs(), 1, "only ok runs are recovered");
-        let scope = r.scope("fig15");
-        let hit = scope.lookup("mcf|phast|deadbeef|300000").expect("ok run recovered");
-        assert_eq!(hit.attempts, 1);
+        let hit = r.lookup("mcf|phast|deadbeef|300000").expect("ok run recovered");
         assert_eq!(hit.record.workload, "mcf");
         assert_eq!(hit.record.ipc, 3.25);
         assert_eq!(hit.accesses, AccessStats { reads: 40, writes: 9 });
         assert_eq!(hit.branch_mispredicts, 17);
         assert_eq!(hit.path_lengths, vec![0, 3, 1]);
-        assert!(scope.lookup("gcc|phast|deadbeef|300000").is_none(), "degraded runs re-run");
-        assert!(r.scope("fig2").lookup("mcf|phast|deadbeef|300000").is_none(), "scoped by exp");
+        assert!(r.lookup("gcc|phast|deadbeef|300000").is_none(), "degraded runs re-run");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A journal replays what it journaled this run, not only what a
+    /// resume recovered: every later sweep on it finds an `ok` cell.
+    #[test]
+    fn a_cell_journaled_ok_replays_without_a_resume() {
+        let path = temp_journal("live");
+        let j = Journal::create(&path, "fp-1").expect("creates");
+        assert!(j.lookup("mcf|phast|deadbeef|300000").is_none());
+        j.log_start("mcf|phast|deadbeef|300000", 0);
+        j.log_done("mcf|phast|deadbeef|300000", done("mcf", 3.25), "ok");
+        j.log_start("gcc|phast|deadbeef|300000", 0);
+        j.log_done("gcc|phast|deadbeef|300000", done("gcc", 2.0), "deadline");
+        let hit = j.lookup("mcf|phast|deadbeef|300000").expect("ok cell found");
+        assert_eq!((hit.record.workload.as_str(), hit.record.ipc), ("mcf", 3.25));
+        assert_eq!(hit.path_lengths, vec![0, 3, 1]);
+        assert!(j.lookup("gcc|phast|deadbeef|300000").is_none(), "degraded cells re-run");
+        assert_eq!(j.completed_runs(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -453,17 +463,25 @@ mod tests {
     fn torn_final_line_is_tolerated() {
         let path = temp_journal("torn");
         let j = Journal::create(&path, "fp-1").expect("creates");
-        j.scope("e").log_done("k1", &done("mcf", 3.0, 1), "ok");
+        j.log_done("k1", done("mcf", 3.0), "ok");
         drop(j);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"kind\":\"done\",\"key\":\"k2\",\"status");
-        std::fs::write(&path, &text).unwrap();
-
-        let r = Journal::resume(&path, "fp-1").expect("torn tail tolerated");
-        assert_eq!(r.completed_runs(), 1);
-        // The journal stays appendable after resume.
-        r.scope("e").log_done("k2", &done("gcc", 2.0, 1), "ok");
-        drop(r);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let k2 = text.lines().last().unwrap().replace("\"k1\"", "\"k2\"");
+        // Torn mid-line, or just before its terminator: either way the
+        // line is skipped and cut off, so the journal can be resumed
+        // again after appending.
+        for torn in [&k2[..k2.len() / 2], &k2] {
+            std::fs::write(&path, format!("{text}{torn}")).unwrap();
+            let r = Journal::resume(&path, "fp-1").expect("torn tail tolerated");
+            assert_eq!(r.completed_runs(), 1);
+            assert!(r.lookup("k2").is_none(), "a torn line is never trusted");
+            r.log_start("k3", 0);
+            r.log_done("k3", done("gcc", 2.0), "ok");
+            drop(r);
+            let again = Journal::resume(&path, "fp-1").expect("resumes a second time");
+            assert_eq!(again.completed_runs(), 2);
+            assert_eq!(again.lookup("k3").expect("appended after the cut").record.ipc, 2.0);
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -471,8 +489,8 @@ mod tests {
     fn interior_corruption_fails_closed() {
         let path = temp_journal("interior");
         let j = Journal::create(&path, "fp-1").expect("creates");
-        j.scope("e").log_done("k1", &done("mcf", 3.0, 1), "ok");
-        j.scope("e").log_done("k2", &done("gcc", 2.0, 1), "ok");
+        j.log_done("k1", done("mcf", 3.0), "ok");
+        j.log_done("k2", done("gcc", 2.0), "ok");
         drop(j);
 
         // Flip a byte inside the *first* done line, in its record or in
@@ -499,8 +517,8 @@ mod tests {
         let path = temp_journal("v1");
         drop(Journal::create(&path, "fp-1").expect("creates"));
         let text = std::fs::read_to_string(&path).unwrap();
-        for old in ["\"version\":1", "\"version\":2"] {
-            std::fs::write(&path, text.replacen("\"version\":3", old, 1)).unwrap();
+        for old in ["\"version\":1", "\"version\":2", "\"version\":3"] {
+            std::fs::write(&path, text.replacen("\"version\":4", old, 1)).unwrap();
             let err = Journal::resume(&path, "fp-1").expect_err("older journal refused");
             assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "{old}: {err}");
         }

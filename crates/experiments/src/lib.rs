@@ -63,6 +63,6 @@ pub mod tablefmt;
 
 pub use artifact::{ArtifactError, SamplingMeta, SweepArtifact};
 pub use harness::{exit_code, geomean, Budget, RunFailure, RunResult, Sweep};
-pub use journal::{CompletedRun, Journal, JournalError, JournalScope};
+pub use journal::{CompletedRun, Journal, JournalError};
 pub use phast_sample::{default_clusters_for, SampleConfig, SampleMode};
 pub use predictors::PredictorKind;

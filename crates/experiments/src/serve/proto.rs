@@ -38,7 +38,8 @@ pub enum Request {
     Status,
     /// Submit a sweep.
     Submit {
-        /// Artifact id (`BENCH_<id>.json`) and journal scope.
+        /// Artifact id (`BENCH_<id>.json`). Not part of any journal key:
+        /// a cell journaled under one id replays under every other.
         id: String,
         /// Predictor labels ([`crate::predictors::PredictorKind::from_label`]).
         kinds: Vec<String>,
@@ -94,7 +95,8 @@ pub enum Event {
         predictor: String,
         /// `"ok"` or the failure kind.
         status: String,
-        /// Attempts the cell took: 1, since a cell runs once.
+        /// Always 1, since a cell runs once; the field stays in the wire
+        /// format, which the benchmark package's daemon loop reads.
         attempts: u64,
     },
     /// A watched sweep finished.

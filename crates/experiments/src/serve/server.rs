@@ -4,7 +4,7 @@
 //! Execution model: one runner thread, started by the first admitted
 //! sweep, takes admitted sweeps from a queue in admission order and runs
 //! each as a batch [`Sweep`] with the daemon's worker count, watchdog
-//! and journal scope — the same kind-major grid, per-cell lifecycle
+//! and journal — the same kind-major grid, per-cell lifecycle
 //! (journal lookup → `start` → attempt under a deadline → `done`) and
 //! artifact as `phast-experiments`. So the worker count caps the cells
 //! simulating at once, and two admitted sweeps run one after the other,
@@ -79,8 +79,8 @@ pub struct ServeConfig {
     /// Where finished `BENCH_<id>.json` artifacts are written (`None`
     /// keeps them in memory only, served by digest).
     pub json_dir: Option<PathBuf>,
-    /// Daemon journal: every sweep journals its cells here under its id
-    /// as scope, and resubmitted cells replay.
+    /// Daemon journal: every sweep journals its cells here, and a cell
+    /// any sweep journaled `ok`, in this run or one it resumed, replays.
     pub journal: Option<Journal>,
     /// Per-run wall-clock watchdog applied to every cell.
     pub run_timeout: Option<Duration>,
@@ -113,6 +113,9 @@ struct Admitted {
     kinds: Vec<PredictorKind>,
     cfg: CoreConfig,
     budget: Budget,
+    /// Its cells the journal did not hold at admission, counted into
+    /// `queued` and `outstanding` then.
+    live: usize,
     /// Where its `cell` events and final event go, for a watcher.
     events: mpsc::Sender<Event>,
 }
@@ -391,14 +394,15 @@ fn admit(
         sweep = sweep.with_run_timeout(t);
     }
     if let Some(j) = &shared.journal {
-        sweep = sweep.with_journal(j.scope(&id));
+        sweep = sweep.with_journal(j.clone());
     }
     let cfg = CoreConfig::alder_lake();
     let cells = kinds.len() * budget.workloads().len();
     let replayed = sweep.journaled_cells(&kinds, &cfg, &budget);
+    let live = cells - replayed;
     shared.active_sweeps.fetch_add(1, Ordering::SeqCst);
-    shared.queued.fetch_add(cells - replayed, Ordering::SeqCst);
-    shared.outstanding.fetch_add(cells - replayed, Ordering::SeqCst);
+    shared.queued.fetch_add(live, Ordering::SeqCst);
+    shared.outstanding.fetch_add(live, Ordering::SeqCst);
     let accepted =
         Event::Accepted { id: id.clone(), cells: cells as u64, replayed: replayed as u64 };
     let (events, watched) = mpsc::channel();
@@ -407,7 +411,7 @@ fn admit(
         let shared = Arc::clone(shared);
         (queue, std::thread::spawn(move || run_queue(&shared, admitted)))
     });
-    let admitted = Admitted { id, sweep, kinds, cfg, budget, events };
+    let admitted = Admitted { id, sweep, kinds, cfg, budget, live, events };
     queue.send(admitted).expect("the runner outlives its queue");
     Ok((accepted, watched))
 }
@@ -446,11 +450,13 @@ fn run_queue(shared: &ServerShared, queue: mpsc::Receiver<Admitted>) -> i32 {
 /// each live cell's `cell` event to the watcher, then seal the artifact
 /// and return the `done` event.
 fn run_sweep(shared: &ServerShared, admitted: &Admitted) -> Event {
-    let Admitted { id, sweep, kinds, cfg, budget, events } = admitted;
+    let Admitted { id, sweep, kinds, cfg, budget, live, events } = admitted;
     let started = Instant::now();
+    let ran = AtomicUsize::new(0);
     // A send fails only once the watcher is gone; the sweep goes on.
     let rows = sweep.grid(kinds, cfg, budget, None, &|progress| match progress {
         CellProgress::Started => {
+            ran.fetch_add(1, Ordering::SeqCst);
             shared.queued.fetch_sub(1, Ordering::SeqCst);
         }
         CellProgress::Done(run) => {
@@ -459,10 +465,15 @@ fn run_sweep(shared: &ServerShared, admitted: &Admitted) -> Event {
                 workload: run.workload.clone(),
                 predictor: run.predictor.clone(),
                 status: run.failure.as_ref().map_or("ok", RunFailure::kind).to_string(),
-                attempts: run.attempts,
+                attempts: 1,
             });
         }
     });
+    // A cell counted live at admission that a sweep ahead of this one
+    // journaled meanwhile replayed here: it neither started nor delivered.
+    let replayed_since = live - ran.into_inner();
+    shared.queued.fetch_sub(replayed_since, Ordering::SeqCst);
+    shared.outstanding.fetch_sub(replayed_since, Ordering::SeqCst);
     for row in &rows {
         sweep.record_all(row);
     }

@@ -8,7 +8,9 @@
 //! an invocation with no workloads to run or too few for `sampled`, and
 //! the retired ids of figures that `fig6` and `fig15` render.
 //! `--verify` takes only sweep artifacts: a retired trace or checkpoint
-//! file fails closed.
+//! file fails closed. Flags that are accepted do what they say: a
+//! `--run-timeout` too large for the clock never expires, and the ids
+//! of one `--json-dir` run share its journal, one key per cell.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -265,4 +267,57 @@ fn trace_and_checkpoint_files_fail_verification_closed() {
         assert_eq!(code, Some(3), "{tag}: stderr {stderr}");
         assert!(stderr.contains("FAILED"), "{tag}: {stderr}");
     }
+}
+
+/// A `--run-timeout` too large for the clock to add to now never cuts a
+/// cell (it used to expire every cell at cycle 0, exit 4).
+#[test]
+fn a_run_timeout_beyond_the_clock_never_expires() {
+    let args = [
+        "--quick",
+        "--no-json",
+        "--max-workloads=1",
+        "--run-timeout=18446744073709551615",
+        "table1",
+        "fig15",
+    ];
+    let (code, stderr) = run(EXPERIMENTS, &args);
+    assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+}
+
+/// Every id of one run shares the run's journal: a key starts with the
+/// workload, not the id, `fig15` replays the Alder Lake cells `fig2`
+/// journaled, so no key is journaled `done` twice, and `fig15` reports
+/// what it reports alone without a journal.
+#[test]
+fn ids_share_the_journal_and_journal_each_cell_once() {
+    let dir = temp_path("shared");
+    let json_dir = format!("--json-dir={}", dir.display());
+    let args = ["--quick", "--max-workloads=1", &json_dir, "fig2", "fig15"];
+    let (code, stdout, stderr) = output(EXPERIMENTS, &args);
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(0), "{args:?}: stderr {stderr}");
+    let journal = journal.expect("journal written");
+    let mut keys: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"done\""))
+        .filter_map(|l| l.split_once("\"key\":\"")?.1.split_once('"'))
+        .map(|(key, _)| key)
+        .collect();
+    let workload = phast_workloads::all_workloads()[0].name;
+    assert!(keys.iter().all(|k| k.starts_with(&format!("{workload}|"))), "{keys:?}");
+    let done = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), done, "a key journaled done twice: {journal}");
+
+    let fig15 = |stdout: &str| -> String {
+        let from = stdout.find("=== fig15 ===").expect("fig15 report");
+        stdout[from..].lines().filter(|l| !l.contains(" took ")).collect::<Vec<_>>().join("\n")
+    };
+    let alone = ["--quick", "--no-json", "--max-workloads=1", "fig15"];
+    let (code, alone_stdout, stderr) = output(EXPERIMENTS, &alone);
+    assert_eq!(code, Some(0), "{alone:?}: stderr {stderr}");
+    assert_eq!(fig15(&stdout), fig15(&alone_stdout));
 }

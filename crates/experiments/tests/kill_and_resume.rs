@@ -1,12 +1,13 @@
 //! Crash-resilience contract of the journaled sweep: kill a sweep halfway
 //! (simulated by truncating `journal.jsonl` to a prefix plus a torn final
 //! line), resume it, and the merged `BENCH_*.json` must be byte-identical
-//! to the uninterrupted artifact modulo wall-clock and attempt metadata.
-//! The same holds for the sampled validation experiment, whose rows are
-//! annotated after their cells run, and a resume of every other
-//! experiment reproduces its report too. Corruption anywhere *inside* the
-//! journal, or a fingerprint from a different sweep shape, must refuse
-//! the resume fail-closed.
+//! to the uninterrupted artifact modulo wall-clock metadata. The same
+//! holds for the sampled validation experiment, whose rows are annotated
+//! after their cells run, and a resume of every other experiment
+//! reproduces its report too — as does running every experiment on one
+//! journal, where an id replays the cells an earlier id journaled.
+//! Corruption anywhere *inside* the journal, or a fingerprint from a
+//! different sweep shape, must refuse the resume fail-closed.
 
 use phast_experiments::harness::cell_key;
 use phast_experiments::{
@@ -49,13 +50,13 @@ fn run_grid_to(sweep: &Sweep, dir: &Path) -> String {
 }
 
 /// Strips the fields where an interrupted-and-resumed sweep may legally
-/// differ from an uninterrupted one: wall-clock, derived throughput, and
-/// attempt metadata (and the digest, which covers them).
+/// differ from an uninterrupted one: wall-clock and derived throughput
+/// (and the digest, which covers them).
 fn normalized(artifact: &str) -> String {
     artifact
         .lines()
         .filter(|l| {
-            !["\"wall_s\"", "\"mips\"", "\"simulated_mips\"", "\"attempts\"", "\"digest\""]
+            !["\"wall_s\"", "\"mips\"", "\"simulated_mips\"", "\"digest\""]
                 .iter()
                 .any(|f| l.contains(f))
         })
@@ -69,7 +70,7 @@ fn killed_and_resumed_sweep_reproduces_the_artifact() {
     let ref_dir = scratch("ref");
     let journal_path = ref_dir.join("journal.jsonl");
     let journal = Journal::create(&journal_path, FINGERPRINT).expect("journal created");
-    let sweep = Sweep::serial().with_journal(journal.scope("grid"));
+    let sweep = Sweep::serial().with_journal(journal);
     let reference = run_grid_to(&sweep, &ref_dir);
 
     // Simulate a mid-sweep kill: keep the header, every start line, and
@@ -100,14 +101,14 @@ fn killed_and_resumed_sweep_reproduces_the_artifact() {
     // Resume: half the cells replay from the journal, half re-execute.
     let resumed = Journal::resume(&cut_path, FINGERPRINT).expect("torn final line is tolerated");
     assert_eq!(resumed.completed_runs(), done_total / 2, "exactly the kept cells replay");
-    let sweep = Sweep::serial().with_journal(resumed.scope("grid"));
+    let sweep = Sweep::serial().with_journal(resumed);
     let merged = run_grid_to(&sweep, &cut_dir);
 
     assert_eq!(
         normalized(&reference),
         normalized(&merged),
         "resumed artifact must match the uninterrupted sweep byte for byte \
-         modulo wall-clock/attempt metadata"
+         modulo wall-clock metadata"
     );
 }
 
@@ -123,7 +124,7 @@ fn run_sampled_to(journal: &Journal, dir: &Path) -> String {
     let budget = sampled_budget();
     let sweep = Sweep::serial()
         .with_sampling(SampleConfig::new(3, 600, 400))
-        .with_journal(journal.scope("sampled"));
+        .with_journal(journal.clone());
     figures::sampled::run(&sweep, &budget);
     let artifact = sweep.artifact("sampled", &budget, Duration::ZERO);
     let path = artifact.write_to(dir).expect("artifact written");
@@ -146,14 +147,17 @@ fn resumed_sampled_validation_reproduces_the_artifact() {
         normalized(&reference),
         normalized(&merged),
         "resumed validation artifact must match the uninterrupted run \
-         modulo wall-clock/attempt metadata"
+         modulo wall-clock metadata"
     );
 }
 
 /// Every experiment but the sampled validation (which has its own resume
-/// test above), journaled and then resumed against the complete journal: the resume must print the same report and write the
+/// test above), in three legs: each id alone on a journal-less sweep,
+/// every id in [`figures::EXPERIMENTS`] order on one journal (so an id
+/// replays the cells an earlier id journaled), and every id again on that
+/// journal resumed. All three must print the same report and write the
 /// same artifact, so a replayed cell carries every value a report reads,
-/// not just its artifact row.
+/// not just its artifact row, whichever experiment journaled it.
 #[test]
 fn every_experiment_reports_the_same_after_a_resume() {
     let budget = Budget {
@@ -167,21 +171,29 @@ fn every_experiment_reports_the_same_after_a_resume() {
         .map(|(id, ..)| *id)
         .filter(|id| *id != "sampled")
         .collect();
-    let run_all = |journal: &Journal| -> Vec<(String, String)> {
+    let run_all = |journal: Option<Journal>| -> Vec<(String, String)> {
         ids.iter()
             .map(|id| {
-                let sweep = Sweep::with_workers(2).with_journal(journal.scope(id));
+                let sweep = Sweep::with_workers(2);
+                let sweep = match &journal {
+                    Some(j) => sweep.with_journal(j.clone()),
+                    None => sweep,
+                };
                 let report = figures::run_experiment(id, &sweep, &budget).expect("known id");
                 (report, normalized(&sweep.artifact(id, &budget, Duration::ZERO).to_json()))
             })
             .collect()
     };
+    let alone = run_all(None);
     let journal_path = scratch("every").join("journal.jsonl");
-    let first = run_all(&Journal::create(&journal_path, FINGERPRINT).expect("journal created"));
-    let resumed = run_all(&Journal::resume(&journal_path, FINGERPRINT).expect("journal resumes"));
-    for (id, (live, replayed)) in ids.iter().zip(first.iter().zip(&resumed)) {
-        assert_eq!(live.0, replayed.0, "{id}: the resumed report differs");
-        assert_eq!(live.1, replayed.1, "{id}: the resumed artifact differs");
+    let shared = Journal::create(&journal_path, FINGERPRINT).expect("journal created");
+    let first = run_all(Some(shared));
+    let resumed = run_all(Some(Journal::resume(&journal_path, FINGERPRINT).expect("resumes")));
+    for (id, ((alone, first), resumed)) in ids.iter().zip(alone.iter().zip(&first).zip(&resumed)) {
+        assert_eq!(alone.0, first.0, "{id}: the report on a shared journal differs");
+        assert_eq!(alone.1, first.1, "{id}: the artifact on a shared journal differs");
+        assert_eq!(first.0, resumed.0, "{id}: the resumed report differs");
+        assert_eq!(first.1, resumed.1, "{id}: the resumed artifact differs");
     }
 }
 
@@ -195,14 +207,13 @@ fn sampled_validation_journals_its_full_detail_cells() {
     // The full-detail reference cells run through the cell lifecycle, so
     // the journal holds each one under its full-detail key.
     let resumed = Journal::resume(&journal_path, FINGERPRINT).expect("complete journal resumes");
-    let scope = resumed.scope("sampled");
     let budget = sampled_budget();
     let vbudget = Budget { insts: budget.insts * 25, ..budget };
     let cfg = CoreConfig::alder_lake();
     for kind in [PredictorKind::StoreSets, PredictorKind::Phast] {
         for w in vbudget.workloads() {
             let key = cell_key(w.name, &kind.label(), &cfg, &vbudget, None);
-            assert!(scope.lookup(&key).is_some(), "no done line for full-detail cell {key}");
+            assert!(resumed.lookup(&key).is_some(), "no done line for full-detail cell {key}");
         }
     }
 }
@@ -212,7 +223,7 @@ fn interior_journal_corruption_refuses_the_resume() {
     let dir = scratch("corrupt");
     let journal_path = dir.join("journal.jsonl");
     let journal = Journal::create(&journal_path, FINGERPRINT).expect("journal created");
-    let sweep = Sweep::serial().with_journal(journal.scope("grid"));
+    let sweep = Sweep::serial().with_journal(journal);
     run_grid_to(&sweep, &dir);
 
     // Flip one digit inside a *non-final* record: the recomputed record

@@ -1,12 +1,12 @@
 //! End-to-end tests for the `phast-serve` daemon on a live TCP server:
 //! parallel and back-to-back sweeps against their serial references,
-//! journal replay, torn client connections, length-bombed request lines,
-//! and graceful drain, which finishes queued sweeps in admission order.
+//! journal replay across a restart and between queued sweeps, torn client
+//! connections, length-bombed request lines, and graceful drain, which
+//! finishes queued sweeps in admission order.
 //!
 //! The acceptance bar (mirrored in the CI `service` job): a daemon
-//! sweep's artifact is byte-identical — modulo wall-clock and attempt
-//! metadata — to a serial batch run's, and a graceful drain loses no
-//! journaled work.
+//! sweep's artifact is byte-identical — modulo wall-clock metadata — to a
+//! serial batch run's, and a graceful drain loses no journaled work.
 
 use phast_experiments::serve::proto::MAX_REQUEST_LINE;
 use phast_experiments::serve::{Client, Event, Request, SchedConfig, ServeConfig, Server};
@@ -24,8 +24,8 @@ fn daemon(workers: usize) -> ServeConfig {
 }
 
 /// Strips the per-execution metadata the resilience docs carve out of
-/// byte-identity: wall-clock, throughput, attempts, worker count, git
-/// state, and the digest (which covers them).
+/// byte-identity: wall-clock, throughput, worker count, git state, and
+/// the digest (which covers them).
 fn normalize(body: &str) -> String {
     body.lines()
         .filter(|l| {
@@ -33,7 +33,6 @@ fn normalize(body: &str) -> String {
                 "\"wall_s\"",
                 "\"mips\"",
                 "\"simulated_mips\"",
-                "\"attempts\"",
                 "\"digest\"",
                 "\"git\"",
                 "\"workers\"",
@@ -158,6 +157,47 @@ fn journal_replay_skips_completed_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A sweep queued behind one that shares its cells counts them live at
+/// admission, then replays them from the journal when it runs: both
+/// artifacts still match their serial references, and once both are done
+/// no cell is left queued or outstanding.
+#[test]
+fn queued_sweeps_sharing_cells_replay_them_and_settle_the_queue() {
+    let dir = scratch("shared");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let journal = Journal::create(&dir.join("journal.jsonl"), "phast-serve-v1").expect("journal");
+    let server = Server::start(ServeConfig {
+        max_active_sweeps: 2,
+        journal: Some(journal),
+        ..daemon(1)
+    })
+    .expect("daemon starts");
+    let (mut first, mut second) = (connect(&server), connect(&server));
+    let (kinds_a, kinds_b) = (["blind", "store-sets"], ["store-sets", "nosq"]);
+    for (client, id, kinds) in [(&mut first, "first", kinds_a), (&mut second, "second", kinds_b)] {
+        match client.submit_watch(id, &kinds, "bench").expect("submits") {
+            Event::Accepted { cells: 4, .. } => {}
+            other => panic!("{id}: expected acceptance of 4 cells, got {other:?}"),
+        }
+    }
+    let (cells_a, body_a) = stream_and_fetch(&mut first);
+    let (cells_b, body_b) = stream_and_fetch(&mut second);
+    assert_eq!(cells_a.len(), 4, "{cells_a:?}");
+    // The second sweep runs after the first: its store-sets cells replay.
+    assert_eq!(cells_b.len(), 2, "only the nosq cells run: {cells_b:?}");
+    assert_eq!(normalize(&body_a), normalize(&serial_reference("first", &kinds_a)));
+    assert_eq!(normalize(&body_b), normalize(&serial_reference("second", &kinds_b)));
+    match first.request(&Request::Status).expect("status") {
+        Event::Status(s) => {
+            assert_eq!((s.queue_depth, s.outstanding, s.active_sweeps), (0, 0, 0), "{s:?}");
+        }
+        other => panic!("expected status, got {other:?}"),
+    }
+    server.shutdown();
+    assert_eq!(server.join(), exit_code::OK);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_watch_client_downgrades_to_fire_and_forget() {
     let server = Server::start(daemon(2)).expect("daemon starts");
@@ -248,15 +288,16 @@ fn a_drain_runs_queued_sweeps_in_admission_order() {
     })
     .expect("daemon starts");
 
-    // Two fire-and-forget submissions, then an immediate drain, which
-    // begins while the second sweep still waits behind the first.
+    // Two fire-and-forget submissions with disjoint kinds, then an
+    // immediate drain, which begins while the second sweep still waits
+    // behind the first.
     let mut client = connect(&server);
-    let ids = ["first", "second"];
-    for id in ids {
+    let sweeps = [("first", ["blind", "store-sets"]), ("second", ["phast", "nosq"])];
+    for (id, kinds) in sweeps {
         match client
             .request(&Request::Submit {
                 id: id.to_string(),
-                kinds: vec!["blind".to_string(), "store-sets".to_string()],
+                kinds: kinds.map(String::from).to_vec(),
                 budget: "bench".to_string(),
                 watch: false,
             })
@@ -269,20 +310,21 @@ fn a_drain_runs_queued_sweeps_in_admission_order() {
     server.shutdown();
     assert_eq!(server.join(), exit_code::OK, "the drain finished both sweeps cleanly");
 
-    for id in ids {
+    for (id, _) in sweeps {
         SweepArtifact::verify_file(&dir.join(format!("BENCH_{id}.json")))
             .expect("flushed artifact verifies");
     }
-    // Each cell journals a start and a done line under its sweep's id:
-    // all of the first sweep's lines come before any of the second's.
+    // Each cell journals a start and a done line keyed by its predictor
+    // label, kind by kind on one worker: all of the first sweep's lines
+    // come before any of the second's.
     let journal = std::fs::read_to_string(&journal_path).expect("journal readable");
-    let scopes: Vec<&str> = journal
+    let labels: Vec<&str> = journal
         .lines()
-        .filter_map(|l| l.split_once("\"key\":\"")?.1.split_once('|'))
-        .map(|(scope, _)| scope)
+        .filter_map(|l| l.split_once("\"key\":\"")?.1.split('|').nth(1))
         .collect();
-    let expected: Vec<&str> = [["first"; 8], ["second"; 8]].concat();
-    assert_eq!(scopes, expected);
+    let expected: Vec<&str> =
+        [["blind"; 4], ["store-sets"; 4], ["phast"; 4], ["nosq"; 4]].concat();
+    assert_eq!(labels, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

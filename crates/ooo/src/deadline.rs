@@ -38,10 +38,11 @@ impl Deadline {
         Deadline::default()
     }
 
-    /// A deadline `budget` of wall-clock time from now.
+    /// A deadline `budget` of wall-clock time from now. A budget that
+    /// reaches past what the clock can represent never expires.
     pub fn after(budget: Duration) -> Deadline {
         let now = Instant::now();
-        Deadline { started: Some(now), at: Some(now.checked_add(budget).unwrap_or(now)) }
+        Deadline { started: Some(now), at: now.checked_add(budget) }
     }
 
     /// True once the wall-clock deadline has passed.

@@ -6,7 +6,9 @@
 //! budget, past deadline) must stop the run on that very first poll,
 //! before a single cycle is simulated. These tests pin that contract:
 //! `--run-timeout=0` on both binaries relies on it to smoke the deadline
-//! exit path without a slow run.
+//! exit path without a slow run. At the other end, a budget the clock
+//! cannot add to now (`--run-timeout=18446744073709551615`) never
+//! expires.
 
 use phast_isa::{CondKind, MemSize, Program, ProgramBuilder, Reg};
 use phast_mdp::BlindSpeculation;
@@ -64,4 +66,14 @@ fn already_past_deadline_fires_on_the_first_poll() {
     let deadline = Deadline::after(Duration::from_nanos(1));
     std::thread::sleep(Duration::from_millis(2));
     assert_died_on_first_poll(run_under(&program, &deadline));
+}
+
+/// A budget too large for the clock to add to `now` must not wrap to an
+/// expired token: it never expires, so the run finishes.
+#[test]
+fn budget_beyond_the_clock_never_expires() {
+    let deadline = Deadline::after(Duration::MAX);
+    assert!(!deadline.expired());
+    let stats = run_under(&long_loop(2_000), &deadline).expect("the run is not cut");
+    assert!(stats.committed > 0);
 }
